@@ -6,7 +6,6 @@ from .bregman import (
     BregmanParams,
     ExtendedState,
     compute_zeta,
-    grad_coefficient,
     hamiltonian_adaptive,
     hamiltonian_direct,
     hamiltonian_partials,
@@ -30,12 +29,10 @@ from .optimizers import RunConfig, Trace, el_step, htvi_step, rgd_step, run
 from .problems import (
     ProblemSpec,
     brockett,
-    jacobi_eigen,
     load_matrix,
     make_instance,
     procrustes,
     rayleigh,
-    svd_small,
 )
 
 __all__ = [
@@ -58,12 +55,10 @@ __all__ = [
     "constrained_left_hamilton_step",
     "constrained_right_hamilton_step",
     "el_step",
-    "grad_coefficient",
     "hamiltonian_adaptive",
     "hamiltonian_direct",
     "hamiltonian_partials",
     "htvi_step",
-    "jacobi_eigen",
     "legendre_minus",
     "legendre_plus",
     "load_matrix",
@@ -76,7 +71,6 @@ __all__ = [
     "rayleigh",
     "rgd_step",
     "run",
-    "svd_small",
 ]
 
 __version__ = "0.1.0"

@@ -212,21 +212,6 @@ def hamiltonian_partials(
     return HamiltonianPartials(d_q=d_q, d_qt=float(d_qt), d_r=d_r, d_rt=float(d_rt))
 
 
-def grad_coefficient(params: BregmanParams, q_t: float, adaptive: bool) -> float:
-    """Capped coefficient multiplying the objective gradient in the momentum
-    update of the one-step integrator."""
-    return min(params.coeff_cap, grad_coefficient_uncapped(params, q_t, adaptive))
-
-
-def grad_coefficient_uncapped(params: BregmanParams, q_t: float, adaptive: bool) -> float:
-    s = _check_time(q_t)
-    p, lam_c, c = params.p, params.lambda_conv, params.c_const
-    if not adaptive:
-        return params.h * c * p * s ** ((lam_c + 1.0) * p - 1.0)
-    pr = params.p_ring
-    return params.h * c * (p * p / pr) * s ** ((lam_c + 1.0) * p - pr / p)
-
-
 @dataclass(frozen=True)
 class StepCoefficients:
     """Scalar coefficients of the one-step discrete Hamiltonian map.
@@ -239,14 +224,12 @@ class StepCoefficients:
         r_t'   = (r_t + kinetic_rt * <r', r'> - potential_rt * f(q))
                  / (1 + feedback_rt)
 
-    ``gradient`` already includes the coefficient cap; ``gradient_uncapped``
-    is kept for diagnostics.
+    ``gradient`` already includes the coefficient cap ``params.coeff_cap``.
     """
 
     q_t_increment: float
     position: float
     gradient: float
-    gradient_uncapped: float
     kinetic_rt: float
     potential_rt: float
     feedback_rt: float
@@ -263,24 +246,20 @@ def step_coefficients(params: BregmanParams, q_t: float, adaptive: bool) -> Step
     h = params.h
     p, lam_c, c = params.p, params.lambda_conv, params.c_const
     if not adaptive:
-        grad_unc = h * c * p * s ** ((lam_c + 1.0) * p - 1.0)
         return StepCoefficients(
             q_t_increment=h,
             position=h * p * s ** (-(lam_c * p + 1.0)),
-            gradient=min(params.coeff_cap, grad_unc),
-            gradient_uncapped=grad_unc,
+            gradient=min(params.coeff_cap, h * c * p * s ** ((lam_c + 1.0) * p - 1.0)),
             kinetic_rt=h * 0.5 * p * (lam_c * p + 1.0) * s ** (-(lam_c * p + 2.0)),
             potential_rt=h * c * p * ((lam_c + 1.0) * p - 1.0)
             * s ** ((lam_c + 1.0) * p - 2.0),
             feedback_rt=0.0,
         )
     pr = params.p_ring
-    grad_unc = h * c * (p * p / pr) * s ** ((lam_c + 1.0) * p - pr / p)
     return StepCoefficients(
         q_t_increment=h * (p / pr) * s ** (1.0 - pr / p),
         position=h * (p * p / pr) * s ** (-(lam_c * p + pr / p)),
-        gradient=min(params.coeff_cap, grad_unc),
-        gradient_uncapped=grad_unc,
+        gradient=min(params.coeff_cap, h * c * (p * p / pr) * s ** ((lam_c + 1.0) * p - pr / p)),
         kinetic_rt=h * 0.5 * (p * p / pr) * (lam_c * p + pr / p)
         * s ** (-(lam_c * p + pr / p + 1.0)),
         potential_rt=h * c * (p * p / pr) * ((lam_c + 1.0) * p - pr / p)

@@ -138,37 +138,27 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def write_trace_csv(path: Path, trace: Trace, prefix: tuple = ()) -> None:
-    """Write one trace; a failed run gains a trailing all-nan failure row."""
-    lines = []
-    for i in range(len(trace)):
-        row = prefix + (
-            trace.ks[i], trace.ts[i], trace.fs[i], trace.grad_norms[i],
-            trace.constraint_violations[i], trace.errors_vs_oracle[i],
-            trace.newton_iters[i],
-        )
-        lines.append(",".join(_fmt(v) for v in row))
+def _trace_lines(trace: Trace, prefix: tuple = ()) -> list[str]:
+    """CSV lines of one trace; a failed run gains a trailing all-nan failure row."""
+    rows = [
+        prefix + row
+        for row in zip(trace.ks, trace.ts, trace.fs, trace.grad_norms,
+                       trace.constraint_violations, trace.errors_vs_oracle,
+                       trace.newton_iters)
+    ]
     if trace.failed:
         next_k = (trace.ks[-1] + 1) if trace.ks else 0
-        row = prefix + (next_k, math.nan, math.nan, math.nan, math.nan, None, None)
-        lines.append(",".join(_fmt(v) for v in row))
-    header = ("method",) * bool(prefix) + CSV_COLUMNS
+        rows.append(prefix + (next_k, math.nan, math.nan, math.nan, math.nan, None, None))
+    return [",".join(_fmt(v) for v in row) for row in rows]
+
+
+def _write_csv(path: Path, header: tuple, lines: list[str]) -> None:
     path.write_text(",".join(header) + "\n" + "\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _append_combined(lines: list, label: str, trace: Trace) -> None:
-    for i in range(len(trace)):
-        row = (
-            label, trace.ks[i], trace.ts[i], trace.fs[i], trace.grad_norms[i],
-            trace.constraint_violations[i], trace.errors_vs_oracle[i],
-            trace.newton_iters[i],
-        )
-        lines.append(",".join(_fmt(v) for v in row))
-    if trace.failed:
-        next_k = (trace.ks[-1] + 1) if trace.ks else 0
-        lines.append(",".join(_fmt(v) for v in
-                              (label, next_k, math.nan, math.nan, math.nan,
-                               math.nan, None, None)))
+def write_trace_csv(path: Path, trace: Trace) -> None:
+    """Write one trace; a failed run gains a trailing all-nan failure row."""
+    _write_csv(path, CSV_COLUMNS, _trace_lines(trace))
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -286,8 +276,7 @@ def _prepare(config: dict, out_override: str | None):
     return problem, run_configs, labels, out_dir, initial
 
 
-def cmd_run(config_path: str, out_override: str | None = None,
-            no_plot: bool = False) -> int:
+def cmd_run(config_path: str, out_override: str | None = None) -> int:
     """Run every method block; write one CSV per block."""
     config = _load_json(config_path)
     problem, run_configs, labels, out_dir, initial = _prepare(config, out_override)
@@ -316,7 +305,7 @@ def cmd_compare(config_path: str, out_override: str | None = None,
     has_oracle = problem.oracle_value is not None
     for run_config, label in zip(run_configs, labels):
         trace = optimizers.run(run_config, problem, initial)
-        _append_combined(lines, label, trace)
+        lines.extend(_trace_lines(trace, (label,)))
         if trace.failed:
             failed = True
             print(f"{label}: FAILED ({trace.failure_reason})")
@@ -327,10 +316,7 @@ def cmd_compare(config_path: str, out_override: str | None = None,
         )
         pairs = [(k, v) for k, v in zip(trace.ks, values) if v is not None]
         series.append((label, [k for k, _ in pairs], [v for _, v in pairs]))
-    header = ("method",) + CSV_COLUMNS
-    (out_dir / "compare.csv").write_text(
-        ",".join(header) + "\n" + "\n".join(lines) + "\n", encoding="utf-8"
-    )
+    _write_csv(out_dir / "compare.csv", ("method",) + CSV_COLUMNS, lines)
     plot_wanted = bool(config.get("plot", True)) and not no_plot
     if plot_wanted:
         ylabel = "f - oracle" if has_oracle else "f"
@@ -395,8 +381,7 @@ def _order_check_system(name: str):
     raise ConfigError(f"unknown order-check system {name!r}")
 
 
-def cmd_order_check(config_path: str, out_override: str | None = None,
-                    no_plot: bool = False) -> int:
+def cmd_order_check(config_path: str, out_override: str | None = None) -> int:
     """Fit an empirical convergence rate and gate it against an interval."""
     config = _load_json(config_path)
     name = config.get("system")
@@ -442,15 +427,14 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="path to a JSON config")
         cmd.add_argument("--out", default=None, help="override the output directory")
-        cmd.add_argument("--no-plot", action="store_true", help="skip SVG output")
+        if name == "compare":
+            cmd.add_argument("--no-plot", action="store_true", help="skip SVG output")
     args = parser.parse_args(argv)
-    handler = {
-        "run": cmd_run,
-        "compare": cmd_compare,
-        "order-check": cmd_order_check,
-    }[args.command]
     try:
-        return handler(args.config, args.out, args.no_plot)
+        if args.command == "compare":
+            return cmd_compare(args.config, args.out, args.no_plot)
+        handler = cmd_run if args.command == "run" else cmd_order_check
+        return handler(args.config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -46,9 +46,5 @@ class SingularJacobianError(NewtonError):
     """The Jacobian of the residual was singular during a Newton solve."""
 
 
-class ConvergenceError(BregoptError, RuntimeError):
-    """An iterative linear-algebra routine exhausted its sweep budget."""
-
-
 class ConfigError(BregoptError, ValueError):
     """A benchmark configuration file is malformed or inconsistent."""

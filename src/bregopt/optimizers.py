@@ -12,8 +12,12 @@ Three families are provided:
 * ``rgd`` -- Riemannian gradient descent.
 
 ``run`` drives any of them to a stopping criterion and records a
-per-iteration :class:`Trace`.  Traces accumulate locally, so independent
-runs may execute concurrently; a single run is sequential.
+per-iteration :class:`Trace`.  Each method contributes only a step closure;
+one loop evaluates the objective once per iterate, records the row, tests
+the stop and turns any step or evaluation failure into a failed trace, so
+every method is recorded, stopped and failed alike.  Traces accumulate
+locally, so independent runs may execute concurrently; a single run is
+sequential.
 """
 
 from __future__ import annotations
@@ -253,27 +257,60 @@ def rgd_step(
 # Run driver
 # ---------------------------------------------------------------------------
 
+# Each ``_*_stepper`` returns the start point, its time coordinate and a
+# closure ``advance(k, f_val, grad) -> (point, t, newton_iters)`` that takes
+# step ``k`` from the current point, whose objective value and ambient
+# gradient are ``f_val`` and ``grad``.  The step functions are looked up by
+# module name at call time, so replacing them on the module takes effect.
 
-def _record(trace, problem, k, t, q, newton_iters):
-    f_val = problem.f(q)
-    grad = problem.manifold.riemannian_gradient(q, problem.ambient_grad(q))
-    gap = None if problem.oracle_value is None else f_val - problem.oracle_value
-    trace.append(
-        k=k,
-        t=t,
-        f=f_val,
-        grad_norm=float(np.linalg.norm(grad)),
-        constraint_violation=problem.manifold.constraint_violation(q),
-        error_vs_oracle=gap,
-        newton_iters=newton_iters,
-    )
-    return f_val, float(np.linalg.norm(grad)), gap
+def _htvi_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
+    direction = "direct" if config.method == "htvi_direct" else "adaptive"
+    manifold = problem.manifold
+    state = ExtendedState.initial(q0, manifold.constraint_dim)
+
+    def advance(k, f_val, grad):
+        nonlocal state
+        state, iters = htvi_step(
+            direction, config.params, manifold, state, grad, f_val, config.newton
+        )
+        if config.momentum_projection:
+            state.r = project_momentum(manifold, state.q, state.r)
+        if not state.is_finite():
+            raise BregoptError("non-finite state")
+        return state.q, state.q_t, iters
+
+    return state.q, state.q_t, advance
 
 
-def _should_stop(config, grad_norm, gap):
-    if grad_norm <= config.stop_grad_tol:
-        return True
-    return gap is not None and gap <= config.stop_f_tol
+def _el_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
+    version = 1 if config.method == "el_v1" else 2
+    manifold = problem.manifold
+    x, v = q0.copy(), np.zeros_like(q0)
+
+    def riemannian_grad(point):
+        return manifold.riemannian_gradient(point, problem.ambient_grad(point))
+
+    def advance(k, f_val, grad):
+        nonlocal x, v
+        x, v = el_step(version, config.params, manifold, x, v, k, riemannian_grad)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+            raise BregoptError("non-finite state")
+        return x, k * config.params.h, None
+
+    return x, 0.0, advance
+
+
+def _rgd_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
+    x = q0.copy()
+
+    def advance(k, f_val, grad):
+        nonlocal x
+        x = rgd_step(problem.manifold, x, config.params.h, grad)
+        if not np.all(np.isfinite(x)):
+            raise BregoptError("non-finite state")
+        return x, k * config.params.h, None
+
+    return x, 0.0, advance
 
 
 def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
@@ -281,88 +318,41 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
 
     ``initial`` is a feasible point (flat array); when omitted it is drawn
     from the manifold with the config seed.  HTVI methods start from the
-    standard extended state (zero momenta, unit time coordinate).  Step
-    failures mark the trace as failed and end the run gracefully.
+    standard extended state (zero momenta, unit time coordinate).  The
+    objective and its ambient gradient are evaluated once per iterate; the
+    same values are recorded and passed to the next step.  A
+    :class:`BregoptError` raised by a step or while evaluating an iterate
+    marks the trace as failed and ends the run gracefully.
     """
     manifold = problem.manifold
     if initial is None:
         initial = manifold.random_point(np.random.default_rng(config.seed))
     q0 = np.asarray(initial, dtype=float)
-    trace = Trace(config.method)
-    params = config.params
-    h = params.h
-
     if config.method in ("htvi_direct", "htvi_adaptive"):
-        direction = "direct" if config.method == "htvi_direct" else "adaptive"
-        state = ExtendedState.initial(q0, manifold.constraint_dim)
-        _, grad_norm, gap = _record(trace, problem, 0, state.q_t, state.q, None)
-        if _should_stop(config, grad_norm, gap):
-            return trace
-        for k in range(1, config.max_iters + 1):
-            f_val = problem.f(state.q)
-            grad_f = problem.ambient_grad(state.q)
-            try:
-                state, iters = htvi_step(
-                    direction, params, manifold, state, grad_f, f_val, config.newton
-                )
-            except BregoptError as exc:
-                trace.failed = True
-                trace.failure_reason = str(exc)
+        start = _htvi_stepper
+    elif config.method in ("el_v1", "el_v2"):
+        start = _el_stepper
+    else:
+        start = _rgd_stepper
+    point, t, advance = start(config, problem, q0)
+
+    trace = Trace(config.method)
+    k, newton_iters = 0, None
+    try:
+        while True:
+            f_val = problem.f(point)
+            grad = problem.ambient_grad(point)
+            grad_norm = float(np.linalg.norm(manifold.riemannian_gradient(point, grad)))
+            gap = None if problem.oracle_value is None else f_val - problem.oracle_value
+            trace.append(k, t, f_val, grad_norm, manifold.constraint_violation(point),
+                         gap, newton_iters)
+            if (grad_norm <= config.stop_grad_tol
+                    or (gap is not None and gap <= config.stop_f_tol)
+                    or k == config.max_iters):
                 return trace
-            if config.momentum_projection:
-                state.r = project_momentum(manifold, state.q, state.r)
-            if not state.is_finite():
-                trace.failed = True
-                trace.failure_reason = "non-finite state"
-                return trace
-            _, grad_norm, gap = _record(trace, problem, k, state.q_t, state.q, iters)
-            if _should_stop(config, grad_norm, gap):
-                return trace
+            k += 1
+            point, t, newton_iters = advance(k, f_val, grad)
+    except BregoptError as exc:
+        trace.failed = True
+        trace.failure_reason = str(exc)
         return trace
-
-    if config.method in ("el_v1", "el_v2"):
-        version = 1 if config.method == "el_v1" else 2
-
-        def riemannian_grad(point):
-            return manifold.riemannian_gradient(point, problem.ambient_grad(point))
-
-        x, v = q0.copy(), np.zeros_like(q0)
-        _, grad_norm, gap = _record(trace, problem, 0, 0.0, x, None)
-        if _should_stop(config, grad_norm, gap):
-            return trace
-        for k in range(1, config.max_iters + 1):
-            try:
-                x, v = el_step(version, params, manifold, x, v, k, riemannian_grad)
-            except BregoptError as exc:
-                trace.failed = True
-                trace.failure_reason = str(exc)
-                return trace
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-                trace.failed = True
-                trace.failure_reason = "non-finite state"
-                return trace
-            _, grad_norm, gap = _record(trace, problem, k, k * h, x, None)
-            if _should_stop(config, grad_norm, gap):
-                return trace
-        return trace
-
-    # rgd
-    x = q0.copy()
-    _, grad_norm, gap = _record(trace, problem, 0, 0.0, x, None)
-    if _should_stop(config, grad_norm, gap):
-        return trace
-    for k in range(1, config.max_iters + 1):
-        try:
-            x = rgd_step(manifold, x, h, problem.ambient_grad(x))
-        except BregoptError as exc:
-            trace.failed = True
-            trace.failure_reason = str(exc)
-            return trace
-        if not np.all(np.isfinite(x)):
-            trace.failed = True
-            trace.failure_reason = "non-finite state"
-            return trace
-        _, grad_norm, gap = _record(trace, problem, k, k * h, x, None)
-        if _should_stop(config, grad_norm, gap):
-            return trace
-    return trace

@@ -3,9 +3,8 @@
 Three problems are provided: Rayleigh-quotient minimization on the unit
 sphere, the Brockett cost on the Stiefel manifold (generalized eigenvalue
 problem), and the orthogonal Procrustes problem.  Optimal values come from
-self-contained dense oracles (a cyclic Jacobi eigensolver and an SVD built
-on it) rather than from external linear-algebra routines, so acceptance
-checks do not assume anything about the environment.
+dense closed-form oracles: the symmetric eigendecomposition for Rayleigh and
+Brockett and the SVD for balanced Procrustes, both from ``numpy.linalg``.
 
 Objectives and gradients take flat point vectors in the convention of the
 host manifold (Stiefel points column-major flattened).
@@ -18,11 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .manifolds import EmbeddedManifold, Sphere, Stiefel
-
-# The dense oracles are meant for desk-scale experiments.
-MAX_ORACLE_DIM = 200
 
 
 @dataclass
@@ -35,97 +30,6 @@ class ProblemSpec:
     ambient_grad: Callable[[np.ndarray], np.ndarray]
     oracle_value: float | None = None
     oracle_point: np.ndarray | None = None
-
-
-# ---------------------------------------------------------------------------
-# Dense oracles
-# ---------------------------------------------------------------------------
-
-
-def jacobi_eigen(a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns ``(w, v)`` with eigenvalues ascending and orthonormal
-    eigenvector columns satisfying ``|A v_i - w_i v_i| <= tol``.
-
-    Raises:
-        ValueError: asymmetric input or dimension above the desk-scale cap.
-        ConvergenceError: sweep budget exhausted.
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("jacobi_eigen expects a square matrix")
-    if n > MAX_ORACLE_DIM:
-        raise ValueError(f"jacobi_eigen caps at n <= {MAX_ORACLE_DIM}")
-    if n and np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, np.max(np.abs(a))):
-        raise ValueError("jacobi_eigen expects a symmetric matrix")
-
-    work = a.copy()
-    vecs = np.eye(n)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    target = max(1e-14, 0.01 * tol) * scale
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(work, -1) ** 2) * 2.0)
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) <= 1e-30 * scale:
-                    continue
-                tau = (work[q, q] - work[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.array([[c, -s], [s, c]])
-                work[[p, q], :] = rot @ work[[p, q], :]
-                work[:, [p, q]] = work[:, [p, q]] @ rot.T
-                vecs[:, [p, q]] = vecs[:, [p, q]] @ rot.T
-    else:
-        raise ConvergenceError(
-            f"jacobi_eigen did not converge within {max_sweeps} sweeps"
-        )
-    values = np.diag(work).copy()
-    order = np.argsort(values, kind="stable")
-    return values[order], vecs[:, order]
-
-
-def _complete_orthonormal(u_partial: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Extend orthonormal columns to ``cols`` columns deterministically."""
-    basis = np.hstack([u_partial, np.eye(rows)])
-    q, _ = np.linalg.qr(basis)
-    return q[:, :cols]
-
-
-def svd_small(m: np.ndarray, tol: float = 1e-10):
-    """Singular value decomposition of a small dense matrix.
-
-    Built on :func:`jacobi_eigen` applied to the smaller Gram matrix.
-    Returns ``(u, s, v)`` with ``u (p x k)``, ``s`` nonincreasing of length
-    ``k = min(p, q)`` and ``v (q x k)`` such that ``u @ diag(s) @ v.T``
-    reconstructs the input.
-    """
-    m = np.asarray(m, dtype=float)
-    p, q = m.shape
-    if max(p, q) > MAX_ORACLE_DIM:
-        raise ValueError(f"svd_small caps at dimensions <= {MAX_ORACLE_DIM}")
-    if p < q:
-        v, s, u = svd_small(m.T, tol)
-        return u, s, v
-    gram = m.T @ m
-    w, v = jacobi_eigen(gram, tol)
-    order = np.argsort(-w, kind="stable")
-    w, v = w[order], v[:, order]
-    s = np.sqrt(np.clip(w, 0.0, None))
-    cutoff = max(1e-13 * (s[0] if s.size else 0.0), 1e-300)
-    u = np.zeros((p, q))
-    known = s > cutoff
-    u[:, known] = (m @ v[:, known]) / s[known]
-    if not np.all(known):
-        filled = _complete_orthonormal(u[:, known], p, q)
-        u[:, ~known] = filled[:, int(np.sum(known)):]
-    return u, s, v
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +55,7 @@ def rayleigh(a: np.ndarray) -> ProblemSpec:
     a = _check_symmetric(a, "A")
     n = a.shape[0]
     manifold = Sphere(n)
-    values, vectors = jacobi_eigen(a)
+    values, vectors = np.linalg.eigh(a)
 
     def f(q):
         return -float(q @ (a @ q))
@@ -186,7 +90,7 @@ def brockett(a: np.ndarray, n_diag: np.ndarray) -> ProblemSpec:
         raise ValueError("diagonal of N must satisfy 0 <= mu_1 <= ... <= mu_m")
     n, m = a.shape[0], mu.size
     manifold = Stiefel(n, m)
-    values, vectors = jacobi_eigen(a)
+    values, vectors = np.linalg.eigh(a)
 
     def f(q):
         x = manifold.as_matrix(q)
@@ -242,8 +146,8 @@ def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
     if n == m:
         # Minimizing |AX - B|_F^2 over O(n) maximizes trace(X^T A^T B); the
         # maximizer is U V^T from the SVD of A^T B.
-        u, _, v = svd_small(a.T @ b)
-        x_star = u @ v.T
+        u, _, vt = np.linalg.svd(a.T @ b)
+        x_star = u @ vt
         oracle_point = manifold.from_matrix(x_star)
         oracle_value = f(oracle_point)
     return ProblemSpec(

@@ -9,7 +9,6 @@ from bregopt.bregman import (
     BregmanParams,
     ExtendedState,
     compute_zeta,
-    grad_coefficient,
     hamiltonian_adaptive,
     hamiltonian_direct,
     hamiltonian_partials,
@@ -224,17 +223,17 @@ class TestPartials:
 class TestGradCoefficient:
     def test_uncapped_direct_value(self):
         params = BregmanParams(p=2.0, c_const=1.0, h=1.0, coeff_cap=math.inf)
-        assert grad_coefficient(params, 1.0, adaptive=False) == pytest.approx(2.0)
+        assert step_coefficients(params, 1.0, adaptive=False).gradient == pytest.approx(2.0)
 
     def test_cap_binds(self):
         params = BregmanParams(p=2.0, c_const=1.0, h=1.0, coeff_cap=1.0)
-        assert grad_coefficient(params, 1.0, adaptive=False) == pytest.approx(1.0)
+        assert step_coefficients(params, 1.0, adaptive=False).gradient == pytest.approx(1.0)
 
     def test_adaptive_reduces_to_direct(self):
         params = BregmanParams(p=3.0, p_ring=3.0, c_const=1.3, h=0.05)
         for q_t in (0.7, 1.0, 2.5):
-            assert grad_coefficient(params, q_t, adaptive=True) == pytest.approx(
-                grad_coefficient(params, q_t, adaptive=False), rel=1e-14)
+            assert step_coefficients(params, q_t, adaptive=True).gradient == pytest.approx(
+                step_coefficients(params, q_t, adaptive=False).gradient, rel=1e-14)
 
 
 class TestStepCoefficients:
@@ -272,7 +271,7 @@ class TestStepCoefficients:
         assert step_coefficients(params, 1.3, adaptive=False).feedback_rt == 0.0
 
     def test_gradient_coefficient_capped(self):
-        params = BregmanParams(p=6.0, c_const=1.0, h=1.0, coeff_cap=2.0)
-        coeffs = step_coefficients(params, 2.0, adaptive=False)
-        assert coeffs.gradient == 2.0
-        assert coeffs.gradient_uncapped > 2.0
+        capped = BregmanParams(p=6.0, c_const=1.0, h=1.0, coeff_cap=2.0)
+        uncapped = BregmanParams(p=6.0, c_const=1.0, h=1.0, coeff_cap=math.inf)
+        assert step_coefficients(capped, 2.0, adaptive=False).gradient == 2.0
+        assert step_coefficients(uncapped, 2.0, adaptive=False).gradient > 2.0

@@ -117,6 +117,30 @@ class TestRun:
         assert len(lines) < 100001
         assert "nan" in lines[-1]
 
+    def test_failed_block_leaves_failure_row_and_later_blocks_run(self, tmp_path):
+        from bregopt.cli import EXIT_NUMERICAL
+
+        # a loose multiplier tolerance drives the first HTVI iterate off the
+        # Stiefel manifold, which fails the run at k = 1
+        config = write_config(
+            tmp_path,
+            {
+                "problem": {"name": "brockett", "dims": [6, 2], "seed": 0},
+                "methods": [
+                    {"method": "htvi_direct", "label": "loose", "newton_tol": 1e-6,
+                     "max_iters": 50},
+                    {"method": "rgd", "label": "next", "h": 0.01, "max_iters": 50,
+                     "stop_f_tol": 1e-300, "stop_grad_tol": 1e-300},
+                ],
+                "output_dir": str(tmp_path / "out"),
+            },
+        )
+        assert main(["run", "--config", config]) == EXIT_NUMERICAL
+        lines = (tmp_path / "out" / "loose.csv").read_text().splitlines()
+        assert len(lines) == 3  # header, k = 0, failure row
+        assert lines[-1] == "1,nan,nan,nan,nan,,"
+        assert len((tmp_path / "out" / "next.csv").read_text().splitlines()) == 52
+
     def test_matrix_file_input(self, tmp_path):
         a = np.diag([1.0, 2.0, 5.0])
         matrix_path = tmp_path / "a.txt"
@@ -216,6 +240,9 @@ class TestCompare:
         assert main(["compare", "--config", config, "--no-plot"]) == EXIT_OK
         assert not (tmp_path / "cmp" / "compare.svg").exists()
         assert (tmp_path / "cmp" / "compare.csv").exists()
+        # only compare plots, so the other subcommands reject the flag
+        with pytest.raises(SystemExit):
+            main(["run", "--config", config, "--no-plot"])
 
 
 class TestOrderCheck:

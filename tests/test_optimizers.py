@@ -1,11 +1,13 @@
 """Tests of the HTVI / Euler-Lagrange / gradient-descent iteration engines."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from bregopt.bregman import BregmanParams, ExtendedState
+from bregopt.dynamics import NewtonConfig
 from bregopt.manifolds import Euclidean, Sphere, Stiefel
 from bregopt.optimizers import RunConfig, el_step, htvi_step, rgd_step, run
 from bregopt.problems import make_instance, rayleigh
@@ -284,7 +286,9 @@ class TestRunDriver:
         assert len(trace) < 10000
 
     def test_gradient_norm_stop(self):
-        prob = make_instance("rayleigh", (6,), seed=13)
+        # without an oracle only the gradient norm can end the run: f may
+        # round below an exact optimum, so no positive stop_f_tol is inert
+        prob = dataclasses.replace(make_instance("rayleigh", (6,), seed=13), oracle_value=None)
         cfg = RunConfig(method="rgd", params=BregmanParams(p=2.0, h=0.1),
                         max_iters=10000, stop_grad_tol=1e-8, stop_f_tol=1e-300)
         trace = run(cfg, prob)
@@ -313,6 +317,78 @@ class TestRunDriver:
         projected = run(RunConfig(method="htvi_direct", momentum_projection=True, **base), prob)
         assert plain.fs != projected.fs
         assert all(v <= 1e-9 for v in projected.constraint_violations)
+
+    def test_infeasible_iterate_marks_trace_failed(self):
+        # a loose multiplier tolerance leaves the first Stiefel iterate off
+        # the manifold; evaluating its gradient must end the run gracefully
+        prob = make_instance("brockett", (6, 2), seed=0)
+        cfg = RunConfig(method="htvi_direct", params=BregmanParams(p=6.0), max_iters=100,
+                        newton=NewtonConfig(tol=1e-6))
+        trace = run(cfg, prob)
+        assert trace.failed
+        assert "violates constraint" in trace.failure_reason
+        assert trace.ks == [0]
+
+    @pytest.mark.parametrize("method", ["htvi_direct", "htvi_adaptive", "el_v1", "el_v2", "rgd"])
+    @pytest.mark.parametrize("name,dims", [("rayleigh", (6,)), ("brockett", (6, 2))])
+    def test_run_matches_hand_loop_of_public_steps(self, method, name, dims):
+        iters = 30
+        prob = make_instance(name, dims, seed=16)
+        params = BregmanParams(p=4.0, h=1e-2)
+        manifold = prob.manifold
+        q0 = manifold.random_point(np.random.default_rng(17))
+
+        x = q0.copy()
+        ts, newton = [0.0], [None]
+        if method.startswith("htvi"):
+            direction = method.split("_")[1]
+            state = ExtendedState.initial(q0, manifold.constraint_dim)
+            ts = [state.q_t]
+        elif method.startswith("el"):
+            v = np.zeros_like(q0)
+
+            def rgrad(point):
+                return manifold.riemannian_gradient(point, prob.ambient_grad(point))
+        fs = [prob.f(x)]
+        for k in range(1, iters + 1):
+            if method.startswith("htvi"):
+                state, it = htvi_step(direction, params, manifold, state,
+                                      prob.ambient_grad(state.q), prob.f(state.q))
+                x = state.q
+                ts.append(state.q_t)
+                newton.append(it)
+            else:
+                if method == "rgd":
+                    x = rgd_step(manifold, x, params.h, prob.ambient_grad(x))
+                else:
+                    x, v = el_step(int(method[-1]), params, manifold, x, v, k, rgrad)
+                ts.append(k * params.h)
+                newton.append(None)
+            fs.append(prob.f(x))
+
+        calls = []
+
+        def counted(fun):
+            def wrapper(point):
+                calls.append(1)
+                return fun(point)
+            return wrapper
+
+        counted_prob = dataclasses.replace(prob, f=counted(prob.f),
+                                           ambient_grad=counted(prob.ambient_grad))
+        cfg = RunConfig(method=method, params=params, max_iters=iters,
+                        stop_f_tol=1e-300, stop_grad_tol=1e-300)
+        trace = run(cfg, counted_prob, q0)
+        assert not trace.failed
+        assert trace.fs == fs
+        assert trace.ts == ts
+        assert trace.newton_iters == newton
+        # one objective and one gradient evaluation per recorded iterate;
+        # the Euler-Lagrange schemes add the gradient their step evaluates
+        if method.startswith("el"):
+            assert len(calls) <= 3 * len(trace)
+        else:
+            assert len(calls) == 2 * len(trace)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -1,16 +1,14 @@
-"""Tests of the benchmark problems and their self-contained oracles."""
+"""Tests of the benchmark problems and their oracles."""
 
 import numpy as np
 import pytest
 
 from bregopt.problems import (
     brockett,
-    jacobi_eigen,
     load_matrix,
     make_instance,
     procrustes,
     rayleigh,
-    svd_small,
     symmetric_from_spectrum,
     symmetric_instance,
 )
@@ -23,67 +21,6 @@ def ambient_fd_gradient(f, q, eps=1e-6):
         delta[j] = eps
         grad[j] = (f(q + delta) - f(q - delta)) / (2.0 * eps)
     return grad
-
-
-class TestJacobiEigen:
-    def test_diagonal_matrix(self):
-        values, vectors = jacobi_eigen(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(values, [1.0, 2.0, 3.0], atol=1e-14)
-        np.testing.assert_allclose(np.abs(vectors), np.eye(3)[:, [1, 2, 0]], atol=1e-14)
-
-    def test_two_by_two_exchange(self):
-        values, _ = jacobi_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-14)
-
-    def test_random_residual_and_orthogonality(self):
-        rng = np.random.default_rng(0)
-        for n in (5, 20, 60):
-            a = rng.standard_normal((n, n))
-            a = a + a.T
-            values, vectors = jacobi_eigen(a, tol=1e-10)
-            assert np.max(np.abs(a @ vectors - vectors * values)) <= 1e-10
-            assert np.max(np.abs(vectors.T @ vectors - np.eye(n))) <= 1e-10
-            assert np.all(np.diff(values) >= 0.0)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            jacobi_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            jacobi_eigen(np.zeros((201, 201)))
-        with pytest.raises(ValueError):
-            jacobi_eigen(np.zeros((2, 3)))
-
-
-class TestSvdSmall:
-    def test_identity(self):
-        u, s, v = svd_small(np.eye(3))
-        np.testing.assert_allclose(u, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(s, np.ones(3), atol=1e-12)
-        np.testing.assert_allclose(v, np.eye(3), atol=1e-12)
-
-    def test_diagonal(self):
-        _, s, _ = svd_small(np.diag([2.0, 1.0]))
-        np.testing.assert_allclose(s, [2.0, 1.0], atol=1e-12)
-
-    @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4)])
-    def test_reconstruction(self, shape):
-        rng = np.random.default_rng(1)
-        m = rng.standard_normal(shape)
-        u, s, v = svd_small(m)
-        np.testing.assert_allclose(u @ np.diag(s) @ v.T, m, atol=1e-8)
-        k = min(shape)
-        np.testing.assert_allclose(u.T @ u, np.eye(k), atol=1e-9)
-        np.testing.assert_allclose(v.T @ v, np.eye(k), atol=1e-9)
-        assert np.all(np.diff(s) <= 1e-12) and np.all(s >= 0.0)
-
-    def test_rank_deficient(self):
-        x = np.array([[1.0], [2.0], [0.5]])
-        y = np.array([[1.0, -1.0]])
-        m = x @ y
-        u, s, v = svd_small(m)
-        np.testing.assert_allclose(u @ np.diag(s) @ v.T, m, atol=1e-10)
-        np.testing.assert_allclose(u.T @ u, np.eye(2), atol=1e-9)
-        assert s[1] <= 1e-12
 
 
 class TestRayleigh:
@@ -214,14 +151,14 @@ class TestInstanceGeneration:
 
     def test_conditioning_controls_spread(self):
         a = symmetric_instance(0, 10, 50.0)
-        values, _ = jacobi_eigen(a)
+        values = np.linalg.eigvalsh(a)
         assert values[0] == pytest.approx(1.0, rel=1e-8)
         assert values[-1] == pytest.approx(50.0, rel=1e-8)
 
     def test_prescribed_spectrum(self):
         spectrum = np.array([0.5, 1.5, 4.0])
         a = symmetric_from_spectrum(np.random.default_rng(1), spectrum)
-        values, _ = jacobi_eigen(a)
+        values = np.linalg.eigvalsh(a)
         np.testing.assert_allclose(values, spectrum, atol=1e-10)
 
     def test_unknown_problem(self):
