@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .errors import NewtonError, SingularJacobianError
-from .manifolds import EmbeddedManifold
+
+if TYPE_CHECKING:
+    from .manifolds import EmbeddedManifold
 
 Array = np.ndarray
 
@@ -100,7 +102,7 @@ def newton_solve(
         raise ValueError(
             f"residual shape {res.shape} does not match unknown shape {x.shape}"
         )
-    norm = float(np.max(np.abs(res))) if res.size else 0.0
+    norm = float(np.abs(res).max()) if res.size else 0.0
     for iteration in range(config.max_iter):
         if norm <= config.tol:
             return NewtonResult(x, iteration, norm)
@@ -119,7 +121,7 @@ def newton_solve(
             ) from exc
         x = x - delta
         res = np.asarray(residual(x), dtype=float)
-        norm = float(np.max(np.abs(res)))
+        norm = float(np.abs(res).max())
     if norm <= config.tol:
         return NewtonResult(x, config.max_iter, norm)
     raise NewtonError(

@@ -2,10 +2,11 @@
 
 Each manifold is described by a constraint map ``C`` whose zero level set is
 the manifold, together with the operations needed by the constrained
-integrators and optimizers: constraint Jacobian, tangent-space projection,
-retraction, vector transport and Riemannian gradient.  The ambient metric is
-the Euclidean/Frobenius inner product throughout, so cotangent vectors are
-identified with tangent vectors component-wise.
+integrators and optimizers: constraint Jacobian, the Lagrange-multiplier
+solve that places a drifted point back on the manifold, tangent-space
+projection, retraction, vector transport and Riemannian gradient.  The
+ambient metric is the Euclidean/Frobenius inner product throughout, so
+cotangent vectors are identified with tangent vectors component-wise.
 
 Points and tangent vectors are flat 1-D arrays of length ``ambient_dim``.
 Stiefel points are n x m matrices with orthonormal columns, flattened in
@@ -20,15 +21,47 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dynamics import NewtonConfig, newton_solve
 from .errors import (
     DimensionError,
     FeasibilityError,
+    NewtonError,
     RetractionError,
     TransportError,
 )
 
 # Default tolerance for accepting a point as feasible on input.
 FEAS_TOL = 1e-8
+
+
+def _sphere_multiplier(w: np.ndarray, v: np.ndarray) -> float:
+    """Smallest-magnitude root of ``|w - v * lam|^2 = 1``.
+
+    The small root is the one that vanishes as the step size goes to zero,
+    so it keeps the map continuous in ``h``.
+    """
+    a = float(v @ v)
+    b = -2.0 * float(w @ v)
+    c = float(w @ w) - 1.0
+    tiny = 1e-300
+    if a < tiny:
+        if abs(b) < tiny:
+            if abs(c) < 1e-12:
+                return 0.0
+            raise NewtonError("sphere multiplier equation is degenerate")
+        return -c / b
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        raise NewtonError(
+            f"sphere constraint unreachable along the multiplier direction "
+            f"(discriminant {disc:.3e})"
+        )
+    sq = np.sqrt(disc)
+    big = (-b - sq) / (2.0 * a) if b >= 0.0 else (-b + sq) / (2.0 * a)
+    if big == 0.0:
+        return 0.0
+    small = c / (a * big)
+    return small if abs(small) <= abs(big) else big
 
 
 class EmbeddedManifold:
@@ -53,6 +86,28 @@ class EmbeddedManifold:
 
     def constraint_jacobian(self, q: np.ndarray) -> np.ndarray:
         """Jacobian of the constraint; row ``i`` is the gradient of ``C_i``."""
+        raise NotImplementedError
+
+    def solve_multiplier(
+        self,
+        drift: np.ndarray,
+        q: np.ndarray,
+        coeff: float,
+        lam0: np.ndarray,
+        newton: NewtonConfig,
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Multiplier ``lam`` with ``C(drift - coeff * J(q)^T lam) = 0``.
+
+        This is the SHAKE/RATTLE projection of a constrained one-step map:
+        ``drift`` is the unconstrained update of the position ``q`` and the
+        force ``J(q)^T lam`` acts along the constraint normals at ``q``.
+        ``lam0`` is the starting guess of an iterative solve.  Returns the
+        multiplier, the normal force ``J(q)^T lam`` as a flat ambient vector
+        and the number of Newton iterations.
+
+        Raises:
+            NewtonError: no multiplier reaches the manifold.
+        """
         raise NotImplementedError
 
     def constraint_violation(self, q: np.ndarray) -> float:
@@ -132,6 +187,13 @@ class Sphere(EmbeddedManifold):
         q = self._check_dim(q)
         return 2.0 * q[np.newaxis, :]
 
+    def solve_multiplier(self, drift, q, coeff, lam0, newton):
+        """Closed-form root of the scalar quadratic ``|drift - coeff 2q lam|^2 = 1``;
+        ``lam0`` and ``newton`` are unused."""
+        grad = 2.0 * q
+        lam = _sphere_multiplier(drift, coeff * grad)
+        return np.array([lam]), grad * lam, 0
+
     def tangent_project(self, q, z):
         q = self._check_feasible(q)
         z = self._check_dim(z)
@@ -182,6 +244,16 @@ class Stiefel(EmbeddedManifold):
         self.ambient_dim = n * m
         self.constraint_dim = m * (m + 1) // 2
         self._triu = np.triu_indices(m)
+        self._triu_flat = self._triu[0] * m + self._triu[1]
+        # Symmetric m x m basis ``E_k = e_i e_j^T + e_j e_i^T`` of the
+        # constraint components ``(i, j)``: ``X E_k`` is the gradient of
+        # ``C_k`` at ``X`` and ``J^T lam = X S(lam)`` with ``S = sum lam_k E_k``.
+        self._basis = np.zeros((self.constraint_dim, m, m))
+        rows = np.arange(self.constraint_dim)
+        self._basis[rows, self._triu[0], self._triu[1]] += 1.0
+        self._basis[rows, self._triu[1], self._triu[0]] += 1.0
+        self._basis_flat = self._basis.reshape(self.constraint_dim, m * m)
+        self._eye = np.eye(m)
 
     def as_matrix(self, q: np.ndarray) -> np.ndarray:
         """View a flat point as the underlying n x m matrix."""
@@ -198,14 +270,45 @@ class Stiefel(EmbeddedManifold):
 
     def constraint_jacobian(self, q):
         q = self._check_dim(q)
-        x = self.as_matrix(q)
-        jac = np.zeros((self.constraint_dim, self.ambient_dim))
-        for row, (i, j) in enumerate(zip(*self._triu)):
-            grad = np.zeros((self.n, self.m))
-            grad[:, i] += x[:, j]
-            grad[:, j] += x[:, i]
-            jac[row] = grad.reshape(-1, order="F")
-        return jac
+        grads = self.as_matrix(q) @ self._basis
+        return np.swapaxes(grads, 1, 2).reshape(self.constraint_dim, self.ambient_dim)
+
+    def _symmetric(self, lam):
+        """``S = L + L^T = sum_k lam_k E_k`` for the upper-triangular ``L``
+        holding ``lam``."""
+        return (lam @ self._basis_flat).reshape(self.m, self.m)
+
+    def solve_multiplier(self, drift, q, coeff, lam0, newton):
+        """Newton solve of ``triu((D - X S)^T (D - X S) - I) = 0`` for ``lam``.
+
+        ``D`` is the drift and ``X = coeff * X_q`` as n x m matrices.  With
+        ``A = (D - X S)^T X`` the derivative along ``lam_k`` is
+        ``-triu(A E_k + E_k A^T) = -triu(B_k + B_k^T)`` for ``B_k = A E_k``,
+        so the n x m work per iteration is O(n m^2) and the d x nm
+        constraint Jacobian is never formed.
+        """
+        xq = self.as_matrix(q)
+        dm = self.as_matrix(drift)
+        x = coeff * xq
+        last = [None, None]  # newton_solve differentiates where it last evaluated
+
+        def landing(lam):
+            if last[0] is not lam:
+                last[:] = lam, dm - x @ self._symmetric(lam)
+            return last[1]
+
+        def residual(lam):
+            y = landing(lam)
+            return (y.T @ y - self._eye)[self._triu]
+
+        def jacobian(lam):
+            b = (landing(lam).T @ x) @ self._basis
+            b = b + b.transpose(0, 2, 1)
+            return -b.reshape(self.constraint_dim, -1)[:, self._triu_flat].T
+
+        result = newton_solve(residual, lam0, newton, jacobian)
+        normal = self.from_matrix(xq @ self._symmetric(result.x))
+        return result.x, normal, result.iterations
 
     def tangent_project(self, q, z):
         q = self._check_feasible(q)
@@ -264,6 +367,9 @@ class Euclidean(EmbeddedManifold):
     def constraint_jacobian(self, q):
         self._check_dim(q)
         return np.zeros((0, self.ambient_dim))
+
+    def solve_multiplier(self, drift, q, coeff, lam0, newton):
+        return np.zeros(0), np.zeros(self.ambient_dim), 0
 
     def tangent_project(self, q, z):
         self._check_dim(q)

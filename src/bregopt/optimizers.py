@@ -28,9 +28,9 @@ import numpy as np
 
 from . import bregman
 from .bregman import BregmanParams, ExtendedState
-from .dynamics import DEFAULT_NEWTON, NewtonConfig, newton_solve, project_momentum
-from .errors import BregoptError, NewtonError
-from .manifolds import EmbeddedManifold, Sphere
+from .dynamics import DEFAULT_NEWTON, NewtonConfig, project_momentum
+from .errors import BregoptError
+from .manifolds import EmbeddedManifold
 from .problems import ProblemSpec
 
 METHODS = ("htvi_direct", "htvi_adaptive", "el_v1", "el_v2", "rgd")
@@ -113,36 +113,6 @@ class Trace:
 # ---------------------------------------------------------------------------
 
 
-def _solve_multiplier_sphere(w: np.ndarray, v: np.ndarray) -> float:
-    """Smallest-magnitude root of ``|w - v * lam|^2 = 1``.
-
-    The small root is the one that vanishes as the step size goes to zero,
-    so it keeps the map continuous in ``h``.
-    """
-    a = float(v @ v)
-    b = -2.0 * float(w @ v)
-    c = float(w @ w) - 1.0
-    tiny = 1e-300
-    if a < tiny:
-        if abs(b) < tiny:
-            if abs(c) < 1e-12:
-                return 0.0
-            raise NewtonError("sphere multiplier equation is degenerate")
-        return -c / b
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        raise NewtonError(
-            f"sphere constraint unreachable along the multiplier direction "
-            f"(discriminant {disc:.3e})"
-        )
-    sq = np.sqrt(disc)
-    big = (-b - sq) / (2.0 * a) if b >= 0.0 else (-b + sq) / (2.0 * a)
-    if big == 0.0:
-        return 0.0
-    small = c / (a * big)
-    return small if abs(small) <= abs(big) else big
-
-
 def htvi_step(
     direction: str,
     params: BregmanParams,
@@ -159,8 +129,10 @@ def htvi_step(
     its explicit sub-chain: the time coordinate updates in closed form, the
     multiplier is the only genuine unknown (it must place the new position
     on the constraint manifold), and the remaining updates follow
-    explicitly.  On the sphere the multiplier solves a scalar quadratic in
-    closed form; in general it is a small Newton solve of dimension ``d``.
+    explicitly.  The manifold solves for the multiplier
+    (:meth:`~bregopt.manifolds.EmbeddedManifold.solve_multiplier`), warm
+    started from ``state.lam``, and returns the normal force that corrects
+    the momentum.
 
     Returns the new state and the number of inner Newton iterations.
     """
@@ -171,32 +143,12 @@ def htvi_step(
 
     base = state.r - coeffs.gradient * np.asarray(grad_f, dtype=float)
     d = manifold.constraint_dim
-    iterations = 0
-    if d == 0:
-        lam = np.zeros(0)
-        r_next = base
-        q_next = state.q + coeffs.position * r_next
-    else:
-        jac_t = manifold.constraint_jacobian(state.q).T
-        drift = state.q + coeffs.position * base
-        if isinstance(manifold, Sphere):
-            lam_val = _solve_multiplier_sphere(drift, coeffs.position * jac_t[:, 0])
-            lam = np.array([lam_val])
-        else:
-            shift = coeffs.position * jac_t
-
-            def residual(lam):
-                return manifold.constraint(drift - shift @ lam)
-
-            def jacobian(lam):
-                return -manifold.constraint_jacobian(drift - shift @ lam) @ shift
-
-            lam0 = state.lam if state.lam.shape == (d,) else np.zeros(d)
-            result = newton_solve(residual, lam0, newton, jacobian)
-            lam = result.x
-            iterations = result.iterations
-        r_next = base - jac_t @ lam
-        q_next = state.q + coeffs.position * r_next
+    lam0 = state.lam if state.lam.shape == (d,) else np.zeros(d)
+    lam, normal, iterations = manifold.solve_multiplier(
+        state.q + coeffs.position * base, state.q, coeffs.position, lam0, newton
+    )
+    r_next = base - normal
+    q_next = state.q + coeffs.position * r_next
 
     r_t_next = (
         state.r_t + coeffs.kinetic_rt * float(r_next @ r_next) - coeffs.potential_rt * f_val
@@ -246,11 +198,11 @@ def el_step(
 
 
 def rgd_step(
-    manifold: EmbeddedManifold, x: np.ndarray, h: float, grad_f_ambient: np.ndarray
+    manifold: EmbeddedManifold, x: np.ndarray, h: float, riemannian_grad: np.ndarray
 ) -> np.ndarray:
-    """Riemannian gradient descent: retract along minus the projected gradient."""
-    grad = manifold.riemannian_gradient(x, grad_f_ambient)
-    return manifold.retract(x, -h * grad)
+    """Riemannian gradient descent: retract along minus the Riemannian
+    gradient ``riemannian_grad`` at ``x``."""
+    return manifold.retract(x, -h * riemannian_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +210,18 @@ def rgd_step(
 # ---------------------------------------------------------------------------
 
 # Each ``_*_stepper`` returns the start point, its time coordinate and a
-# closure ``advance(k, f_val, grad) -> (point, t, newton_iters)`` that takes
-# step ``k`` from the current point, whose objective value and ambient
-# gradient are ``f_val`` and ``grad``.  The step functions are looked up by
-# module name at call time, so replacing them on the module takes effect.
+# closure ``advance(k, f_val, grad, rgrad) -> (point, t, newton_iters)`` that
+# takes step ``k`` from the current point, whose objective value, ambient
+# gradient and Riemannian gradient are ``f_val``, ``grad`` and ``rgrad``.
+# The step functions are looked up by module name at call time, so replacing
+# them on the module takes effect.
 
 def _htvi_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
     direction = "direct" if config.method == "htvi_direct" else "adaptive"
     manifold = problem.manifold
     state = ExtendedState.initial(q0, manifold.constraint_dim)
 
-    def advance(k, f_val, grad):
+    def advance(k, f_val, grad, rgrad):
         nonlocal state
         state, iters = htvi_step(
             direction, config.params, manifold, state, grad, f_val, config.newton
@@ -290,9 +243,12 @@ def _el_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
     def riemannian_grad(point):
         return manifold.riemannian_gradient(point, problem.ambient_grad(point))
 
-    def advance(k, f_val, grad):
+    def advance(k, f_val, grad, rgrad):
         nonlocal x, v
-        x, v = el_step(version, config.params, manifold, x, v, k, riemannian_grad)
+        # version 1 evaluates the gradient at the current point, which the
+        # run loop has already done
+        x, v = el_step(version, config.params, manifold, x, v, k,
+                       (lambda point: rgrad) if version == 1 else riemannian_grad)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
             raise BregoptError("non-finite state")
         return x, k * config.params.h, None
@@ -303,9 +259,9 @@ def _el_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
 def _rgd_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
     x = q0.copy()
 
-    def advance(k, f_val, grad):
+    def advance(k, f_val, grad, rgrad):
         nonlocal x
-        x = rgd_step(problem.manifold, x, config.params.h, grad)
+        x = rgd_step(problem.manifold, x, config.params.h, rgrad)
         if not np.all(np.isfinite(x)):
             raise BregoptError("non-finite state")
         return x, k * config.params.h, None
@@ -319,10 +275,11 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
     ``initial`` is a feasible point (flat array); when omitted it is drawn
     from the manifold with the config seed.  HTVI methods start from the
     standard extended state (zero momenta, unit time coordinate).  The
-    objective and its ambient gradient are evaluated once per iterate; the
-    same values are recorded and passed to the next step.  A
-    :class:`BregoptError` raised by a step or while evaluating an iterate
-    marks the trace as failed and ends the run gracefully.
+    objective, its ambient gradient and the Riemannian gradient are
+    evaluated once per iterate; the same values are recorded and passed to
+    the next step.  A :class:`BregoptError` raised by a step or while
+    evaluating an iterate marks the trace as failed and ends the run
+    gracefully.
     """
     manifold = problem.manifold
     if initial is None:
@@ -342,7 +299,8 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
         while True:
             f_val = problem.f(point)
             grad = problem.ambient_grad(point)
-            grad_norm = float(np.linalg.norm(manifold.riemannian_gradient(point, grad)))
+            rgrad = manifold.riemannian_gradient(point, grad)
+            grad_norm = float(np.linalg.norm(rgrad))
             gap = None if problem.oracle_value is None else f_val - problem.oracle_value
             trace.append(k, t, f_val, grad_norm, manifold.constraint_violation(point),
                          gap, newton_iters)
@@ -351,7 +309,7 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
                     or k == config.max_iters):
                 return trace
             k += 1
-            point, t, newton_iters = advance(k, f_val, grad)
+            point, t, newton_iters = advance(k, f_val, grad, rgrad)
     except BregoptError as exc:
         trace.failed = True
         trace.failure_reason = str(exc)

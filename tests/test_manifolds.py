@@ -22,6 +22,19 @@ def central_difference_jacobian(func, x, step=1e-5):
     return jac
 
 
+def loop_stiefel_jacobian(st, q):
+    """Row by row constraint Jacobian of a Stiefel point, written as a loop
+    over the constraint components (reference for the vectorized one)."""
+    x = st.as_matrix(q)
+    jac = np.zeros((st.constraint_dim, st.ambient_dim))
+    for row, (i, j) in enumerate(zip(*np.triu_indices(st.m))):
+        grad = np.zeros((st.n, st.m))
+        grad[:, i] += x[:, j]
+        grad[:, j] += x[:, i]
+        jac[row] = grad.reshape(-1, order="F")
+    return jac
+
+
 class TestConstraint:
     def test_sphere_feasible_point(self):
         s = Sphere(2)
@@ -67,6 +80,15 @@ class TestConstraintJacobian:
         q = st.random_point(np.random.default_rng(3))
         fd = central_difference_jacobian(st.constraint, q, step=1e-5)
         np.testing.assert_allclose(st.constraint_jacobian(q), fd, atol=1e-6)
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (6, 2), (5, 5), (20, 5)])
+    def test_stiefel_bit_equal_to_loop(self, n, m):
+        # the multiplier solves also evaluate the Jacobian off the manifold
+        st = Stiefel(n, m)
+        rng = np.random.default_rng(n * 10 + m)
+        for q in (st.random_point(rng), rng.standard_normal(n * m)):
+            np.testing.assert_array_equal(st.constraint_jacobian(q),
+                                          loop_stiefel_jacobian(st, q))
 
     def test_full_row_rank_at_feasible_points(self):
         # zero must be a regular value: J_C J_C^T nonsingular on the manifold

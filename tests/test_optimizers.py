@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from bregopt.bregman import BregmanParams, ExtendedState
-from bregopt.dynamics import NewtonConfig
+from bregopt.cli import build_problem, build_run_config
+from bregopt.dynamics import DEFAULT_NEWTON, NewtonConfig, newton_solve
+from bregopt.errors import NewtonError
 from bregopt.manifolds import Euclidean, Sphere, Stiefel
 from bregopt.optimizers import RunConfig, el_step, htvi_step, rgd_step, run
 from bregopt.problems import make_instance, rayleigh
@@ -33,6 +35,149 @@ def bisection_roots(fun, center, width=50.0, tol=1e-14):
                 break
         roots.append(0.5 * (a + b))
     return roots
+
+
+def dense_multiplier(manifold, drift, q, coeff, lam0, newton):
+    """Multiplier solve through the dense constraint Jacobian: Newton on
+    ``C(drift - coeff J(q)^T lam) = 0`` with the Jacobian
+    ``-J(y) coeff J(q)^T`` (reference for ``solve_multiplier``)."""
+    jac_t = manifold.constraint_jacobian(q).T
+    shift = coeff * jac_t
+
+    def residual(lam):
+        return manifold.constraint(drift - shift @ lam)
+
+    def jacobian(lam):
+        return -manifold.constraint_jacobian(drift - shift @ lam) @ shift
+
+    result = newton_solve(residual, lam0, newton, jacobian)
+    return result.x, jac_t @ result.x, result.iterations
+
+
+def closed_form_sphere_multiplier(w, v):
+    """Smallest-magnitude root of ``|w - v lam|^2 = 1`` by the quadratic
+    formula (reference for ``Sphere.solve_multiplier``)."""
+    a = float(v @ v)
+    b = -2.0 * float(w @ v)
+    c = float(w @ w) - 1.0
+    tiny = 1e-300
+    if a < tiny:
+        if abs(b) < tiny:
+            if abs(c) < 1e-12:
+                return 0.0
+            raise NewtonError("sphere multiplier equation is degenerate")
+        return -c / b
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        raise NewtonError(
+            f"sphere constraint unreachable along the multiplier direction "
+            f"(discriminant {disc:.3e})"
+        )
+    sq = np.sqrt(disc)
+    big = (-b - sq) / (2.0 * a) if b >= 0.0 else (-b + sq) / (2.0 * a)
+    if big == 0.0:
+        return 0.0
+    small = c / (a * big)
+    return small if abs(small) <= abs(big) else big
+
+
+class DenseStiefel(Stiefel):
+    """Stiefel manifold whose multiplier solve uses the dense reference."""
+
+    def solve_multiplier(self, drift, q, coeff, lam0, newton):
+        return dense_multiplier(self, drift, q, coeff, lam0, newton)
+
+
+class TestSolveMultiplier:
+    @pytest.mark.parametrize("n,m", [(6, 2), (7, 1), (5, 5), (20, 5)])
+    def test_stiefel_matches_dense_newton(self, n, m):
+        st = Stiefel(n, m)
+        rng = np.random.default_rng(n * 10 + m)
+        for coeff, warm in ((0.05, False), (0.05, True), (0.2, False)):
+            q = st.random_point(rng)
+            base = 0.5 * rng.standard_normal(n * m)
+            lam0 = 0.1 * rng.standard_normal(st.constraint_dim) if warm \
+                else np.zeros(st.constraint_dim)
+            drift = q + coeff * base
+            lam, normal, iters = st.solve_multiplier(drift, q, coeff, lam0, DEFAULT_NEWTON)
+            ref_lam, ref_normal, ref_iters = dense_multiplier(
+                st, drift, q, coeff, lam0, DEFAULT_NEWTON)
+            assert iters == ref_iters >= 1
+            np.testing.assert_allclose(lam, ref_lam, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(normal, ref_normal, rtol=0, atol=1e-12)
+            assert st.constraint_violation(q + coeff * (base - normal)) <= DEFAULT_NEWTON.tol
+
+    def test_stiefel_failure_is_newton_error(self):
+        # a drift far from any point the normals can reach exhausts the budget
+        st = Stiefel(6, 2)
+        q = st.random_point(np.random.default_rng(1))
+        newton = NewtonConfig(max_iter=5)
+        with pytest.raises(NewtonError, match="Newton did not converge in 5 iterations"):
+            st.solve_multiplier(q + 50.0, q, 1e-3, np.zeros(3), newton)
+
+    def test_sphere_bit_equal_to_closed_form(self):
+        sphere = Sphere(5)
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            q = sphere.random_point(rng)
+            coeff = float(rng.uniform(1e-4, 0.5))
+            drift = q + coeff * rng.standard_normal(5)
+            lam, normal, iters = sphere.solve_multiplier(
+                drift, q, coeff, np.zeros(1), DEFAULT_NEWTON)
+            jac_t = sphere.constraint_jacobian(q).T
+            ref = np.array([closed_form_sphere_multiplier(drift, coeff * jac_t[:, 0])])
+            np.testing.assert_array_equal(lam, ref)
+            np.testing.assert_array_equal(normal, jac_t @ ref)
+            assert iters == 0
+
+    def test_sphere_degenerate_cases(self):
+        sphere = Sphere(3)
+        q = np.array([1.0, 0.0, 0.0])
+        # no step at all: a feasible drift needs no multiplier ...
+        lam, normal, _ = sphere.solve_multiplier(q, q, 0.0, np.zeros(1), DEFAULT_NEWTON)
+        np.testing.assert_array_equal(lam, [closed_form_sphere_multiplier(q, 0.0 * q)])
+        np.testing.assert_array_equal(lam, [0.0])
+        np.testing.assert_array_equal(normal, np.zeros(3))
+        # ... and an infeasible one cannot be corrected
+        drift = np.array([2.0, 0.0, 0.0])
+        for solve in (lambda: sphere.solve_multiplier(drift, q, 0.0, np.zeros(1), DEFAULT_NEWTON),
+                      lambda: closed_form_sphere_multiplier(drift, 0.0 * q)):
+            with pytest.raises(NewtonError, match="degenerate"):
+                solve()
+
+    def test_sphere_negative_discriminant(self):
+        # the normal direction at q misses the sphere from this drift
+        sphere = Sphere(3)
+        q = np.array([1.0, 0.0, 0.0])
+        drift = np.array([0.0, 2.0, 0.0])
+        with pytest.raises(NewtonError) as ours:
+            sphere.solve_multiplier(drift, q, 0.1, np.zeros(1), DEFAULT_NEWTON)
+        with pytest.raises(NewtonError) as ref:
+            closed_form_sphere_multiplier(drift, 0.1 * 2.0 * q)
+        assert "discriminant" in str(ours.value)
+        assert str(ours.value) == str(ref.value)
+
+    def test_euclidean_has_no_multiplier(self):
+        lam, normal, iters = Euclidean(3).solve_multiplier(
+            np.ones(3), np.zeros(3), 0.1, np.zeros(0), DEFAULT_NEWTON)
+        assert lam.shape == (0,)
+        np.testing.assert_array_equal(normal, np.zeros(3))
+        assert iters == 0
+
+    @pytest.mark.parametrize("method", ["htvi_direct", "htvi_adaptive"])
+    @pytest.mark.parametrize("name", ["brockett", "procrustes"])
+    def test_htvi_trajectories_match_dense_reference(self, method, name):
+        # default instances and CLI defaults, 1000 steps from the CLI's start
+        problem = build_problem({"name": name, "seed": 0})
+        n, m = problem.manifold.n, problem.manifold.m
+        dense = dataclasses.replace(problem, manifold=DenseStiefel(n, m))
+        config = build_run_config({"method": method, "max_iters": 1000})
+        trace = run(config, problem)
+        reference = run(config, dense)
+        assert not trace.failed and not reference.failed
+        assert len(trace) == len(reference) == 1001
+        assert trace.newton_iters == reference.newton_iters
+        np.testing.assert_allclose(trace.fs, reference.fs, rtol=0, atol=1e-10)
 
 
 class TestHtviStep:
@@ -227,14 +372,16 @@ class TestRgdStep:
     def test_critical_point_fixed(self):
         prob = rayleigh(np.diag([2.0, 1.0]))
         e1 = np.array([1.0, 0.0])
-        out = rgd_step(prob.manifold, e1, 0.1, prob.ambient_grad(e1))
+        out = rgd_step(prob.manifold, e1, 0.1,
+                       prob.manifold.riemannian_gradient(e1, prob.ambient_grad(e1)))
         np.testing.assert_array_equal(out, e1)
 
     def test_converges_to_dominant_eigenvector(self):
         prob = rayleigh(np.diag([2.0, 1.0]))
         x = prob.manifold.random_point(np.random.default_rng(8))
         for _ in range(500):
-            x = rgd_step(prob.manifold, x, 0.1, prob.ambient_grad(x))
+            x = rgd_step(prob.manifold, x, 0.1,
+                         prob.manifold.riemannian_gradient(x, prob.ambient_grad(x)))
         assert abs(prob.f(x) - prob.oracle_value) <= 1e-6
         assert abs(abs(x[0]) - 1.0) <= 1e-3
 
@@ -242,7 +389,8 @@ class TestRgdStep:
         prob = make_instance("brockett", (6, 2), seed=9)
         x = prob.manifold.random_point(np.random.default_rng(9))
         for _ in range(50):
-            x = rgd_step(prob.manifold, x, 0.05, prob.ambient_grad(x))
+            x = rgd_step(prob.manifold, x, 0.05,
+                         prob.manifold.riemannian_gradient(x, prob.ambient_grad(x)))
             assert prob.manifold.constraint_violation(x) <= 1e-12
 
 
@@ -359,7 +507,8 @@ class TestRunDriver:
                 newton.append(it)
             else:
                 if method == "rgd":
-                    x = rgd_step(manifold, x, params.h, prob.ambient_grad(x))
+                    x = rgd_step(manifold, x, params.h,
+                                 manifold.riemannian_gradient(x, prob.ambient_grad(x)))
                 else:
                     x, v = el_step(int(method[-1]), params, manifold, x, v, k, rgrad)
                 ts.append(k * params.h)
@@ -384,11 +533,9 @@ class TestRunDriver:
         assert trace.ts == ts
         assert trace.newton_iters == newton
         # one objective and one gradient evaluation per recorded iterate;
-        # the Euler-Lagrange schemes add the gradient their step evaluates
-        if method.startswith("el"):
-            assert len(calls) <= 3 * len(trace)
-        else:
-            assert len(calls) == 2 * len(trace)
+        # el_v2 adds the gradient at its look-ahead point in every step
+        steps = len(trace) - 1
+        assert len(calls) == 2 * len(trace) + (steps if method == "el_v2" else 0)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
