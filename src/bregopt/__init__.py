@@ -16,7 +16,6 @@ from .dynamics import (
     NewtonConfig,
     constrained_del_step,
     constrained_lagrangian_map,
-    constrained_left_hamilton_step,
     constrained_right_hamilton_step,
     legendre_minus,
     legendre_plus,
@@ -52,7 +51,6 @@ __all__ = [
     "compute_zeta",
     "constrained_del_step",
     "constrained_lagrangian_map",
-    "constrained_left_hamilton_step",
     "constrained_right_hamilton_step",
     "el_step",
     "hamiltonian_adaptive",

@@ -116,10 +116,10 @@ class ExtendedState:
 
     def is_finite(self) -> bool:
         return bool(
-            np.all(np.isfinite(self.q))
-            and np.isfinite(self.q_t)
-            and np.all(np.isfinite(self.r))
-            and np.isfinite(self.r_t)
+            np.isfinite(self.q).all()
+            and math.isfinite(self.q_t)
+            and np.isfinite(self.r).all()
+            and math.isfinite(self.r_t)
         )
 
 

@@ -30,7 +30,7 @@ from . import dynamics, optimizers, problems
 from .bregman import BregmanParams
 from .dynamics import NewtonConfig, midpoint_lagrangian, right_euler_hamiltonian
 from .errors import BregoptError, ConfigError
-from .manifolds import Euclidean, Sphere
+from .manifolds import FEAS_TOL, Euclidean, Sphere
 from .optimizers import METHODS, RunConfig, Trace
 
 CSV_COLUMNS = ("k", "t", "f", "grad_norm", "constraint_violation",
@@ -105,6 +105,13 @@ def build_run_config(block: dict) -> RunConfig:
             tol=float(block.get("newton_tol", 1e-10)),
             max_iter=int(block.get("newton_max_iter", 50)),
         )
+        # The multiplier solve stops at newton_tol on the constraint residual,
+        # and every iterate must then meet FEAS_TOL to have a gradient.
+        if newton.tol > FEAS_TOL:
+            raise ValueError(
+                f"newton_tol {newton.tol:g} exceeds the feasibility tolerance "
+                f"{FEAS_TOL:g} that every iterate must meet"
+            )
         return RunConfig(
             method=block["method"],
             params=params,
@@ -337,7 +344,7 @@ def spherical_pendulum_lagrangian():
 
 
 def _order_check_system(name: str):
-    """Step and reference maps of the named convergence-rate test system.
+    """One-step map and initial state of the named convergence-rate test system.
 
     ``quadratic``: momentum-first symplectic Euler on an unconstrained
     quadratic Hamiltonian (first order).  ``spherical_pendulum``: midpoint
@@ -358,8 +365,7 @@ def _order_check_system(name: str):
             result = dynamics.constrained_right_hamilton_step(hd, manifold, q, p, h)
             return np.concatenate([result.q_next, result.p_next])
 
-        initial = np.array([1.0, -0.5, 0.25, 0.0, 0.3, -0.2])
-        return step, step, initial
+        return step, np.array([1.0, -0.5, 0.25, 0.0, 0.3, -0.2])
 
     if name == "spherical_pendulum":
         manifold = Sphere(3)
@@ -376,7 +382,7 @@ def _order_check_system(name: str):
 
         q0 = np.array([0.6, 0.0, 0.8])
         p0 = np.array([0.0, 1.2, 0.0])
-        return step, step, np.concatenate([q0, p0])
+        return step, np.concatenate([q0, p0])
 
     raise ConfigError(f"unknown order-check system {name!r}")
 
@@ -398,8 +404,8 @@ def cmd_order_check(config_path: str, out_override: str | None = None) -> int:
     out_dir = Path(out_override or config.get("output_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    step, reference, initial = _order_check_system(name)
-    result = dynamics.order_check(step, reference, initial, h_list, duration)
+    step, initial = _order_check_system(name)
+    result = dynamics.order_check(step, initial, h_list, duration)
 
     rows = ["h,error"]
     rows += [f"{_fmt(h)},{_fmt(e)}" for h, e in zip(result.step_sizes, result.errors)]

@@ -225,22 +225,6 @@ def right_euler_hamiltonian(hamiltonian, d_dq, d_dp) -> DiscreteHamiltonian:
     return DiscreteHamiltonian("right", value, d1, d2)
 
 
-def left_euler_hamiltonian(hamiltonian, d_dq, d_dp) -> DiscreteHamiltonian:
-    """First-order discrete left Hamiltonian ``-p0.q1 + h H(q1, p0)``,
-    the adjoint of :func:`right_euler_hamiltonian`."""
-
-    def value(q1, p0, h):
-        return -float(p0 @ q1) + h * hamiltonian(q1, p0)
-
-    def d1(q1, p0, h):
-        return -p0 + h * d_dq(q1, p0)
-
-    def d2(q1, p0, h):
-        return -q1 + h * d_dp(q1, p0)
-
-    return DiscreteHamiltonian("left", value, d1, d2)
-
-
 # ---------------------------------------------------------------------------
 # Discrete Legendre transforms
 # ---------------------------------------------------------------------------
@@ -422,59 +406,6 @@ def constrained_right_hamilton_step(
     return HamiltonStepResult(q_next, p_next, lam, result.iterations)
 
 
-def constrained_left_hamilton_step(
-    hamiltonian: DiscreteHamiltonian,
-    manifold: EmbeddedManifold,
-    q: Array,
-    p: Array,
-    h: float,
-    newton: NewtonConfig = DEFAULT_NEWTON,
-    lam0: Array | None = None,
-) -> HamiltonStepResult:
-    """One step of the constrained discrete left Hamiltonian map.
-
-    The nominal equations place the multiplier on the *outgoing* momentum,
-
-        q = -D2 H_d^-(q_next, p),
-        p_next = -D1 H_d^-(q_next, p) - J_C(q_next)^T lam_next,
-
-    which leaves the landing point uncontrolled: the first equation alone
-    already determines ``q_next``, so no choice of multiplier can restore
-    its feasibility.  To obtain a well-posed map that also keeps
-    ``C(q_next) = 0``, the multiplier here kicks the momentum argument of
-    the generating function.  Solves for ``(q_next, lam_next)``::
-
-        q = -D2 H_d^-(q_next, p - J_C(q_next)^T lam_next)
-        C(q_next) = 0
-
-    and returns ``p_next = -D1 H_d^-(q_next, p - J_C(q_next)^T lam_next)``.
-    In the unconstrained case (``d = 0``) this is exactly the nominal map,
-    the adjoint of the right variant.
-    """
-    if hamiltonian.kind != "left":
-        raise ValueError("constrained_left_hamilton_step needs a left Hamiltonian")
-    n = manifold.ambient_dim
-    d = manifold.constraint_dim
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-
-    def kicked(q_next, lam):
-        return p - manifold.constraint_jacobian(q_next).T @ lam
-
-    def residual(x):
-        q_next, lam = _split(x, n)
-        res_pos = q + hamiltonian.d2(q_next, kicked(q_next, lam), h)
-        return np.concatenate([res_pos, manifold.constraint(q_next)])
-
-    if lam0 is None:
-        lam0 = np.zeros(d)
-    x0 = np.concatenate([q, lam0])
-    result = newton_solve(residual, x0, newton)
-    q_next, lam = _split(result.x, n)
-    p_next = -np.asarray(hamiltonian.d1(q_next, kicked(q_next, lam), h), dtype=float)
-    return HamiltonStepResult(q_next, p_next, lam, result.iterations)
-
-
 # ---------------------------------------------------------------------------
 # Empirical order of accuracy
 # ---------------------------------------------------------------------------
@@ -513,7 +444,6 @@ def _integrate(step_map: StepMap, state: Array, h: float, n_steps: int) -> Array
 
 def order_check(
     step_map: StepMap,
-    reference_map: StepMap,
     initial: Array,
     h_list,
     duration: float,
@@ -522,7 +452,7 @@ def order_check(
     """Fit the empirical order of accuracy of a one-step map.
 
     Integrates ``step_map`` from ``initial`` to time ``duration`` for each
-    step size, measures the terminal-state error against ``reference_map``
+    step size, measures the terminal-state error against ``step_map`` itself
     run at ``min(h_list) / reference_refinement``, and returns the
     least-squares slope of ``log(error)`` versus ``log(h)``.  Errors below
     one hundred machine epsilons (relative to the reference magnitude) are
@@ -538,7 +468,7 @@ def order_check(
 
     h_ref = min(h_list) / reference_refinement
     n_ref = max(1, round(duration / h_ref))
-    reference = _integrate(reference_map, initial, duration / n_ref, n_ref)
+    reference = _integrate(step_map, initial, duration / n_ref, n_ref)
 
     scale = max(1.0, float(np.max(np.abs(reference))))
     floor = 100.0 * np.finfo(float).eps * scale

@@ -13,11 +13,17 @@ Stiefel points are n x m matrices with orthonormal columns, flattened in
 column-major (Fortran) order; :meth:`Stiefel.as_matrix` and
 :meth:`Stiefel.from_matrix` convert between the two representations.
 
-All operations are pure functions of their inputs; nothing here carries
-mutable state, so manifold objects can be shared freely across threads.
+All operations are pure functions of their inputs.  The only state a
+manifold object carries besides its dimensions is the multiplier basis of
+:class:`Stiefel`, built on first use and never changed afterwards (two
+threads racing to build it build the same array), so manifold objects can
+be shared freely across threads.
 """
 
 from __future__ import annotations
+
+import math
+from functools import cached_property
 
 import numpy as np
 
@@ -113,7 +119,7 @@ class EmbeddedManifold:
     def constraint_violation(self, q: np.ndarray) -> float:
         """Infinity norm of the constraint residual."""
         c = self.constraint(q)
-        return float(np.max(np.abs(c))) if c.size else 0.0
+        return float(np.abs(c).max()) if c.size else 0.0
 
     def is_feasible(self, q: np.ndarray, tol: float = FEAS_TOL) -> bool:
         return self.constraint_violation(q) <= tol
@@ -121,7 +127,17 @@ class EmbeddedManifold:
     # -- geometry -----------------------------------------------------------
 
     def tangent_project(self, q: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of ``z`` onto the tangent space at ``q``."""
+        """Orthogonal projection of ``z`` onto the tangent space at ``q``.
+
+        Raises:
+            FeasibilityError: ``q`` is off the manifold.
+        """
+        q = self._check_dim(q)
+        self._check_feasible(q)
+        return self._project(q, self._check_dim(z))
+
+    def _project(self, q: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """:meth:`tangent_project` without the checks of its inputs."""
         raise NotImplementedError
 
     def retract(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -135,6 +151,19 @@ class EmbeddedManifold:
     def riemannian_gradient(self, q: np.ndarray, ambient_grad: np.ndarray) -> np.ndarray:
         """Riemannian gradient: the tangent projection of the ambient gradient."""
         return self.tangent_project(q, ambient_grad)
+
+    def _gradient_and_violation(
+        self, q: np.ndarray, ambient_grad: np.ndarray
+    ) -> tuple[np.ndarray, float]:
+        """:meth:`riemannian_gradient` and :meth:`constraint_violation` at
+        ``q`` from one constraint evaluation; both arguments must already be
+        float arrays of length ``ambient_dim``.
+
+        Raises:
+            FeasibilityError: ``q`` is off the manifold.
+        """
+        violation = self._check_feasible(q)
+        return self._project(q, ambient_grad), violation
 
     # -- sampling helpers ---------------------------------------------------
 
@@ -155,15 +184,15 @@ class EmbeddedManifold:
             )
         return q
 
-    def _check_feasible(self, q: np.ndarray, tol: float = FEAS_TOL) -> np.ndarray:
-        q = self._check_dim(q)
+    def _check_feasible(self, q: np.ndarray) -> float:
+        """Constraint violation of ``q``, which must be within ``FEAS_TOL``."""
         violation = self.constraint_violation(q)
-        if violation > tol:
+        if violation > FEAS_TOL:
             raise FeasibilityError(
                 f"{self.name}: point violates constraint by {violation:.3e} "
-                f"(tolerance {tol:.1e})"
+                f"(tolerance {FEAS_TOL:.1e})"
             )
-        return q
+        return violation
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
@@ -194,26 +223,26 @@ class Sphere(EmbeddedManifold):
         lam = _sphere_multiplier(drift, coeff * grad)
         return np.array([lam]), grad * lam, 0
 
-    def tangent_project(self, q, z):
-        q = self._check_feasible(q)
-        z = self._check_dim(z)
+    def _project(self, q, z):
         return z - (q @ z) * q
 
     def retract(self, q, v):
         q = self._check_dim(q)
         v = self._check_dim(v)
-        if not np.any(v):
+        if not v.any():
             return q.copy()
         w = q + v
-        norm = np.linalg.norm(w)
+        norm = math.sqrt(float(w @ w))
         if norm < 1e-12:
             raise RetractionError("sphere retraction undefined: q + v is zero")
         return w / norm
 
     def transport(self, q_from, q_to, v):
         """Exact parallel transport along the great circle joining the points."""
-        x = self._check_feasible(q_from)
-        y = self._check_feasible(q_to)
+        x = self._check_dim(q_from)
+        self._check_feasible(x)
+        y = self._check_dim(q_to)
+        self._check_feasible(y)
         v = self._check_dim(v)
         c = x @ y
         if 1.0 + c < 1e-12:
@@ -245,15 +274,28 @@ class Stiefel(EmbeddedManifold):
         self.constraint_dim = m * (m + 1) // 2
         self._triu = np.triu_indices(m)
         self._triu_flat = self._triu[0] * m + self._triu[1]
-        # Symmetric m x m basis ``E_k = e_i e_j^T + e_j e_i^T`` of the
-        # constraint components ``(i, j)``: ``X E_k`` is the gradient of
-        # ``C_k`` at ``X`` and ``J^T lam = X S(lam)`` with ``S = sum lam_k E_k``.
-        self._basis = np.zeros((self.constraint_dim, m, m))
-        rows = np.arange(self.constraint_dim)
-        self._basis[rows, self._triu[0], self._triu[1]] += 1.0
-        self._basis[rows, self._triu[1], self._triu[0]] += 1.0
-        self._basis_flat = self._basis.reshape(self.constraint_dim, m * m)
         self._eye = np.eye(m)
+
+    @cached_property
+    def _basis(self) -> np.ndarray:
+        """Symmetric m x m basis ``E_k = e_i e_j^T + e_j e_i^T`` of the
+        constraint components ``(i, j)``: ``X E_k`` is the gradient of
+        ``C_k`` at ``X`` and ``J^T lam = X S(lam)`` with ``S = sum lam_k E_k``.
+
+        It holds ``m^3 (m + 1) / 2`` floats (about 400 MB at ``m = 100``),
+        so it is built on first use: only the multiplier solve and the
+        constraint Jacobian need it.
+        """
+        m = self.m
+        basis = np.zeros((self.constraint_dim, m, m))
+        rows = np.arange(self.constraint_dim)
+        basis[rows, self._triu[0], self._triu[1]] += 1.0
+        basis[rows, self._triu[1], self._triu[0]] += 1.0
+        return basis
+
+    @cached_property
+    def _basis_flat(self) -> np.ndarray:
+        return self._basis.reshape(self.constraint_dim, self.m * self.m)
 
     def as_matrix(self, q: np.ndarray) -> np.ndarray:
         """View a flat point as the underlying n x m matrix."""
@@ -264,9 +306,8 @@ class Stiefel(EmbeddedManifold):
         return np.asarray(x, dtype=float).reshape(-1, order="F")
 
     def constraint(self, q):
-        q = self._check_dim(q)
-        gram = self.as_matrix(q).T @ self.as_matrix(q) - np.eye(self.m)
-        return gram[self._triu]
+        x = self.as_matrix(self._check_dim(q))
+        return (x.T @ x - self._eye)[self._triu]
 
     def constraint_jacobian(self, q):
         q = self._check_dim(q)
@@ -310,9 +351,7 @@ class Stiefel(EmbeddedManifold):
         normal = self.from_matrix(xq @ self._symmetric(result.x))
         return result.x, normal, result.iterations
 
-    def tangent_project(self, q, z):
-        q = self._check_feasible(q)
-        z = self._check_dim(z)
+    def _project(self, q, z):
         x = self.as_matrix(q)
         zm = self.as_matrix(z)
         xtz = x.T @ zm
@@ -326,15 +365,15 @@ class Stiefel(EmbeddedManifold):
         """
         q = self._check_dim(q)
         v = self._check_dim(v)
-        if not np.any(v):
+        if not v.any():
             return q.copy()
         w = self.as_matrix(q) + self.as_matrix(v)
         qf, r = np.linalg.qr(w)
-        diag = np.diag(r)
-        scale = max(1.0, float(np.max(np.abs(w))))
-        if np.any(np.abs(diag) < 1e-12 * scale):
+        diag = r.diagonal()
+        scale = max(1.0, float(np.abs(w).max()))
+        if (np.abs(diag) < 1e-12 * scale).any():
             raise RetractionError("QR retraction undefined: X + V is rank deficient")
-        qf = qf * np.where(diag < 0.0, -1.0, 1.0)
+        np.negative(qf, out=qf, where=diag < 0.0)
         return self.from_matrix(qf)
 
     def transport(self, q_from, q_to, v):
@@ -371,9 +410,8 @@ class Euclidean(EmbeddedManifold):
     def solve_multiplier(self, drift, q, coeff, lam0, newton):
         return np.zeros(0), np.zeros(self.ambient_dim), 0
 
-    def tangent_project(self, q, z):
-        self._check_dim(q)
-        return self._check_dim(z).copy()
+    def _project(self, q, z):
+        return z.copy()
 
     def retract(self, q, v):
         return self._check_dim(q) + self._check_dim(v)

@@ -22,6 +22,7 @@ sequential.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,7 +250,7 @@ def _el_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
         # run loop has already done
         x, v = el_step(version, config.params, manifold, x, v, k,
                        (lambda point: rgrad) if version == 1 else riemannian_grad)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(x).all() and np.isfinite(v).all()):
             raise BregoptError("non-finite state")
         return x, k * config.params.h, None
 
@@ -262,7 +263,7 @@ def _rgd_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
     def advance(k, f_val, grad, rgrad):
         nonlocal x
         x = rgd_step(problem.manifold, x, config.params.h, rgrad)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise BregoptError("non-finite state")
         return x, k * config.params.h, None
 
@@ -275,11 +276,12 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
     ``initial`` is a feasible point (flat array); when omitted it is drawn
     from the manifold with the config seed.  HTVI methods start from the
     standard extended state (zero momenta, unit time coordinate).  The
-    objective, its ambient gradient and the Riemannian gradient are
-    evaluated once per iterate; the same values are recorded and passed to
-    the next step.  A :class:`BregoptError` raised by a step or while
-    evaluating an iterate marks the trace as failed and ends the run
-    gracefully.
+    objective, its ambient gradient, the Riemannian gradient and the
+    constraint are evaluated once per iterate; the same values are recorded
+    and passed to the next step, and the recorded constraint violation is
+    the one that must be within ``FEAS_TOL`` for the gradient to exist.  A
+    :class:`BregoptError` raised by a step or while evaluating an iterate
+    marks the trace as failed and ends the run gracefully.
     """
     manifold = problem.manifold
     if initial is None:
@@ -299,11 +301,10 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
         while True:
             f_val = problem.f(point)
             grad = problem.ambient_grad(point)
-            rgrad = manifold.riemannian_gradient(point, grad)
-            grad_norm = float(np.linalg.norm(rgrad))
+            rgrad, violation = manifold._gradient_and_violation(point, grad)
+            grad_norm = math.sqrt(float(rgrad @ rgrad))
             gap = None if problem.oracle_value is None else f_val - problem.oracle_value
-            trace.append(k, t, f_val, grad_norm, manifold.constraint_violation(point),
-                         gap, newton_iters)
+            trace.append(k, t, f_val, grad_norm, violation, gap, newton_iters)
             if (grad_norm <= config.stop_grad_tol
                     or (gap is not None and gap <= config.stop_f_tol)
                     or k == config.max_iters):

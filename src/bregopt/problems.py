@@ -91,14 +91,15 @@ def brockett(a: np.ndarray, n_diag: np.ndarray) -> ProblemSpec:
     n, m = a.shape[0], mu.size
     manifold = Stiefel(n, m)
     values, vectors = np.linalg.eigh(a)
+    n_mat = np.diag(mu)
 
     def f(q):
         x = manifold.as_matrix(q)
-        return float(np.trace(x.T @ a @ x @ np.diag(mu)))
+        return float(np.trace(x.T @ a @ x @ n_mat))
 
     def grad(q):
         x = manifold.as_matrix(q)
-        return manifold.from_matrix(2.0 * a @ x @ np.diag(mu))
+        return manifold.from_matrix(2.0 * a @ x @ n_mat)
 
     oracle_value = float(np.sum(mu * values[m - 1 :: -1]))
     oracle_point = manifold.from_matrix(vectors[:, m - 1 :: -1])

@@ -55,11 +55,11 @@ def test_acceptance_2_order_of_accuracy():
     start = time.time()
     h_list = [1e-1, 5e-2, 2.5e-2, 1.25e-2]
 
-    step, reference, initial = _order_check_system("quadratic")
-    quadratic = dynamics.order_check(step, reference, initial, h_list, 1.0)
+    step, initial = _order_check_system("quadratic")
+    quadratic = dynamics.order_check(step, initial, h_list, 1.0)
 
-    step, reference, initial = _order_check_system("spherical_pendulum")
-    pendulum = dynamics.order_check(step, reference, initial, h_list, 1.0)
+    step, initial = _order_check_system("spherical_pendulum")
+    pendulum = dynamics.order_check(step, initial, h_list, 1.0)
 
     elapsed = time.time() - start
     ok = (0.85 <= quadratic.rate <= 1.15) and (1.8 <= pendulum.rate <= 2.2)

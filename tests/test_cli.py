@@ -120,15 +120,15 @@ class TestRun:
     def test_failed_block_leaves_failure_row_and_later_blocks_run(self, tmp_path):
         from bregopt.cli import EXIT_NUMERICAL
 
-        # a loose multiplier tolerance drives the first HTVI iterate off the
-        # Stiefel manifold, which fails the run at k = 1
+        # an over-aggressive adaptive target exponent loses the multiplier
+        # root in step 517
         config = write_config(
             tmp_path,
             {
-                "problem": {"name": "brockett", "dims": [6, 2], "seed": 0},
+                "problem": {"name": "rayleigh", "dims": [10], "seed": 7},
                 "methods": [
-                    {"method": "htvi_direct", "label": "loose", "newton_tol": 1e-6,
-                     "max_iters": 50},
+                    {"method": "htvi_adaptive", "label": "bad", "p": 6.0, "p_ring": 2.0,
+                     "max_iters": 1000, "stop_f_tol": 1e-300, "stop_grad_tol": 1e-300},
                     {"method": "rgd", "label": "next", "h": 0.01, "max_iters": 50,
                      "stop_f_tol": 1e-300, "stop_grad_tol": 1e-300},
                 ],
@@ -136,10 +136,35 @@ class TestRun:
             },
         )
         assert main(["run", "--config", config]) == EXIT_NUMERICAL
-        lines = (tmp_path / "out" / "loose.csv").read_text().splitlines()
-        assert len(lines) == 3  # header, k = 0, failure row
-        assert lines[-1] == "1,nan,nan,nan,nan,,"
+        lines = (tmp_path / "out" / "bad.csv").read_text().splitlines()
+        assert len(lines) == 519  # header, k = 0..516, failure row
+        assert lines[-1] == "517,nan,nan,nan,nan,,"
         assert len((tmp_path / "out" / "next.csv").read_text().splitlines()) == 52
+
+    def test_newton_tol_above_feasibility_tolerance_is_config_error(self, tmp_path, capsys):
+        # the multiplier solve would stop before its iterate meets FEAS_TOL
+        for method in ("htvi_direct", "el_v1"):
+            config = write_config(
+                tmp_path,
+                {
+                    "problem": {"name": "brockett", "dims": [6, 2], "seed": 0},
+                    "methods": [{"method": method, "newton_tol": 1e-6, "max_iters": 5}],
+                    "output_dir": str(tmp_path / "out"),
+                },
+            )
+            assert main(["run", "--config", config]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "newton_tol 1e-06" in err and "1e-08" in err
+        assert not (tmp_path / "out").exists()
+        config = write_config(
+            tmp_path,
+            {
+                "problem": {"name": "brockett", "dims": [6, 2], "seed": 0},
+                "methods": [{"method": "htvi_direct", "newton_tol": 1e-8, "max_iters": 5}],
+                "output_dir": str(tmp_path / "out"),
+            },
+        )
+        assert main(["run", "--config", config]) == EXIT_OK
 
     def test_matrix_file_input(self, tmp_path):
         a = np.diag([1.0, 2.0, 5.0])

@@ -7,10 +7,8 @@ from bregopt.dynamics import (
     NewtonConfig,
     constrained_del_step,
     constrained_lagrangian_map,
-    constrained_left_hamilton_step,
     constrained_right_hamilton_step,
     finite_difference_jacobian,
-    left_euler_hamiltonian,
     legendre_minus,
     legendre_plus,
     midpoint_lagrangian,
@@ -34,11 +32,11 @@ def pendulum_lagrangian():
     )
 
 
-def free_hamiltonians():
+def free_hamiltonian():
     h = lambda q, p: 0.5 * float(p @ p)
     dq = lambda q, p: np.zeros_like(q)
     dp = lambda q, p: p
-    return right_euler_hamiltonian(h, dq, dp), left_euler_hamiltonian(h, dq, dp)
+    return right_euler_hamiltonian(h, dq, dp)
 
 
 class TestNewton:
@@ -235,7 +233,7 @@ class TestRightHamiltonStep:
         np.testing.assert_allclose(result.q_next, q + h * p_expected, atol=1e-10)
 
     def test_sphere_feasibility_long_run(self):
-        right, _ = free_hamiltonians()
+        right = free_hamiltonian()
         sphere = Sphere(3)
         q = np.array([1.0, 0.0, 0.0])
         p = np.array([0.0, 0.9, -0.2])
@@ -247,7 +245,7 @@ class TestRightHamiltonStep:
         assert worst <= 1e-10
 
     def test_zero_step_is_identity(self):
-        right, _ = free_hamiltonians()
+        right = free_hamiltonian()
         sphere = Sphere(3)
         q = np.array([0.0, 0.6, 0.8])
         p = np.array([0.1, 0.2, 0.3])
@@ -257,65 +255,10 @@ class TestRightHamiltonStep:
         np.testing.assert_array_equal(result.lam, [0.0])
 
     def test_rejects_left_kind(self):
-        _, left = free_hamiltonians()
+        right = free_hamiltonian()
+        left = DiscreteHamiltonian("left", right.value, right.d1, right.d2)
         with pytest.raises(ValueError):
             constrained_right_hamilton_step(left, Sphere(3), np.zeros(3), np.zeros(3), 0.1)
-
-
-class TestLeftHamiltonStep:
-    def test_zero_step_is_identity(self):
-        _, left = free_hamiltonians()
-        sphere = Sphere(3)
-        q = np.array([0.0, 0.6, 0.8])
-        p = np.array([0.1, 0.2, 0.3])
-        result = constrained_left_hamilton_step(left, sphere, q, p, 0.0)
-        np.testing.assert_array_equal(result.q_next, q)
-        np.testing.assert_array_equal(result.p_next, p)
-        np.testing.assert_array_equal(result.lam, [0.0])
-
-    def test_left_is_adjoint_of_right_unconstrained(self):
-        # on a quadratic Hamiltonian the left map composed with the reversed
-        # right map returns to the start exactly
-        stiffness = np.array([2.0, 1.0, 0.5])
-        h_fun = lambda q, p: 0.5 * float(p @ p) + 0.5 * float(q @ (stiffness * q))
-        dq = lambda q, p: stiffness * q
-        dp = lambda q, p: p
-        right = right_euler_hamiltonian(h_fun, dq, dp)
-        left = left_euler_hamiltonian(h_fun, dq, dp)
-        euclid = Euclidean(3)
-        rng = np.random.default_rng(4)
-        q, p = rng.standard_normal(3), rng.standard_normal(3)
-        h = 0.07
-        forward = constrained_left_hamilton_step(left, euclid, q, p, h)
-        back = constrained_right_hamilton_step(
-            right, euclid, forward.q_next, forward.p_next, -h
-        )
-        np.testing.assert_allclose(back.q_next, q, atol=1e-10)
-        np.testing.assert_allclose(back.p_next, p, atol=1e-10)
-
-    def test_position_round_trip_on_sphere(self):
-        right, left = free_hamiltonians()
-        sphere = Sphere(3)
-        q = np.array([0.0, 0.6, 0.8])
-        p = sphere.tangent_project(q, np.array([0.5, -0.2, 0.1]))
-        h = 0.05
-        forward = constrained_left_hamilton_step(left, sphere, q, p, h)
-        back = constrained_right_hamilton_step(
-            right, sphere, forward.q_next, forward.p_next, -h
-        )
-        np.testing.assert_allclose(back.q_next, q, atol=1e-10)
-
-    def test_sphere_feasibility_long_run(self):
-        _, left = free_hamiltonians()
-        sphere = Sphere(3)
-        q = np.array([1.0, 0.0, 0.0])
-        p = np.array([0.0, 0.8, 0.1])
-        worst = 0.0
-        for _ in range(500):
-            result = constrained_left_hamilton_step(left, sphere, q, p, 0.02)
-            q, p = result.q_next, result.p_next
-            worst = max(worst, sphere.constraint_violation(q))
-        assert worst <= 1e-10
 
 
 class TestLagrangianHamiltonianEquivalence:
@@ -404,7 +347,7 @@ class TestOrderCheck:
             return np.concatenate([result.q_next, result.p_next])
 
         initial = np.array([1.0, -0.5, 0.0, 0.3])
-        result = order_check(step, step, initial, [1e-1, 5e-2, 2.5e-2], 0.5)
+        result = order_check(step, initial, [1e-1, 5e-2, 2.5e-2], 0.5)
         assert 0.85 <= result.rate <= 1.15
 
     def test_exact_map_lands_at_noise_floor(self):
@@ -414,7 +357,7 @@ class TestOrderCheck:
             return state.copy()
 
         with pytest.warns(UserWarning):
-            result = order_check(exact, exact, np.array([1.0, 0.3]),
+            result = order_check(exact, np.array([1.0, 0.3]),
                                  [1e-1, 5e-2, 2.5e-2], 1.0)
         assert result.at_noise_floor
         assert np.isnan(result.rate)
@@ -423,8 +366,8 @@ class TestOrderCheck:
     def test_input_validation(self):
         step = lambda state, h: state
         with pytest.raises(ValueError):
-            order_check(step, step, np.zeros(2), [0.1, 0.05], 1.0)
+            order_check(step, np.zeros(2), [0.1, 0.05], 1.0)
         with pytest.raises(ValueError):
-            order_check(step, step, np.zeros(2), [0.05, 0.1, 0.2], 1.0)
+            order_check(step, np.zeros(2), [0.05, 0.1, 0.2], 1.0)
         with pytest.raises(ValueError):
-            order_check(step, step, np.zeros(2), [0.1, 0.05, 0.025], -1.0)
+            order_check(step, np.zeros(2), [0.1, 0.05, 0.025], -1.0)

@@ -35,6 +35,26 @@ def loop_stiefel_jacobian(st, q):
     return jac
 
 
+def reference_stiefel_retract(st, q, v):
+    """The QR retraction as first written (reference for the leaner one)."""
+    if not np.any(v):
+        return q.copy()
+    w = st.as_matrix(q) + st.as_matrix(v)
+    qf, r = np.linalg.qr(w)
+    diag = np.diag(r)
+    scale = max(1.0, float(np.max(np.abs(w))))
+    if np.any(np.abs(diag) < 1e-12 * scale):
+        raise RetractionError("QR retraction undefined: X + V is rank deficient")
+    qf = qf * np.where(diag < 0.0, -1.0, 1.0)
+    return st.from_matrix(qf)
+
+
+def reference_stiefel_violation(st, q):
+    """The Stiefel constraint violation as first written."""
+    gram = st.as_matrix(q).T @ st.as_matrix(q) - np.eye(st.m)
+    return float(np.max(np.abs(gram[np.triu_indices(st.m)])))
+
+
 class TestConstraint:
     def test_sphere_feasible_point(self):
         s = Sphere(2)
@@ -191,6 +211,31 @@ class TestRetract:
         x = st.random_point(np.random.default_rng(9))
         with pytest.raises(RetractionError):
             st.retract(x, -x)
+        # X + V with two equal columns
+        w = st.as_matrix(x).copy()
+        w[:, 1] = w[:, 0]
+        v = st.from_matrix(w) - x
+        for retract in (st.retract, lambda q, v: reference_stiefel_retract(st, q, v)):
+            with pytest.raises(RetractionError):
+                retract(x, v)
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (6, 2), (5, 5), (20, 5)])
+    def test_stiefel_bit_equal_to_previous_code(self, n, m):
+        st = Stiefel(n, m)
+        rng = np.random.default_rng(100 + n + m)
+        signs = set()
+        for scale in (1e-3, 0.3, 3.0, 30.0):
+            for _ in range(10):
+                q = st.random_point(rng)
+                v = scale * rng.standard_normal(st.ambient_dim)
+                _, r = np.linalg.qr(st.as_matrix(q + v))
+                signs.update(np.sign(np.diag(r)))
+                out = st.retract(q, v)
+                assert out.tobytes() == reference_stiefel_retract(st, q, v).tobytes()
+                assert st.constraint_violation(out) == reference_stiefel_violation(st, out)
+                off = q + v  # off the manifold
+                assert st.constraint_violation(off) == reference_stiefel_violation(st, off)
+        assert signs == {-1.0, 1.0}
 
 
 class TestTransport:

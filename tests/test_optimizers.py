@@ -1,17 +1,18 @@
 """Tests of the HTVI / Euler-Lagrange / gradient-descent iteration engines."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from bregopt.bregman import BregmanParams, ExtendedState
-from bregopt.cli import build_problem, build_run_config
+from bregopt.cli import DEFAULT_DIMS, build_problem, build_run_config
 from bregopt.dynamics import DEFAULT_NEWTON, NewtonConfig, newton_solve
 from bregopt.errors import NewtonError
 from bregopt.manifolds import Euclidean, Sphere, Stiefel
-from bregopt.optimizers import RunConfig, el_step, htvi_step, rgd_step, run
+from bregopt.optimizers import METHODS, RunConfig, el_step, htvi_step, rgd_step, run
 from bregopt.problems import make_instance, rayleigh
 
 
@@ -86,6 +87,35 @@ class DenseStiefel(Stiefel):
 
     def solve_multiplier(self, drift, q, coeff, lam0, newton):
         return dense_multiplier(self, drift, q, coeff, lam0, newton)
+
+
+class CountsConstraint:
+    """Mixin that counts calls of ``constraint``."""
+
+    constraint_calls = 0
+
+    def constraint(self, q):
+        self.constraint_calls += 1
+        return super().constraint(q)
+
+
+class CountingSphere(CountsConstraint, Sphere):
+    pass
+
+
+class CountingStiefel(CountsConstraint, Stiefel):
+    pass
+
+
+def trace_digest(trace):
+    """Digest of the exact bits of a trace's ``fs``, ``grad_norms``,
+    ``constraint_violations`` and ``newton_iters``."""
+    digest = hashlib.sha256()
+    for column in (trace.fs, trace.grad_norms, trace.constraint_violations):
+        digest.update(" ".join(float(v).hex() for v in column).encode())
+        digest.update(b"|")
+    digest.update(" ".join(str(n) for n in trace.newton_iters).encode())
+    return digest.hexdigest()[:16]
 
 
 class TestSolveMultiplier:
@@ -537,6 +567,84 @@ class TestRunDriver:
         steps = len(trace) - 1
         assert len(calls) == 2 * len(trace) + (steps if method == "el_v2" else 0)
 
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name,dims", [("rayleigh", (6,)), ("brockett", (6, 2))])
+    def test_constraint_evaluations_per_iterate(self, method, name, dims):
+        prob = make_instance(name, dims, seed=16)
+        manifold = CountingSphere(*dims) if name == "rayleigh" else CountingStiefel(*dims)
+        cfg = RunConfig(method=method, params=BregmanParams(p=4.0, h=1e-2), max_iters=30,
+                        stop_f_tol=1e-300, stop_grad_tol=1e-300)
+        trace = run(cfg, dataclasses.replace(prob, manifold=manifold),
+                    manifold.random_point(np.random.default_rng(17)))
+        assert not trace.failed
+        assert len(trace) == 31
+        # one evaluation per recorded iterate both gates its gradient and is
+        # recorded; the EL transport checks its end points (the sphere's
+        # both, Stiefel's the target) and el_v2 also its look-ahead point
+        transport = 2 if name == "rayleigh" else 1
+        per_step = {"el_v1": transport, "el_v2": transport + 1}.get(method, 0)
+        assert manifold.constraint_calls == len(trace) + per_step * (len(trace) - 1)
+
+    @pytest.mark.parametrize("method", ["rgd", "el_v2"])
+    def test_large_stiefel_never_builds_multiplier_basis(self, method):
+        # the multiplier basis holds m^3 (m + 1) / 2 floats, about 400 MB
+        # here; only HTVI's multiplier solve needs it
+        prob = make_instance("brockett", (200, 100), seed=18)
+        cfg = RunConfig(method=method, params=BregmanParams(p=2.0, h=1e-3), max_iters=3)
+        trace = run(cfg, prob)
+        assert not trace.failed
+        assert len(trace) == 4
+        assert "_basis" not in vars(prob.manifold)
+
+    def test_htvi_builds_multiplier_basis_on_first_use(self):
+        prob = make_instance("brockett", (6, 2), seed=18)
+        assert "_basis" not in vars(prob.manifold)
+        run(RunConfig(method="htvi_direct", params=BregmanParams(p=4.0), max_iters=2), prob)
+        assert vars(prob.manifold)["_basis"].shape == (3, 2, 2)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(method="sgd", params=BregmanParams(p=2.0))
+
+
+# Digests of the first 500 iterations at the CLI defaults, seed 0 (numpy 2.4
+# with OpenBLAS on x86-64); a change that alters any rounding on the way
+# changes them.
+GOLDEN_DIGESTS = {
+    "rayleigh": {
+        "htvi_direct": "0aaf6389aa54b992",
+        "htvi_adaptive": "f79adb21ef368b3a",
+        "el_v1": "6f8c10ac35c78eda",
+        "el_v2": "8b1d3ed7de7c888f",
+        "rgd": "898196cfd39d65f5",
+    },
+    "brockett": {
+        "htvi_direct": "5186d29b065d5c9f",
+        "htvi_adaptive": "a67393418f983d99",
+        "el_v1": "6b0550a3db366d79",
+        "el_v2": "f2b4e8958b624887",
+        "rgd": "fe2cfb467e93c8f9",
+    },
+    "procrustes": {
+        "htvi_direct": "18b43fa1f2369fea",
+        "htvi_adaptive": "a264c52d37d5aabb",
+        "el_v1": "8748c606de70c5eb",
+        "el_v2": "fd02b1a153bc9134",
+        "rgd": "a3359a577e6855b6",
+    },
+}
+
+
+class TestGoldenTrajectories:
+    @pytest.mark.parametrize("name", sorted(DEFAULT_DIMS))
+    def test_default_problem_traces_are_bit_identical(self, name):
+        problem = build_problem({"name": name})
+        initial = problem.manifold.random_point(np.random.default_rng(0))
+        digests = {}
+        for method in METHODS:
+            trace = run(build_run_config({"method": method, "max_iters": 500}),
+                        problem, initial)
+            assert not trace.failed
+            assert len(trace) == 501
+            digests[method] = trace_digest(trace)
+        assert digests == GOLDEN_DIGESTS[name]
