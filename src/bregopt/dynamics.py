@@ -7,6 +7,14 @@ one-step maps they induce when a holonomic constraint is enforced with
 Lagrange multipliers, a dense Newton solver, and an empirical
 order-of-accuracy harness.
 
+The momentum form of the constrained Euler--Lagrange map
+(:func:`constrained_lagrangian_map`) splits off the force term of the
+unit-mass midpoint Lagrangian and places each drifted position back on the
+constraint with the manifold's own multiplier solve, so it forms no
+constraint Jacobian (on the sphere the solve is a closed-form quadratic).
+The position recursion (:func:`constrained_del_step`) and the right
+Hamiltonian map solve their (n + d) equations with the dense Newton solver.
+
 One-step maps are pure functions of ``(state, config)``; independent
 trajectories can run in parallel, while a single trajectory is sequential.
 """
@@ -142,8 +150,9 @@ class DiscreteLagrangian:
 
     ``d1`` and ``d2`` are the partial derivatives with respect to the first
     and second position argument.  ``d12`` (the mixed second partial,
-    ``d/dq1`` of ``d1``) is optional; when present the implicit one-step
-    solves use an analytic Jacobian instead of finite differences.
+    ``d/dq1`` of ``d1``) is optional; when present
+    :func:`constrained_del_step` uses an analytic Jacobian instead of finite
+    differences.
     """
 
     def __init__(self, value, d1, d2, d12=None):
@@ -334,34 +343,46 @@ def constrained_lagrangian_map(
     and returns ``p_next = D2 L_d(q, q_next)``.  Equivalent to
     :func:`constrained_del_step` through the discrete Legendre transforms,
     but usable as a self-contained ``(q, p)`` one-step map.
+
+    The map assumes the unit-mass kinetic term of
+    :func:`midpoint_lagrangian`, so that ``-D1 L_d(q, q_next) =
+    (q_next - q) / h + N(q_next)`` with the force term
+    ``N(q_next) = (h / 2) grad V((q + q_next) / 2)``.  Each pass freezes
+    ``N`` at the current ``q_next``, lets the manifold place the drift
+    ``q + h (p - N)`` back on the constraint
+    (:meth:`~bregopt.manifolds.EmbeddedManifold.solve_multiplier`, warm
+    started from ``lam0`` and then from the previous pass) and moves
+    ``q_next`` there.  A constant force, such as the pendulum's gravity,
+    needs one pass; in general the passes contract when
+    ``(h^2 / 4) |Hess V| < 1``.  The map stops when the momentum residual
+    ``|-D1 L_d(q, q_next) + J_C(q)^T lam - p|_inf`` is at most
+    ``newton.tol`` and reports the number of passes as its Newton
+    iterations.
+
+    Raises:
+        NewtonError: ``newton.max_iter`` passes left the momentum residual
+            above ``newton.tol``, or no multiplier reaches the manifold.
     """
-    n = manifold.ambient_dim
-    d = manifold.constraint_dim
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    jac_c = manifold.constraint_jacobian(q)
-
-    def residual(x):
-        q_next, lam = _split(x, n)
-        res_mom = -lagrangian.d1(q, q_next, h) + jac_c.T @ lam - p
-        return np.concatenate([res_mom, manifold.constraint(q_next)])
-
-    jacobian = None
-    if lagrangian.d12 is not None:
-
-        def jacobian(x):
-            q_next, _ = _split(x, n)
-            top = np.hstack([-lagrangian.d12(q, q_next, h), jac_c.T])
-            bottom = np.hstack([manifold.constraint_jacobian(q_next), np.zeros((d, d))])
-            return np.vstack([top, bottom])
-
-    if lam0 is None:
-        lam0 = np.zeros(d)
-    x0 = np.concatenate([q, lam0])
-    result = newton_solve(residual, x0, newton, jacobian)
-    q_next, lam = _split(result.x, n)
-    p_next = legendre_plus(lagrangian, q, q_next, h)
-    return HamiltonStepResult(q_next, p_next, lam, result.iterations)
+    lam = np.zeros(manifold.constraint_dim) if lam0 is None else lam0
+    q_next = q
+    momentum = -lagrangian.d1(q, q_next, h)
+    for passes in range(1, newton.max_iter + 1):
+        drift = q + h * (p - (momentum - (q_next - q) / h))
+        lam, normal, _ = manifold.solve_multiplier(drift, q, h, lam, newton)
+        q_next = drift - h * normal
+        momentum = -lagrangian.d1(q, q_next, h)
+        norm = float(np.abs(momentum + normal - p).max())
+        if norm <= newton.tol:
+            p_next = legendre_plus(lagrangian, q, q_next, h)
+            return HamiltonStepResult(q_next, p_next, lam, passes)
+    raise NewtonError(
+        f"constrained Euler--Lagrange map did not converge in {newton.max_iter} "
+        f"passes (momentum residual {norm:.3e})",
+        residual_norm=norm,
+        iterations=newton.max_iter,
+    )
 
 
 def constrained_right_hamilton_step(

@@ -121,9 +121,6 @@ class EmbeddedManifold:
         c = self.constraint(q)
         return float(np.abs(c).max()) if c.size else 0.0
 
-    def is_feasible(self, q: np.ndarray, tol: float = FEAS_TOL) -> bool:
-        return self.constraint_violation(q) <= tol
-
     # -- geometry -----------------------------------------------------------
 
     def tangent_project(self, q: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -145,7 +142,19 @@ class EmbeddedManifold:
         raise NotImplementedError
 
     def transport(self, q_from: np.ndarray, q_to: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Move a tangent vector at ``q_from`` to the tangent space at ``q_to``."""
+        """Move a tangent vector at ``q_from`` to the tangent space at ``q_to``.
+
+        Raises:
+            FeasibilityError: ``q_from`` or ``q_to`` is off the manifold.
+        """
+        q_from = self._check_dim(q_from)
+        self._check_feasible(q_from)
+        q_to = self._check_dim(q_to)
+        self._check_feasible(q_to)
+        return self._transport(q_from, q_to, self._check_dim(v))
+
+    def _transport(self, q_from: np.ndarray, q_to: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """:meth:`transport` without the checks of its inputs."""
         raise NotImplementedError
 
     def riemannian_gradient(self, q: np.ndarray, ambient_grad: np.ndarray) -> np.ndarray:
@@ -237,13 +246,8 @@ class Sphere(EmbeddedManifold):
             raise RetractionError("sphere retraction undefined: q + v is zero")
         return w / norm
 
-    def transport(self, q_from, q_to, v):
+    def _transport(self, x, y, v):
         """Exact parallel transport along the great circle joining the points."""
-        x = self._check_dim(q_from)
-        self._check_feasible(x)
-        y = self._check_dim(q_to)
-        self._check_feasible(y)
-        v = self._check_dim(v)
         c = x @ y
         if 1.0 + c < 1e-12:
             raise TransportError(
@@ -376,10 +380,9 @@ class Stiefel(EmbeddedManifold):
         np.negative(qf, out=qf, where=diag < 0.0)
         return self.from_matrix(qf)
 
-    def transport(self, q_from, q_to, v):
+    def _transport(self, q_from, q_to, v):
         """Projection-based vector transport onto the tangent space at ``q_to``."""
-        self._check_dim(q_from)
-        return self.tangent_project(q_to, v)
+        return self._project(q_to, v)
 
     def random_point(self, rng):
         a = rng.standard_normal((self.n, self.m))
@@ -416,8 +419,8 @@ class Euclidean(EmbeddedManifold):
     def retract(self, q, v):
         return self._check_dim(q) + self._check_dim(v)
 
-    def transport(self, q_from, q_to, v):
-        return self._check_dim(v).copy()
+    def _transport(self, q_from, q_to, v):
+        return v.copy()
 
     def random_point(self, rng):
         return rng.standard_normal(self.ambient_dim)

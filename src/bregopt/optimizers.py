@@ -43,17 +43,18 @@ class RunConfig:
 
     ``stop_grad_tol`` stops on the Riemannian gradient norm;
     ``stop_f_tol`` stops on the objective gap against the problem oracle
-    when one is available.  ``seed`` draws the initial point when none is
-    passed to :func:`run`.  ``momentum_projection`` re-projects the
-    momentum onto the tangent space after every HTVI step (off by default,
-    matching the plain multiplier formulation).
+    when one is available, and ``None`` switches that stop off.  ``seed``
+    draws the initial point when none is passed to :func:`run`.
+    ``momentum_projection`` re-projects the momentum onto the tangent space
+    after every HTVI step (off by default, matching the plain multiplier
+    formulation).
     """
 
     method: str
     params: BregmanParams
     max_iters: int = 1000
     stop_grad_tol: float = 1e-12
-    stop_f_tol: float = 1e-12
+    stop_f_tol: float | None = 1e-12
     seed: int = 0
     momentum_projection: bool = False
     newton: NewtonConfig = field(default_factory=NewtonConfig)
@@ -63,7 +64,7 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
-        if self.stop_grad_tol <= 0 or self.stop_f_tol <= 0:
+        if self.stop_grad_tol <= 0 or (self.stop_f_tol is not None and self.stop_f_tol <= 0):
             raise ValueError("stopping tolerances must be positive")
 
 
@@ -179,7 +180,8 @@ def el_step(
     objective there.  Version 1 evaluates the gradient at ``x``; version 2
     at the trial point reached by following the damped velocity alone.
     The gradient coefficient grows polynomially in ``k`` and is clamped at
-    ``params.coeff_cap``.
+    ``params.coeff_cap``.  ``x`` must lie on the manifold: the velocity
+    transport does not check its end points.
     """
     if version not in (1, 2):
         raise ValueError("version must be 1 or 2")
@@ -194,7 +196,8 @@ def el_step(
         grad = riemannian_grad(manifold.retract(x, (h * b_k) * v))
     a_k = b_k * v - (h * c_k) * grad
     x_next = manifold.retract(x, h * a_k)
-    v_next = manifold.transport(x, x_next, a_k)
+    # unchecked: run() checks both end points when it evaluates the iterates
+    v_next = manifold._transport(x, x_next, a_k)
     return x_next, v_next
 
 
@@ -296,6 +299,7 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
     point, t, advance = start(config, problem, q0)
 
     trace = Trace(config.method)
+    stop_on_gap = problem.oracle_value is not None and config.stop_f_tol is not None
     k, newton_iters = 0, None
     try:
         while True:
@@ -306,7 +310,7 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
             gap = None if problem.oracle_value is None else f_val - problem.oracle_value
             trace.append(k, t, f_val, grad_norm, violation, gap, newton_iters)
             if (grad_norm <= config.stop_grad_tol
-                    or (gap is not None and gap <= config.stop_f_tol)
+                    or (stop_on_gap and gap <= config.stop_f_tol)
                     or k == config.max_iters):
                 return trace
             k += 1

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+import bregopt.dynamics
+import bregopt.manifolds
 from bregopt.dynamics import (
+    HamiltonStepResult,
     NewtonConfig,
     constrained_del_step,
     constrained_lagrangian_map,
@@ -19,7 +22,7 @@ from bregopt.dynamics import (
 )
 from bregopt.dynamics import DiscreteHamiltonian
 from bregopt.errors import NewtonError, SingularJacobianError
-from bregopt.manifolds import Euclidean, Sphere
+from bregopt.manifolds import Euclidean, Sphere, Stiefel
 
 GRAVITY = 9.81
 
@@ -213,6 +216,163 @@ class TestConstrainedDel:
         )
         assert np.max(np.abs(residual)) <= 1e-10
         assert sphere.constraint_violation(result.q_next) <= 1e-10
+
+
+def dense_lagrangian_map(lagrangian, manifold, q, p, h, newton=NewtonConfig(), lam0=None):
+    """The constrained Euler--Lagrange map as first written: a dense Newton
+    solve of the (n + d) momentum and constraint equations (reference)."""
+    n, d = manifold.ambient_dim, manifold.constraint_dim
+    jac_c = manifold.constraint_jacobian(q)
+
+    def residual(x):
+        q_next, lam = x[:n], x[n:]
+        res_mom = -lagrangian.d1(q, q_next, h) + jac_c.T @ lam - p
+        return np.concatenate([res_mom, manifold.constraint(q_next)])
+
+    def jacobian(x):
+        q_next = x[:n]
+        top = np.hstack([-lagrangian.d12(q, q_next, h), jac_c.T])
+        bottom = np.hstack([manifold.constraint_jacobian(q_next), np.zeros((d, d))])
+        return np.vstack([top, bottom])
+
+    x0 = np.concatenate([q, np.zeros(d) if lam0 is None else lam0])
+    result = newton_solve(residual, x0, newton, jacobian)
+    q_next, lam = result.x[:n], result.x[n:]
+    return HamiltonStepResult(q_next, legendre_plus(lagrangian, q, q_next, h), lam,
+                              result.iterations)
+
+
+def quadratic_lagrangian(weights, tilt):
+    """Midpoint Lagrangian of ``V(q) = q.(weights * q) / 2 + tilt.q``."""
+    return midpoint_lagrangian(
+        potential=lambda q: 0.5 * float(q @ (weights * q)) + float(tilt @ q),
+        potential_grad=lambda q: weights * q + tilt,
+        potential_hess=lambda q: np.diag(weights),
+    )
+
+
+def map_trajectory(step_map, lagrangian, manifold, q, p, h, steps, newton=NewtonConfig()):
+    """Positions and momenta of ``steps`` steps, warm started and with the
+    momentum projected as in the pendulum's long runs; also the largest
+    number of Newton iterations (passes) a step took."""
+    lam, states, most = None, [], 0
+    for _ in range(steps):
+        result = step_map(lagrangian, manifold, q, p, h, newton, lam)
+        q, lam = result.q_next, result.lam
+        p = project_momentum(manifold, q, result.p_next)
+        states.append(np.concatenate([q, p]))
+        most = max(most, result.newton_iterations)
+    return np.array(states), most
+
+
+def map_case(name):
+    """Lagrangian, manifold, initial state, step size and step count."""
+    pendulum = (Sphere(3), np.array([0.6, 0.0, 0.8]), np.array([0.0, 1.2, 0.0]))
+    if name.startswith("pendulum"):
+        h = 1e-2 if name == "pendulum-coarse" else 1.25e-4
+        return (pendulum_lagrangian(), *pendulum, h, 2000)
+    if name == "sphere-quadratic":
+        tilted = quadratic_lagrangian(np.array([20.0, 5.0, 1.0]),
+                                      np.array([0.0, 0.0, GRAVITY]))
+        return (tilted, *pendulum, 1e-2, 1000)
+    rng = np.random.default_rng(21)
+    if name == "stiefel-quadratic":
+        manifold = Stiefel(6, 2)
+    else:
+        manifold = Euclidean(3)
+    n = manifold.ambient_dim
+    lagrangian = quadratic_lagrangian(rng.uniform(1.0, 30.0, n), rng.standard_normal(n))
+    q = manifold.random_point(rng)
+    return lagrangian, manifold, q, manifold.random_tangent(q, rng), 1e-2, 1000
+
+
+class TestConstrainedLagrangianMap:
+    @pytest.mark.parametrize("name", ["pendulum-coarse", "pendulum-fine"])
+    def test_pendulum_trajectory_matches_dense_newton(self, name):
+        lagrangian, manifold, q, p, h, steps = map_case(name)
+        new, passes = map_trajectory(constrained_lagrangian_map, lagrangian, manifold,
+                                     q, p, h, steps)
+        old, _ = map_trajectory(dense_lagrangian_map, lagrangian, manifold, q, p, h, steps)
+        assert np.abs(new - old).max() <= 1e-9
+        # gravity is a constant force, so one pass is exact
+        assert passes == 1
+
+    @pytest.mark.parametrize("name", ["pendulum-coarse", "sphere-quadratic",
+                                      "stiefel-quadratic", "euclidean-quadratic"])
+    def test_each_step_matches_dense_newton(self, name):
+        lagrangian, manifold, q, p, h, steps = map_case(name)
+        newton = NewtonConfig()
+        states, passes = map_trajectory(constrained_lagrangian_map, lagrangian, manifold,
+                                        q, p, h, steps)
+        assert (passes > 1) == (name != "pendulum-coarse")
+        # both maps meet the same equations to newton.tol from the same state;
+        # the momentum and the multiplier carry a factor 1 / h
+        n, lam = manifold.ambient_dim, None
+        for state in states:
+            q, p = state[:n], state[n:]
+            new = constrained_lagrangian_map(lagrangian, manifold, q, p, h, newton, lam)
+            old = dense_lagrangian_map(lagrangian, manifold, q, p, h, newton, lam)
+            assert np.abs(new.q_next - old.q_next).max() <= newton.tol
+            assert np.abs(new.p_next - old.p_next).max() <= newton.tol / h
+            if lam is not None and lam.size:
+                assert np.abs(new.lam - old.lam).max() <= newton.tol / h
+            assert manifold.constraint_violation(new.q_next) <= newton.tol
+            lam = new.lam
+
+    def test_stated_equations_hold_after_step(self):
+        lagrangian, manifold, q, p, h, _ = map_case("stiefel-quadratic")
+        result = constrained_lagrangian_map(lagrangian, manifold, q, p, h)
+        jac_c = manifold.constraint_jacobian(q)
+        momentum = -lagrangian.d1(q, result.q_next, h) + jac_c.T @ result.lam
+        np.testing.assert_allclose(momentum, p, atol=1e-10)
+        assert manifold.constraint_violation(result.q_next) <= 1e-10
+        np.testing.assert_array_equal(result.p_next,
+                                      lagrangian.d2(q, result.q_next, h))
+
+    @pytest.mark.parametrize("name", ["pendulum-coarse", "sphere-quadratic",
+                                      "stiefel-quadratic"])
+    def test_no_constraint_jacobian_and_no_newton_on_the_sphere(self, name, monkeypatch):
+        lagrangian, manifold, q, p, h, _ = map_case(name)
+        calls = {"constraint_jacobian": 0, "newton_solve": 0}
+        jacobian = type(manifold).constraint_jacobian
+
+        def counting_jacobian(self, point):
+            calls["constraint_jacobian"] += 1
+            return jacobian(self, point)
+
+        def counting_newton(*args, **kwargs):
+            calls["newton_solve"] += 1
+            return newton_solve(*args, **kwargs)
+
+        monkeypatch.setattr(type(manifold), "constraint_jacobian", counting_jacobian)
+        monkeypatch.setattr(bregopt.manifolds, "newton_solve", counting_newton)
+        monkeypatch.setattr(bregopt.dynamics, "newton_solve", counting_newton)
+        map_trajectory(constrained_lagrangian_map, lagrangian, manifold, q, p, h, 50)
+        manifold.constraint_jacobian(q)
+        assert calls["constraint_jacobian"] == 1  # only the call above
+        if isinstance(manifold, Sphere):
+            assert calls["newton_solve"] == 0
+        else:
+            # the Stiefel multiplier solve is its own matrix Newton
+            assert calls["newton_solve"] >= 50
+
+    @pytest.mark.parametrize("manifold", [Euclidean(3), Sphere(3)])
+    def test_stiff_potential_raises_newton_error(self, manifold):
+        # (h^2 / 4) |Hess V| = 2 > 1: the passes move away from the solution
+        # until the pass budget runs out or, on the sphere, the drift leaves
+        # the reach of the multiplier
+        h, stiffness = 0.1, 800.0
+        lagrangian = quadratic_lagrangian(np.array([stiffness, 0.0, 0.0]), np.zeros(3))
+        q = np.array([0.6, 0.0, 0.8])
+        p = np.array([0.0, 1.2, 0.0])
+        newton = NewtonConfig(max_iter=20)
+        with pytest.raises(NewtonError) as info:
+            constrained_lagrangian_map(lagrangian, manifold, q, p, h, newton)
+        if isinstance(manifold, Euclidean):
+            assert info.value.iterations == newton.max_iter
+            assert info.value.residual_norm > 1e6
+        else:
+            assert "unreachable" in str(info.value)
 
 
 class TestRightHamiltonStep:

@@ -276,6 +276,21 @@ class TestTransport:
         assert np.max(np.abs(st.constraint_jacobian(y) @ out)) <= 1e-10
 
 
+    @pytest.mark.parametrize("manifold", [Sphere(4), Stiefel(5, 2), Euclidean(3)])
+    def test_public_transport_checks_its_inputs(self, manifold):
+        rng = np.random.default_rng(14)
+        x, y = manifold.random_point(rng), manifold.random_point(rng)
+        v = manifold.random_tangent(x, rng)
+        np.testing.assert_array_equal(manifold.transport(x, y, v),
+                                      manifold._transport(x, y, v))
+        for args in ((x[:-1], y, v), (x, y[:-1], v), (x, y, v[:-1])):
+            with pytest.raises(DimensionError):
+                manifold.transport(*args)
+        if manifold.constraint_dim:
+            for args in ((1.1 * x, y, v), (x, 1.1 * y, v)):
+                with pytest.raises(FeasibilityError):
+                    manifold.transport(*args)
+
 class TestRiemannianGradient:
     def test_sphere_constant_objective(self):
         # f(v) = -v.v is constant on the sphere, so the gradient vanishes

@@ -461,16 +461,20 @@ class TestRunDriver:
                         max_iters=10000, stop_f_tol=1e-6)
         trace = run(cfg, prob)
         assert trace.errors_vs_oracle[-1] <= 1e-6
+        assert trace.errors_vs_oracle[-2] > 1e-6  # the first iterate within the gap
         assert len(trace) < 10000
 
     def test_gradient_norm_stop(self):
-        # without an oracle only the gradient norm can end the run: f may
-        # round below an exact optimum, so no positive stop_f_tol is inert
-        prob = dataclasses.replace(make_instance("rayleigh", (6,), seed=13), oracle_value=None)
+        # f rounds below this instance's oracle value, so any positive
+        # stop_f_tol would end the run on the gap; None leaves the gradient
+        # norm as the only stop
+        prob = make_instance("rayleigh", (6,), seed=13)
         cfg = RunConfig(method="rgd", params=BregmanParams(p=2.0, h=0.1),
-                        max_iters=10000, stop_grad_tol=1e-8, stop_f_tol=1e-300)
+                        max_iters=10000, stop_grad_tol=1e-8, stop_f_tol=None)
         trace = run(cfg, prob)
         assert trace.grad_norms[-1] <= 1e-8
+        assert len(trace) < 10000
+        assert min(trace.errors_vs_oracle) < 0
 
     def test_failure_is_graceful(self):
         # an over-aggressive target exponent destabilizes the adaptive
@@ -579,10 +583,9 @@ class TestRunDriver:
         assert not trace.failed
         assert len(trace) == 31
         # one evaluation per recorded iterate both gates its gradient and is
-        # recorded; the EL transport checks its end points (the sphere's
-        # both, Stiefel's the target) and el_v2 also its look-ahead point
-        transport = 2 if name == "rayleigh" else 1
-        per_step = {"el_v1": transport, "el_v2": transport + 1}.get(method, 0)
+        # recorded; the EL transport relies on those, and el_v2 also checks
+        # its look-ahead point
+        per_step = 1 if method == "el_v2" else 0
         assert manifold.constraint_calls == len(trace) + per_step * (len(trace) - 1)
 
     @pytest.mark.parametrize("method", ["rgd", "el_v2"])
@@ -605,6 +608,11 @@ class TestRunDriver:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(method="sgd", params=BregmanParams(p=2.0))
+
+    @pytest.mark.parametrize("stop_f_tol", [0.0, -1e-6])
+    def test_non_positive_stop_f_tol_rejected(self, stop_f_tol):
+        with pytest.raises(ValueError):
+            RunConfig(method="rgd", params=BregmanParams(p=2.0), stop_f_tol=stop_f_tol)
 
 
 # Digests of the first 500 iterations at the CLI defaults, seed 0 (numpy 2.4
