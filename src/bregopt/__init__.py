@@ -13,6 +13,7 @@ from .bregman import (
 from .dynamics import (
     DiscreteHamiltonian,
     DiscreteLagrangian,
+    MidpointLagrangian,
     NewtonConfig,
     constrained_del_step,
     constrained_lagrangian_map,
@@ -41,6 +42,7 @@ __all__ = [
     "EmbeddedManifold",
     "Euclidean",
     "ExtendedState",
+    "MidpointLagrangian",
     "NewtonConfig",
     "ProblemSpec",
     "RunConfig",

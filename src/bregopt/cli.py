@@ -112,13 +112,12 @@ def build_run_config(block: dict) -> RunConfig:
                 f"newton_tol {newton.tol:g} exceeds the feasibility tolerance "
                 f"{FEAS_TOL:g} that every iterate must meet"
             )
-        f_tol = block.get("stop_f_tol", 1e-12)  # null switches the gap stop off
         return RunConfig(
             method=block["method"],
             params=params,
             max_iters=int(block.get("max_iters", 1000)),
             stop_grad_tol=float(block.get("stop_grad_tol", 1e-12)),
-            stop_f_tol=None if f_tol is None else float(f_tol),
+            stop_f_tol=float(block.get("stop_f_tol", 1e-12)),
             seed=int(block.get("seed", 0)),
             momentum_projection=bool(block.get("momentum_projection", False)),
             newton=newton,

@@ -150,9 +150,8 @@ class DiscreteLagrangian:
 
     ``d1`` and ``d2`` are the partial derivatives with respect to the first
     and second position argument.  ``d12`` (the mixed second partial,
-    ``d/dq1`` of ``d1``) is optional; when present
-    :func:`constrained_del_step` uses an analytic Jacobian instead of finite
-    differences.
+    ``d/dq1`` of ``d1``) is optional; when present the implicit one-step
+    solves use an analytic Jacobian instead of finite differences.
     """
 
     def __init__(self, value, d1, d2, d12=None):
@@ -160,6 +159,18 @@ class DiscreteLagrangian:
         self.d1 = d1
         self.d2 = d2
         self.d12 = d12
+
+
+class MidpointLagrangian(DiscreteLagrangian):
+    """The discrete Lagrangian built by :func:`midpoint_lagrangian`.
+
+    It keeps ``potential_grad`` so that :func:`constrained_lagrangian_map`
+    can split the force term off its unit-mass kinetic term.
+    """
+
+    def __init__(self, value, d1, d2, d12, potential_grad):
+        super().__init__(value, d1, d2, d12)
+        self.potential_grad = potential_grad
 
 
 class DiscreteHamiltonian:
@@ -183,7 +194,7 @@ def midpoint_lagrangian(
     potential: Callable[[Array], float] | None = None,
     potential_grad: Callable[[Array], Array] | None = None,
     potential_hess: Callable[[Array], Array] | None = None,
-) -> DiscreteLagrangian:
+) -> MidpointLagrangian:
     """Midpoint-rule discrete Lagrangian of ``L = |qdot|^2 / 2 - V(q)``.
 
     Passing no potential gives the free particle.  When the potential
@@ -212,7 +223,7 @@ def midpoint_lagrangian(
             n = q0.size
             return -np.eye(n) / h - 0.25 * h * potential_hess((q0 + q1) / 2.0)
 
-    return DiscreteLagrangian(value, d1, d2, d12)
+    return MidpointLagrangian(value, d1, d2, d12, potential_grad)
 
 
 def right_euler_hamiltonian(hamiltonian, d_dq, d_dp) -> DiscreteHamiltonian:
@@ -329,7 +340,7 @@ def constrained_del_step(
 
 
 def constrained_lagrangian_map(
-    lagrangian: DiscreteLagrangian,
+    lagrangian: MidpointLagrangian,
     manifold: EmbeddedManifold,
     q: Array,
     p: Array,
@@ -337,46 +348,52 @@ def constrained_lagrangian_map(
     newton: NewtonConfig = DEFAULT_NEWTON,
     lam0: Array | None = None,
 ) -> HamiltonStepResult:
-    """Momentum form of the constrained discrete Euler--Lagrange map.
+    """Momentum form of the constrained discrete Euler--Lagrange map of a
+    :func:`midpoint_lagrangian`.
 
     Solves ``p = -D1 L_d(q, q_next) + J_C(q)^T lam`` with ``C(q_next) = 0``
     and returns ``p_next = D2 L_d(q, q_next)``.  Equivalent to
     :func:`constrained_del_step` through the discrete Legendre transforms,
     but usable as a self-contained ``(q, p)`` one-step map.
 
-    The map assumes the unit-mass kinetic term of
-    :func:`midpoint_lagrangian`, so that ``-D1 L_d(q, q_next) =
-    (q_next - q) / h + N(q_next)`` with the force term
-    ``N(q_next) = (h / 2) grad V((q + q_next) / 2)``.  Each pass freezes
-    ``N`` at the current ``q_next``, lets the manifold place the drift
-    ``q + h (p - N)`` back on the constraint
+    The unit-mass kinetic term of the midpoint Lagrangian gives
+    ``-D1 L_d(q, q_next) = (q_next - q) / h + N(q_next)`` with the force
+    term ``N(q_next) = (h / 2) grad V((q + q_next) / 2)``.  Each pass
+    freezes ``N`` at the current ``q_next``, lets the manifold place the
+    drift ``q + h (p - N)`` back on the constraint
     (:meth:`~bregopt.manifolds.EmbeddedManifold.solve_multiplier`, warm
     started from ``lam0`` and then from the previous pass) and moves
     ``q_next`` there.  A constant force, such as the pendulum's gravity,
     needs one pass; in general the passes contract when
     ``(h^2 / 4) |Hess V| < 1``.  The map stops when the momentum residual
     ``|-D1 L_d(q, q_next) + J_C(q)^T lam - p|_inf`` is at most
-    ``newton.tol`` and reports the number of passes as its Newton
-    iterations.
+    ``newton.tol``, or when a pass leaves ``q_next`` unchanged: that point
+    solves the equations to rounding, whose floor on the residual, about
+    ``ulp(q) / h``, exceeds ``newton.tol`` at very small steps.  The
+    number of passes is reported as the Newton iterations.
 
     Raises:
+        TypeError: ``lagrangian`` was not built by :func:`midpoint_lagrangian`.
         NewtonError: ``newton.max_iter`` passes left the momentum residual
             above ``newton.tol``, or no multiplier reaches the manifold.
     """
+    if not isinstance(lagrangian, MidpointLagrangian):
+        raise TypeError("constrained_lagrangian_map needs a midpoint_lagrangian")
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     lam = np.zeros(manifold.constraint_dim) if lam0 is None else lam0
     q_next = q
-    momentum = -lagrangian.d1(q, q_next, h)
+    force = 0.5 * h * lagrangian.potential_grad(q)
     for passes in range(1, newton.max_iter + 1):
-        drift = q + h * (p - (momentum - (q_next - q) / h))
+        drift = q + h * (p - force)
         lam, normal, _ = manifold.solve_multiplier(drift, q, h, lam, newton)
-        q_next = drift - h * normal
-        momentum = -lagrangian.d1(q, q_next, h)
-        norm = float(np.abs(momentum + normal - p).max())
-        if norm <= newton.tol:
-            p_next = legendre_plus(lagrangian, q, q_next, h)
-            return HamiltonStepResult(q_next, p_next, lam, passes)
+        q_last, q_next = q_next, drift - h * normal
+        force = 0.5 * h * lagrangian.potential_grad((q + q_next) / 2.0)
+        velocity = (q_next - q) / h
+        norm = float(np.abs(velocity + force + normal - p).max())
+        if norm <= newton.tol or np.array_equal(q_next, q_last):
+            # D2 L_d(q, q_next), as legendre_plus computes it
+            return HamiltonStepResult(q_next, velocity - force, lam, passes)
     raise NewtonError(
         f"constrained Euler--Lagrange map did not converge in {newton.max_iter} "
         f"passes (momentum residual {norm:.3e})",

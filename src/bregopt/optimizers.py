@@ -43,18 +43,17 @@ class RunConfig:
 
     ``stop_grad_tol`` stops on the Riemannian gradient norm;
     ``stop_f_tol`` stops on the objective gap against the problem oracle
-    when one is available, and ``None`` switches that stop off.  ``seed``
-    draws the initial point when none is passed to :func:`run`.
-    ``momentum_projection`` re-projects the momentum onto the tangent space
-    after every HTVI step (off by default, matching the plain multiplier
-    formulation).
+    when one is available.  ``seed`` draws the initial point when none is
+    passed to :func:`run`.  ``momentum_projection`` re-projects the
+    momentum onto the tangent space after every HTVI step (off by default,
+    matching the plain multiplier formulation).
     """
 
     method: str
     params: BregmanParams
     max_iters: int = 1000
     stop_grad_tol: float = 1e-12
-    stop_f_tol: float | None = 1e-12
+    stop_f_tol: float = 1e-12
     seed: int = 0
     momentum_projection: bool = False
     newton: NewtonConfig = field(default_factory=NewtonConfig)
@@ -64,7 +63,7 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
-        if self.stop_grad_tol <= 0 or (self.stop_f_tol is not None and self.stop_f_tol <= 0):
+        if self.stop_grad_tol <= 0 or self.stop_f_tol <= 0:
             raise ValueError("stopping tolerances must be positive")
 
 
@@ -173,6 +172,8 @@ def el_step(
     v: np.ndarray,
     k: int,
     riemannian_grad,
+    *,
+    check_points: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Semi-implicit Euler step of the accelerated-flow velocity recursion.
 
@@ -180,8 +181,9 @@ def el_step(
     objective there.  Version 1 evaluates the gradient at ``x``; version 2
     at the trial point reached by following the damped velocity alone.
     The gradient coefficient grows polynomially in ``k`` and is clamped at
-    ``params.coeff_cap``.  ``x`` must lie on the manifold: the velocity
-    transport does not check its end points.
+    ``params.coeff_cap``.  The velocity transport checks that ``x`` and
+    the new point lie on the manifold; ``check_points=False`` skips that
+    for a caller that checks every iterate itself, as :func:`run` does.
     """
     if version not in (1, 2):
         raise ValueError("version must be 1 or 2")
@@ -196,8 +198,8 @@ def el_step(
         grad = riemannian_grad(manifold.retract(x, (h * b_k) * v))
     a_k = b_k * v - (h * c_k) * grad
     x_next = manifold.retract(x, h * a_k)
-    # unchecked: run() checks both end points when it evaluates the iterates
-    v_next = manifold._transport(x, x_next, a_k)
+    transport = manifold.transport if check_points else manifold._transport
+    v_next = transport(x, x_next, a_k)
     return x_next, v_next
 
 
@@ -250,9 +252,10 @@ def _el_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
     def advance(k, f_val, grad, rgrad):
         nonlocal x, v
         # version 1 evaluates the gradient at the current point, which the
-        # run loop has already done
+        # run loop has already done; the run loop also checks every iterate
         x, v = el_step(version, config.params, manifold, x, v, k,
-                       (lambda point: rgrad) if version == 1 else riemannian_grad)
+                       (lambda point: rgrad) if version == 1 else riemannian_grad,
+                       check_points=False)
         if not (np.isfinite(x).all() and np.isfinite(v).all()):
             raise BregoptError("non-finite state")
         return x, k * config.params.h, None
@@ -299,7 +302,6 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
     point, t, advance = start(config, problem, q0)
 
     trace = Trace(config.method)
-    stop_on_gap = problem.oracle_value is not None and config.stop_f_tol is not None
     k, newton_iters = 0, None
     try:
         while True:
@@ -310,7 +312,7 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
             gap = None if problem.oracle_value is None else f_val - problem.oracle_value
             trace.append(k, t, f_val, grad_norm, violation, gap, newton_iters)
             if (grad_norm <= config.stop_grad_tol
-                    or (stop_on_gap and gap <= config.stop_f_tol)
+                    or (gap is not None and gap <= config.stop_f_tol)
                     or k == config.max_iters):
                 return trace
             k += 1

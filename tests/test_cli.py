@@ -166,22 +166,6 @@ class TestRun:
         )
         assert main(["run", "--config", config]) == EXIT_OK
 
-    def test_null_stop_f_tol_stops_on_gradient_norm_alone(self, tmp_path):
-        def config(stop_f_tol):
-            return write_config(tmp_path, {
-                "problem": {"name": "rayleigh", "dims": [6], "seed": 13},
-                "methods": [{"method": "rgd", "label": "rgd", "h": 0.1, "max_iters": 10000,
-                             "stop_grad_tol": 1e-8, "stop_f_tol": stop_f_tol}],
-                "output_dir": str(tmp_path / "out"),
-            })
-
-        assert main(["run", "--config", config(None)]) == EXIT_OK
-        last = (tmp_path / "out" / "rgd.csv").read_text().splitlines()[-1].split(",")
-        assert float(last[CSV_COLUMNS.index("grad_norm")]) <= 1e-8
-        assert int(last[0]) < 10000
-        for bad in (0.0, -1e-6):
-            assert main(["run", "--config", config(bad)]) == EXIT_CONFIG
-
     def test_matrix_file_input(self, tmp_path):
         a = np.diag([1.0, 2.0, 5.0])
         matrix_path = tmp_path / "a.txt"

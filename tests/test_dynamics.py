@@ -20,7 +20,7 @@ from bregopt.dynamics import (
     project_momentum,
     right_euler_hamiltonian,
 )
-from bregopt.dynamics import DiscreteHamiltonian
+from bregopt.dynamics import DiscreteHamiltonian, DiscreteLagrangian
 from bregopt.errors import NewtonError, SingularJacobianError
 from bregopt.manifolds import Euclidean, Sphere, Stiefel
 
@@ -355,6 +355,43 @@ class TestConstrainedLagrangianMap:
         else:
             # the Stiefel multiplier solve is its own matrix Newton
             assert calls["newton_solve"] >= 50
+
+    @pytest.mark.parametrize("name", ["pendulum-coarse", "sphere-quadratic"])
+    @pytest.mark.parametrize("h", [3e-7, 1e-7])
+    def test_tiny_steps_stop_at_the_rounding_floor(self, name, h):
+        # rounding keeps the momentum residual near ulp(q) / h, above
+        # newton.tol at these steps; the map stops once a pass no longer
+        # moves q_next, while the dense Newton fails from some states
+        lagrangian, manifold = map_case(name)[:2]
+        newton = NewtonConfig()
+        rng = np.random.default_rng(5)
+        failures = {constrained_lagrangian_map: 0, dense_lagrangian_map: 0}
+        for _ in range(20):
+            q = manifold.random_point(rng)
+            p = 1.5 * manifold.random_tangent(q, rng)
+            results = {}
+            for step_map in failures:
+                try:
+                    results[step_map] = step_map(lagrangian, manifold, q, p, h, newton)
+                except NewtonError:
+                    failures[step_map] += 1
+            new = results[constrained_lagrangian_map]
+            momentum = (-lagrangian.d1(q, new.q_next, h)
+                        + manifold.constraint_jacobian(q).T @ new.lam)
+            assert np.abs(momentum - p).max() <= 4.0 * np.spacing(1.0) / h
+            assert manifold.constraint_violation(new.q_next) <= newton.tol
+            if dense_lagrangian_map in results:
+                old = results[dense_lagrangian_map]
+                assert np.abs(new.q_next - old.q_next).max() <= newton.tol
+        assert failures[constrained_lagrangian_map] == 0
+        assert failures[dense_lagrangian_map] > 0
+
+    def test_needs_a_midpoint_lagrangian(self):
+        lagrangian = pendulum_lagrangian()
+        generic = DiscreteLagrangian(lagrangian.value, lagrangian.d1, lagrangian.d2)
+        q, p = np.array([0.6, 0.0, 0.8]), np.array([0.0, 1.2, 0.0])
+        with pytest.raises(TypeError):
+            constrained_lagrangian_map(generic, Sphere(3), q, p, 1e-2)
 
     @pytest.mark.parametrize("manifold", [Euclidean(3), Sphere(3)])
     def test_stiff_potential_raises_newton_error(self, manifold):
