@@ -8,8 +8,11 @@ the direct Hamiltonian drives ``f(q(t))`` to its optimum at rate
 steps in the integration time behave like adaptive steps in ``t``.
 
 The convexity parameter ``lambda_conv`` generalizes the vector-space
-exponents (``lambda_conv = 1``) to geodesically convex (``zeta``) or
-weakly-quasi-convex (``zeta / alpha``) objectives on curved spaces.
+exponents (``lambda_conv = 1``, the default) to curved spaces, where it is
+a curvature/diameter constant ``zeta`` for geodesically convex objectives
+(``zeta = 1`` under nonnegative sectional curvature) or ``zeta / alpha``
+for weakly-quasi-convex ones.  It is a plain parameter here; nothing in the
+package derives it from the manifold.
 
 Everything here is a pure function of its arguments; parameter objects are
 frozen and safe to share between threads.
@@ -23,24 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularTimeError
-
-
-def compute_zeta(k_min: float, diameter: float) -> float:
-    """Curvature/diameter constant used to set ``lambda_conv``.
-
-    Equals ``sqrt(-k_min) * D * coth(sqrt(-k_min) * D)`` when the sectional
-    curvature lower bound ``k_min`` is negative, and 1 otherwise.  Always
-    at least 1.
-
-    Raises:
-        ValueError: if ``diameter`` is not positive.
-    """
-    if diameter <= 0.0:
-        raise ValueError("diameter must be positive")
-    if k_min >= 0.0:
-        return 1.0
-    x = math.sqrt(-k_min) * diameter
-    return x / math.tanh(x)
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,15 @@
 """Discrete constrained variational mechanics.
 
-This module provides the generic machinery shared by every integrator in the
-package: two-point generating functions (discrete Lagrangians and discrete
-left/right Hamiltonians) with their discrete Legendre transforms, the
-one-step maps they induce when a holonomic constraint is enforced with
-Lagrange multipliers, a dense Newton solver, and an empirical
-order-of-accuracy harness.
+This module holds the pieces the constrained integrators share besides the
+manifold geometry: the dense Newton solver behind the Stiefel multiplier
+solve, the unit-mass midpoint discrete Lagrangian, the momentum form of its
+constrained discrete Euler--Lagrange map, and an empirical order-of-accuracy
+harness.
 
-The momentum form of the constrained Euler--Lagrange map
-(:func:`constrained_lagrangian_map`) splits off the force term of the
-unit-mass midpoint Lagrangian and places each drifted position back on the
+The map (:func:`constrained_lagrangian_map`) splits off the force term of
+the midpoint Lagrangian and places each drifted position back on the
 constraint with the manifold's own multiplier solve, so it forms no
 constraint Jacobian (on the sphere the solve is a closed-form quadratic).
-The position recursion (:func:`constrained_del_step`) and the right
-Hamiltonian map solve their (n + d) equations with the dense Newton solver.
 
 One-step maps are pure functions of ``(state, config)``; independent
 trajectories can run in parallel, while a single trajectory is sequential.
@@ -42,18 +38,16 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Settings of the dense Newton solver used by all implicit steps.
+    """Tolerance and budget of the implicit solves: the Newton iterations of
+    :func:`newton_solve` and the passes of :func:`constrained_lagrangian_map`.
 
     Attributes:
         tol: convergence threshold on the residual infinity norm.
         max_iter: iteration budget.
-        fd_step: base step of the central-difference Jacobian fallback;
-            the actual step is ``fd_step * (1 + |x|_inf)``.
     """
 
     tol: float = 1e-10
     max_iter: int = 50
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -71,33 +65,16 @@ class NewtonResult(NamedTuple):
     residual_norm: float
 
 
-def finite_difference_jacobian(
-    func: Callable[[Array], Array], x: Array, step: float
-) -> Array:
-    """Central-difference Jacobian of a vector-valued function."""
-    x = np.asarray(x, dtype=float)
-    f0 = np.asarray(func(x), dtype=float)
-    jac = np.empty((f0.size, x.size))
-    for j in range(x.size):
-        delta = np.zeros_like(x)
-        delta[j] = step
-        jac[:, j] = (np.asarray(func(x + delta)) - np.asarray(func(x - delta))) / (
-            2.0 * step
-        )
-    return jac
-
-
 def newton_solve(
     residual: Callable[[Array], Array],
+    jacobian: Callable[[Array], Array],
     x0: Array,
     config: NewtonConfig = DEFAULT_NEWTON,
-    jacobian: Callable[[Array], Array] | None = None,
 ) -> NewtonResult:
     """Solve ``residual(x) = 0`` by Newton iteration from ``x0``.
 
-    Uses the supplied Jacobian when given, and a central finite-difference
-    Jacobian otherwise.  Returns the solution together with the iteration
-    count and final residual norm.
+    ``jacobian(x)`` is the derivative of ``residual`` at ``x``.  Returns the
+    solution together with the iteration count and final residual norm.
 
     Raises:
         SingularJacobianError: the linearized system could not be solved.
@@ -114,11 +91,7 @@ def newton_solve(
     for iteration in range(config.max_iter):
         if norm <= config.tol:
             return NewtonResult(x, iteration, norm)
-        if jacobian is not None:
-            jac = np.asarray(jacobian(x), dtype=float)
-        else:
-            step = config.fd_step * (1.0 + float(np.max(np.abs(x))))
-            jac = finite_difference_jacobian(residual, x, step)
+        jac = np.asarray(jacobian(x), dtype=float)
         try:
             delta = np.linalg.solve(jac, res)
         except np.linalg.LinAlgError as exc:
@@ -141,123 +114,33 @@ def newton_solve(
 
 
 # ---------------------------------------------------------------------------
-# Generating functions
+# Midpoint discrete Lagrangian
 # ---------------------------------------------------------------------------
 
 
-class DiscreteLagrangian:
-    """Two-point generating function ``L_d(q0, q1; h)`` with exact partials.
+@dataclass(frozen=True)
+class MidpointLagrangian:
+    """Midpoint-rule discrete Lagrangian of ``L = |qdot|^2 / 2 - V(q)``::
 
-    ``d1`` and ``d2`` are the partial derivatives with respect to the first
-    and second position argument.  ``d12`` (the mixed second partial,
-    ``d/dq1`` of ``d1``) is optional; when present the implicit one-step
-    solves use an analytic Jacobian instead of finite differences.
+        L_d(q0, q1; h) = |q1 - q0|^2 / (2 h) - h V((q0 + q1) / 2)
+
+    ``d1`` and ``d2`` are its partial derivatives with respect to the first
+    and second position argument, and ``d12`` is the mixed second partial
+    (``d/dq1`` of ``d1``).  :func:`constrained_lagrangian_map` splits the
+    force term ``potential_grad`` off the unit-mass kinetic term.
     """
 
-    def __init__(self, value, d1, d2, d12=None):
-        self.value = value
-        self.d1 = d1
-        self.d2 = d2
-        self.d12 = d12
+    potential_grad: Callable[[Array], Array]
+    potential_hess: Callable[[Array], Array]
 
+    def d1(self, q0: Array, q1: Array, h: float) -> Array:
+        return -(q1 - q0) / h - 0.5 * h * self.potential_grad((q0 + q1) / 2.0)
 
-class MidpointLagrangian(DiscreteLagrangian):
-    """The discrete Lagrangian built by :func:`midpoint_lagrangian`.
+    def d2(self, q0: Array, q1: Array, h: float) -> Array:
+        return (q1 - q0) / h - 0.5 * h * self.potential_grad((q0 + q1) / 2.0)
 
-    It keeps ``potential_grad`` so that :func:`constrained_lagrangian_map`
-    can split the force term off its unit-mass kinetic term.
-    """
-
-    def __init__(self, value, d1, d2, d12, potential_grad):
-        super().__init__(value, d1, d2, d12)
-        self.potential_grad = potential_grad
-
-
-class DiscreteHamiltonian:
-    """One-step generating function of Hamiltonian type.
-
-    ``kind`` is ``"right"`` for functions of ``(q_k, p_{k+1})`` or ``"left"``
-    for functions of ``(q_{k+1}, p_k)``.  ``d1``/``d2`` differentiate with
-    respect to the first/second argument.
-    """
-
-    def __init__(self, kind, value, d1, d2):
-        if kind not in ("right", "left"):
-            raise ValueError("kind must be 'right' or 'left'")
-        self.kind = kind
-        self.value = value
-        self.d1 = d1
-        self.d2 = d2
-
-
-def midpoint_lagrangian(
-    potential: Callable[[Array], float] | None = None,
-    potential_grad: Callable[[Array], Array] | None = None,
-    potential_hess: Callable[[Array], Array] | None = None,
-) -> MidpointLagrangian:
-    """Midpoint-rule discrete Lagrangian of ``L = |qdot|^2 / 2 - V(q)``.
-
-    Passing no potential gives the free particle.  When the potential
-    Hessian is supplied the mixed second partial is exposed analytically.
-    """
-
-    if potential is None:
-        potential = lambda q: 0.0
-        potential_grad = lambda q: np.zeros_like(q)
-        potential_hess = lambda q: np.zeros((q.size, q.size))
-
-    def value(q0, q1, h):
-        diff = q1 - q0
-        return float(diff @ diff) / (2.0 * h) - h * potential((q0 + q1) / 2.0)
-
-    def d1(q0, q1, h):
-        return -(q1 - q0) / h - 0.5 * h * potential_grad((q0 + q1) / 2.0)
-
-    def d2(q0, q1, h):
-        return (q1 - q0) / h - 0.5 * h * potential_grad((q0 + q1) / 2.0)
-
-    d12 = None
-    if potential_hess is not None:
-
-        def d12(q0, q1, h):
-            n = q0.size
-            return -np.eye(n) / h - 0.25 * h * potential_hess((q0 + q1) / 2.0)
-
-    return MidpointLagrangian(value, d1, d2, d12, potential_grad)
-
-
-def right_euler_hamiltonian(hamiltonian, d_dq, d_dp) -> DiscreteHamiltonian:
-    """First-order discrete right Hamiltonian ``p1.q0 + h H(q0, p1)``.
-
-    Its one-step map is the momentum-first symplectic Euler method; this is
-    also the zeroth-order Taylor construction with rectangle quadrature.
-    """
-
-    def value(q0, p1, h):
-        return float(p1 @ q0) + h * hamiltonian(q0, p1)
-
-    def d1(q0, p1, h):
-        return p1 + h * d_dq(q0, p1)
-
-    def d2(q0, p1, h):
-        return q0 + h * d_dp(q0, p1)
-
-    return DiscreteHamiltonian("right", value, d1, d2)
-
-
-# ---------------------------------------------------------------------------
-# Discrete Legendre transforms
-# ---------------------------------------------------------------------------
-
-
-def legendre_plus(lagrangian: DiscreteLagrangian, q0: Array, q1: Array, h: float) -> Array:
-    """Momentum at the right endpoint: ``p1 = D2 L_d(q0, q1)``."""
-    return np.asarray(lagrangian.d2(q0, q1, h), dtype=float)
-
-
-def legendre_minus(lagrangian: DiscreteLagrangian, q0: Array, q1: Array, h: float) -> Array:
-    """Momentum at the left endpoint: ``p0 = -D1 L_d(q0, q1)``."""
-    return -np.asarray(lagrangian.d1(q0, q1, h), dtype=float)
+    def d12(self, q0: Array, q1: Array, h: float) -> Array:
+        return -np.eye(q0.size) / h - 0.25 * h * self.potential_hess((q0 + q1) / 2.0)
 
 
 def project_momentum(manifold: EmbeddedManifold, q: Array, p: Array) -> Array:
@@ -270,14 +153,8 @@ def project_momentum(manifold: EmbeddedManifold, q: Array, p: Array) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# Constrained one-step maps
+# Constrained one-step map
 # ---------------------------------------------------------------------------
-
-
-class DelStepResult(NamedTuple):
-    q_next: Array
-    lam: Array
-    newton_iterations: int
 
 
 class HamiltonStepResult(NamedTuple):
@@ -285,58 +162,6 @@ class HamiltonStepResult(NamedTuple):
     p_next: Array
     lam: Array
     newton_iterations: int
-
-
-def _split(x: Array, n: int) -> tuple[Array, Array]:
-    return x[:n], x[n:]
-
-
-def constrained_del_step(
-    lagrangian: DiscreteLagrangian,
-    manifold: EmbeddedManifold,
-    q_prev: Array,
-    q_curr: Array,
-    h: float,
-    newton: NewtonConfig = DEFAULT_NEWTON,
-    lam0: Array | None = None,
-) -> DelStepResult:
-    """Advance the position two-point recursion of the constrained
-    discrete Euler--Lagrange equations.
-
-    Solves for ``(q_next, lam)`` such that::
-
-        D1 L_d(q_curr, q_next) + D2 L_d(q_prev, q_curr) = J_C(q_curr)^T lam
-        C(q_next) = 0
-
-    with the residual infinity norm at most ``newton.tol``.
-    """
-    n = manifold.ambient_dim
-    d = manifold.constraint_dim
-    q_prev = np.asarray(q_prev, dtype=float)
-    q_curr = np.asarray(q_curr, dtype=float)
-    inherited = legendre_plus(lagrangian, q_prev, q_curr, h)
-    jac_c = manifold.constraint_jacobian(q_curr)
-
-    def residual(x):
-        q_next, lam = _split(x, n)
-        res_el = lagrangian.d1(q_curr, q_next, h) + inherited - jac_c.T @ lam
-        return np.concatenate([res_el, manifold.constraint(q_next)])
-
-    jacobian = None
-    if lagrangian.d12 is not None:
-
-        def jacobian(x):
-            q_next, _ = _split(x, n)
-            top = np.hstack([lagrangian.d12(q_curr, q_next, h), -jac_c.T])
-            bottom = np.hstack([manifold.constraint_jacobian(q_next), np.zeros((d, d))])
-            return np.vstack([top, bottom])
-
-    if lam0 is None:
-        lam0 = np.zeros(d)
-    x0 = np.concatenate([q_curr, lam0])
-    result = newton_solve(residual, x0, newton, jacobian)
-    q_next, lam = _split(result.x, n)
-    return DelStepResult(q_next, lam, result.iterations)
 
 
 def constrained_lagrangian_map(
@@ -349,12 +174,11 @@ def constrained_lagrangian_map(
     lam0: Array | None = None,
 ) -> HamiltonStepResult:
     """Momentum form of the constrained discrete Euler--Lagrange map of a
-    :func:`midpoint_lagrangian`.
+    :class:`MidpointLagrangian`.
 
     Solves ``p = -D1 L_d(q, q_next) + J_C(q)^T lam`` with ``C(q_next) = 0``
-    and returns ``p_next = D2 L_d(q, q_next)``.  Equivalent to
-    :func:`constrained_del_step` through the discrete Legendre transforms,
-    but usable as a self-contained ``(q, p)`` one-step map.
+    and returns ``p_next = D2 L_d(q, q_next)``, the discrete Legendre
+    transforms of the position recursion, as a ``(q, p)`` one-step map.
 
     The unit-mass kinetic term of the midpoint Lagrangian gives
     ``-D1 L_d(q, q_next) = (q_next - q) / h + N(q_next)`` with the force
@@ -373,12 +197,12 @@ def constrained_lagrangian_map(
     number of passes is reported as the Newton iterations.
 
     Raises:
-        TypeError: ``lagrangian`` was not built by :func:`midpoint_lagrangian`.
+        TypeError: ``lagrangian`` is not a :class:`MidpointLagrangian`.
         NewtonError: ``newton.max_iter`` passes left the momentum residual
             above ``newton.tol``, or no multiplier reaches the manifold.
     """
     if not isinstance(lagrangian, MidpointLagrangian):
-        raise TypeError("constrained_lagrangian_map needs a midpoint_lagrangian")
+        raise TypeError("constrained_lagrangian_map needs a MidpointLagrangian")
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     lam = np.zeros(manifold.constraint_dim) if lam0 is None else lam0
@@ -392,7 +216,7 @@ def constrained_lagrangian_map(
         velocity = (q_next - q) / h
         norm = float(np.abs(velocity + force + normal - p).max())
         if norm <= newton.tol or np.array_equal(q_next, q_last):
-            # D2 L_d(q, q_next), as legendre_plus computes it
+            # D2 L_d(q, q_next), as lagrangian.d2 computes it
             return HamiltonStepResult(q_next, velocity - force, lam, passes)
     raise NewtonError(
         f"constrained Euler--Lagrange map did not converge in {newton.max_iter} "
@@ -400,48 +224,6 @@ def constrained_lagrangian_map(
         residual_norm=norm,
         iterations=newton.max_iter,
     )
-
-
-def constrained_right_hamilton_step(
-    hamiltonian: DiscreteHamiltonian,
-    manifold: EmbeddedManifold,
-    q: Array,
-    p: Array,
-    h: float,
-    newton: NewtonConfig = DEFAULT_NEWTON,
-    lam0: Array | None = None,
-) -> HamiltonStepResult:
-    """One step of the constrained discrete right Hamiltonian map.
-
-    Solves for ``(p_next, lam)`` such that::
-
-        p = D1 H_d^+(q, p_next) + J_C(q)^T lam
-        C(D2 H_d^+(q, p_next)) = 0
-
-    and returns ``q_next = D2 H_d^+(q, p_next)``.  The multiplier kicks the
-    incoming momentum so the new position lands on the constraint manifold.
-    """
-    if hamiltonian.kind != "right":
-        raise ValueError("constrained_right_hamilton_step needs a right Hamiltonian")
-    n = manifold.ambient_dim
-    d = manifold.constraint_dim
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    jac_c = manifold.constraint_jacobian(q)
-
-    def residual(x):
-        p_next, lam = _split(x, n)
-        res_mom = hamiltonian.d1(q, p_next, h) + jac_c.T @ lam - p
-        res_con = manifold.constraint(hamiltonian.d2(q, p_next, h))
-        return np.concatenate([res_mom, res_con])
-
-    if lam0 is None:
-        lam0 = np.zeros(d)
-    x0 = np.concatenate([p, lam0])
-    result = newton_solve(residual, x0, newton)
-    p_next, lam = _split(result.x, n)
-    q_next = np.asarray(hamiltonian.d2(q, p_next, h), dtype=float)
-    return HamiltonStepResult(q_next, p_next, lam, result.iterations)
 
 
 # ---------------------------------------------------------------------------

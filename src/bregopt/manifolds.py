@@ -351,7 +351,7 @@ class Stiefel(EmbeddedManifold):
             b = b + b.transpose(0, 2, 1)
             return -b.reshape(self.constraint_dim, -1)[:, self._triu_flat].T
 
-        result = newton_solve(residual, lam0, newton, jacobian)
+        result = newton_solve(residual, jacobian, lam0, newton)
         normal = self.from_matrix(xq @ self._symmetric(result.x))
         return result.x, normal, result.iterations
 
@@ -425,19 +425,3 @@ class Euclidean(EmbeddedManifold):
     def random_point(self, rng):
         return rng.standard_normal(self.ambient_dim)
 
-
-def manifold_from_name(spec: str) -> EmbeddedManifold:
-    """Build a manifold from its config name, e.g. ``"sphere:10"`` or
-    ``"stiefel:20,5"``."""
-    try:
-        kind, _, dims = spec.partition(":")
-        if kind == "sphere":
-            return Sphere(int(dims))
-        if kind == "stiefel":
-            n, m = (int(part) for part in dims.split(","))
-            return Stiefel(n, m)
-        if kind == "euclidean":
-            return Euclidean(int(dims))
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"malformed manifold name {spec!r}") from exc
-    raise ValueError(f"unknown manifold kind in {spec!r}")

@@ -8,7 +8,6 @@ import pytest
 from bregopt.bregman import (
     BregmanParams,
     ExtendedState,
-    compute_zeta,
     hamiltonian_adaptive,
     hamiltonian_direct,
     hamiltonian_partials,
@@ -40,28 +39,6 @@ def random_params(rng, equal_exponents=False):
         lambda_conv=float(rng.uniform(1.0, 1.5)),
         h=float(rng.uniform(1e-3, 1e-1)),
     )
-
-
-class TestZeta:
-    def test_positive_curvature_bound(self):
-        assert compute_zeta(1.0, 2.0) == 1.0
-
-    def test_zero_curvature_bound(self):
-        assert compute_zeta(0.0, 5.0) == 1.0
-
-    def test_negative_curvature_bound(self):
-        # coth(1) evaluated independently
-        expected = math.cosh(1.0) / math.sinh(1.0)
-        assert abs(compute_zeta(-1.0, 1.0) - expected) < 1e-15
-
-    def test_always_at_least_one(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            assert compute_zeta(-rng.uniform(0, 9), rng.uniform(0.1, 4)) >= 1.0
-
-    def test_rejects_bad_diameter(self):
-        with pytest.raises(ValueError):
-            compute_zeta(-1.0, 0.0)
 
 
 class TestParams:

@@ -10,8 +10,12 @@ from bregopt.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CONFIG,
     EXIT_OK,
+    _order_check_system,
     main,
+    spherical_pendulum_lagrangian,
 )
+from bregopt.dynamics import constrained_lagrangian_map, project_momentum
+from bregopt.manifolds import Sphere
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -312,6 +316,23 @@ class TestOrderCheck:
             },
         )
         assert main(["order-check", "--config", config]) == EXIT_CONFIG
+
+    def test_pendulum_step_equals_the_checked_projection(self):
+        # the order-check step projects the momentum without re-checking the
+        # point the map just placed; the checked projection gives equal bits
+        step, state = _order_check_system("spherical_pendulum")
+        sphere, lagrangian = Sphere(3), spherical_pendulum_lagrangian()
+        rng = np.random.default_rng(4)
+        for h in (0.1, 0.01, 1e-3):
+            q = sphere.random_point(rng)
+            p = 1.5 * sphere.random_tangent(q, rng)
+            result = constrained_lagrangian_map(lagrangian, sphere, q, p, h)
+            expected = project_momentum(sphere, result.q_next, result.p_next)
+            np.testing.assert_array_equal(step(np.concatenate([q, p]), h),
+                                          np.concatenate([result.q_next, expected]))
+        for _ in range(1000):
+            state = step(state, 0.01)
+        assert sphere.constraint_violation(state[:3]) <= 1e-10
 
     def test_missing_h_list_is_config_error(self, tmp_path):
         config = write_config(

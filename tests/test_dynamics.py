@@ -1,85 +1,89 @@
 """Tests of the discrete constrained mechanics and the Newton/order harnesses."""
 
+import math
+import types
+
 import numpy as np
 import pytest
 
 import bregopt.dynamics
 import bregopt.manifolds
+from bregopt.bregman import BregmanParams, ExtendedState
 from bregopt.dynamics import (
     HamiltonStepResult,
+    MidpointLagrangian,
     NewtonConfig,
-    constrained_del_step,
     constrained_lagrangian_map,
-    constrained_right_hamilton_step,
-    finite_difference_jacobian,
-    legendre_minus,
-    legendre_plus,
-    midpoint_lagrangian,
     newton_solve,
     order_check,
     project_momentum,
-    right_euler_hamiltonian,
 )
-from bregopt.dynamics import DiscreteHamiltonian, DiscreteLagrangian
 from bregopt.errors import NewtonError, SingularJacobianError
 from bregopt.manifolds import Euclidean, Sphere, Stiefel
+from bregopt.optimizers import htvi_step
+from bregopt.problems import make_instance
 
 GRAVITY = 9.81
 
 
 def pendulum_lagrangian():
-    return midpoint_lagrangian(
-        potential=lambda q: GRAVITY * q[2],
+    return MidpointLagrangian(
         potential_grad=lambda q: np.array([0.0, 0.0, GRAVITY]),
         potential_hess=lambda q: np.zeros((3, 3)),
     )
 
 
-def free_hamiltonian():
-    h = lambda q, p: 0.5 * float(p @ p)
-    dq = lambda q, p: np.zeros_like(q)
-    dp = lambda q, p: p
-    return right_euler_hamiltonian(h, dq, dp)
+def pendulum_value(q0, q1, h):
+    """The pendulum's midpoint discrete Lagrangian ``L_d(q0, q1; h)``."""
+    diff = q1 - q0
+    return float(diff @ diff) / (2.0 * h) - h * GRAVITY * (q0[2] + q1[2]) / 2.0
+
+
+def scalar_derivative(x):
+    """Jacobian of the elementwise ``x * x - c`` residuals."""
+    return np.diag(2.0 * x)
 
 
 class TestNewton:
     def test_linear_in_one_iteration(self):
-        result = newton_solve(lambda x: x - 1.0, np.array([0.0]))
+        result = newton_solve(lambda x: x - 1.0, lambda x: np.eye(1), np.array([0.0]))
         np.testing.assert_allclose(result.x, [1.0])
         assert result.iterations == 1
 
     def test_square_root_of_two(self):
         config = NewtonConfig(tol=1e-13)
-        result = newton_solve(lambda x: x * x - 2.0, np.array([1.0]), config)
+        result = newton_solve(lambda x: x * x - 2.0, scalar_derivative, np.array([1.0]),
+                              config)
         assert abs(result.x[0] - np.sqrt(2.0)) <= 1e-12
         assert result.iterations <= 8
 
     def test_zero_derivative_raises(self):
         with pytest.raises(SingularJacobianError):
-            newton_solve(lambda x: x * x - 2.0, np.array([0.0]))
+            newton_solve(lambda x: x * x - 2.0, scalar_derivative, np.array([0.0]))
 
     def test_singular_matrix_raises(self):
         def residual(x):
             return np.array([x[0] + x[1], x[0] + x[1] - 1.0])
 
         with pytest.raises(SingularJacobianError):
-            newton_solve(residual, np.zeros(2))
+            newton_solve(residual, lambda x: np.ones((2, 2)), np.zeros(2))
 
     def test_budget_exhaustion_reports_residual(self):
         # the cube root makes Newton overshoot and diverge from any start
         config = NewtonConfig(tol=1e-10, max_iter=3)
         with pytest.raises(NewtonError) as info:
-            newton_solve(np.cbrt, np.array([1.0]), config)
+            newton_solve(np.cbrt, lambda x: np.diag(1.0 / (3.0 * np.cbrt(x) ** 2)),
+                         np.array([1.0]), config)
         assert info.value.residual_norm is not None
         assert info.value.iterations == 3
 
     def test_immediate_return_at_solution(self):
-        result = newton_solve(lambda x: x - 2.0, np.array([2.0]))
+        result = newton_solve(lambda x: x - 2.0, lambda x: np.eye(1), np.array([2.0]))
         assert result.iterations == 0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            newton_solve(lambda x: np.zeros(3), np.zeros(2))
+            newton_solve(lambda x: np.zeros(3), lambda x: np.eye(3), np.zeros(2))
 
     def test_analytic_jacobian_used(self):
         calls = []
@@ -88,18 +92,8 @@ class TestNewton:
             calls.append(1)
             return np.array([[2.0 * x[0]]])
 
-        newton_solve(lambda x: x * x - 4.0, np.array([1.0]), jacobian=jacobian)
+        newton_solve(lambda x: x * x - 4.0, jacobian, np.array([1.0]))
         assert calls
-
-    def test_finite_difference_jacobian_matches(self):
-        def func(x):
-            return np.array([x[0] ** 2 + x[1], np.sin(x[1])])
-
-        x = np.array([0.7, -0.3])
-        fd = finite_difference_jacobian(func, x, 1e-6)
-        exact = np.array([[2 * 0.7, 1.0], [0.0, np.cos(-0.3)]])
-        np.testing.assert_allclose(fd, exact, atol=1e-9)
-
 
 class TestGeneratingFunctions:
     def test_lagrangian_partials_match_finite_differences(self):
@@ -114,108 +108,13 @@ class TestGeneratingFunctions:
                 delta[j] = 1e-6
                 args_plus = [q0 + delta, q1] if index == 0 else [q0, q1 + delta]
                 args_minus = [q0 - delta, q1] if index == 0 else [q0, q1 - delta]
-                fd[j] = (lagrangian.value(*args_plus, h) - lagrangian.value(*args_minus, h)) / 2e-6
+                fd[j] = (pendulum_value(*args_plus, h) - pendulum_value(*args_minus, h)) / 2e-6
             np.testing.assert_allclose(exact, fd, atol=1e-6)
 
     def test_mixed_second_partial(self):
         lagrangian = pendulum_lagrangian()
         q0, q1, h = np.zeros(3), np.ones(3), 0.1
         np.testing.assert_allclose(lagrangian.d12(q0, q1, h), -np.eye(3) / h)
-
-
-class TestLegendreTransforms:
-    def test_zero_velocity_gives_zero_momentum(self):
-        free = midpoint_lagrangian()
-        q = np.array([0.2, -0.4])
-        assert np.all(legendre_plus(free, q, q, 0.1) == 0.0)
-        assert np.all(legendre_minus(free, q, q, 0.1) == 0.0)
-
-    def test_unit_velocity(self):
-        free = midpoint_lagrangian()
-        h = 0.05
-        q0, q1 = np.zeros(2), np.array([h, 0.0])
-        np.testing.assert_allclose(legendre_plus(free, q0, q1, h), [1.0, 0.0])
-
-    def test_translation_invariance_matches_endpoints(self):
-        # L_d depending only on q1 - q0 gives equal boundary momenta
-        free = midpoint_lagrangian()
-        rng = np.random.default_rng(1)
-        q0, q1 = rng.standard_normal(3), rng.standard_normal(3)
-        np.testing.assert_allclose(
-            legendre_minus(free, q0, q1, 0.1), legendre_plus(free, q0, q1, 0.1)
-        )
-
-
-class TestConstrainedDel:
-    def test_rest_point_is_stationary(self):
-        sphere = Sphere(3)
-        free = midpoint_lagrangian()
-        q = np.array([0.0, 0.6, 0.8])
-        result = constrained_del_step(free, sphere, q, q, 0.1)
-        np.testing.assert_allclose(result.q_next, q, atol=1e-12)
-        np.testing.assert_allclose(result.lam, [0.0], atol=1e-12)
-        assert result.newton_iterations == 0
-
-    def test_pendulum_stays_on_sphere(self):
-        sphere = Sphere(3)
-        lagrangian = pendulum_lagrangian()
-        h = 0.01
-        q_prev = np.array([0.6, 0.0, 0.8])
-        q_curr = sphere.retract(q_prev, h * np.array([0.0, 1.0, 0.0]))
-        worst = 0.0
-        for _ in range(200):
-            result = constrained_del_step(lagrangian, sphere, q_prev, q_curr, h)
-            q_prev, q_curr = q_curr, result.q_next
-            worst = max(worst, sphere.constraint_violation(q_curr))
-        assert worst <= 1e-10
-
-    def test_refined_step_converges_to_reference(self):
-        # halving h shrinks the terminal error by about four (second order)
-        sphere = Sphere(3)
-        lagrangian = pendulum_lagrangian()
-        q0 = np.array([0.6, 0.0, 0.8])
-        p0 = np.array([0.0, 1.2, 0.0])
-        duration = 0.2
-
-        def terminal(h):
-            q, p = q0.copy(), p0.copy()
-            for _ in range(round(duration / h)):
-                step = constrained_lagrangian_map(lagrangian, sphere, q, p, h)
-                q, p = step.q_next, step.p_next
-            return q
-
-        reference = terminal(duration / 2000)
-        err_coarse = np.linalg.norm(terminal(0.02) - reference)
-        err_fine = np.linalg.norm(terminal(0.01) - reference)
-        assert err_fine <= err_coarse / 2.5
-
-    def test_unconstrained_limit_is_implicit_del(self):
-        # with no constraint the step solves D1 L_d + inherited momentum = 0;
-        # for the free particle that is the two-point linear recursion
-        euclid = Euclidean(3)
-        free = midpoint_lagrangian()
-        rng = np.random.default_rng(2)
-        q_prev, q_curr = rng.standard_normal(3), rng.standard_normal(3)
-        result = constrained_del_step(free, euclid, q_prev, q_curr, 0.1)
-        np.testing.assert_allclose(result.q_next, 2 * q_curr - q_prev, atol=1e-10)
-        assert result.lam.size == 0
-
-    def test_stated_equations_hold_after_step(self):
-        # the multiplier formulation solves exactly the printed system; the
-        # suppressed conjugate momentum of the multiplier changes nothing
-        sphere = Sphere(3)
-        lagrangian = pendulum_lagrangian()
-        h = 0.02
-        q_prev = np.array([0.6, 0.0, 0.8])
-        q_curr = sphere.retract(q_prev, h * np.array([0.0, 0.9, 0.0]))
-        result = constrained_del_step(lagrangian, sphere, q_prev, q_curr, h)
-        residual = (
-            lagrangian.d1(q_curr, result.q_next, h)
-            + lagrangian.d2(q_prev, q_curr, h)
-            - sphere.constraint_jacobian(q_curr).T @ result.lam
-        )
-        assert np.max(np.abs(residual)) <= 1e-10
-        assert sphere.constraint_violation(result.q_next) <= 1e-10
 
 
 def dense_lagrangian_map(lagrangian, manifold, q, p, h, newton=NewtonConfig(), lam0=None):
@@ -236,16 +135,14 @@ def dense_lagrangian_map(lagrangian, manifold, q, p, h, newton=NewtonConfig(), l
         return np.vstack([top, bottom])
 
     x0 = np.concatenate([q, np.zeros(d) if lam0 is None else lam0])
-    result = newton_solve(residual, x0, newton, jacobian)
+    result = newton_solve(residual, jacobian, x0, newton)
     q_next, lam = result.x[:n], result.x[n:]
-    return HamiltonStepResult(q_next, legendre_plus(lagrangian, q, q_next, h), lam,
-                              result.iterations)
+    return HamiltonStepResult(q_next, lagrangian.d2(q, q_next, h), lam, result.iterations)
 
 
 def quadratic_lagrangian(weights, tilt):
     """Midpoint Lagrangian of ``V(q) = q.(weights * q) / 2 + tilt.q``."""
-    return midpoint_lagrangian(
-        potential=lambda q: 0.5 * float(q @ (weights * q)) + float(tilt @ q),
+    return MidpointLagrangian(
         potential_grad=lambda q: weights * q + tilt,
         potential_hess=lambda q: np.diag(weights),
     )
@@ -319,6 +216,26 @@ class TestConstrainedLagrangianMap:
             assert manifold.constraint_violation(new.q_next) <= newton.tol
             lam = new.lam
 
+    def test_refined_step_converges_to_reference(self):
+        # halving h shrinks the terminal error by about four (second order)
+        sphere = Sphere(3)
+        lagrangian = pendulum_lagrangian()
+        q0 = np.array([0.6, 0.0, 0.8])
+        p0 = np.array([0.0, 1.2, 0.0])
+        duration = 0.2
+
+        def terminal(h):
+            q, p = q0.copy(), p0.copy()
+            for _ in range(round(duration / h)):
+                step = constrained_lagrangian_map(lagrangian, sphere, q, p, h)
+                q, p = step.q_next, step.p_next
+            return q
+
+        reference = terminal(duration / 2000)
+        err_coarse = np.linalg.norm(terminal(0.02) - reference)
+        err_fine = np.linalg.norm(terminal(0.01) - reference)
+        assert err_fine <= err_coarse / 2.5
+
     def test_stated_equations_hold_after_step(self):
         lagrangian, manifold, q, p, h, _ = map_case("stiefel-quadratic")
         result = constrained_lagrangian_map(lagrangian, manifold, q, p, h)
@@ -388,7 +305,8 @@ class TestConstrainedLagrangianMap:
 
     def test_needs_a_midpoint_lagrangian(self):
         lagrangian = pendulum_lagrangian()
-        generic = DiscreteLagrangian(lagrangian.value, lagrangian.d1, lagrangian.d2)
+        generic = types.SimpleNamespace(d1=lagrangian.d1, d2=lagrangian.d2,
+                                        potential_grad=lagrangian.potential_grad)
         q, p = np.array([0.6, 0.0, 0.8]), np.array([0.0, 1.2, 0.0])
         with pytest.raises(TypeError):
             constrained_lagrangian_map(generic, Sphere(3), q, p, 1e-2)
@@ -410,100 +328,6 @@ class TestConstrainedLagrangianMap:
             assert info.value.residual_norm > 1e6
         else:
             assert "unreachable" in str(info.value)
-
-
-class TestRightHamiltonStep:
-    def test_recovers_explicit_symplectic_euler(self):
-        stiffness = np.array([1.0, 2.0, 3.0])
-        hd = right_euler_hamiltonian(
-            lambda q, p: 0.5 * float(p @ p) + 0.5 * float(q @ (stiffness * q)),
-            lambda q, p: stiffness * q,
-            lambda q, p: p,
-        )
-        euclid = Euclidean(3)
-        rng = np.random.default_rng(3)
-        q, p = rng.standard_normal(3), rng.standard_normal(3)
-        h = 0.05
-        result = constrained_right_hamilton_step(hd, euclid, q, p, h)
-        p_expected = p - h * stiffness * q
-        np.testing.assert_allclose(result.p_next, p_expected, atol=1e-10)
-        np.testing.assert_allclose(result.q_next, q + h * p_expected, atol=1e-10)
-
-    def test_sphere_feasibility_long_run(self):
-        right = free_hamiltonian()
-        sphere = Sphere(3)
-        q = np.array([1.0, 0.0, 0.0])
-        p = np.array([0.0, 0.9, -0.2])
-        worst = 0.0
-        for _ in range(1000):
-            result = constrained_right_hamilton_step(right, sphere, q, p, 0.02)
-            q, p = result.q_next, result.p_next
-            worst = max(worst, sphere.constraint_violation(q))
-        assert worst <= 1e-10
-
-    def test_zero_step_is_identity(self):
-        right = free_hamiltonian()
-        sphere = Sphere(3)
-        q = np.array([0.0, 0.6, 0.8])
-        p = np.array([0.1, 0.2, 0.3])
-        result = constrained_right_hamilton_step(right, sphere, q, p, 0.0)
-        np.testing.assert_array_equal(result.q_next, q)
-        np.testing.assert_array_equal(result.p_next, p)
-        np.testing.assert_array_equal(result.lam, [0.0])
-
-    def test_rejects_left_kind(self):
-        right = free_hamiltonian()
-        left = DiscreteHamiltonian("left", right.value, right.d1, right.d2)
-        with pytest.raises(ValueError):
-            constrained_right_hamilton_step(left, Sphere(3), np.zeros(3), np.zeros(3), 0.1)
-
-
-class TestLagrangianHamiltonianEquivalence:
-    """The pendulum Lagrangian is hyperregular and quadratic, so its right
-    generating function exists in closed form; both one-step maps must agree."""
-
-    @staticmethod
-    def dual_right_hamiltonian():
-        g = GRAVITY
-
-        def value(q0, p1, h):
-            return (float(p1 @ q0) + h * (0.5 * float(p1 @ p1) + g * q0[2])
-                    + 0.5 * h * h * g * p1[2] + h ** 3 * g * g / 8.0)
-
-        def d1(q0, p1, h):
-            return p1 + h * g * np.array([0.0, 0.0, 1.0])
-
-        def d2(q0, p1, h):
-            return q0 + h * p1 + 0.5 * h * h * g * np.array([0.0, 0.0, 1.0])
-
-        return DiscreteHamiltonian("right", value, d1, d2)
-
-    def test_one_step_maps_agree(self):
-        sphere = Sphere(3)
-        lagrangian = pendulum_lagrangian()
-        dual = self.dual_right_hamiltonian()
-        q = np.array([0.6, 0.0, 0.8])
-        p = np.array([0.0, 1.1, 0.0])
-        h = 0.02
-        lag = constrained_lagrangian_map(lagrangian, sphere, q, p, h)
-        ham = constrained_right_hamilton_step(dual, sphere, q, p, h)
-        np.testing.assert_allclose(lag.q_next, ham.q_next, atol=1e-10)
-        np.testing.assert_allclose(lag.p_next, ham.p_next, atol=1e-10)
-        np.testing.assert_allclose(lag.lam, ham.lam, atol=1e-10)
-
-    def test_two_step_position_chains_agree(self):
-        sphere = Sphere(3)
-        lagrangian = pendulum_lagrangian()
-        dual = self.dual_right_hamiltonian()
-        q0 = np.array([0.6, 0.0, 0.8])
-        p0 = np.array([0.0, 1.1, 0.0])
-        h = 0.02
-        first = constrained_right_hamilton_step(dual, sphere, q0, p0, h)
-        second = constrained_right_hamilton_step(
-            dual, sphere, first.q_next, first.p_next, h
-        )
-        del_step = constrained_del_step(lagrangian, sphere, q0, first.q_next, h)
-        np.testing.assert_allclose(del_step.q_next, second.q_next, atol=1e-10)
 
 
 class TestProjectMomentum:
@@ -530,21 +354,28 @@ class TestProjectMomentum:
 
 
 class TestOrderCheck:
-    def test_symplectic_euler_is_first_order(self):
-        stiffness = np.array([1.0, 4.0])
-        hd = right_euler_hamiltonian(
-            lambda q, p: 0.5 * float(p @ p) + 0.5 * float(q @ (stiffness * q)),
-            lambda q, p: stiffness * q,
-            lambda q, p: p,
-        )
-        euclid = Euclidean(2)
+    @pytest.mark.parametrize("direction", ["direct", "adaptive"])
+    def test_htvi_is_first_order(self, direction):
+        # the zeroth-order Taylor, rectangle-quadrature construction of the
+        # paper's integrator, as a map on the packed state (q, q_t, r, r_t)
+        problem = make_instance("rayleigh", (5,), seed=0)
+        manifold, n = problem.manifold, problem.manifold.ambient_dim
+        params = {}
 
         def step(state, h):
-            result = constrained_right_hamilton_step(hd, euclid, state[:2], state[2:], h)
-            return np.concatenate([result.q_next, result.p_next])
+            if h not in params:
+                params[h] = BregmanParams(p=2.0, h=h, coeff_cap=math.inf)
+            q = state[:n]
+            current = ExtendedState(q=q, q_t=state[n], r=state[n + 1:-1],
+                                    r_t=state[-1], lam=np.zeros(1))
+            nxt, _ = htvi_step(direction, params[h], manifold, current,
+                               problem.ambient_grad(q), problem.f(q))
+            return np.concatenate([nxt.q, [nxt.q_t], nxt.r, [nxt.r_t]])
 
-        initial = np.array([1.0, -0.5, 0.0, 0.3])
-        result = order_check(step, initial, [1e-1, 5e-2, 2.5e-2], 0.5)
+        q0 = manifold.random_point(np.random.default_rng(0))
+        initial = np.concatenate([q0, [1.0], np.zeros(n), [0.0]])
+        result = order_check(step, initial, [0.02, 0.01, 0.005], 1.0,
+                             reference_refinement=20)
         assert 0.85 <= result.rate <= 1.15
 
     def test_exact_map_lands_at_noise_floor(self):

@@ -9,7 +9,7 @@ from bregopt.errors import (
     RetractionError,
     TransportError,
 )
-from bregopt.manifolds import Euclidean, Sphere, Stiefel, manifold_from_name
+from bregopt.manifolds import Euclidean, Sphere, Stiefel
 
 
 def central_difference_jacobian(func, x, step=1e-5):
@@ -332,17 +332,6 @@ class TestRiemannianGradient:
 
 
 class TestNamesAndStubs:
-    def test_name_parser(self):
-        assert isinstance(manifold_from_name("sphere:10"), Sphere)
-        st = manifold_from_name("stiefel:20,5")
-        assert isinstance(st, Stiefel) and st.ambient_dim == 100
-        assert manifold_from_name("euclidean:4").constraint_dim == 0
-
-    def test_name_parser_rejects_garbage(self):
-        for bad in ("sphere", "sphere:x", "stiefel:5", "torus:3"):
-            with pytest.raises(ValueError):
-                manifold_from_name(bad)
-
     def test_euclidean_stub_is_unconstrained(self):
         e = Euclidean(3)
         q = np.array([1.0, 2.0, 3.0])

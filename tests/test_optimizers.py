@@ -51,7 +51,7 @@ def dense_multiplier(manifold, drift, q, coeff, lam0, newton):
     def jacobian(lam):
         return -manifold.constraint_jacobian(drift - shift @ lam) @ shift
 
-    result = newton_solve(residual, lam0, newton, jacobian)
+    result = newton_solve(residual, jacobian, lam0, newton)
     return result.x, jac_t @ result.x, result.iterations
 
 
