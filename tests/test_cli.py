@@ -334,6 +334,23 @@ class TestOrderCheck:
             state = step(state, 0.01)
         assert sphere.constraint_violation(state[:3]) <= 1e-10
 
+    def test_quadratic_step_is_explicit_symplectic_euler(self):
+        step, initial = _order_check_system("quadratic")
+        stiffness = np.array([1.0, 4.0, 9.0])
+        rng = np.random.default_rng(3)
+        for h in (0.1, 0.05):
+            state = rng.standard_normal(6)
+            q, p = state[:3], state[3:]
+            p_expected = p - h * stiffness * q
+            np.testing.assert_array_equal(
+                step(state, h), np.concatenate([q + h * p_expected, p_expected])
+            )
+        assert initial.shape == (6,)
+
+    def test_quadratic_zero_step_is_identity(self):
+        step, initial = _order_check_system("quadratic")
+        np.testing.assert_array_equal(step(initial, 0.0), initial)
+
     def test_missing_h_list_is_config_error(self, tmp_path):
         config = write_config(
             tmp_path, {"system": "quadratic", "expected_rate": [0.5, 1.5]}

@@ -33,6 +33,13 @@ def pendulum_lagrangian():
     )
 
 
+def free_lagrangian(dim=3):
+    return MidpointLagrangian(
+        potential_grad=lambda q: np.zeros(dim),
+        potential_hess=lambda q: np.zeros((dim, dim)),
+    )
+
+
 def pendulum_value(q0, q1, h):
     """The pendulum's midpoint discrete Lagrangian ``L_d(q0, q1; h)``."""
     diff = q1 - q0
@@ -95,6 +102,34 @@ class TestNewton:
         newton_solve(lambda x: x * x - 4.0, jacobian, np.array([1.0]))
         assert calls
 
+    def test_two_unknowns_converge_quadratically(self):
+        # the unit circle meets the diagonal at (1, 1) / sqrt(2)
+        def residual(x):
+            return np.array([x[0] ** 2 + x[1] ** 2 - 1.0, x[0] - x[1]])
+
+        def jacobian(x):
+            return np.array([[2.0 * x[0], 2.0 * x[1]], [1.0, -1.0]])
+
+        norms = []
+        for budget in range(1, 5):
+            try:
+                newton_solve(residual, jacobian, np.array([1.0, 0.2]),
+                             NewtonConfig(tol=1e-14, max_iter=budget))
+            except NewtonError as exc:
+                norms.append(exc.residual_norm)
+        result = newton_solve(residual, jacobian, np.array([1.0, 0.2]),
+                              NewtonConfig(tol=1e-14))
+        np.testing.assert_allclose(result.x, [np.sqrt(0.5)] * 2, atol=1e-14)
+        assert len(norms) >= 3
+        for before, after in zip(norms, norms[1:]):
+            assert after <= 2.0 * before ** 2
+
+    def test_config_validation(self):
+        with pytest.raises(ValueError):
+            NewtonConfig(tol=0.0)
+        with pytest.raises(ValueError):
+            NewtonConfig(max_iter=0)
+
 class TestGeneratingFunctions:
     def test_lagrangian_partials_match_finite_differences(self):
         lagrangian = pendulum_lagrangian()
@@ -115,6 +150,43 @@ class TestGeneratingFunctions:
         lagrangian = pendulum_lagrangian()
         q0, q1, h = np.zeros(3), np.ones(3), 0.1
         np.testing.assert_allclose(lagrangian.d12(q0, q1, h), -np.eye(3) / h)
+
+    def test_mixed_second_partial_matches_finite_differences(self):
+        rng = np.random.default_rng(6)
+        lagrangian = quadratic_lagrangian(rng.uniform(1.0, 30.0, 3),
+                                          rng.standard_normal(3))
+        q0, q1, h = rng.standard_normal(3), rng.standard_normal(3), 0.05
+        fd = np.empty((3, 3))
+        for j in range(3):
+            delta = np.zeros(3)
+            delta[j] = 1e-6
+            fd[:, j] = (lagrangian.d1(q0, q1 + delta, h)
+                        - lagrangian.d1(q0, q1 - delta, h)) / 2e-6
+        np.testing.assert_allclose(lagrangian.d12(q0, q1, h), fd, atol=1e-6)
+
+
+class TestLegendreTransforms:
+    """The discrete Legendre transforms ``p0 = -D1 L_d(q0, q1)`` and
+    ``p1 = D2 L_d(q0, q1)``, the momenta the map reads and returns."""
+
+    def test_zero_velocity_gives_zero_momentum(self):
+        free = free_lagrangian(2)
+        q = np.array([0.2, -0.4])
+        assert np.all(free.d2(q, q, 0.1) == 0.0)
+        assert np.all(-free.d1(q, q, 0.1) == 0.0)
+
+    def test_unit_velocity(self):
+        free = free_lagrangian(2)
+        h = 0.05
+        q0, q1 = np.zeros(2), np.array([h, 0.0])
+        np.testing.assert_allclose(free.d2(q0, q1, h), [1.0, 0.0])
+
+    def test_translation_invariance_matches_endpoints(self):
+        # L_d depending only on q1 - q0 gives equal boundary momenta
+        free = free_lagrangian()
+        rng = np.random.default_rng(1)
+        q0, q1 = rng.standard_normal(3), rng.standard_normal(3)
+        np.testing.assert_allclose(-free.d1(q0, q1, 0.1), free.d2(q0, q1, 0.1))
 
 
 def dense_lagrangian_map(lagrangian, manifold, q, p, h, newton=NewtonConfig(), lam0=None):
@@ -246,6 +318,76 @@ class TestConstrainedLagrangianMap:
         np.testing.assert_array_equal(result.p_next,
                                       lagrangian.d2(q, result.q_next, h))
 
+    def test_rest_point_is_stationary(self):
+        sphere = Sphere(3)
+        q = np.array([0.0, 0.6, 0.8])
+        result = constrained_lagrangian_map(free_lagrangian(), sphere, q, np.zeros(3), 0.1)
+        np.testing.assert_allclose(result.q_next, q, atol=1e-12)
+        np.testing.assert_allclose(result.p_next, np.zeros(3), atol=1e-12)
+        np.testing.assert_allclose(result.lam, [0.0], atol=1e-12)
+        assert result.newton_iterations == 1
+
+    def test_pendulum_stays_on_sphere(self):
+        sphere = Sphere(3)
+        lagrangian = pendulum_lagrangian()
+        q, p = np.array([0.6, 0.0, 0.8]), np.array([0.0, 1.0, 0.0])
+        worst = 0.0
+        for _ in range(200):
+            result = constrained_lagrangian_map(lagrangian, sphere, q, p, 0.01)
+            q, p = result.q_next, result.p_next
+            worst = max(worst, sphere.constraint_violation(q))
+        assert worst <= 1e-10
+
+    def test_sphere_feasibility_long_run(self):
+        # the free particle follows great circles; its raw momenta are fed
+        # back without projection
+        sphere = Sphere(3)
+        free = free_lagrangian()
+        q, p = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.9, -0.2])
+        worst = 0.0
+        for _ in range(1000):
+            result = constrained_lagrangian_map(free, sphere, q, p, 0.02)
+            q, p = result.q_next, result.p_next
+            worst = max(worst, sphere.constraint_violation(q))
+        assert worst <= 1e-10
+
+    def test_unconstrained_limit_is_implicit_del(self):
+        # with no constraint and no force, the position recursion of the
+        # discrete Euler--Lagrange equations is q2 = 2 q1 - q0
+        euclid = Euclidean(3)
+        free = free_lagrangian()
+        rng = np.random.default_rng(2)
+        q0, p0 = rng.standard_normal(3), rng.standard_normal(3)
+        first = constrained_lagrangian_map(free, euclid, q0, p0, 0.1)
+        second = constrained_lagrangian_map(free, euclid, first.q_next, first.p_next, 0.1)
+        np.testing.assert_allclose(second.q_next, 2 * first.q_next - q0, atol=1e-10)
+        assert first.lam.size == 0
+
+    def test_two_steps_solve_the_del_equations(self):
+        # D1 L_d(q1, q2) + D2 L_d(q0, q1) = J_C(q1)^T lam: the position form
+        # of the constrained discrete Euler--Lagrange equations
+        sphere = Sphere(3)
+        lagrangian = pendulum_lagrangian()
+        h = 0.02
+        q0, p0 = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.9, 0.0])
+        first = constrained_lagrangian_map(lagrangian, sphere, q0, p0, h)
+        q1 = first.q_next
+        second = constrained_lagrangian_map(lagrangian, sphere, q1, first.p_next, h)
+        residual = (lagrangian.d1(q1, second.q_next, h) + lagrangian.d2(q0, q1, h)
+                    - sphere.constraint_jacobian(q1).T @ second.lam)
+        assert np.max(np.abs(residual)) <= 1e-10
+        assert sphere.constraint_violation(second.q_next) <= 1e-10
+
+    def test_warm_start_reaches_the_same_step(self):
+        lagrangian, manifold, q, p, h, _ = map_case("stiefel-quadratic")
+        newton = NewtonConfig()
+        cold = constrained_lagrangian_map(lagrangian, manifold, q, p, h, newton)
+        warm = constrained_lagrangian_map(lagrangian, manifold, q, p, h, newton,
+                                          lam0=cold.lam)
+        assert np.abs(warm.q_next - cold.q_next).max() <= newton.tol
+        assert np.abs(warm.p_next - cold.p_next).max() <= newton.tol / h
+        assert np.abs(warm.lam - cold.lam).max() <= newton.tol / h
+
     @pytest.mark.parametrize("name", ["pendulum-coarse", "sphere-quadratic",
                                       "stiefel-quadratic"])
     def test_no_constraint_jacobian_and_no_newton_on_the_sphere(self, name, monkeypatch):
@@ -354,11 +496,12 @@ class TestProjectMomentum:
 
 
 class TestOrderCheck:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("direction", ["direct", "adaptive"])
-    def test_htvi_is_first_order(self, direction):
+    def test_htvi_is_first_order(self, direction, seed):
         # the zeroth-order Taylor, rectangle-quadrature construction of the
         # paper's integrator, as a map on the packed state (q, q_t, r, r_t)
-        problem = make_instance("rayleigh", (5,), seed=0)
+        problem = make_instance("rayleigh", (5,), seed=seed)
         manifold, n = problem.manifold, problem.manifold.ambient_dim
         params = {}
 
@@ -376,6 +519,28 @@ class TestOrderCheck:
         initial = np.concatenate([q0, [1.0], np.zeros(n), [0.0]])
         result = order_check(step, initial, [0.02, 0.01, 0.005], 1.0,
                              reference_refinement=20)
+        assert 0.85 <= result.rate <= 1.15
+
+    def test_second_order_map_fits_rate_two(self):
+        # Stormer--Verlet on a harmonic oscillator
+        stiffness = np.array([1.0, 4.0])
+
+        def verlet(state, h):
+            q, p = state[:2], state[2:]
+            p_half = p - 0.5 * h * stiffness * q
+            q_next = q + h * p_half
+            return np.concatenate([q_next, p_half - 0.5 * h * stiffness * q_next])
+
+        result = order_check(verlet, np.array([1.0, -0.5, 0.0, 0.3]),
+                             [1e-1, 5e-2, 2.5e-2], 1.0)
+        assert 1.85 <= result.rate <= 2.15
+
+    def test_step_sizes_snap_to_the_duration(self):
+        def decay(state, h):
+            return state * (1.0 - h)
+
+        result = order_check(decay, np.array([1.0]), [0.3, 0.2, 0.15], 1.0)
+        np.testing.assert_allclose(result.step_sizes, [1 / 3, 1 / 5, 1 / 7])
         assert 0.85 <= result.rate <= 1.15
 
     def test_exact_map_lands_at_noise_floor(self):
