@@ -17,7 +17,7 @@ from .dynamics import (
     order_check,
     project_momentum,
 )
-from .manifolds import EmbeddedManifold, Euclidean, Sphere, Stiefel
+from .manifolds import EmbeddedManifold, Sphere, Stiefel
 from .optimizers import RunConfig, Trace, el_step, htvi_step, rgd_step, run
 from .problems import (
     ProblemSpec,
@@ -31,7 +31,6 @@ from .problems import (
 __all__ = [
     "BregmanParams",
     "EmbeddedManifold",
-    "Euclidean",
     "ExtendedState",
     "MidpointLagrangian",
     "NewtonConfig",

@@ -35,7 +35,7 @@ class BregmanParams:
     Attributes:
         p: convergence-rate exponent (> 0).
         p_ring: target exponent of the adaptive (time-rescaled) variant;
-            defaults to ``2 * p``.
+            defaults to ``2 p / 3``.
         c_const: constant scaling the potential term (> 0).
         lambda_conv: convexity parameter, >= 1 (1 in the vector-space case).
         h: integrator timestep (> 0).
@@ -123,7 +123,7 @@ def hamiltonian_direct(
     """Value of the direct Hamiltonian at an extended state.
 
     ``in_prod`` is the squared momentum norm ``<r, r>`` under the inherited
-    Euclidean metric; it is computed from ``state.r`` when omitted.
+    ambient metric; it is computed from ``state.r`` when omitted.
     """
     s = _check_time(state.q_t)
     p, lam_c, c = params.p, params.lambda_conv, params.c_const

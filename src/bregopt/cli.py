@@ -10,7 +10,34 @@ Subcommands:
 
 Configurations are JSON files; every output is a deterministic function of
 the configuration (seeded generators, fixed iteration order, fixed float
-formatting), so reruns diff cleanly.
+formatting), so reruns diff cleanly.  A key that is not listed below is a
+configuration error.  Defaults are in parentheses.
+
+A ``run`` or ``compare`` config holds:
+
+* ``problem`` -- the problem block: ``name`` (required; ``rayleigh``,
+  ``brockett`` or ``procrustes``), ``seed`` (0), ``dims`` (``[100]``,
+  ``[20, 5]``, ``[20, 5, 30]``) and ``conditioning`` (10; the eigenvalues
+  of a random ``rayleigh``/``brockett`` matrix spread over
+  ``[1, conditioning]``).  The seed draws the random instance and also the
+  initial point that every method block starts from.  ``file`` reads the
+  matrix ``A`` from a text file instead of drawing it; ``procrustes`` then
+  reads ``B`` from ``file_b``, and ``brockett`` takes the weights
+  ``1, ..., m`` with ``m`` (5).
+* ``methods`` -- a non-empty list of method blocks: ``method`` (required;
+  one of ``METHODS``), ``label`` (``<method>_<index>``; the stem of the
+  block's output file), the Bregman parameters ``p`` (6), ``p_ring``
+  (``2 p / 3``), ``c_const`` (1), ``lambda_conv`` (1), ``h`` (1e-3) and
+  ``coeff_cap`` (1e6), the multiplier solve's ``newton_tol`` (1e-10, at
+  most ``FEAS_TOL``) and ``newton_max_iter`` (50), and the stopping rule
+  ``max_iters`` (1000), ``stop_grad_tol`` (1e-12) and ``stop_f_tol``
+  (1e-12).
+* ``output_dir`` (``.``) and, read by ``compare`` only, ``plot`` (true).
+
+An ``order-check`` config holds ``system`` (required; ``quadratic`` or
+``spherical_pendulum``), ``h_list`` (required; at least three positive,
+strictly decreasing step sizes), ``duration`` (1), ``expected_rate``
+(required; ``[lo, hi]``) and ``output_dir`` (``.``).
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 order-check acceptance failure.
@@ -43,6 +70,13 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_ACCEPTANCE = 3
 
+RUN_KEYS = ("problem", "methods", "output_dir", "plot")
+PROBLEM_KEYS = ("name", "seed", "dims", "conditioning", "file", "file_b", "m")
+METHOD_KEYS = ("method", "label", "p", "p_ring", "c_const", "lambda_conv", "h",
+               "coeff_cap", "newton_tol", "newton_max_iter", "max_iters",
+               "stop_grad_tol", "stop_f_tol")
+ORDER_CHECK_KEYS = ("system", "h_list", "duration", "expected_rate", "output_dir")
+
 
 # ---------------------------------------------------------------------------
 # Config parsing
@@ -60,17 +94,32 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _check_keys(block: dict, allowed: tuple, where: str) -> None:
+    unknown = [key for key in block if key not in allowed]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}; "
+                          f"the keys are {', '.join(allowed)}")
+
+
+def _problem_seed(block: dict) -> int:
+    """Seed of a problem block: it draws the instance and the initial point."""
+    try:
+        return int(block.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad problem block: seed: {exc}") from exc
+
+
 def build_problem(block: dict) -> problems.ProblemSpec:
     if not isinstance(block, dict) or "name" not in block:
         raise ConfigError("problem block must be an object with a 'name'")
+    _check_keys(block, PROBLEM_KEYS, "problem block")
     name = block["name"]
-    if name not in DEFAULT_DIMS:
+    if not isinstance(name, str) or name not in DEFAULT_DIMS:
         raise ConfigError(f"unknown problem {name!r}")
-    seed = int(block.get("seed", 0))
-    conditioning = float(block.get("conditioning", 10.0))
+    seed = _problem_seed(block)
     if "file" in block:
-        a = problems.load_matrix(block["file"])
         try:
+            a = problems.load_matrix(block["file"])
             if name == "rayleigh":
                 return problems.rayleigh(a)
             if name == "brockett":
@@ -78,18 +127,23 @@ def build_problem(block: dict) -> problems.ProblemSpec:
                 return problems.brockett(a, np.arange(1.0, m + 1.0))
             b = problems.load_matrix(block["file_b"])
             return problems.procrustes(a, b)
-        except (ValueError, KeyError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad problem matrix input: {exc}") from exc
-    dims = tuple(int(d) for d in block.get("dims", DEFAULT_DIMS[name]))
     try:
+        dims = block.get("dims", list(DEFAULT_DIMS[name]))
+        if not isinstance(dims, list):
+            raise TypeError(f"dims must be a list of integers, not {dims!r}")
+        dims = tuple(int(d) for d in dims)
+        conditioning = float(block.get("conditioning", 10.0))
         return problems.make_instance(name, dims, seed=seed, conditioning=conditioning)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad problem block: {exc}") from exc
 
 
 def build_run_config(block: dict) -> RunConfig:
     if not isinstance(block, dict) or "method" not in block:
         raise ConfigError("method block must be an object with a 'method'")
+    _check_keys(block, METHOD_KEYS, "method block")
     if block["method"] not in METHODS:
         raise ConfigError(f"unknown method {block['method']!r}")
     try:
@@ -118,8 +172,6 @@ def build_run_config(block: dict) -> RunConfig:
             max_iters=int(block.get("max_iters", 1000)),
             stop_grad_tol=float(block.get("stop_grad_tol", 1e-12)),
             stop_f_tol=float(block.get("stop_f_tol", 1e-12)),
-            seed=int(block.get("seed", 0)),
-            momentum_projection=bool(block.get("momentum_projection", False)),
             newton=newton,
         )
     except (ValueError, TypeError) as exc:
@@ -269,16 +321,29 @@ def write_convergence_svg(path: Path, series, ylabel: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _output_dir(config: dict, out_override: str | None) -> Path:
+    """The output directory, created if missing."""
+    out = out_override or config.get("output_dir", ".")
+    if not isinstance(out, str):
+        raise ConfigError(f"'output_dir' must be a path, not {out!r}")
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    return Path(out)
+
+
 def _prepare(config: dict, out_override: str | None):
-    problem = build_problem(config.get("problem", {}))
+    _check_keys(config, RUN_KEYS, "config")
+    problem_block = config.get("problem", {})
+    problem = build_problem(problem_block)
     blocks = config.get("methods", [])
     if not isinstance(blocks, list) or not blocks:
         raise ConfigError("config needs a non-empty 'methods' list")
     run_configs = [build_run_config(block) for block in blocks]
     labels = [_method_label(block, i) for i, block in enumerate(blocks)]
-    out_dir = Path(out_override or config.get("output_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seed = int(config.get("problem", {}).get("seed", 0))
+    out_dir = _output_dir(config, out_override)
+    seed = _problem_seed(problem_block)
     initial = problem.manifold.random_point(np.random.default_rng(seed))
     return problem, run_configs, labels, out_dir, initial
 
@@ -387,22 +452,26 @@ def _order_check_system(name: str):
 def cmd_order_check(config_path: str, out_override: str | None = None) -> int:
     """Fit an empirical convergence rate and gate it against an interval."""
     config = _load_json(config_path)
+    _check_keys(config, ORDER_CHECK_KEYS, "order-check config")
     name = config.get("system")
     if name is None:
         raise ConfigError("order-check config needs a 'system'")
     h_list = config.get("h_list")
     if not isinstance(h_list, list) or len(h_list) < 3:
         raise ConfigError("order-check config needs an 'h_list' of >= 3 step sizes")
-    duration = float(config.get("duration", 1.0))
     interval = config.get("expected_rate")
     if (not isinstance(interval, list)) or len(interval) != 2:
         raise ConfigError("order-check config needs 'expected_rate': [lo, hi]")
-    lo, hi = float(interval[0]), float(interval[1])
-    out_dir = Path(out_override or config.get("output_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     step, initial = _order_check_system(name)
-    result = dynamics.order_check(step, initial, h_list, duration)
+    try:
+        duration = float(config.get("duration", 1.0))
+        lo, hi = float(interval[0]), float(interval[1])
+        result = dynamics.order_check(step, initial, h_list, duration)
+    except BregoptError:
+        raise  # a numerical failure of the step, although it may be a ValueError
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad order-check config: {exc}") from exc
+    out_dir = _output_dir(config, out_override)
 
     rows = ["h,error"]
     rows += [f"{_fmt(h)},{_fmt(e)}" for h, e in zip(result.step_sizes, result.errors)]

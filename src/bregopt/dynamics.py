@@ -17,6 +17,7 @@ trajectories can run in parallel, while a single trajectory is sequential.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -281,10 +282,10 @@ def order_check(
     h_list = [float(h) for h in h_list]
     if len(h_list) < 3:
         raise ValueError("order_check needs at least three step sizes")
-    if any(b >= a for a, b in zip(h_list, h_list[1:])):
-        raise ValueError("step sizes must be strictly decreasing")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not all(a > b > 0.0 for a, b in zip(h_list, h_list[1:])):
+        raise ValueError("step sizes must be positive and strictly decreasing")
+    if not 0.0 < duration < math.inf:
+        raise ValueError("duration must be positive and finite")
 
     h_ref = min(h_list) / reference_refinement
     n_ref = max(1, round(duration / h_ref))

@@ -2,11 +2,11 @@
 
 Each manifold is described by a constraint map ``C`` whose zero level set is
 the manifold, together with the operations needed by the constrained
-integrators and optimizers: constraint Jacobian, the Lagrange-multiplier
-solve that places a drifted point back on the manifold, tangent-space
-projection, retraction, vector transport and Riemannian gradient.  The
-ambient metric is the Euclidean/Frobenius inner product throughout, so
-cotangent vectors are identified with tangent vectors component-wise.
+integrators and optimizers: the Lagrange-multiplier solve that places a
+drifted point back on the manifold, tangent-space projection, retraction,
+vector transport and Riemannian gradient.  The ambient metric is the
+Frobenius (flat dot product) inner product throughout, so cotangent vectors
+are identified with tangent vectors component-wise.
 
 Points and tangent vectors are flat 1-D arrays of length ``ambient_dim``.
 Stiefel points are n x m matrices with orthonormal columns, flattened in
@@ -71,13 +71,12 @@ def _sphere_multiplier(w: np.ndarray, v: np.ndarray) -> float:
 
 
 class EmbeddedManifold:
-    """A submanifold of Euclidean space given as the zero set of a constraint.
+    """A submanifold of ``R^N`` given as the zero set of a constraint.
 
     Attributes:
         name: identifier such as ``"sphere:3"`` or ``"stiefel:20,5"``.
-        ambient_dim: dimension of the embedding Euclidean space.
+        ambient_dim: dimension ``N`` of the embedding space.
         constraint_dim: number of independent constraint components ``d``.
-            The Euclidean stub used for unconstrained runs has ``d = 0``.
     """
 
     name: str
@@ -88,10 +87,6 @@ class EmbeddedManifold:
 
     def constraint(self, q: np.ndarray) -> np.ndarray:
         """Constraint residual ``C(q)`` as a vector of length ``constraint_dim``."""
-        raise NotImplementedError
-
-    def constraint_jacobian(self, q: np.ndarray) -> np.ndarray:
-        """Jacobian of the constraint; row ``i`` is the gradient of ``C_i``."""
         raise NotImplementedError
 
     def solve_multiplier(
@@ -118,8 +113,7 @@ class EmbeddedManifold:
 
     def constraint_violation(self, q: np.ndarray) -> float:
         """Infinity norm of the constraint residual."""
-        c = self.constraint(q)
-        return float(np.abs(c).max()) if c.size else 0.0
+        return float(np.abs(self.constraint(q)).max())
 
     # -- geometry -----------------------------------------------------------
 
@@ -221,10 +215,6 @@ class Sphere(EmbeddedManifold):
         q = self._check_dim(q)
         return np.array([q @ q - 1.0])
 
-    def constraint_jacobian(self, q):
-        q = self._check_dim(q)
-        return 2.0 * q[np.newaxis, :]
-
     def solve_multiplier(self, drift, q, coeff, lam0, newton):
         """Closed-form root of the scalar quadratic ``|drift - coeff 2q lam|^2 = 1``;
         ``lam0`` and ``newton`` are unused."""
@@ -287,8 +277,7 @@ class Stiefel(EmbeddedManifold):
         ``C_k`` at ``X`` and ``J^T lam = X S(lam)`` with ``S = sum lam_k E_k``.
 
         It holds ``m^3 (m + 1) / 2`` floats (about 400 MB at ``m = 100``),
-        so it is built on first use: only the multiplier solve and the
-        constraint Jacobian need it.
+        so it is built on first use: only the multiplier solve needs it.
         """
         m = self.m
         basis = np.zeros((self.constraint_dim, m, m))
@@ -312,11 +301,6 @@ class Stiefel(EmbeddedManifold):
     def constraint(self, q):
         x = self.as_matrix(self._check_dim(q))
         return (x.T @ x - self._eye)[self._triu]
-
-    def constraint_jacobian(self, q):
-        q = self._check_dim(q)
-        grads = self.as_matrix(q) @ self._basis
-        return np.swapaxes(grads, 1, 2).reshape(self.constraint_dim, self.ambient_dim)
 
     def _symmetric(self, lam):
         """``S = L + L^T = sum_k lam_k E_k`` for the upper-triangular ``L``
@@ -389,39 +373,3 @@ class Stiefel(EmbeddedManifold):
         qf, r = np.linalg.qr(a)
         qf = qf * np.where(np.diag(r) < 0.0, -1.0, 1.0)
         return self.from_matrix(qf)
-
-
-class Euclidean(EmbeddedManifold):
-    """Unconstrained stub (``d = 0``) so the constrained machinery degrades
-    gracefully to ordinary phase-space integrators."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("euclidean needs dimension >= 1")
-        self.name = f"euclidean:{n}"
-        self.ambient_dim = n
-        self.constraint_dim = 0
-
-    def constraint(self, q):
-        self._check_dim(q)
-        return np.zeros(0)
-
-    def constraint_jacobian(self, q):
-        self._check_dim(q)
-        return np.zeros((0, self.ambient_dim))
-
-    def solve_multiplier(self, drift, q, coeff, lam0, newton):
-        return np.zeros(0), np.zeros(self.ambient_dim), 0
-
-    def _project(self, q, z):
-        return z.copy()
-
-    def retract(self, q, v):
-        return self._check_dim(q) + self._check_dim(v)
-
-    def _transport(self, q_from, q_to, v):
-        return v.copy()
-
-    def random_point(self, rng):
-        return rng.standard_normal(self.ambient_dim)
-

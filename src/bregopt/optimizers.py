@@ -29,7 +29,7 @@ import numpy as np
 
 from . import bregman
 from .bregman import BregmanParams, ExtendedState
-from .dynamics import DEFAULT_NEWTON, NewtonConfig, project_momentum
+from .dynamics import DEFAULT_NEWTON, NewtonConfig
 from .errors import BregoptError
 from .manifolds import EmbeddedManifold
 from .problems import ProblemSpec
@@ -44,9 +44,7 @@ class RunConfig:
     ``stop_grad_tol`` stops on the Riemannian gradient norm;
     ``stop_f_tol`` stops on the objective gap against the problem oracle
     when one is available.  ``seed`` draws the initial point when none is
-    passed to :func:`run`.  ``momentum_projection`` re-projects the
-    momentum onto the tangent space after every HTVI step (off by default,
-    matching the plain multiplier formulation).
+    passed to :func:`run`.
     """
 
     method: str
@@ -55,7 +53,6 @@ class RunConfig:
     stop_grad_tol: float = 1e-12
     stop_f_tol: float = 1e-12
     seed: int = 0
-    momentum_projection: bool = False
     newton: NewtonConfig = field(default_factory=NewtonConfig)
 
     def __post_init__(self):
@@ -232,8 +229,6 @@ def _htvi_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
         state, iters = htvi_step(
             direction, config.params, manifold, state, grad, f_val, config.newton
         )
-        if config.momentum_projection:
-            state.r = project_momentum(manifold, state.q, state.r)
         if not state.is_finite():
             raise BregoptError("non-finite state")
         return state.q, state.q_t, iters

@@ -182,8 +182,8 @@ def symmetric_from_spectrum(rng: np.random.Generator, spectrum: np.ndarray) -> n
 def symmetric_instance(seed: int, n: int, conditioning: float = 10.0) -> np.ndarray:
     """Reproducible symmetric matrix with eigenvalues spread over
     ``[1, conditioning]``."""
-    if conditioning < 1.0:
-        raise ValueError("conditioning must be >= 1")
+    if not conditioning >= 1.0:
+        raise ValueError(f"conditioning must be >= 1, not {conditioning}")
     rng = np.random.default_rng(seed)
     return symmetric_from_spectrum(rng, np.linspace(1.0, conditioning, n))
 
@@ -194,18 +194,19 @@ def make_instance(
     """Seeded benchmark instance of a named problem.
 
     ``dims`` is ``(n,)`` for rayleigh, ``(n, m)`` for brockett and
-    ``(n, m, l)`` for procrustes.
+    ``(n, m, l)`` for procrustes.  The rayleigh and brockett matrices are
+    :func:`symmetric_instance` draws, so ``conditioning`` must be >= 1;
+    procrustes ignores it.
     """
-    rng = np.random.default_rng(seed)
     if name == "rayleigh":
         (n,) = dims
-        return rayleigh(symmetric_from_spectrum(rng, np.linspace(1.0, conditioning, n)))
+        return rayleigh(symmetric_instance(seed, n, conditioning))
     if name == "brockett":
         n, m = dims
-        a = symmetric_from_spectrum(rng, np.linspace(1.0, conditioning, n))
-        return brockett(a, np.arange(1.0, m + 1.0))
+        return brockett(symmetric_instance(seed, n, conditioning), np.arange(1.0, m + 1.0))
     if name == "procrustes":
         n, m, l = dims
+        rng = np.random.default_rng(seed)
         a = rng.standard_normal((l, n))
         b = rng.standard_normal((l, m))
         return procrustes(a, b)

@@ -358,6 +358,115 @@ class TestOrderCheck:
         assert main(["order-check", "--config", config]) == EXIT_CONFIG
 
 
+def run_config(tmp_path, problem=None, method=None, **top):
+    """A one-block ``run`` config with the given problem and method keys."""
+    payload = {
+        "problem": {"name": "rayleigh", "dims": [3], "seed": 1, **(problem or {})},
+        "methods": [{"method": "rgd", "max_iters": 2, **(method or {})}],
+        "output_dir": str(tmp_path / "out"),
+        **top,
+    }
+    return write_config(tmp_path, payload)
+
+
+def order_check_config(tmp_path, **keys):
+    payload = {"system": "quadratic", "h_list": [0.1, 0.05, 0.025],
+               "duration": 0.5, "expected_rate": [0.85, 1.15],
+               "output_dir": str(tmp_path / "oc"), **keys}
+    return write_config(tmp_path, payload)
+
+
+def assert_config_error(capsys, argv, *phrases):
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    for phrase in phrases:
+        assert phrase in err
+
+
+class TestMalformedConfig:
+    """Malformed input exits with a one-line config error, not a traceback,
+    and writes nothing."""
+
+    @pytest.mark.parametrize("problem,phrase", [
+        ({"seed": "x"}, "seed"),
+        ({"seed": [1]}, "seed"),
+        ({"dims": ["six"]}, "six"),
+        ({"dims": 6}, "dims must be a list"),
+        ({"dims": "66"}, "dims must be a list"),
+        ({"dims": [3, 2]}, "bad problem block"),
+        ({"conditioning": "high"}, "high"),
+        ({"conditioning": 0.5}, "conditioning must be >= 1"),
+        ({"name": ["rayleigh"]}, "unknown problem"),
+        ({"file": "missing.txt"}, "bad problem matrix input"),
+    ])
+    def test_bad_problem_value(self, tmp_path, capsys, problem, phrase):
+        for command in ("run", "compare"):
+            config = run_config(tmp_path, problem=problem)
+            assert_config_error(capsys, [command, "--config", config], phrase)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method,phrase", [
+        ({"h": "small"}, "small"),
+        ({"max_iters": None}, "bad method block"),
+    ])
+    def test_bad_method_value(self, tmp_path, capsys, method, phrase):
+        config = run_config(tmp_path, method=method)
+        assert_config_error(capsys, ["run", "--config", config], phrase)
+
+    def test_output_dir_must_be_a_path(self, tmp_path, capsys):
+        config = run_config(tmp_path, output_dir=5)
+        assert_config_error(capsys, ["run", "--config", config], "output_dir")
+        (tmp_path / "taken").write_text("a file")
+        config = run_config(tmp_path, output_dir=str(tmp_path / "taken"))
+        assert_config_error(capsys, ["run", "--config", config], "output directory")
+
+    @pytest.mark.parametrize("keys,phrase", [
+        ({"duration": "long"}, "long"),
+        ({"duration": 0.0}, "duration"),
+        ({"h_list": [0.1, 0.2, 0.05]}, "strictly decreasing"),
+        ({"h_list": [0.1, 0.05, 0.05]}, "strictly decreasing"),
+        ({"h_list": [0.1, 0.05, 0.0]}, "positive"),
+        ({"h_list": [0.1, "x", 0.01]}, "bad order-check config"),
+        ({"expected_rate": ["lo", 2.0]}, "lo"),
+    ])
+    def test_bad_order_check_value(self, tmp_path, capsys, keys, phrase):
+        config = order_check_config(tmp_path, **keys)
+        assert_config_error(capsys, ["order-check", "--config", config], phrase)
+        assert not (tmp_path / "oc").exists()
+
+    @pytest.mark.parametrize("block,key", [
+        ("problem", "sed"),
+        ("method", "momentum_projektion"),
+        # keys that no longer change a run are reported, not ignored
+        ("method", "momentum_projection"),
+        ("method", "seed"),
+        ("top", "plots"),
+    ])
+    def test_unknown_run_key_is_named(self, tmp_path, capsys, block, key):
+        extra = {key: 1}
+        config = run_config(tmp_path, problem=extra if block == "problem" else None,
+                            method=extra if block == "method" else None,
+                            **(extra if block == "top" else {}))
+        assert_config_error(capsys, ["run", "--config", config], f"unknown key {key!r}")
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_order_check_key_is_named(self, tmp_path, capsys):
+        config = order_check_config(tmp_path, h_lsit=[0.1, 0.05, 0.025])
+        assert_config_error(capsys, ["order-check", "--config", config],
+                            "unknown key 'h_lsit'")
+
+    def test_every_documented_key_is_accepted(self, tmp_path):
+        method = {"label": "all", "p": 4.0, "p_ring": 3.0, "c_const": 1.0,
+                  "lambda_conv": 1.0, "h": 1e-2, "coeff_cap": 1e6,
+                  "newton_tol": 1e-10, "newton_max_iter": 50, "max_iters": 3,
+                  "stop_grad_tol": 1e-12, "stop_f_tol": 1e-12}
+        config = run_config(tmp_path, problem={"conditioning": 3.0},
+                            method={"method": "htvi_direct", **method}, plot=False)
+        assert main(["run", "--config", config]) == EXIT_OK
+        assert (tmp_path / "out" / "all.csv").exists()
+
+
 class TestFloatFormatting:
     def test_seventeen_significant_digits(self, tmp_path):
         from bregopt.cli import _fmt

@@ -165,6 +165,28 @@ class TestInstanceGeneration:
         with pytest.raises(ValueError):
             make_instance("knapsack", (4,), seed=0)
 
+    @pytest.mark.parametrize("conditioning", [3.0, 10.0])
+    @pytest.mark.parametrize("n", [7, 20, 100])
+    def test_instances_draw_the_symmetric_instance(self, n, conditioning):
+        for seed in range(5):
+            # the matrix as make_instance first drew it
+            rng = np.random.default_rng(seed)
+            a = symmetric_from_spectrum(rng, np.linspace(1.0, conditioning, n))
+            expected = (rayleigh(a), brockett(a, np.arange(1.0, 3.0)))
+            drawn = (make_instance("rayleigh", (n,), seed, conditioning),
+                     make_instance("brockett", (n, 2), seed, conditioning))
+            for new, old in zip(drawn, expected):
+                assert new.oracle_value == old.oracle_value
+                np.testing.assert_array_equal(new.oracle_point, old.oracle_point)
+
+    @pytest.mark.parametrize("conditioning", [0.5, -1.0, float("nan")])
+    def test_conditioning_below_one_rejected(self, conditioning):
+        with pytest.raises(ValueError, match="conditioning"):
+            symmetric_instance(0, 4, conditioning)
+        for name, dims in (("rayleigh", (4,)), ("brockett", (4, 2))):
+            with pytest.raises(ValueError, match="conditioning"):
+                make_instance(name, dims, seed=0, conditioning=conditioning)
+
 
 class TestMatrixFile:
     def test_round_trip(self, tmp_path):
