@@ -7,6 +7,19 @@ the direct Hamiltonian drives ``f(q(t))`` to its optimum at rate
 ``p -> p_ring`` member of the same family, which is what makes uniform
 steps in the integration time behave like adaptive steps in ``t``.
 
+Both members are rows of one form.  With ``s = q_t``, ``lambda`` the
+convexity parameter and ``c`` the potential constant::
+
+    H = b s^e_k <r, r> / 2 + c b s^e_p f + a s^e_t r_t,
+    e_k = -(lambda p + g),   e_p = (lambda + 1) p - g,   e_t = 1 - g,
+
+    direct:    b = p,             g = 1,           a = 1
+    adaptive:  b = p^2 / p_ring,  g = p_ring / p,  a = p / p_ring
+
+so ``p_ring = p`` turns the adaptive row into the direct one.  The
+Hamiltonian values, their partials and the step coefficients all evaluate
+this one form.
+
 The convexity parameter ``lambda_conv`` generalizes the vector-space
 exponents (``lambda_conv = 1``, the default) to curved spaces, where it is
 a curvature/diameter constant ``zeta`` for geodesically convex objectives
@@ -22,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,15 +70,16 @@ class BregmanParams:
         # target sits inside the stability envelope of the default cap.
         if self.p_ring is None:
             object.__setattr__(self, "p_ring", 2.0 * self.p / 3.0)
-        if self.p <= 0 or self.p_ring <= 0:
+        # Negated comparisons, so that NaN fails every check.
+        if not (self.p > 0 and self.p_ring > 0):
             raise ValueError("exponents p and p_ring must be positive")
-        if self.c_const <= 0:
+        if not self.c_const > 0:
             raise ValueError("c_const must be positive")
-        if self.lambda_conv < 1.0:
+        if not self.lambda_conv >= 1.0:
             raise ValueError("lambda_conv must be >= 1")
-        if self.h <= 0:
+        if not self.h > 0:
             raise ValueError("timestep h must be positive")
-        if self.coeff_cap <= 0:
+        if not self.coeff_cap > 0:
             raise ValueError("coeff_cap must be positive")
 
 
@@ -114,39 +129,39 @@ def _check_time(q_t: float) -> float:
     return float(q_t)
 
 
-def hamiltonian_direct(
-    params: BregmanParams,
-    state: ExtendedState,
-    f_val: float,
-    in_prod: float | None = None,
-) -> float:
-    """Value of the direct Hamiltonian at an extended state.
+def _row(params: BregmanParams, adaptive: bool) -> tuple[float, ...]:
+    """Constants ``(b, e_k, e_p, a, e_t, a e_t)`` of one member of the family.
 
-    ``in_prod`` is the squared momentum norm ``<r, r>`` under the inherited
-    ambient metric; it is computed from ``state.r`` when omitted.
+    ``a e_t`` is carried as ``(p - p_ring) / p_ring``; the product
+    ``(p / p_ring) * (1 - p_ring / p)`` rounds differently.
     """
+    p, lam_c = params.p, params.lambda_conv
+    if adaptive:
+        pr = params.p_ring
+        b, g, a, a_e_t = p * p / pr, pr / p, p / pr, (p - pr) / pr
+    else:
+        b, g, a, a_e_t = p, 1.0, 1.0, 0.0
+    return b, -(lam_c * p + g), (lam_c + 1.0) * p - g, a, 1.0 - g, a_e_t
+
+
+def _hamiltonian(params: BregmanParams, state: ExtendedState, f_val: float,
+                 adaptive: bool) -> float:
     s = _check_time(state.q_t)
-    p, lam_c, c = params.p, params.lambda_conv, params.c_const
-    rr = float(state.r @ state.r) if in_prod is None else float(in_prod)
-    kinetic = 0.5 * p * s ** (-(lam_c * p + 1.0)) * rr
-    potential = c * p * s ** ((lam_c + 1.0) * p - 1.0) * f_val
-    return kinetic + potential + state.r_t
+    b, e_k, e_p, a, e_t, _ = _row(params, adaptive)
+    rr = float(state.r @ state.r)
+    kinetic = 0.5 * b * s ** e_k * rr
+    potential = params.c_const * b * s ** e_p * f_val
+    return kinetic + potential + a * s ** e_t * state.r_t
 
 
-def hamiltonian_adaptive(
-    params: BregmanParams,
-    state: ExtendedState,
-    f_val: float,
-    in_prod: float | None = None,
-) -> float:
+def hamiltonian_direct(params: BregmanParams, state: ExtendedState, f_val: float) -> float:
+    """Value of the direct Hamiltonian at an extended state."""
+    return _hamiltonian(params, state, f_val, adaptive=False)
+
+
+def hamiltonian_adaptive(params: BregmanParams, state: ExtendedState, f_val: float) -> float:
     """Value of the adaptive (time-rescaled ``p -> p_ring``) Hamiltonian."""
-    s = _check_time(state.q_t)
-    p, pr, lam_c, c = params.p, params.p_ring, params.lambda_conv, params.c_const
-    rr = float(state.r @ state.r) if in_prod is None else float(in_prod)
-    kinetic = 0.5 * (p * p / pr) * s ** (-(lam_c * p + pr / p)) * rr
-    potential = c * (p * p / pr) * s ** ((lam_c + 1.0) * p - pr / p) * f_val
-    time_term = (p / pr) * s ** (1.0 - pr / p) * state.r_t
-    return kinetic + potential + time_term
+    return _hamiltonian(params, state, f_val, adaptive=True)
 
 
 @dataclass(frozen=True)
@@ -171,34 +186,23 @@ def hamiltonian_partials(
     ``grad_f`` is the ambient gradient of the objective at ``state.q``.
     """
     s = _check_time(state.q_t)
-    p, lam_c, c = params.p, params.lambda_conv, params.c_const
+    c = params.c_const
+    b, e_k, e_p, a, e_t, a_e_t = _row(params, adaptive)
     rr = float(state.r @ state.r)
-    if not adaptive:
-        pot = c * p * s ** ((lam_c + 1.0) * p - 1.0)
-        d_q = pot * np.asarray(grad_f, dtype=float)
-        d_qt = (
-            -0.5 * p * (lam_c * p + 1.0) * s ** (-(lam_c * p + 2.0)) * rr
-            + c * p * ((lam_c + 1.0) * p - 1.0) * s ** ((lam_c + 1.0) * p - 2.0) * f_val
-        )
-        d_r = p * s ** (-(lam_c * p + 1.0)) * state.r
-        d_rt = 1.0
-    else:
-        pr = params.p_ring
-        pot = c * (p * p / pr) * s ** ((lam_c + 1.0) * p - pr / p)
-        d_q = pot * np.asarray(grad_f, dtype=float)
-        d_qt = (
-            -0.5 * (p * p / pr) * (lam_c * p + pr / p) * s ** (-(lam_c * p + pr / p + 1.0)) * rr
-            + c * (p * p / pr) * ((lam_c + 1.0) * p - pr / p)
-            * s ** ((lam_c + 1.0) * p - pr / p - 1.0) * f_val
-            + (p / pr) * (1.0 - pr / p) * s ** (-pr / p) * state.r_t
-        )
-        d_r = (p * p / pr) * s ** (-(lam_c * p + pr / p)) * state.r
-        d_rt = (p / pr) * s ** (1.0 - pr / p)
-    return HamiltonianPartials(d_q=d_q, d_qt=float(d_qt), d_r=d_r, d_rt=float(d_rt))
+    d_qt = (
+        0.5 * b * e_k * s ** (e_k - 1.0) * rr
+        + c * b * e_p * s ** (e_p - 1.0) * f_val
+        + a_e_t * s ** (e_t - 1.0) * state.r_t
+    )
+    return HamiltonianPartials(
+        d_q=c * b * s ** e_p * np.asarray(grad_f, dtype=float),
+        d_qt=float(d_qt),
+        d_r=b * s ** e_k * state.r,
+        d_rt=float(a * s ** e_t),
+    )
 
 
-@dataclass(frozen=True)
-class StepCoefficients:
+class StepCoefficients(NamedTuple):
     """Scalar coefficients of the one-step discrete Hamiltonian map.
 
     With ``s`` the current time coordinate, a step reads::
@@ -228,26 +232,13 @@ def step_coefficients(params: BregmanParams, q_t: float, adaptive: bool) -> Step
     closed-form chain documented on :class:`StepCoefficients`.
     """
     s = _check_time(q_t)
-    h = params.h
-    p, lam_c, c = params.p, params.lambda_conv, params.c_const
-    if not adaptive:
-        return StepCoefficients(
-            q_t_increment=h,
-            position=h * p * s ** (-(lam_c * p + 1.0)),
-            gradient=min(params.coeff_cap, h * c * p * s ** ((lam_c + 1.0) * p - 1.0)),
-            kinetic_rt=h * 0.5 * p * (lam_c * p + 1.0) * s ** (-(lam_c * p + 2.0)),
-            potential_rt=h * c * p * ((lam_c + 1.0) * p - 1.0)
-            * s ** ((lam_c + 1.0) * p - 2.0),
-            feedback_rt=0.0,
-        )
-    pr = params.p_ring
+    h, c = params.h, params.c_const
+    b, e_k, e_p, a, e_t, a_e_t = _row(params, adaptive)
     return StepCoefficients(
-        q_t_increment=h * (p / pr) * s ** (1.0 - pr / p),
-        position=h * (p * p / pr) * s ** (-(lam_c * p + pr / p)),
-        gradient=min(params.coeff_cap, h * c * (p * p / pr) * s ** ((lam_c + 1.0) * p - pr / p)),
-        kinetic_rt=h * 0.5 * (p * p / pr) * (lam_c * p + pr / p)
-        * s ** (-(lam_c * p + pr / p + 1.0)),
-        potential_rt=h * c * (p * p / pr) * ((lam_c + 1.0) * p - pr / p)
-        * s ** ((lam_c + 1.0) * p - pr / p - 1.0),
-        feedback_rt=h * ((p - pr) / pr) * s ** (-pr / p),
+        q_t_increment=h * a * s ** e_t,
+        position=h * b * s ** e_k,
+        gradient=min(params.coeff_cap, h * c * b * s ** e_p),
+        kinetic_rt=h * 0.5 * b * -e_k * s ** (e_k - 1.0),
+        potential_rt=h * c * b * e_p * s ** (e_p - 1.0),
+        feedback_rt=h * a_e_t * s ** (e_t - 1.0),
     )

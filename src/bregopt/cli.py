@@ -26,13 +26,15 @@ A ``run`` or ``compare`` config holds:
   ``1, ..., m`` with ``m`` (5).
 * ``methods`` -- a non-empty list of method blocks: ``method`` (required;
   one of ``METHODS``), ``label`` (``<method>_<index>``; the stem of the
-  block's output file), the Bregman parameters ``p`` (6), ``p_ring``
+  block's output file: letters, digits, ``_``, ``.`` and ``-``, distinct
+  across blocks), the Bregman parameters ``p`` (6), ``p_ring``
   (``2 p / 3``), ``c_const`` (1), ``lambda_conv`` (1), ``h`` (1e-3) and
   ``coeff_cap`` (1e6), the multiplier solve's ``newton_tol`` (1e-10, at
   most ``FEAS_TOL``) and ``newton_max_iter`` (50), and the stopping rule
   ``max_iters`` (1000), ``stop_grad_tol`` (1e-12) and ``stop_f_tol``
   (1e-12).
-* ``output_dir`` (``.``) and, read by ``compare`` only, ``plot`` (true).
+* ``output_dir`` (``.``) and, read by ``compare`` only, ``plot`` (true; a
+  JSON boolean).
 
 An ``order-check`` config holds ``system`` (required; ``quadratic`` or
 ``spherical_pendulum``), ``h_list`` (required; at least three positive,
@@ -48,6 +50,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -72,9 +75,15 @@ EXIT_ACCEPTANCE = 3
 
 RUN_KEYS = ("problem", "methods", "output_dir", "plot")
 PROBLEM_KEYS = ("name", "seed", "dims", "conditioning", "file", "file_b", "m")
-METHOD_KEYS = ("method", "label", "p", "p_ring", "c_const", "lambda_conv", "h",
-               "coeff_cap", "newton_tol", "newton_max_iter", "max_iters",
-               "stop_grad_tol", "stop_f_tol")
+# Method-block keys with their converters; the dataclasses own every
+# default but p's.
+PARAM_KEYS = {"p": float, "p_ring": float, "c_const": float, "lambda_conv": float,
+              "h": float, "coeff_cap": float}
+NEWTON_KEYS = {"newton_tol": float, "newton_max_iter": int}
+STOP_KEYS = {"max_iters": int, "stop_grad_tol": float, "stop_f_tol": float}
+METHOD_KEYS = ("method", "label", *PARAM_KEYS, *NEWTON_KEYS, *STOP_KEYS)
+# A label is a file stem in output_dir and a field of compare.csv/.svg.
+LABEL_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
 ORDER_CHECK_KEYS = ("system", "h_list", "duration", "expected_rate", "output_dir")
 
 
@@ -140,6 +149,12 @@ def build_problem(block: dict) -> problems.ProblemSpec:
         raise ConfigError(f"bad problem block: {exc}") from exc
 
 
+def _given(block: dict, keys: dict, prefix: str = "") -> dict:
+    """The keys of ``block`` among ``keys``, converted, less ``prefix``."""
+    return {key.removeprefix(prefix): convert(block[key])
+            for key, convert in keys.items() if key in block}
+
+
 def build_run_config(block: dict) -> RunConfig:
     if not isinstance(block, dict) or "method" not in block:
         raise ConfigError("method block must be an object with a 'method'")
@@ -147,18 +162,8 @@ def build_run_config(block: dict) -> RunConfig:
     if block["method"] not in METHODS:
         raise ConfigError(f"unknown method {block['method']!r}")
     try:
-        params = BregmanParams(
-            p=float(block.get("p", 6.0)),
-            p_ring=(float(block["p_ring"]) if "p_ring" in block else None),
-            c_const=float(block.get("c_const", 1.0)),
-            lambda_conv=float(block.get("lambda_conv", 1.0)),
-            h=float(block.get("h", 1e-3)),
-            coeff_cap=float(block.get("coeff_cap", 1e6)),
-        )
-        newton = NewtonConfig(
-            tol=float(block.get("newton_tol", 1e-10)),
-            max_iter=int(block.get("newton_max_iter", 50)),
-        )
+        params = BregmanParams(**{"p": 6.0, **_given(block, PARAM_KEYS)})
+        newton = NewtonConfig(**_given(block, NEWTON_KEYS, "newton_"))
         # The multiplier solve stops at newton_tol on the constraint residual,
         # and every iterate must then meet FEAS_TOL to have a gradient.
         if newton.tol > FEAS_TOL:
@@ -166,20 +171,24 @@ def build_run_config(block: dict) -> RunConfig:
                 f"newton_tol {newton.tol:g} exceeds the feasibility tolerance "
                 f"{FEAS_TOL:g} that every iterate must meet"
             )
-        return RunConfig(
-            method=block["method"],
-            params=params,
-            max_iters=int(block.get("max_iters", 1000)),
-            stop_grad_tol=float(block.get("stop_grad_tol", 1e-12)),
-            stop_f_tol=float(block.get("stop_f_tol", 1e-12)),
-            newton=newton,
-        )
+        return RunConfig(method=block["method"], params=params, newton=newton,
+                         **_given(block, STOP_KEYS))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad method block: {exc}") from exc
 
 
-def _method_label(block: dict, index: int) -> str:
-    return str(block.get("label", f"{block.get('method', 'method')}_{index}"))
+def _method_labels(blocks: list) -> list[str]:
+    """Each block's ``label``, or ``<method>_<index>``; all distinct."""
+    labels = []
+    for index, block in enumerate(blocks):
+        label = block.get("label", f"{block['method']}_{index}")
+        if not isinstance(label, str) or not LABEL_PATTERN.fullmatch(label):
+            raise ConfigError(f"method label {label!r} must match "
+                              f"{LABEL_PATTERN.pattern}")
+        if label in labels:
+            raise ConfigError(f"method label {label!r} is used twice")
+        labels.append(label)
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +350,7 @@ def _prepare(config: dict, out_override: str | None):
     if not isinstance(blocks, list) or not blocks:
         raise ConfigError("config needs a non-empty 'methods' list")
     run_configs = [build_run_config(block) for block in blocks]
-    labels = [_method_label(block, i) for i, block in enumerate(blocks)]
+    labels = _method_labels(blocks)
     out_dir = _output_dir(config, out_override)
     seed = _problem_seed(problem_block)
     initial = problem.manifold.random_point(np.random.default_rng(seed))
@@ -368,6 +377,9 @@ def cmd_compare(config_path: str, out_override: str | None = None,
                 no_plot: bool = False) -> int:
     """Run all method blocks on the identical instance and initial point."""
     config = _load_json(config_path)
+    plot = config.get("plot", True)
+    if not isinstance(plot, bool):
+        raise ConfigError(f"'plot' must be true or false, not {plot!r}")
     problem, run_configs, labels, out_dir, initial = _prepare(config, out_override)
     if len(run_configs) < 2:
         raise ConfigError("compare needs at least two method blocks")
@@ -389,8 +401,7 @@ def cmd_compare(config_path: str, out_override: str | None = None,
         pairs = [(k, v) for k, v in zip(trace.ks, values) if v is not None]
         series.append((label, [k for k, _ in pairs], [v for _, v in pairs]))
     _write_csv(out_dir / "compare.csv", ("method",) + CSV_COLUMNS, lines)
-    plot_wanted = bool(config.get("plot", True)) and not no_plot
-    if plot_wanted:
+    if plot and not no_plot:
         ylabel = "f - oracle" if has_oracle else "f"
         write_convergence_svg(out_dir / "compare.svg", series, ylabel)
     return EXIT_NUMERICAL if failed else EXIT_OK

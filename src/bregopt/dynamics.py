@@ -51,7 +51,7 @@ class NewtonConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:  # also rejects NaN
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")

@@ -60,7 +60,7 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
-        if self.stop_grad_tol <= 0 or self.stop_f_tol <= 0:
+        if not (self.stop_grad_tol > 0 and self.stop_f_tol > 0):  # also rejects NaN
             raise ValueError("stopping tolerances must be positive")
 
 

@@ -56,13 +56,22 @@ class TestParams:
         with pytest.raises(ValueError):
             BregmanParams(p=2.0, coeff_cap=0.0)
 
+    @pytest.mark.parametrize("field", ["p", "p_ring", "c_const", "lambda_conv", "h",
+                                       "coeff_cap"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError):
+            BregmanParams(**{"p": 2.0, field: math.nan})
+
+    def test_infinite_cap_allowed(self):
+        assert BregmanParams(p=2.0, coeff_cap=math.inf).coeff_cap == math.inf
+
 
 class TestHamiltonianValues:
     def test_direct_substitution(self):
         params = BregmanParams(p=2.0, lambda_conv=1.0, c_const=1.0, h=0.1)
         state = ExtendedState(q=np.zeros(2), q_t=1.0, r=np.array([1.0, 0.0]),
                               r_t=0.5, lam=np.zeros(0))
-        assert hamiltonian_direct(params, state, f_val=0.0, in_prod=1.0) == pytest.approx(1.5)
+        assert hamiltonian_direct(params, state, f_val=0.0) == pytest.approx(1.5)
 
     def test_direct_only_time_momentum_survives(self):
         params = BregmanParams(p=3.0)
@@ -86,11 +95,28 @@ class TestHamiltonianValues:
             assert hamiltonian_direct(direct, state, f_val) == pytest.approx(
                 expected, rel=1e-14)
 
+    def test_adaptive_matches_time_rescaled_form(self):
+        # term by term: p^2/(2 p_ring) s^-(lam p + p_ring/p) r.r
+        #   + C p^2/p_ring s^((lam+1) p - p_ring/p) f + p/p_ring s^(1 - p_ring/p) r_t
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            params = random_params(rng)
+            state = random_state(rng)
+            s, p, pr = state.q_t, params.p, params.p_ring
+            lam, c = params.lambda_conv, params.c_const
+            f_val = float(rng.standard_normal())
+            rr = float(state.r @ state.r)
+            expected = (p ** 2 / (2.0 * pr) * s ** (-lam * p - pr / p) * rr
+                        + c * p ** 2 / pr * s ** ((lam + 1.0) * p - pr / p) * f_val
+                        + p / pr * s ** (1.0 - pr / p) * state.r_t)
+            assert hamiltonian_adaptive(params, state, f_val) == pytest.approx(
+                expected, rel=1e-14)
+
     def test_adaptive_substitution(self):
         params = BregmanParams(p=2.0, p_ring=4.0, lambda_conv=1.0, c_const=1.0)
-        state = ExtendedState(q=np.zeros(2), q_t=1.0, r=np.array([np.sqrt(2.0), 0.0]),
+        state = ExtendedState(q=np.zeros(2), q_t=1.0, r=np.array([1.0, 1.0]),
                               r_t=1.0, lam=np.zeros(0))
-        assert hamiltonian_adaptive(params, state, f_val=0.0, in_prod=2.0) == pytest.approx(1.5)
+        assert hamiltonian_adaptive(params, state, f_val=0.0) == pytest.approx(1.5)
 
     def test_adaptive_zero_momenta(self):
         params = BregmanParams(p=3.0, p_ring=2.0)
@@ -195,6 +221,71 @@ class TestPartials:
             np.testing.assert_allclose(adaptive.d_r, direct.d_r, rtol=1e-12)
             assert adaptive.d_qt == pytest.approx(direct.d_qt, rel=1e-12, abs=1e-12)
             assert adaptive.d_rt == pytest.approx(direct.d_rt, rel=1e-12, abs=1e-12)
+
+
+def reference_step_coefficients(params, q_t, adaptive):
+    """The step coefficients as written out per member before the shared row."""
+    s = q_t
+    h = params.h
+    p, lam_c, c = params.p, params.lambda_conv, params.c_const
+    if not adaptive:
+        return (
+            h,
+            h * p * s ** (-(lam_c * p + 1.0)),
+            min(params.coeff_cap, h * c * p * s ** ((lam_c + 1.0) * p - 1.0)),
+            h * 0.5 * p * (lam_c * p + 1.0) * s ** (-(lam_c * p + 2.0)),
+            h * c * p * ((lam_c + 1.0) * p - 1.0) * s ** ((lam_c + 1.0) * p - 2.0),
+            0.0,
+        )
+    pr = params.p_ring
+    return (
+        h * (p / pr) * s ** (1.0 - pr / p),
+        h * (p * p / pr) * s ** (-(lam_c * p + pr / p)),
+        min(params.coeff_cap, h * c * (p * p / pr) * s ** ((lam_c + 1.0) * p - pr / p)),
+        h * 0.5 * (p * p / pr) * (lam_c * p + pr / p) * s ** (-(lam_c * p + pr / p + 1.0)),
+        h * c * (p * p / pr) * ((lam_c + 1.0) * p - pr / p)
+        * s ** ((lam_c + 1.0) * p - pr / p - 1.0),
+        h * ((p - pr) / pr) * s ** (-pr / p),
+    )
+
+
+class TestSharedRow:
+    """Both members evaluate one row form; it keeps the per-member rounding."""
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_bit_equal_at_cli_defaults(self, adaptive):
+        params = BregmanParams(p=6.0)
+        q_ts = np.concatenate([np.linspace(1.0, 40.0, 391),
+                               np.random.default_rng(9).uniform(1.0, 40.0, 500)])
+        for q_t in q_ts:
+            coeffs = step_coefficients(params, float(q_t), adaptive)
+            expected = reference_step_coefficients(params, float(q_t), adaptive)
+            assert list(map(float.hex, coeffs)) == list(map(float.hex, expected))
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_random_parameters(self, adaptive):
+        # The *_rt exponents are now the row exponents less one.  For direct,
+        # -(lam p + 1) - 1 may round apart from -(lam p + 2); for adaptive,
+        # (1 - p_ring/p) - 1 equals -p_ring/p whenever 1 - p_ring/p is exact,
+        # that is for p_ring/p in [0.5, 2], and the rest is unchanged.
+        rng = np.random.default_rng(10)
+        for _ in range(250):
+            p = float(rng.uniform(0.5, 10.0))
+            params = BregmanParams(
+                p=p,
+                p_ring=float(rng.uniform(0.1, 3.0) * p),
+                c_const=float(rng.uniform(0.1, 10.0)),
+                lambda_conv=float(rng.uniform(1.0, 3.0)),
+                h=float(rng.uniform(1e-4, 1e-1)),
+                coeff_cap=float(rng.choice([math.inf, 1e6, 1.0])),
+            )
+            q_t = float(rng.uniform(1.0, 40.0))
+            coeffs = step_coefficients(params, q_t, adaptive)
+            expected = reference_step_coefficients(params, q_t, adaptive)
+            assert list(map(float.hex, coeffs[:3])) == list(map(float.hex, expected[:3]))
+            assert coeffs[3:] == pytest.approx(expected[3:], rel=1e-13, abs=0.0)
+            if adaptive and 0.5 <= params.p_ring / params.p <= 2.0:
+                assert list(map(float.hex, coeffs)) == list(map(float.hex, expected))
 
 
 class TestGradCoefficient:

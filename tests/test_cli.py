@@ -1,21 +1,25 @@
 """End-to-end tests of the benchmark runner CLI."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from bregopt.bregman import BregmanParams
 from bregopt.cli import (
     CSV_COLUMNS,
     EXIT_ACCEPTANCE,
     EXIT_CONFIG,
     EXIT_OK,
     _order_check_system,
+    build_run_config,
     main,
     spherical_pendulum_lagrangian,
 )
 from bregopt.dynamics import constrained_lagrangian_map, project_momentum
 from bregopt.manifolds import Sphere
+from bregopt.optimizers import METHODS, RunConfig
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -409,10 +413,50 @@ class TestMalformedConfig:
     @pytest.mark.parametrize("method,phrase", [
         ({"h": "small"}, "small"),
         ({"max_iters": None}, "bad method block"),
+        # NaN fails no ordered comparison, so each check is a negated one
+        ({"h": math.nan}, "timestep h must be positive"),
+        ({"stop_f_tol": math.nan}, "stopping tolerances"),
+        ({"newton_tol": math.nan}, "tol must be positive"),
     ])
     def test_bad_method_value(self, tmp_path, capsys, method, phrase):
         config = run_config(tmp_path, method=method)
         assert_config_error(capsys, ["run", "--config", config], phrase)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("labels,bad", [
+        (["x", "x"], "'x'"),
+        (["rgd_1", None], "'rgd_1'"),  # the second block's default label
+        (["../escaped", "y"], "'../escaped'"),
+        (["a,b<&", "y"], "'a,b<&'"),
+        (["", "y"], "''"),
+        ([5, "y"], "5"),
+    ])
+    def test_bad_label(self, tmp_path, capsys, labels, bad):
+        methods = [{"method": "rgd", "max_iters": 2} for _ in labels]
+        for block, label in zip(methods, labels):
+            if label is not None:
+                block["label"] = label
+        config = write_config(tmp_path, {
+            "problem": {"name": "rayleigh", "dims": [3], "seed": 1},
+            "methods": methods,
+            "output_dir": str(tmp_path / "out"),
+        })
+        for command in ("run", "compare"):
+            assert_config_error(capsys, [command, "--config", config],
+                                f"method label {bad}")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("plot", ["false", 0, None])
+    def test_plot_must_be_boolean(self, tmp_path, capsys, plot):
+        block = {"method": "rgd", "max_iters": 2}
+        config = write_config(tmp_path, {
+            "problem": {"name": "rayleigh", "dims": [3], "seed": 1},
+            "methods": [dict(block, label="a"), dict(block, label="b")],
+            "output_dir": str(tmp_path / "out"),
+            "plot": plot,
+        })
+        assert_config_error(capsys, ["compare", "--config", config], "'plot'")
+        assert not (tmp_path / "out").exists()
 
     def test_output_dir_must_be_a_path(self, tmp_path, capsys):
         config = run_config(tmp_path, output_dir=5)
@@ -465,6 +509,13 @@ class TestMalformedConfig:
                             method={"method": "htvi_direct", **method}, plot=False)
         assert main(["run", "--config", config]) == EXIT_OK
         assert (tmp_path / "out" / "all.csv").exists()
+
+
+class TestMethodBlockDefaults:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_bare_block_is_the_dataclass_defaults(self, method):
+        # the CLI supplies only p; every other default is the dataclasses'
+        assert build_run_config({"method": method}) == RunConfig(method, BregmanParams(p=6.0))
 
 
 class TestFloatFormatting:

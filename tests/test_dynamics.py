@@ -132,6 +132,10 @@ class TestNewton:
         with pytest.raises(ValueError):
             NewtonConfig(max_iter=0)
 
+    def test_nan_tol_rejected(self):
+        with pytest.raises(ValueError):
+            NewtonConfig(tol=math.nan)
+
 class TestGeneratingFunctions:
     def test_lagrangian_partials_match_finite_differences(self):
         lagrangian = pendulum_lagrangian()

@@ -613,6 +613,12 @@ class TestRunDriver:
         with pytest.raises(ValueError):
             RunConfig(method="rgd", params=BregmanParams(p=2.0), stop_f_tol=stop_f_tol)
 
+    @pytest.mark.parametrize("field", ["stop_grad_tol", "stop_f_tol"])
+    def test_nan_stop_tolerance_rejected(self, field):
+        # a NaN tolerance would never stop a run
+        with pytest.raises(ValueError):
+            RunConfig(method="rgd", params=BregmanParams(p=2.0), **{field: math.nan})
+
 
 # Digests of the first 500 iterations at the CLI defaults, seed 0 (numpy 2.4
 # with OpenBLAS on x86-64); a change that alters any rounding on the way
