@@ -36,6 +36,9 @@ A ``run`` or ``compare`` config holds:
 * ``output_dir`` (``.``) and, read by ``compare`` only, ``plot`` (true; a
   JSON boolean).
 
+The counts ``seed``, ``dims``, ``m``, ``newton_max_iter`` and ``max_iters``
+must be JSON integers: ``2.7`` or ``true`` is an error, not a truncation.
+
 An ``order-check`` config holds ``system`` (required; ``quadratic`` or
 ``spherical_pendulum``), ``h_list`` (required; at least three positive,
 strictly decreasing step sizes), ``duration`` (1), ``expected_rate``
@@ -73,14 +76,26 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_ACCEPTANCE = 3
 
+
+def _is_count(value) -> bool:
+    """A JSON integer; ``int()`` would truncate a float or a boolean."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _count(value) -> int:
+    if not _is_count(value):
+        raise TypeError(f"must be an integer, not {value!r}")
+    return value
+
+
 RUN_KEYS = ("problem", "methods", "output_dir", "plot")
 PROBLEM_KEYS = ("name", "seed", "dims", "conditioning", "file", "file_b", "m")
 # Method-block keys with their converters; the dataclasses own every
 # default but p's.
 PARAM_KEYS = {"p": float, "p_ring": float, "c_const": float, "lambda_conv": float,
               "h": float, "coeff_cap": float}
-NEWTON_KEYS = {"newton_tol": float, "newton_max_iter": int}
-STOP_KEYS = {"max_iters": int, "stop_grad_tol": float, "stop_f_tol": float}
+NEWTON_KEYS = {"newton_tol": float, "newton_max_iter": _count}
+STOP_KEYS = {"max_iters": _count, "stop_grad_tol": float, "stop_f_tol": float}
 METHOD_KEYS = ("method", "label", *PARAM_KEYS, *NEWTON_KEYS, *STOP_KEYS)
 # A label is a file stem in output_dir and a field of compare.csv/.svg.
 LABEL_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
@@ -113,8 +128,8 @@ def _check_keys(block: dict, allowed: tuple, where: str) -> None:
 def _problem_seed(block: dict) -> int:
     """Seed of a problem block: it draws the instance and the initial point."""
     try:
-        return int(block.get("seed", 0))
-    except (TypeError, ValueError) as exc:
+        return _count(block.get("seed", 0))
+    except TypeError as exc:
         raise ConfigError(f"bad problem block: seed: {exc}") from exc
 
 
@@ -132,7 +147,9 @@ def build_problem(block: dict) -> problems.ProblemSpec:
             if name == "rayleigh":
                 return problems.rayleigh(a)
             if name == "brockett":
-                m = int(block.get("m", DEFAULT_DIMS["brockett"][1]))
+                m = block.get("m", DEFAULT_DIMS["brockett"][1])
+                if not _is_count(m):
+                    raise TypeError(f"m must be an integer, not {m!r}")
                 return problems.brockett(a, np.arange(1.0, m + 1.0))
             b = problems.load_matrix(block["file_b"])
             return problems.procrustes(a, b)
@@ -140,19 +157,25 @@ def build_problem(block: dict) -> problems.ProblemSpec:
             raise ConfigError(f"bad problem matrix input: {exc}") from exc
     try:
         dims = block.get("dims", list(DEFAULT_DIMS[name]))
-        if not isinstance(dims, list):
+        if not isinstance(dims, list) or not all(map(_is_count, dims)):
             raise TypeError(f"dims must be a list of integers, not {dims!r}")
-        dims = tuple(int(d) for d in dims)
         conditioning = float(block.get("conditioning", 10.0))
-        return problems.make_instance(name, dims, seed=seed, conditioning=conditioning)
+        return problems.make_instance(name, tuple(dims), seed=seed,
+                                      conditioning=conditioning)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad problem block: {exc}") from exc
 
 
 def _given(block: dict, keys: dict, prefix: str = "") -> dict:
     """The keys of ``block`` among ``keys``, converted, less ``prefix``."""
-    return {key.removeprefix(prefix): convert(block[key])
-            for key, convert in keys.items() if key in block}
+    given = {}
+    for key, convert in keys.items():
+        if key in block:
+            try:
+                given[key.removeprefix(prefix)] = convert(block[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+    return given
 
 
 def build_run_config(block: dict) -> RunConfig:
@@ -342,7 +365,9 @@ def _output_dir(config: dict, out_override: str | None) -> Path:
     return Path(out)
 
 
-def _prepare(config: dict, out_override: str | None):
+def _prepare(config: dict):
+    """The problem, run configs, labels and initial point of a ``run`` or
+    ``compare`` config; it writes nothing."""
     _check_keys(config, RUN_KEYS, "config")
     problem_block = config.get("problem", {})
     problem = build_problem(problem_block)
@@ -351,16 +376,16 @@ def _prepare(config: dict, out_override: str | None):
         raise ConfigError("config needs a non-empty 'methods' list")
     run_configs = [build_run_config(block) for block in blocks]
     labels = _method_labels(blocks)
-    out_dir = _output_dir(config, out_override)
     seed = _problem_seed(problem_block)
     initial = problem.manifold.random_point(np.random.default_rng(seed))
-    return problem, run_configs, labels, out_dir, initial
+    return problem, run_configs, labels, initial
 
 
 def cmd_run(config_path: str, out_override: str | None = None) -> int:
     """Run every method block; write one CSV per block."""
     config = _load_json(config_path)
-    problem, run_configs, labels, out_dir, initial = _prepare(config, out_override)
+    problem, run_configs, labels, initial = _prepare(config)
+    out_dir = _output_dir(config, out_override)
     failed = False
     for run_config, label in zip(run_configs, labels):
         trace = optimizers.run(run_config, problem, initial)
@@ -380,9 +405,10 @@ def cmd_compare(config_path: str, out_override: str | None = None,
     plot = config.get("plot", True)
     if not isinstance(plot, bool):
         raise ConfigError(f"'plot' must be true or false, not {plot!r}")
-    problem, run_configs, labels, out_dir, initial = _prepare(config, out_override)
+    problem, run_configs, labels, initial = _prepare(config)
     if len(run_configs) < 2:
         raise ConfigError("compare needs at least two method blocks")
+    out_dir = _output_dir(config, out_override)
     lines = []
     series = []
     failed = False

@@ -13,6 +13,14 @@ Stiefel points are n x m matrices with orthonormal columns, flattened in
 column-major (Fortran) order; :meth:`Stiefel.as_matrix` and
 :meth:`Stiefel.from_matrix` convert between the two representations.
 
+The Stiefel retraction is the Q factor of ``X + V`` with a positive R
+diagonal (Absil, Mahony & Sepulchre 2008, sec. 4.1.1), computed as
+CholeskyQR (Fukaya et al. 2014): ``Q = W L^{-T}`` with ``L = chol(W^T W)``.
+It is accepted only when the Cholesky factorization succeeds, ``L``'s
+diagonal passes the rank threshold and ``Q`` is orthonormal to
+``RETRACT_ORTH_TOL``; otherwise Householder QR gives ``Q``, and a
+rank-deficient ``X + V`` raises :class:`RetractionError`.
+
 All operations are pure functions of their inputs.  The only state a
 manifold object carries besides its dimensions is the multiplier basis of
 :class:`Stiefel`, built on first use and never changed afterwards (two
@@ -23,6 +31,7 @@ be shared freely across threads.
 from __future__ import annotations
 
 import math
+import sys
 from functools import cached_property
 
 import numpy as np
@@ -38,6 +47,11 @@ from .errors import (
 
 # Default tolerance for accepting a point as feasible on input.
 FEAS_TOL = 1e-8
+# Largest |Q^T Q - I| entry at which the CholeskyQR Stiefel retraction is
+# accepted instead of falling back to Householder QR.  An accepted Q differs
+# from the Householder one by about this much (up to ~1.2x over 6000
+# random 5x5 steps), so it also bounds the change to the retraction.
+RETRACT_ORTH_TOL = 1e-14
 
 
 def _sphere_multiplier(w: np.ndarray, v: np.ndarray) -> float:
@@ -269,6 +283,8 @@ class Stiefel(EmbeddedManifold):
         self._triu = np.triu_indices(m)
         self._triu_flat = self._triu[0] * m + self._triu[1]
         self._eye = np.eye(m)
+        # Largest |W| entry for which W^T W cannot overflow.
+        self._gram_limit = math.sqrt(sys.float_info.max / n)
 
     @cached_property
     def _basis(self) -> np.ndarray:
@@ -346,20 +362,41 @@ class Stiefel(EmbeddedManifold):
         return self.from_matrix(zm - x @ ((xtz + xtz.T) / 2.0))
 
     def retract(self, q, v):
-        """Q factor of the QR factorization of ``X + V``.
+        """Q factor of the QR factorization of ``W = X + V`` with R's
+        diagonal positive, which makes the retraction deterministic.
 
-        The diagonal of the R factor is forced positive so the factorization,
-        and hence the retraction, is deterministic.
+        It is computed as CholeskyQR: ``L = chol(W^T W)`` and
+        ``Q = W L^{-T}``, the same Q in exact arithmetic (``R = L^T``).  The
+        result is accepted only if the Cholesky factorization succeeds,
+        ``L``'s diagonal passes the rank threshold and
+        ``max |Q^T Q - I| <= RETRACT_ORTH_TOL``; an ill-conditioned ``W``
+        fails the last test, since CholeskyQR loses orthogonality as
+        ``cond(W)^2``.  Otherwise, and when ``W^T W`` would overflow,
+        Householder QR is used, with the sign rule on R's diagonal.
+
+        Raises:
+            RetractionError: ``W`` is rank deficient.
         """
         q = self._check_dim(q)
         v = self._check_dim(v)
         if not v.any():
             return q.copy()
-        w = self.as_matrix(q) + self.as_matrix(v)
+        w = (q + v).reshape((self.n, self.m), order="F")
+        big = float(np.abs(w).max())
+        rank_tol = 1e-12 * max(1.0, big)
+        # Positive comparisons, so a NaN falls through to Householder.
+        if big <= self._gram_limit:
+            try:
+                low = np.linalg.cholesky(w.T @ w)
+            except np.linalg.LinAlgError:
+                low = None
+            if low is not None and low.diagonal().min() >= rank_tol:
+                qf = np.linalg.solve(low, w.T).T
+                if np.abs(qf.T @ qf - self._eye).max() <= RETRACT_ORTH_TOL:
+                    return qf.reshape(-1, order="F")
         qf, r = np.linalg.qr(w)
         diag = r.diagonal()
-        scale = max(1.0, float(np.abs(w).max()))
-        if (np.abs(diag) < 1e-12 * scale).any():
+        if (np.abs(diag) < rank_tol).any():
             raise RetractionError("QR retraction undefined: X + V is rank deficient")
         np.negative(qf, out=qf, where=diag < 0.0)
         return self.from_matrix(qf)

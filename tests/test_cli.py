@@ -249,7 +249,7 @@ class TestCompare:
         row = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()[1]
         assert row.split(",")[6] == ""
 
-    def test_single_block_rejected(self, tmp_path):
+    def test_single_block_rejected(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
             {
@@ -258,7 +258,9 @@ class TestCompare:
                 "output_dir": str(tmp_path / "cmp"),
             },
         )
-        assert main(["compare", "--config", config]) == EXIT_CONFIG
+        assert_config_error(capsys, ["compare", "--config", config],
+                            "at least two method blocks")
+        assert not (tmp_path / "cmp").exists()
 
     def test_no_plot_flag(self, tmp_path):
         block = {"method": "rgd", "h": 0.1, "max_iters": 5}
@@ -421,6 +423,37 @@ class TestMalformedConfig:
     def test_bad_method_value(self, tmp_path, capsys, method, phrase):
         config = run_config(tmp_path, method=method)
         assert_config_error(capsys, ["run", "--config", config], phrase)
+        assert not (tmp_path / "out").exists()
+
+    # int() would truncate 2.7 to 2 and true to 1
+    @pytest.mark.parametrize("value", [2.7, 2.0, True])
+    @pytest.mark.parametrize("key", ["seed", "dims"])
+    def test_problem_count_must_be_integer(self, tmp_path, capsys, key, value):
+        problem = {"seed": value} if key == "seed" else {"dims": [3, value]}
+        for command in ("run", "compare"):
+            config = run_config(tmp_path, problem=problem)
+            assert_config_error(capsys, [command, "--config", config],
+                                key, f"{value!r}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [2.7, 2.0, True])
+    def test_brockett_m_must_be_integer(self, tmp_path, capsys, value):
+        matrix_path = tmp_path / "a.txt"
+        np.savetxt(matrix_path, np.diag([1.0, 2.0, 3.0, 4.0]))
+        config = write_config(tmp_path, {
+            "problem": {"name": "brockett", "file": str(matrix_path), "m": value},
+            "methods": [{"method": "rgd", "max_iters": 2}],
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert_config_error(capsys, ["run", "--config", config], "m must be an integer",
+                            f"{value!r}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [2.7, 2.0, True])
+    @pytest.mark.parametrize("key", ["max_iters", "newton_max_iter"])
+    def test_method_count_must_be_integer(self, tmp_path, capsys, key, value):
+        config = run_config(tmp_path, method={key: value})
+        assert_config_error(capsys, ["run", "--config", config], key, f"{value!r}")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("labels,bad", [

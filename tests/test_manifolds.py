@@ -9,7 +9,7 @@ from bregopt.errors import (
     RetractionError,
     TransportError,
 )
-from bregopt.manifolds import Sphere, Stiefel
+from bregopt.manifolds import RETRACT_ORTH_TOL, Sphere, Stiefel
 
 from reference_geometry import constraint_jacobian
 
@@ -25,7 +25,8 @@ def central_difference_jacobian(func, x, step=1e-5):
 
 
 def reference_stiefel_retract(st, q, v):
-    """The QR retraction as first written (reference for the leaner one)."""
+    """The Householder QR retraction as first written (reference for the
+    CholeskyQR one)."""
     if not np.any(v):
         return q.copy()
     w = st.as_matrix(q) + st.as_matrix(v)
@@ -202,23 +203,70 @@ class TestRetract:
             with pytest.raises(RetractionError):
                 retract(x, v)
 
+        # columns 1e-14 apart: the Cholesky path falls back and the
+        # Householder rank test raises
+        w[:, 1] = w[:, 0] + 1e-14 * st.as_matrix(x)[:, 1]
+        with pytest.raises(RetractionError):
+            st.retract(x, st.from_matrix(w) - x)
+        # orthogonal columns, one of norm 1e-13: CholeskyQR returns an
+        # orthonormal Q, but the rank threshold still applies
+        w = st.as_matrix(x) * np.array([1.0, 1e-13])
+        with pytest.raises(RetractionError):
+            st.retract(x, st.from_matrix(w) - x)
+
     @pytest.mark.parametrize("n,m", [(2, 1), (6, 2), (5, 5), (20, 5)])
-    def test_stiefel_bit_equal_to_previous_code(self, n, m):
+    def test_stiefel_agrees_with_householder_qr(self, n, m):
         st = Stiefel(n, m)
         rng = np.random.default_rng(100 + n + m)
         signs = set()
-        for scale in (1e-3, 0.3, 3.0, 30.0):
+        for scale in (1e-6, 1e-4, 1e-2, 0.3, 1.0):
             for _ in range(10):
                 q = st.random_point(rng)
                 v = scale * rng.standard_normal(st.ambient_dim)
                 _, r = np.linalg.qr(st.as_matrix(q + v))
                 signs.update(np.sign(np.diag(r)))
                 out = st.retract(q, v)
-                assert out.tobytes() == reference_stiefel_retract(st, q, v).tobytes()
+                assert np.abs(out - reference_stiefel_retract(st, q, v)).max() <= 1e-14
+                assert st.constraint_violation(out) <= 1e-13
                 assert st.constraint_violation(out) == reference_stiefel_violation(st, out)
                 off = q + v  # off the manifold
                 assert st.constraint_violation(off) == reference_stiefel_violation(st, off)
         assert signs == {-1.0, 1.0}
+
+    @pytest.mark.parametrize("n,m", [(6, 2), (5, 5), (20, 5)])
+    def test_stiefel_r_factor_is_upper_triangular_positive(self, n, m):
+        st = Stiefel(n, m)
+        rng = np.random.default_rng(200 + n + m)
+        for scale in (1e-3, 0.3):
+            q = st.random_point(rng)
+            v = scale * rng.standard_normal(st.ambient_dim)
+            r = st.as_matrix(st.retract(q, v)).T @ st.as_matrix(q + v)
+            assert np.abs(np.tril(r, -1)).max() <= 1e-13 * np.abs(r).max()
+            assert (r.diagonal() > 0.0).all()
+
+    def test_stiefel_ill_conditioned_falls_back_to_householder(self):
+        # two columns at an angle of 1e-7: CholeskyQR loses orthogonality
+        # as cond(W)^2 ~ 1e14, while the rank test still passes
+        st = Stiefel(6, 2)
+        x = st.random_point(np.random.default_rng(11))
+        xm = st.as_matrix(x)
+        w = np.column_stack([xm[:, 0], np.cos(1e-7) * xm[:, 0] + np.sin(1e-7) * xm[:, 1]])
+        low = np.linalg.cholesky(w.T @ w)
+        chol_q = np.linalg.solve(low, w.T).T
+        assert np.abs(chol_q.T @ chol_q - np.eye(2)).max() > RETRACT_ORTH_TOL
+        v = st.from_matrix(w) - x
+        out = st.retract(x, v)
+        assert out.tobytes() == reference_stiefel_retract(st, x, v).tobytes()
+        assert st.constraint_violation(out) <= 1e-13
+
+    def test_stiefel_overflowing_gram_falls_back_to_householder(self):
+        # W^T W would overflow, which warns (an error in this suite)
+        st = Stiefel(6, 2)
+        rng = np.random.default_rng(12)
+        x = st.random_point(rng)
+        v = 1e200 * rng.standard_normal(st.ambient_dim)
+        out = st.retract(x, v)
+        assert out.tobytes() == reference_stiefel_retract(st, x, v).tobytes()
 
 
 class TestTransport:

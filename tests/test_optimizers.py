@@ -621,29 +621,29 @@ class TestRunDriver:
 
 
 # Digests of the first 500 iterations at the CLI defaults, seed 0 (numpy 2.4
-# with OpenBLAS on x86-64); a change that alters any rounding on the way
-# changes them.
+# with single-threaded OpenBLAS on x86-64, as tests/conftest.py pins it); a
+# change that alters any rounding on the way changes them.
 GOLDEN_DIGESTS = {
     "rayleigh": {
-        "htvi_direct": "0aaf6389aa54b992",
-        "htvi_adaptive": "f79adb21ef368b3a",
-        "el_v1": "6f8c10ac35c78eda",
-        "el_v2": "8b1d3ed7de7c888f",
-        "rgd": "898196cfd39d65f5",
+        "htvi_direct": "1507e2a2900c157e",
+        "htvi_adaptive": "2f7347a94f5075d1",
+        "el_v1": "9c8fe0f20ab20c21",
+        "el_v2": "26e6d21085c59b50",
+        "rgd": "aa31c9c98489d11e",
     },
     "brockett": {
         "htvi_direct": "5186d29b065d5c9f",
         "htvi_adaptive": "a67393418f983d99",
-        "el_v1": "6b0550a3db366d79",
-        "el_v2": "f2b4e8958b624887",
-        "rgd": "fe2cfb467e93c8f9",
+        "el_v1": "d63fb73299d909ac",
+        "el_v2": "fdaa6886c4e0cff2",
+        "rgd": "8c3e622b22c03f4f",
     },
     "procrustes": {
         "htvi_direct": "18b43fa1f2369fea",
         "htvi_adaptive": "a264c52d37d5aabb",
-        "el_v1": "8748c606de70c5eb",
-        "el_v2": "fd02b1a153bc9134",
-        "rgd": "a3359a577e6855b6",
+        "el_v1": "87b9f32e5d270855",
+        "el_v2": "3b4d72f4c388ff5c",
+        "rgd": "b26c47afba8aa9f6",
     },
 }
 
