@@ -23,7 +23,10 @@ A ``run`` or ``compare`` config holds:
   initial point that every method block starts from.  ``file`` reads the
   matrix ``A`` from a text file instead of drawing it; ``procrustes`` then
   reads ``B`` from ``file_b``, and ``brockett`` takes the weights
-  ``1, ..., m`` with ``m`` (5).
+  ``1, ..., m`` with ``m`` (5).  A key that the chosen input does not read
+  is an error: ``dims`` and ``conditioning`` shape only a random instance
+  (``conditioning`` only a ``rayleigh``/``brockett`` one), ``m`` only a
+  ``brockett`` and ``file_b`` only a ``procrustes`` read from ``file``.
 * ``methods`` -- a non-empty list of method blocks: ``method`` (required;
   one of ``METHODS``), ``label`` (``<method>_<index>``; the stem of the
   block's output file: letters, digits, ``_``, ``.`` and ``-``, distinct
@@ -32,7 +35,11 @@ A ``run`` or ``compare`` config holds:
   ``coeff_cap`` (1e6), the multiplier solve's ``newton_tol`` (1e-10, at
   most ``FEAS_TOL``) and ``newton_max_iter`` (50), and the stopping rule
   ``max_iters`` (1000), ``stop_grad_tol`` (1e-12) and ``stop_f_tol``
-  (1e-12).
+  (1e-12).  The gap stop cannot be switched off on a problem with an
+  oracle: ``f`` may round a few ulps below the oracle value, so any
+  positive ``stop_f_tol`` can end the run.  A run that is to stop on the
+  gradient norm alone needs a problem without an oracle (an unbalanced
+  ``procrustes``, ``m < n``).
 * ``output_dir`` (``.``) and, read by ``compare`` only, ``plot`` (true; a
   JSON boolean).
 
@@ -90,6 +97,16 @@ def _count(value) -> int:
 
 RUN_KEYS = ("problem", "methods", "output_dir", "plot")
 PROBLEM_KEYS = ("name", "seed", "dims", "conditioning", "file", "file_b", "m")
+# The problem keys beyond name and seed that each input reads, keyed by the
+# problem name and whether the block reads a ``file``.
+INPUT_KEYS = {
+    ("rayleigh", False): ("dims", "conditioning"),
+    ("brockett", False): ("dims", "conditioning"),
+    ("procrustes", False): ("dims",),
+    ("rayleigh", True): ("file",),
+    ("brockett", True): ("file", "m"),
+    ("procrustes", True): ("file", "file_b"),
+}
 # Method-block keys with their converters; the dataclasses own every
 # default but p's.
 PARAM_KEYS = {"p": float, "p_ring": float, "c_const": float, "lambda_conv": float,
@@ -133,6 +150,16 @@ def _problem_seed(block: dict) -> int:
         raise ConfigError(f"bad problem block: seed: {exc}") from exc
 
 
+def _check_applicable(block: dict, name: str) -> None:
+    """Reject a problem key that the block's input would not read."""
+    from_file = "file" in block
+    applicable = ("name", "seed", *INPUT_KEYS[name, from_file])
+    for key in block:
+        if key not in applicable:
+            raise ConfigError(f"problem key {key!r} does not apply to {name} "
+                              f"{'with' if from_file else 'without'} 'file'")
+
+
 def build_problem(block: dict) -> problems.ProblemSpec:
     if not isinstance(block, dict) or "name" not in block:
         raise ConfigError("problem block must be an object with a 'name'")
@@ -144,6 +171,10 @@ def build_problem(block: dict) -> problems.ProblemSpec:
     if "file" in block:
         try:
             a = problems.load_matrix(block["file"])
+        except (OSError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad problem matrix input: {exc}") from exc
+        _check_applicable(block, name)
+        try:
             if name == "rayleigh":
                 return problems.rayleigh(a)
             if name == "brockett":
@@ -155,6 +186,7 @@ def build_problem(block: dict) -> problems.ProblemSpec:
             return problems.procrustes(a, b)
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad problem matrix input: {exc}") from exc
+    _check_applicable(block, name)
     try:
         dims = block.get("dims", list(DEFAULT_DIMS[name]))
         if not isinstance(dims, list) or not all(map(_is_count, dims)):

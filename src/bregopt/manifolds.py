@@ -173,14 +173,13 @@ class EmbeddedManifold:
         self, q: np.ndarray, ambient_grad: np.ndarray
     ) -> tuple[np.ndarray, float]:
         """:meth:`riemannian_gradient` and :meth:`constraint_violation` at
-        ``q`` from one constraint evaluation; both arguments must already be
-        float arrays of length ``ambient_dim``.
+        ``q`` from one constraint evaluation.  Both arguments must already be
+        float arrays of length ``ambient_dim``; they are not checked.
 
         Raises:
             FeasibilityError: ``q`` is off the manifold.
         """
-        violation = self._check_feasible(q)
-        return self._project(q, ambient_grad), violation
+        raise NotImplementedError
 
     # -- sampling helpers ---------------------------------------------------
 
@@ -203,8 +202,11 @@ class EmbeddedManifold:
 
     def _check_feasible(self, q: np.ndarray) -> float:
         """Constraint violation of ``q``, which must be within ``FEAS_TOL``."""
-        violation = self.constraint_violation(q)
-        if violation > FEAS_TOL:
+        return self._check_violation(self.constraint_violation(q))
+
+    def _check_violation(self, violation: float) -> float:
+        """``violation`` if it is within ``FEAS_TOL``; a NaN is not."""
+        if not violation <= FEAS_TOL:
             raise FeasibilityError(
                 f"{self.name}: point violates constraint by {violation:.3e} "
                 f"(tolerance {FEAS_TOL:.1e})"
@@ -238,6 +240,10 @@ class Sphere(EmbeddedManifold):
 
     def _project(self, q, z):
         return z - (q @ z) * q
+
+    def _gradient_and_violation(self, q, ambient_grad):
+        violation = self._check_violation(abs(float(q @ q) - 1.0))
+        return self._project(q, ambient_grad), violation
 
     def retract(self, q, v):
         q = self._check_dim(q)
@@ -356,10 +362,20 @@ class Stiefel(EmbeddedManifold):
         return result.x, normal, result.iterations
 
     def _project(self, q, z):
-        x = self.as_matrix(q)
-        zm = self.as_matrix(z)
+        return self._project_at(self.as_matrix(q), z)
+
+    def _project_at(self, x, z):
+        """:meth:`_project` at the n x m matrix ``x``."""
+        zm = z.reshape(x.shape, order="F")
         xtz = x.T @ zm
-        return self.from_matrix(zm - x @ ((xtz + xtz.T) / 2.0))
+        return (zm - x @ ((xtz + xtz.T) / 2.0)).reshape(-1, order="F")
+
+    def _gradient_and_violation(self, q, ambient_grad):
+        x = q.reshape((self.n, self.m), order="F")
+        violation = self._check_violation(
+            float(np.abs((x.T @ x - self._eye)[self._triu]).max())
+        )
+        return self._project_at(x, ambient_grad), violation
 
     def retract(self, q, v):
         """Q factor of the QR factorization of ``W = X + V`` with R's

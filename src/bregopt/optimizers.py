@@ -13,11 +13,13 @@ Three families are provided:
 
 ``run`` drives any of them to a stopping criterion and records a
 per-iteration :class:`Trace`.  Each method contributes only a step closure;
-one loop evaluates the objective once per iterate, records the row, tests
-the stop and turns any step or evaluation failure into a failed trace, so
-every method is recorded, stopped and failed alike.  Traces accumulate
-locally, so independent runs may execute concurrently; a single run is
-sequential.
+one loop evaluates each iterate once (``ProblemSpec.value_and_grad`` for the
+objective and its ambient gradient, the manifold's
+``_gradient_and_violation`` for the Riemannian gradient and the constraint
+violation), records the row, tests the stop and turns any step or
+evaluation failure into a failed trace, so every method is recorded,
+stopped and failed alike.  Traces accumulate locally, so independent runs
+may execute concurrently; a single run is sequential.
 """
 
 from __future__ import annotations
@@ -43,8 +45,11 @@ class RunConfig:
 
     ``stop_grad_tol`` stops on the Riemannian gradient norm;
     ``stop_f_tol`` stops on the objective gap against the problem oracle
-    when one is available.  ``seed`` draws the initial point when none is
-    passed to :func:`run`.
+    when one is available.  The gap stop cannot be switched off on a
+    problem with an oracle: ``f`` may round a few ulps below the oracle
+    value, so even ``stop_f_tol=1e-300`` can end the run; a run that is to
+    stop on the gradient norm alone needs a problem without an oracle.
+    ``seed`` draws the initial point when none is passed to :func:`run`.
     """
 
     method: str
@@ -242,7 +247,8 @@ def _el_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
     x, v = q0.copy(), np.zeros_like(q0)
 
     def riemannian_grad(point):
-        return manifold.riemannian_gradient(point, problem.ambient_grad(point))
+        # the look-ahead point is a fresh retraction, gated like an iterate
+        return manifold._gradient_and_violation(point, problem.ambient_grad(point))[0]
 
     def advance(k, f_val, grad, rgrad):
         nonlocal x, v
@@ -276,18 +282,24 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
 
     ``initial`` is a feasible point (flat array); when omitted it is drawn
     from the manifold with the config seed.  HTVI methods start from the
-    standard extended state (zero momenta, unit time coordinate).  The
-    objective, its ambient gradient, the Riemannian gradient and the
-    constraint are evaluated once per iterate; the same values are recorded
-    and passed to the next step, and the recorded constraint violation is
-    the one that must be within ``FEAS_TOL`` for the gradient to exist.  A
-    :class:`BregoptError` raised by a step or while evaluating an iterate
-    marks the trace as failed and ends the run gracefully.
+    standard extended state (zero momenta, unit time coordinate).  Each
+    iterate is evaluated once: ``problem.value_and_grad`` gives the
+    objective and its ambient gradient, and the manifold's
+    ``_gradient_and_violation`` the Riemannian gradient and the constraint
+    violation.  The same values are recorded and passed to the next step,
+    and the recorded violation is the one that must be within ``FEAS_TOL``
+    (a NaN is not) for the gradient to exist.  A :class:`BregoptError`
+    raised by a step or while evaluating an iterate, an infeasible initial
+    point included, marks the trace as failed and ends the run gracefully.
+
+    Raises:
+        DimensionError: ``initial`` is not a vector of length
+            ``manifold.ambient_dim``.
     """
     manifold = problem.manifold
     if initial is None:
         initial = manifold.random_point(np.random.default_rng(config.seed))
-    q0 = np.asarray(initial, dtype=float)
+    q0 = manifold._check_dim(initial)
     if config.method in ("htvi_direct", "htvi_adaptive"):
         start = _htvi_stepper
     elif config.method in ("el_v1", "el_v2"):
@@ -300,8 +312,7 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
     k, newton_iters = 0, None
     try:
         while True:
-            f_val = problem.f(point)
-            grad = problem.ambient_grad(point)
+            f_val, grad = problem.value_and_grad(point)
             rgrad, violation = manifold._gradient_and_violation(point, grad)
             grad_norm = math.sqrt(float(rgrad @ rgrad))
             gap = None if problem.oracle_value is None else f_val - problem.oracle_value

@@ -7,7 +7,11 @@ dense closed-form oracles: the symmetric eigendecomposition for Rayleigh and
 Brockett and the SVD for balanced Procrustes, both from ``numpy.linalg``.
 
 Objectives and gradients take flat point vectors in the convention of the
-host manifold (Stiefel points column-major flattened).
+host manifold (Stiefel points column-major flattened).  Each problem
+gives its value and ambient gradient three ways: ``f``, ``ambient_grad``
+and ``value_and_grad``, which shares the work common to both and is what
+the run loop calls once per iterate.  All three evaluate the same
+per-problem code, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -22,14 +26,39 @@ from .manifolds import EmbeddedManifold, Sphere, Stiefel
 
 @dataclass
 class ProblemSpec:
-    """An objective bound to a manifold, with optional solution oracle."""
+    """An objective bound to a manifold, with optional solution oracle.
+
+    ``value_and_grad(q)`` returns ``(f(q), ambient_grad(q))`` from one
+    evaluation.
+    """
 
     name: str
     manifold: EmbeddedManifold
     f: Callable[[np.ndarray], float]
     ambient_grad: Callable[[np.ndarray], np.ndarray]
+    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
     oracle_value: float | None = None
     oracle_point: np.ndarray | None = None
+
+
+def _spec(name, manifold, shared, value, gradient, oracle_value=None, oracle_point=None):
+    """A :class:`ProblemSpec` whose objective at ``q`` is
+    ``value(q, shared(q))`` and whose ambient gradient is
+    ``gradient(q, shared(q))``; ``value_and_grad`` evaluates ``shared`` once
+    for both."""
+
+    def f(q):
+        return value(q, shared(q))
+
+    def ambient_grad(q):
+        return gradient(q, shared(q))
+
+    def value_and_grad(q):
+        s = shared(q)
+        return value(q, s), gradient(q, s)
+
+    return ProblemSpec(name, manifold, f, ambient_grad, value_and_grad,
+                       oracle_value, oracle_point)
 
 
 # ---------------------------------------------------------------------------
@@ -56,18 +85,12 @@ def rayleigh(a: np.ndarray) -> ProblemSpec:
     n = a.shape[0]
     manifold = Sphere(n)
     values, vectors = np.linalg.eigh(a)
-
-    def f(q):
-        return -float(q @ (a @ q))
-
-    def grad(q):
-        return -2.0 * (a @ q)
-
-    return ProblemSpec(
-        name="rayleigh",
-        manifold=manifold,
-        f=f,
-        ambient_grad=grad,
+    return _spec(
+        "rayleigh",
+        manifold,
+        shared=lambda q: a @ q,
+        value=lambda q, aq: -float(q @ aq),
+        gradient=lambda q, aq: -2.0 * aq,
         oracle_value=-float(values[-1]),
         oracle_point=vectors[:, -1].copy(),
     )
@@ -92,24 +115,17 @@ def brockett(a: np.ndarray, n_diag: np.ndarray) -> ProblemSpec:
     manifold = Stiefel(n, m)
     values, vectors = np.linalg.eigh(a)
     n_mat = np.diag(mu)
-
-    def f(q):
-        x = manifold.as_matrix(q)
-        return float(np.trace(x.T @ a @ x @ n_mat))
-
-    def grad(q):
-        x = manifold.as_matrix(q)
-        return manifold.from_matrix(2.0 * a @ x @ n_mat)
-
-    oracle_value = float(np.sum(mu * values[m - 1 :: -1]))
-    oracle_point = manifold.from_matrix(vectors[:, m - 1 :: -1])
-    return ProblemSpec(
-        name="brockett",
-        manifold=manifold,
-        f=f,
-        ambient_grad=grad,
-        oracle_value=oracle_value,
-        oracle_point=oracle_point,
+    # The gradient 2 A X N scales the columns of A X by 2 mu, which rounds
+    # exactly as the product ((2 A) X) N does.
+    two_mu = 2.0 * mu
+    return _spec(
+        "brockett",
+        manifold,
+        shared=manifold.as_matrix,
+        value=lambda q, x: float(np.trace(x.T @ a @ x @ n_mat)),
+        gradient=lambda q, x: manifold.from_matrix((a @ x) * two_mu),
+        oracle_value=float(np.sum(mu * values[m - 1 :: -1])),
+        oracle_point=manifold.from_matrix(vectors[:, m - 1 :: -1]),
     )
 
 
@@ -132,15 +148,13 @@ def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
     if n < m:
         raise ValueError("procrustes requires n >= m for the Stiefel domain")
     manifold = Stiefel(n, m)
+    two_at = 2.0 * a.T
 
-    def f(q):
-        x = manifold.as_matrix(q)
-        res = a @ x - b
+    def residual(q):
+        return a @ manifold.as_matrix(q) - b
+
+    def value(q, res):
         return float(np.sum(res * res))
-
-    def grad(q):
-        x = manifold.as_matrix(q)
-        return manifold.from_matrix(2.0 * a.T @ (a @ x - b))
 
     oracle_value = None
     oracle_point = None
@@ -148,14 +162,14 @@ def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
         # Minimizing |AX - B|_F^2 over O(n) maximizes trace(X^T A^T B); the
         # maximizer is U V^T from the SVD of A^T B.
         u, _, vt = np.linalg.svd(a.T @ b)
-        x_star = u @ vt
-        oracle_point = manifold.from_matrix(x_star)
-        oracle_value = f(oracle_point)
-    return ProblemSpec(
-        name="procrustes",
-        manifold=manifold,
-        f=f,
-        ambient_grad=grad,
+        oracle_point = manifold.from_matrix(u @ vt)
+        oracle_value = value(oracle_point, residual(oracle_point))
+    return _spec(
+        "procrustes",
+        manifold,
+        shared=residual,
+        value=value,
+        gradient=lambda q, res: manifold.from_matrix(two_at @ res),
         oracle_value=oracle_value,
         oracle_point=oracle_point,
     )

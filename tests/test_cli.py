@@ -449,6 +449,49 @@ class TestMalformedConfig:
                             f"{value!r}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("problem,key", [
+        ({"name": "brockett", "m": 3}, "m"),
+        ({"name": "rayleigh", "m": 3}, "m"),
+        ({"name": "procrustes", "file_b": "b.txt"}, "file_b"),
+        ({"name": "brockett", "file_b": "b.txt"}, "file_b"),
+        ({"name": "procrustes", "conditioning": 3.0}, "conditioning"),
+        ({"name": "rayleigh", "file": "sym.txt", "dims": [4]}, "dims"),
+        ({"name": "brockett", "file": "sym.txt", "conditioning": 3.0}, "conditioning"),
+        ({"name": "rayleigh", "file": "sym.txt", "m": 2}, "m"),
+        ({"name": "rayleigh", "file": "sym.txt", "file_b": "b.txt"}, "file_b"),
+        ({"name": "brockett", "file": "sym.txt", "file_b": "b.txt"}, "file_b"),
+        ({"name": "procrustes", "file": "a.txt", "file_b": "b.txt", "m": 2}, "m"),
+        ({"name": "procrustes", "file": "a.txt", "file_b": "b.txt", "dims": [4, 2, 6]},
+         "dims"),
+    ])
+    def test_problem_key_the_input_does_not_read(self, tmp_path, capsys, problem, key):
+        # a key that the input would ignore names a different problem than
+        # the one that would run
+        rng = np.random.default_rng(3)
+        sym = rng.standard_normal((6, 6))  # brockett's default m is 5
+        for label, matrix in (("sym", sym + sym.T), ("a", rng.standard_normal((6, 4))),
+                              ("b", rng.standard_normal((6, 2)))):
+            np.savetxt(tmp_path / f"{label}.txt", matrix)
+        problem = {k: str(tmp_path / v) if k.startswith("file") else v
+                   for k, v in problem.items()}
+        for command in ("run", "compare"):
+            config = write_config(tmp_path, {
+                "problem": problem,
+                "methods": [{"method": "rgd", "max_iters": 2},
+                            {"method": "el_v1", "max_iters": 2}],
+                "output_dir": str(tmp_path / "out"),
+            })
+            assert_config_error(capsys, [command, "--config", config],
+                                f"problem key {key!r} does not apply to {problem['name']}")
+        assert not (tmp_path / "out").exists()
+        # without the key the block runs
+        del problem[key]
+        config = write_config(tmp_path, {
+            "problem": problem, "methods": [{"method": "rgd", "max_iters": 2}],
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["run", "--config", config]) == EXIT_OK
+
     @pytest.mark.parametrize("value", [2.7, 2.0, True])
     @pytest.mark.parametrize("key", ["max_iters", "newton_max_iter"])
     def test_method_count_must_be_integer(self, tmp_path, capsys, key, value):

@@ -361,6 +361,62 @@ class TestRiemannianGradient:
             assert abs(fd - grad @ xi) <= 1e-5 * (1.0 + abs(fd))
 
 
+def bits(array):
+    """The exact bits of a float array, so that -0.0 differs from 0.0."""
+    return np.asarray(array, dtype=float).tobytes()
+
+
+GRADIENT_MANIFOLDS = [Sphere(5), Stiefel(6, 1), Stiefel(4, 4), Stiefel(20, 5)]
+
+
+class TestGradientAndViolation:
+    """The run loop's one-pass evaluation gives the bits of the public
+    ``riemannian_gradient`` and ``constraint_violation``."""
+
+    @pytest.mark.parametrize("manifold", GRADIENT_MANIFOLDS, ids=repr)
+    def test_bit_equal_to_the_public_pair(self, manifold):
+        rng = np.random.default_rng(30)
+        for scale in (1.0, 1.0 + 1e-10, 1.0 - 3e-9):  # on and just off the manifold
+            for _ in range(10):
+                q = scale * manifold.random_point(rng)
+                z = rng.standard_normal(manifold.ambient_dim)
+                rgrad, violation = manifold._gradient_and_violation(q, z)
+                assert bits(rgrad) == bits(manifold.riemannian_gradient(q, z))
+                assert type(violation) is float
+                assert bits(violation) == bits(manifold.constraint_violation(q))
+
+    @pytest.mark.parametrize("manifold", GRADIENT_MANIFOLDS, ids=repr)
+    def test_off_the_manifold_raises_the_public_error(self, manifold):
+        rng = np.random.default_rng(31)
+        q = 1.1 * manifold.random_point(rng)
+        z = rng.standard_normal(manifold.ambient_dim)
+        with pytest.raises(FeasibilityError) as public:
+            manifold.riemannian_gradient(q, z)
+        with pytest.raises(FeasibilityError) as lean:
+            manifold._gradient_and_violation(q, z)
+        assert str(lean.value) == str(public.value)
+        assert "violates constraint" in str(lean.value)
+
+    @pytest.mark.parametrize("manifold", [Sphere(4), Stiefel(5, 2)], ids=repr)
+    def test_nan_point_is_not_feasible(self, manifold):
+        # NaN > FEAS_TOL is false, so the gates test "not <= FEAS_TOL"
+        rng = np.random.default_rng(32)
+        x, y = manifold.random_point(rng), manifold.random_point(rng)
+        v = manifold.random_tangent(x, rng)
+        bad = x.copy()
+        bad[0] = np.nan
+        calls = [
+            lambda: manifold.tangent_project(bad, v),
+            lambda: manifold.riemannian_gradient(bad, v),
+            lambda: manifold.transport(bad, y, v),
+            lambda: manifold.transport(y, bad, v),
+            lambda: manifold._gradient_and_violation(bad, v),
+        ]
+        for call in calls:
+            with pytest.raises(FeasibilityError, match="violates constraint by nan"):
+                call()
+
+
 class TestNamesAndStubs:
     def test_stiefel_flattening_round_trip(self):
         st = Stiefel(4, 2)

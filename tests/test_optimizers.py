@@ -10,7 +10,7 @@ import pytest
 from bregopt.bregman import BregmanParams, ExtendedState
 from bregopt.cli import DEFAULT_DIMS, build_problem, build_run_config
 from bregopt.dynamics import DEFAULT_NEWTON, NewtonConfig, newton_solve
-from bregopt.errors import FeasibilityError, NewtonError
+from bregopt.errors import DimensionError, FeasibilityError, NewtonError
 from bregopt.manifolds import Sphere, Stiefel
 from bregopt.optimizers import METHODS, RunConfig, el_step, htvi_step, rgd_step, run
 from bregopt.problems import make_instance, rayleigh
@@ -92,13 +92,18 @@ class DenseStiefel(Stiefel):
 
 
 class CountsConstraint:
-    """Mixin that counts calls of ``constraint``."""
+    """Mixin that counts constraint evaluations: calls of ``constraint`` and
+    of ``_gradient_and_violation``, which evaluates the constraint itself."""
 
     constraint_calls = 0
 
     def constraint(self, q):
         self.constraint_calls += 1
         return super().constraint(q)
+
+    def _gradient_and_violation(self, q, ambient_grad):
+        self.constraint_calls += 1
+        return super()._gradient_and_violation(q, ambient_grad)
 
 
 class CountingSphere(CountsConstraint, Sphere):
@@ -510,6 +515,27 @@ class TestRunDriver:
         assert "violates constraint" in trace.failure_reason
         assert trace.ks == [0]
 
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name,dims", [("rayleigh", (6,)), ("brockett", (6, 2))])
+    def test_nan_initial_point_fails_at_the_gate(self, method, name, dims):
+        # the feasibility gate, not a later finiteness check, stops the run
+        # before any row is recorded
+        prob = make_instance(name, dims, seed=0)
+        initial = prob.manifold.random_point(np.random.default_rng(1))
+        initial[0] = np.nan
+        trace = run(RunConfig(method=method, params=BregmanParams(p=4.0)), prob, initial)
+        assert trace.failed
+        assert "violates constraint by nan" in trace.failure_reason
+        assert len(trace) == 0
+
+    @pytest.mark.parametrize("name,dims", [("rayleigh", (6,)), ("brockett", (6, 2))])
+    def test_wrong_length_initial_point_raises(self, name, dims):
+        prob = make_instance(name, dims, seed=0)
+        initial = prob.manifold.random_point(np.random.default_rng(1))
+        for bad in (initial[:-1], np.append(initial, 0.0), initial.reshape(1, -1)):
+            with pytest.raises(DimensionError):
+                run(RunConfig(method="rgd", params=BregmanParams(p=4.0)), prob, bad)
+
     @pytest.mark.parametrize("method", ["htvi_direct", "htvi_adaptive", "el_v1", "el_v2", "rgd"])
     @pytest.mark.parametrize("name,dims", [("rayleigh", (6,)), ("brockett", (6, 2))])
     def test_run_matches_hand_loop_of_public_steps(self, method, name, dims):
@@ -550,14 +576,16 @@ class TestRunDriver:
 
         calls = []
 
-        def counted(fun):
+        def counted(field):
+            fun = getattr(prob, field)
+
             def wrapper(point):
-                calls.append(1)
+                calls.append(field)
                 return fun(point)
             return wrapper
 
-        counted_prob = dataclasses.replace(prob, f=counted(prob.f),
-                                           ambient_grad=counted(prob.ambient_grad))
+        fields = ("f", "ambient_grad", "value_and_grad")
+        counted_prob = dataclasses.replace(prob, **{field: counted(field) for field in fields})
         cfg = RunConfig(method=method, params=params, max_iters=iters,
                         stop_f_tol=1e-300, stop_grad_tol=1e-300)
         trace = run(cfg, counted_prob, q0)
@@ -565,10 +593,13 @@ class TestRunDriver:
         assert trace.fs == fs
         assert trace.ts == ts
         assert trace.newton_iters == newton
-        # one objective and one gradient evaluation per recorded iterate;
-        # el_v2 adds the gradient at its look-ahead point in every step
+        # one objective evaluation (value and gradient together) per
+        # recorded iterate; el_v2 adds the gradient at its look-ahead point
+        # in every step
         steps = len(trace) - 1
-        assert len(calls) == 2 * len(trace) + (steps if method == "el_v2" else 0)
+        assert calls.count("value_and_grad") == len(trace)
+        assert calls.count("ambient_grad") == (steps if method == "el_v2" else 0)
+        assert calls.count("f") == 0
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("name,dims", [("rayleigh", (6,)), ("brockett", (6, 2))])

@@ -126,6 +126,70 @@ class TestGradientConsistency:
             )
 
 
+def bits(array):
+    """The exact bits of a float or float array."""
+    return np.asarray(array, dtype=float).tobytes()
+
+
+def file_instances(tmp_path):
+    """Problems built from matrices written to and read back from text files."""
+    rng = np.random.default_rng(20)
+    paths = {}
+    sym = rng.standard_normal((6, 6))
+    for label, matrix in (("sym", sym + sym.T), ("a", rng.standard_normal((9, 6))),
+                          ("b", rng.standard_normal((9, 3)))):
+        paths[label] = tmp_path / f"{label}.txt"
+        np.savetxt(paths[label], matrix)
+    a_sym = load_matrix(paths["sym"])
+    return [rayleigh(a_sym), brockett(a_sym, np.arange(1.0, 4.0)),
+            procrustes(load_matrix(paths["a"]), load_matrix(paths["b"]))]
+
+
+class TestValueAndGrad:
+    """``value_and_grad`` is ``(f, ambient_grad)`` bit for bit."""
+
+    @staticmethod
+    def assert_agree(prob, rng):
+        for scale in (1.0, 1.3):  # on the manifold and off it
+            for _ in range(10):
+                q = scale * prob.manifold.random_point(rng)
+                f_val, grad = prob.value_and_grad(q)
+                assert type(f_val) is float
+                assert bits(f_val) == bits(prob.f(q))
+                assert bits(grad) == bits(prob.ambient_grad(q))
+
+    @pytest.mark.parametrize("name,dims", [
+        ("rayleigh", (7,)), ("rayleigh", (100,)), ("brockett", (7, 3)),
+        ("brockett", (20, 5)), ("procrustes", (5, 5, 8)), ("procrustes", (7, 3, 9)),
+        ("procrustes", (20, 5, 30)),
+    ])
+    def test_generated_instances(self, name, dims):
+        self.assert_agree(make_instance(name, dims, seed=19), np.random.default_rng(21))
+
+    def test_file_loaded_instances(self, tmp_path):
+        for prob in file_instances(tmp_path):
+            self.assert_agree(prob, np.random.default_rng(22))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradients_round_as_the_product_forms(self, seed):
+        # (A X) 2 mu is bit-equal to ((2 A) X) N, and the hoisted 2 A^T to
+        # the per-call 2.0 * A^T
+        rng = np.random.default_rng(seed)
+        sym = rng.standard_normal((20, 20))
+        a_sym = sym + sym.T
+        mu = np.arange(1.0, 6.0)
+        a, b = rng.standard_normal((30, 20)), rng.standard_normal((30, 5))
+        for prob, product in (
+            (brockett(a_sym, mu), lambda x: 2.0 * a_sym @ x @ np.diag(mu)),
+            (procrustes(a, b), lambda x: 2.0 * a.T @ (a @ x - b)),
+        ):
+            manifold = prob.manifold
+            for _ in range(10):
+                q = manifold.random_point(rng)
+                expected = manifold.from_matrix(product(manifold.as_matrix(q)))
+                assert bits(prob.value_and_grad(q)[1]) == bits(expected)
+
+
 class TestOracleLocalOptimality:
     @pytest.mark.parametrize(
         "name,dims",
