@@ -13,7 +13,6 @@ from .dynamics import (
     MidpointLagrangian,
     NewtonConfig,
     constrained_lagrangian_map,
-    newton_solve,
     order_check,
     project_momentum,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "htvi_step",
     "load_matrix",
     "make_instance",
-    "newton_solve",
     "order_check",
     "procrustes",
     "project_momentum",

@@ -33,7 +33,6 @@ frozen and safe to share between threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -112,14 +111,6 @@ class ExtendedState:
             r=np.zeros_like(q),
             r_t=0.0,
             lam=np.zeros(constraint_dim),
-        )
-
-    def is_finite(self) -> bool:
-        return bool(
-            np.isfinite(self.q).all()
-            and math.isfinite(self.q_t)
-            and np.isfinite(self.r).all()
-            and math.isfinite(self.r_t)
         )
 
 

@@ -1,10 +1,9 @@
 """Discrete constrained variational mechanics.
 
 This module holds the pieces the constrained integrators share besides the
-manifold geometry: the dense Newton solver behind the Stiefel multiplier
-solve, the unit-mass midpoint discrete Lagrangian, the momentum form of its
-constrained discrete Euler--Lagrange map, and an empirical order-of-accuracy
-harness.
+manifold geometry: the settings of the implicit solves, the unit-mass
+midpoint discrete Lagrangian, the momentum form of its constrained discrete
+Euler--Lagrange map, and an empirical order-of-accuracy harness.
 
 The map (:func:`constrained_lagrangian_map`) splits off the force term of
 the midpoint Lagrangian and places each drifted position back on the
@@ -24,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NewtonError, SingularJacobianError
+from .errors import NewtonError
 
 if TYPE_CHECKING:
     from .manifolds import EmbeddedManifold
@@ -33,14 +32,16 @@ Array = np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Newton solver
+# Solver settings
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Tolerance and budget of the implicit solves: the Newton iterations of
-    :func:`newton_solve` and the passes of :func:`constrained_lagrangian_map`.
+    """Tolerance and budget of the implicit solves: the steps of the Stiefel
+    multiplier iteration (the SHAKE/RATTLE fixed point with exact Newton
+    steps, :meth:`~bregopt.manifolds.Stiefel.solve_multiplier`) and the
+    passes of :func:`constrained_lagrangian_map`.
 
     Attributes:
         tol: convergence threshold on the residual infinity norm.
@@ -58,60 +59,6 @@ class NewtonConfig:
 
 
 DEFAULT_NEWTON = NewtonConfig()
-
-
-class NewtonResult(NamedTuple):
-    x: Array
-    iterations: int
-    residual_norm: float
-
-
-def newton_solve(
-    residual: Callable[[Array], Array],
-    jacobian: Callable[[Array], Array],
-    x0: Array,
-    config: NewtonConfig = DEFAULT_NEWTON,
-) -> NewtonResult:
-    """Solve ``residual(x) = 0`` by Newton iteration from ``x0``.
-
-    ``jacobian(x)`` is the derivative of ``residual`` at ``x``.  Returns the
-    solution together with the iteration count and final residual norm.
-
-    Raises:
-        SingularJacobianError: the linearized system could not be solved.
-        NewtonError: the iteration budget was exhausted; the exception
-            carries the last residual norm.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    res = np.asarray(residual(x), dtype=float)
-    if res.shape != x.shape:
-        raise ValueError(
-            f"residual shape {res.shape} does not match unknown shape {x.shape}"
-        )
-    norm = float(np.abs(res).max()) if res.size else 0.0
-    for iteration in range(config.max_iter):
-        if norm <= config.tol:
-            return NewtonResult(x, iteration, norm)
-        jac = np.asarray(jacobian(x), dtype=float)
-        try:
-            delta = np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(
-                f"singular Jacobian in Newton iteration {iteration}",
-                residual_norm=norm,
-                iterations=iteration,
-            ) from exc
-        x = x - delta
-        res = np.asarray(residual(x), dtype=float)
-        norm = float(np.abs(res).max())
-    if norm <= config.tol:
-        return NewtonResult(x, config.max_iter, norm)
-    raise NewtonError(
-        f"Newton did not converge in {config.max_iter} iterations "
-        f"(residual {norm:.3e})",
-        residual_norm=norm,
-        iterations=config.max_iter,
-    )
 
 
 # ---------------------------------------------------------------------------

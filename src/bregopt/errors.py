@@ -42,9 +42,5 @@ class NewtonError(BregoptError, RuntimeError):
         self.iterations = iterations
 
 
-class SingularJacobianError(NewtonError):
-    """The Jacobian of the residual was singular during a Newton solve."""
-
-
 class ConfigError(BregoptError, ValueError):
     """A benchmark configuration file is malformed or inconsistent."""

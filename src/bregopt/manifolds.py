@@ -21,22 +21,24 @@ diagonal passes the rank threshold and ``Q`` is orthonormal to
 ``RETRACT_ORTH_TOL``; otherwise Householder QR gives ``Q``, and a
 rank-deficient ``X + V`` raises :class:`RetractionError`.
 
-All operations are pure functions of their inputs.  The only state a
-manifold object carries besides its dimensions is the multiplier basis of
-:class:`Stiefel`, built on first use and never changed afterwards (two
-threads racing to build it build the same array), so manifold objects can
-be shared freely across threads.
+The multiplier solve places a drifted point back on the manifold: on the
+sphere it is the small root of a scalar quadratic, on the Stiefel manifold
+an m x m Riccati equation solved by the SHAKE/RATTLE fixed point with exact
+Newton (Lyapunov) steps.
+
+All operations are pure functions of their inputs, and a manifold object
+carries nothing but its dimensions and constants derived from them, so
+manifold objects can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics import NewtonConfig, newton_solve
 from .errors import (
     DimensionError,
     FeasibilityError,
@@ -45,6 +47,9 @@ from .errors import (
     TransportError,
 )
 
+if TYPE_CHECKING:
+    from .dynamics import NewtonConfig
+
 # Default tolerance for accepting a point as feasible on input.
 FEAS_TOL = 1e-8
 # Largest |Q^T Q - I| entry at which the CholeskyQR Stiefel retraction is
@@ -52,6 +57,9 @@ FEAS_TOL = 1e-8
 # from the Householder one by about this much (up to ~1.2x over 6000
 # random 5x5 steps), so it also bounds the change to the retraction.
 RETRACT_ORTH_TOL = 1e-14
+# Halvings of a Newton step of the Stiefel multiplier solve that fails to
+# reduce the residual before the solve gives up.
+NEWTON_HALVINGS = 10
 
 
 def _sphere_multiplier(w: np.ndarray, v: np.ndarray) -> float:
@@ -82,6 +90,20 @@ def _sphere_multiplier(w: np.ndarray, v: np.ndarray) -> float:
         return 0.0
     small = c / (a * big)
     return small if abs(small) <= abs(big) else big
+
+
+def _lyapunov(m: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Solution ``E`` of ``M^T E + E M = F`` for a symmetric ``F``, through
+    the eigendecomposition ``M = V diag(mu) V^{-1}``; NaN where ``M`` has
+    none that numpy can compute."""
+    try:
+        mu, v = np.linalg.eig(m)
+        v_inv = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        return np.full_like(f, np.nan)
+    e = (v.T @ f @ v) / (mu[:, np.newaxis] + mu)
+    e = (v_inv.T @ e @ v_inv).real
+    return (e + e.T) / 2.0
 
 
 class EmbeddedManifold:
@@ -118,7 +140,7 @@ class EmbeddedManifold:
         force ``J(q)^T lam`` acts along the constraint normals at ``q``.
         ``lam0`` is the starting guess of an iterative solve.  Returns the
         multiplier, the normal force ``J(q)^T lam`` as a flat ambient vector
-        and the number of Newton iterations.
+        and the number of iterations of the solve (0 for a closed form).
 
         Raises:
             NewtonError: no multiplier reaches the manifold.
@@ -287,30 +309,11 @@ class Stiefel(EmbeddedManifold):
         self.ambient_dim = n * m
         self.constraint_dim = m * (m + 1) // 2
         self._triu = np.triu_indices(m)
-        self._triu_flat = self._triu[0] * m + self._triu[1]
+        # maps S = L + L^T back to lam, the upper triangle of L
+        self._triu_weight = np.where(self._triu[0] == self._triu[1], 0.5, 1.0)
         self._eye = np.eye(m)
         # Largest |W| entry for which W^T W cannot overflow.
         self._gram_limit = math.sqrt(sys.float_info.max / n)
-
-    @cached_property
-    def _basis(self) -> np.ndarray:
-        """Symmetric m x m basis ``E_k = e_i e_j^T + e_j e_i^T`` of the
-        constraint components ``(i, j)``: ``X E_k`` is the gradient of
-        ``C_k`` at ``X`` and ``J^T lam = X S(lam)`` with ``S = sum lam_k E_k``.
-
-        It holds ``m^3 (m + 1) / 2`` floats (about 400 MB at ``m = 100``),
-        so it is built on first use: only the multiplier solve needs it.
-        """
-        m = self.m
-        basis = np.zeros((self.constraint_dim, m, m))
-        rows = np.arange(self.constraint_dim)
-        basis[rows, self._triu[0], self._triu[1]] += 1.0
-        basis[rows, self._triu[1], self._triu[0]] += 1.0
-        return basis
-
-    @cached_property
-    def _basis_flat(self) -> np.ndarray:
-        return self._basis.reshape(self.constraint_dim, self.m * self.m)
 
     def as_matrix(self, q: np.ndarray) -> np.ndarray:
         """View a flat point as the underlying n x m matrix."""
@@ -324,42 +327,90 @@ class Stiefel(EmbeddedManifold):
         x = self.as_matrix(self._check_dim(q))
         return (x.T @ x - self._eye)[self._triu]
 
-    def _symmetric(self, lam):
-        """``S = L + L^T = sum_k lam_k E_k`` for the upper-triangular ``L``
-        holding ``lam``."""
-        return (lam @ self._basis_flat).reshape(self.m, self.m)
-
     def solve_multiplier(self, drift, q, coeff, lam0, newton):
-        """Newton solve of ``triu((D - X S)^T (D - X S) - I) = 0`` for ``lam``.
+        """Solve ``F(T) = Y^T Y - I = 0`` with ``Y = D - X T``, ``T = coeff S``.
 
-        ``D`` is the drift and ``X = coeff * X_q`` as n x m matrices.  With
-        ``A = (D - X S)^T X`` the derivative along ``lam_k`` is
-        ``-triu(A E_k + E_k A^T) = -triu(B_k + B_k^T)`` for ``B_k = A E_k``,
-        so the n x m work per iteration is O(n m^2) and the d x nm
-        constraint Jacobian is never formed.
+        ``D`` is the drift and ``X`` the point ``q`` as n x m matrices.  The
+        multiplier is the symmetric ``S = L + L^T`` of the upper-triangular
+        ``L`` holding ``lam``, so the normal force ``J(q)^T lam`` is ``X S``.
+        With ``A = X^T D``, ``G = X^T X`` and ``C = D^T D - I`` the equation
+        is the algebraic Riccati equation ``T G T - T A - A^T T + C = 0``.
+
+        The derivative of ``F`` along ``dT`` is ``-(M^T dT + dT M)`` with
+        ``M = X^T Y``, which is near ``I`` for a small step, so the solve
+        iterates the SHAKE/RATTLE fixed point ``S <- S + F / (2 coeff)``
+        (Leimkuhler & Reich 2004, on orthogonality constraints).  A step
+        that does not halve ``max |F|`` is replaced by an exact Newton step,
+        ``S <- S + E / coeff`` with ``E`` the solution of the Lyapunov
+        equation ``M^T E + E M = F``: for ``M = V diag(mu) V^{-1}``,
+        ``E = V^{-T} [(V^T F V)_ij / (mu_i + mu_j)] V^{-1}``.  A Newton step
+        that does not reduce ``max |F|`` is halved, up to
+        ``NEWTON_HALVINGS`` times, so the residual never grows.  Each step
+        costs O(n m^2 + m^3).  Returns ``lam = triu(S)`` with its diagonal
+        halved.
+
+        Raises:
+            NewtonError: ``max |F|`` is still above ``newton.tol`` after
+                ``newton.max_iter`` steps, is not finite, or no halving of a
+                Newton step reduces it.  The message calls the constraint
+                unreachable when the Hamiltonian matrix
+                ``K = [[A, -G], [C, -A^T]]`` of the Riccati equation has an
+                eigenvalue on the imaginary axis, where its real solutions
+                are lost.
         """
-        xq = self.as_matrix(q)
-        dm = self.as_matrix(drift)
-        x = coeff * xq
-        last = [None, None]  # newton_solve differentiates where it last evaluated
+        x = self.as_matrix(q)
+        d = self.as_matrix(drift)
+        s = np.zeros((self.m, self.m))
+        s[self._triu] = lam0
+        s = s + s.T
 
-        def landing(lam):
-            if last[0] is not lam:
-                last[:] = lam, dm - x @ self._symmetric(lam)
-            return last[1]
+        def landing(s):
+            y = d - x @ (coeff * s)
+            f = y.T @ y - self._eye
+            return y, f, float(np.abs(f).max())
 
-        def residual(lam):
-            y = landing(lam)
-            return (y.T @ y - self._eye)[self._triu]
+        iterations = 0
+        # a failing solve may overflow; each residual is tested instead
+        with np.errstate(all="ignore"):
+            y, f, norm = landing(s)
+            while not norm <= newton.tol:
+                if iterations == newton.max_iter or not math.isfinite(norm):
+                    raise self._multiplier_error(x, d, iterations, norm)
+                trial = s + f / (2.0 * coeff)
+                y_next, f_next, norm_next = landing(trial)
+                if not norm_next <= 0.5 * norm:
+                    # the Newton step, halved until it reduces the residual
+                    step = _lyapunov(x.T @ y, f) / coeff
+                    for _ in range(NEWTON_HALVINGS + 1):
+                        trial = s + step
+                        y_next, f_next, norm_next = landing(trial)
+                        if norm_next < norm:
+                            break
+                        step = step / 2.0
+                    else:
+                        raise self._multiplier_error(x, d, iterations, norm)
+                s, y, f, norm = trial, y_next, f_next, norm_next
+                iterations += 1
+        return s[self._triu] * self._triu_weight, self.from_matrix(x @ s), iterations
 
-        def jacobian(lam):
-            b = (landing(lam).T @ x) @ self._basis
-            b = b + b.transpose(0, 2, 1)
-            return -b.reshape(self.constraint_dim, -1)[:, self._triu_flat].T
-
-        result = newton_solve(residual, jacobian, lam0, newton)
-        normal = self.from_matrix(xq @ self._symmetric(result.x))
-        return result.x, normal, result.iterations
+    def _multiplier_error(self, x, d, iterations, norm):
+        """The :class:`NewtonError` of a failed :meth:`solve_multiplier`."""
+        a = x.T @ d
+        k = np.block([[a, -(x.T @ x)], [d.T @ d - self._eye, -a.T]])
+        message = f"Newton did not converge in {iterations} iterations (residual {norm:.3e})"
+        try:  # a non-finite K has no eigenvalues
+            mu = np.linalg.eigvals(k)
+        except np.linalg.LinAlgError:
+            mu = np.array([math.nan])
+        gap = float(np.abs(mu.real).min())
+        # eigenvalues on the axis sit there to rounding; a solvable step
+        # keeps them near +-1
+        if gap <= 1e-8 * float(np.abs(mu).max()):
+            message += (
+                f"; stiefel constraint unreachable: the Riccati Hamiltonian has an "
+                f"eigenvalue on the imaginary axis (|Re| {gap:.1e})"
+            )
+        return NewtonError(message, residual_norm=norm, iterations=iterations)
 
     def _project(self, q, z):
         return self._project_at(self.as_matrix(q), z)

@@ -137,7 +137,8 @@ def htvi_step(
     started from ``state.lam``, and returns the normal force that corrects
     the momentum.
 
-    Returns the new state and the number of inner Newton iterations.
+    Returns the new state and the number of iterations of the multiplier
+    solve.
     """
     if direction not in ("direct", "adaptive"):
         raise ValueError("direction must be 'direct' or 'adaptive'")
@@ -174,8 +175,6 @@ def el_step(
     v: np.ndarray,
     k: int,
     riemannian_grad,
-    *,
-    check_points: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Semi-implicit Euler step of the accelerated-flow velocity recursion.
 
@@ -183,9 +182,9 @@ def el_step(
     objective there.  Version 1 evaluates the gradient at ``x``; version 2
     at the trial point reached by following the damped velocity alone.
     The gradient coefficient grows polynomially in ``k`` and is clamped at
-    ``params.coeff_cap``.  The velocity transport checks that ``x`` and
-    the new point lie on the manifold; ``check_points=False`` skips that
-    for a caller that checks every iterate itself, as :func:`run` does.
+    ``params.coeff_cap``.  The velocity transport does not check that
+    ``x`` and the new point lie on the manifold: :func:`run` checks every
+    iterate itself.
     """
     if version not in (1, 2):
         raise ValueError("version must be 1 or 2")
@@ -200,8 +199,7 @@ def el_step(
         grad = riemannian_grad(manifold.retract(x, (h * b_k) * v))
     a_k = b_k * v - (h * c_k) * grad
     x_next = manifold.retract(x, h * a_k)
-    transport = manifold.transport if check_points else manifold._transport
-    v_next = transport(x, x_next, a_k)
+    v_next = manifold._transport(x, x_next, a_k)
     return x_next, v_next
 
 
@@ -234,7 +232,9 @@ def _htvi_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
         state, iters = htvi_step(
             direction, config.params, manifold, state, grad, f_val, config.newton
         )
-        if not state.is_finite():
+        # one scalar test: a NaN or an infinity in any entry reaches the sum
+        if not math.isfinite(float(state.q @ state.q) + float(state.r @ state.r)
+                             + state.q_t + state.r_t):
             raise BregoptError("non-finite state")
         return state.q, state.q_t, iters
 
@@ -253,11 +253,10 @@ def _el_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
     def advance(k, f_val, grad, rgrad):
         nonlocal x, v
         # version 1 evaluates the gradient at the current point, which the
-        # run loop has already done; the run loop also checks every iterate
+        # run loop has already done
         x, v = el_step(version, config.params, manifold, x, v, k,
-                       (lambda point: rgrad) if version == 1 else riemannian_grad,
-                       check_points=False)
-        if not (np.isfinite(x).all() and np.isfinite(v).all()):
+                       (lambda point: rgrad) if version == 1 else riemannian_grad)
+        if not math.isfinite(float(x @ x) + float(v @ v)):
             raise BregoptError("non-finite state")
         return x, k * config.params.h, None
 
@@ -270,7 +269,7 @@ def _rgd_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
     def advance(k, f_val, grad, rgrad):
         nonlocal x
         x = rgd_step(problem.manifold, x, config.params.h, rgrad)
-        if not np.isfinite(x).all():
+        if not math.isfinite(float(x @ x)):
             raise BregoptError("non-finite state")
         return x, k * config.params.h, None
 

@@ -1,10 +1,63 @@
 """Test-local geometry references: the dense constraint Jacobian, which the
-package never forms, and an unconstrained (``d = 0``) manifold for the
-unconstrained limit of the constrained maps."""
+package never forms, a dense Newton solver for the reference solves built
+on it, and an unconstrained (``d = 0``) manifold for the unconstrained
+limit of the constrained maps."""
+
+from typing import NamedTuple
 
 import numpy as np
 
+from bregopt.dynamics import NewtonConfig
+from bregopt.errors import NewtonError
 from bregopt.manifolds import EmbeddedManifold, Sphere, Stiefel
+
+
+class NewtonResult(NamedTuple):
+    x: np.ndarray
+    iterations: int
+    residual_norm: float
+
+
+def newton_solve(residual, jacobian, x0, config=NewtonConfig()):
+    """Solve ``residual(x) = 0`` by Newton iteration from ``x0``.
+
+    ``jacobian(x)`` is the derivative of ``residual`` at ``x``.  Returns the
+    solution together with the iteration count and final residual norm.
+
+    Raises:
+        NewtonError: the linearized system could not be solved ("singular
+            Jacobian"), or the iteration budget was exhausted; the exception
+            carries the last residual norm.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    res = np.asarray(residual(x), dtype=float)
+    if res.shape != x.shape:
+        raise ValueError(
+            f"residual shape {res.shape} does not match unknown shape {x.shape}"
+        )
+    norm = float(np.abs(res).max()) if res.size else 0.0
+    for iteration in range(config.max_iter):
+        if norm <= config.tol:
+            return NewtonResult(x, iteration, norm)
+        try:
+            delta = np.linalg.solve(np.asarray(jacobian(x), dtype=float), res)
+        except np.linalg.LinAlgError as exc:
+            raise NewtonError(
+                f"singular Jacobian in Newton iteration {iteration}",
+                residual_norm=norm,
+                iterations=iteration,
+            ) from exc
+        x = x - delta
+        res = np.asarray(residual(x), dtype=float)
+        norm = float(np.abs(res).max())
+    if norm <= config.tol:
+        return NewtonResult(x, config.max_iter, norm)
+    raise NewtonError(
+        f"Newton did not converge in {config.max_iter} iterations "
+        f"(residual {norm:.3e})",
+        residual_norm=norm,
+        iterations=config.max_iter,
+    )
 
 
 def loop_stiefel_jacobian(st, q):

@@ -3,19 +3,21 @@
 import dataclasses
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from bregopt.bregman import BregmanParams, ExtendedState
 from bregopt.cli import DEFAULT_DIMS, build_problem, build_run_config
-from bregopt.dynamics import DEFAULT_NEWTON, NewtonConfig, newton_solve
-from bregopt.errors import DimensionError, FeasibilityError, NewtonError
-from bregopt.manifolds import Sphere, Stiefel
+from bregopt.dynamics import DEFAULT_NEWTON, NewtonConfig
+from bregopt.errors import DimensionError, NewtonError
+from bregopt import optimizers
+from bregopt.manifolds import Sphere, Stiefel, _lyapunov
 from bregopt.optimizers import METHODS, RunConfig, el_step, htvi_step, rgd_step, run
 from bregopt.problems import make_instance, rayleigh
 
-from reference_geometry import Unconstrained, constraint_jacobian
+from reference_geometry import Unconstrained, constraint_jacobian, newton_solve
 
 
 def bisection_roots(fun, center, width=50.0, tol=1e-14):
@@ -137,20 +139,62 @@ class TestSolveMultiplier:
                 else np.zeros(st.constraint_dim)
             drift = q + coeff * base
             lam, normal, iters = st.solve_multiplier(drift, q, coeff, lam0, DEFAULT_NEWTON)
-            ref_lam, ref_normal, ref_iters = dense_multiplier(
-                st, drift, q, coeff, lam0, DEFAULT_NEWTON)
-            assert iters == ref_iters >= 1
-            np.testing.assert_allclose(lam, ref_lam, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(normal, ref_normal, rtol=0, atol=1e-12)
+            ref_lam, ref_normal, _ = dense_multiplier(st, drift, q, coeff, lam0, DEFAULT_NEWTON)
+            assert 1 <= iters <= DEFAULT_NEWTON.max_iter
             assert st.constraint_violation(q + coeff * (base - normal)) <= DEFAULT_NEWTON.tol
+            # both solves stop with max |F| <= tol and T = coeff S moves F
+            # about twice as fast, so the multipliers agree to tol / coeff
+            # (measured: at most 0.35 of it)
+            atol = DEFAULT_NEWTON.tol / coeff
+            np.testing.assert_allclose(lam, ref_lam, rtol=0, atol=atol)
+            np.testing.assert_allclose(normal, ref_normal, rtol=0, atol=atol)
 
     def test_stiefel_failure_is_newton_error(self):
-        # a drift far from any point the normals can reach exhausts the budget
+        # a drift far from any point the normals can reach: the Newton step
+        # cannot reduce the residual, and the solve stops there
         st = Stiefel(6, 2)
         q = st.random_point(np.random.default_rng(1))
         newton = NewtonConfig(max_iter=5)
-        with pytest.raises(NewtonError, match="Newton did not converge in 5 iterations"):
+        with pytest.raises(NewtonError, match="Newton did not converge") as info:
             st.solve_multiplier(q + 50.0, q, 1e-3, np.zeros(3), newton)
+        assert "unreachable" in str(info.value)
+        assert info.value.iterations < newton.max_iter
+
+    @pytest.mark.parametrize("shift", [1e200, math.inf, math.nan])
+    def test_stiefel_non_finite_residual_is_newton_error(self, shift):
+        # a residual that overflows or is NaN ends the solve without a warning
+        st = Stiefel(6, 2)
+        q = st.random_point(np.random.default_rng(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NewtonError, match="Newton did not converge in 0 iterations"):
+                st.solve_multiplier(q + shift, q, 1e-3, np.zeros(3), DEFAULT_NEWTON)
+
+    def test_stiefel_budget_exhaustion(self):
+        # a reachable drift with too small a budget
+        st = Stiefel(6, 2)
+        rng = np.random.default_rng(2)
+        q = st.random_point(rng)
+        drift = q + 0.2 * rng.standard_normal(12)
+        with pytest.raises(NewtonError, match="Newton did not converge in 1 iterations") \
+                as info:
+            st.solve_multiplier(drift, q, 0.2, np.zeros(3), NewtonConfig(max_iter=1))
+        assert "unreachable" not in str(info.value)
+        assert info.value.iterations == 1
+        assert info.value.residual_norm > DEFAULT_NEWTON.tol
+
+    def test_lyapunov_step_solves_its_equation(self):
+        # M^T E + E M = F for an M near I, as in the solve, and for one with
+        # complex eigenvalues
+        rng = np.random.default_rng(4)
+        rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+        for m in (np.eye(5) + 0.2 * rng.standard_normal((5, 5)),
+                  np.kron(np.eye(2), rotation) + 0.05 * rng.standard_normal((4, 4))):
+            f = rng.standard_normal(m.shape)
+            f = f + f.T
+            e = _lyapunov(m, f)
+            np.testing.assert_allclose(m.T @ e + e @ m, f, rtol=0, atol=1e-13)
+            np.testing.assert_array_equal(e, e.T)
 
     def test_sphere_bit_equal_to_closed_form(self):
         sphere = Sphere(5)
@@ -206,8 +250,34 @@ class TestSolveMultiplier:
         reference = run(config, dense)
         assert not trace.failed and not reference.failed
         assert len(trace) == len(reference) == 1001
-        assert trace.newton_iters == reference.newton_iters
-        np.testing.assert_allclose(trace.fs, reference.fs, rtol=0, atol=1e-10)
+        assert max(trace.newton_iters[1:]) <= config.newton.max_iter
+        assert max(trace.constraint_violations) <= 1e-9
+        # the two solves stop at different points within newton.tol; the
+        # largest gap measured over the four runs is 1.1e-8
+        np.testing.assert_allclose(trace.fs, reference.fs, rtol=0, atol=3e-8)
+
+
+    @pytest.mark.parametrize("name,method,seed,rows", [
+        ("brockett", "htvi_adaptive", 0, 1487),
+        ("procrustes", "htvi_direct", 0, 4019),
+        ("procrustes", "htvi_adaptive", 0, 1249),
+        # the step before the failure needs a halved Newton step
+        ("procrustes", "htvi_direct", 9, 4043),
+    ])
+    def test_default_failures_are_classified_unreachable(self, name, method, seed, rows):
+        # at these steps the multiplier equation loses its real solutions;
+        # the solve stops there, before its iterates overflow
+        problem = build_problem({"name": name, "seed": seed})
+        initial = problem.manifold.random_point(np.random.default_rng(seed))
+        config = build_run_config({"method": method, "max_iters": 12000})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run(config, problem, initial)
+        assert trace.failed
+        assert len(trace) == rows
+        assert "Newton did not converge" in trace.failure_reason
+        assert "unreachable" in trace.failure_reason
+        assert max(trace.constraint_violations) <= 1e-9
 
 
 class TestHtviStep:
@@ -397,22 +467,6 @@ class TestElStep:
         with pytest.raises(ValueError):
             el_step(3, params, sphere, x, np.zeros(3), 1, lambda point: np.zeros(3))
 
-    @pytest.mark.parametrize("manifold", [Sphere(3), Stiefel(4, 2)])
-    def test_transport_checks_the_start_point(self, manifold):
-        # the gradient is taken elsewhere (version 2) and the retraction
-        # lands on the manifold, so only the transport sees an off-manifold x
-        params = BregmanParams(p=2.0, h=0.1)
-        rng = np.random.default_rng(8)
-        x = manifold.random_point(rng)
-        v = manifold.random_tangent(x, rng)
-        rgrad = lambda point: np.zeros_like(point)
-        with pytest.raises(FeasibilityError):
-            el_step(2, params, manifold, 1.1 * x, v, 5, rgrad)
-        checked = el_step(2, params, manifold, x, v, 5, rgrad)
-        unchecked = el_step(2, params, manifold, x, v, 5, rgrad, check_points=False)
-        for a, b in zip(checked, unchecked):
-            np.testing.assert_array_equal(a, b)
-
 
 class TestRgdStep:
     def test_critical_point_fixed(self):
@@ -528,6 +582,42 @@ class TestRunDriver:
         assert "violates constraint by nan" in trace.failure_reason
         assert len(trace) == 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("method,part", [
+        ("htvi_direct", "r"), ("htvi_adaptive", "r_t"), ("el_v1", "v"), ("el_v2", "x"),
+        ("rgd", "x"),
+    ])
+    def test_non_finite_step_marks_trace_failed(self, method, part, bad, monkeypatch):
+        # one bad entry in one part of the new state ends the run
+        def corrupt(array):
+            array = array.copy()
+            array[0] = bad
+            return array
+
+        if method.startswith("htvi"):
+            step = optimizers.htvi_step
+
+            def bad_step(*args):
+                state, iters = step(*args)
+                value = corrupt(state.r) if part == "r" else bad
+                return dataclasses.replace(state, **{part: value}), iters
+            monkeypatch.setattr(optimizers, "htvi_step", bad_step)
+        elif method.startswith("el"):
+            step = optimizers.el_step
+
+            def bad_step(*args):
+                x, v = step(*args)
+                return (corrupt(x), v) if part == "x" else (x, corrupt(v))
+            monkeypatch.setattr(optimizers, "el_step", bad_step)
+        else:
+            step = optimizers.rgd_step
+            monkeypatch.setattr(optimizers, "rgd_step", lambda *args: corrupt(step(*args)))
+        prob = make_instance("rayleigh", (6,), seed=0)
+        trace = run(RunConfig(method=method, params=BregmanParams(p=4.0), max_iters=5), prob)
+        assert trace.failed
+        assert trace.failure_reason == "non-finite state"
+        assert len(trace) == 1
+
     @pytest.mark.parametrize("name,dims", [("rayleigh", (6,)), ("brockett", (6, 2))])
     def test_wrong_length_initial_point_raises(self, name, dims):
         prob = make_instance(name, dims, seed=0)
@@ -618,22 +708,15 @@ class TestRunDriver:
         per_step = 1 if method == "el_v2" else 0
         assert manifold.constraint_calls == len(trace) + per_step * (len(trace) - 1)
 
-    @pytest.mark.parametrize("method", ["rgd", "el_v2"])
-    def test_large_stiefel_never_builds_multiplier_basis(self, method):
-        # the multiplier basis holds m^3 (m + 1) / 2 floats, about 400 MB
-        # here; only HTVI's multiplier solve needs it
-        prob = make_instance("brockett", (200, 100), seed=18)
-        cfg = RunConfig(method=method, params=BregmanParams(p=2.0, h=1e-3), max_iters=3)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_large_stiefel_stays_on_the_manifold(self, method):
+        # m = 40: the HTVI multiplier solve works on m x m matrices
+        prob = make_instance("brockett", (200, 40), seed=18)
+        cfg = RunConfig(method=method, params=BregmanParams(p=6.0, h=1e-3), max_iters=3)
         trace = run(cfg, prob)
         assert not trace.failed
         assert len(trace) == 4
-        assert "_basis" not in vars(prob.manifold)
-
-    def test_htvi_builds_multiplier_basis_on_first_use(self):
-        prob = make_instance("brockett", (6, 2), seed=18)
-        assert "_basis" not in vars(prob.manifold)
-        run(RunConfig(method="htvi_direct", params=BregmanParams(p=4.0), max_iters=2), prob)
-        assert vars(prob.manifold)["_basis"].shape == (3, 2, 2)
+        assert max(trace.constraint_violations) <= 1e-9
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -663,15 +746,15 @@ GOLDEN_DIGESTS = {
         "rgd": "aa31c9c98489d11e",
     },
     "brockett": {
-        "htvi_direct": "5186d29b065d5c9f",
-        "htvi_adaptive": "a67393418f983d99",
+        "htvi_direct": "d8d87a5fc29cc8c5",
+        "htvi_adaptive": "c5e398093730fcb7",
         "el_v1": "d63fb73299d909ac",
         "el_v2": "fdaa6886c4e0cff2",
         "rgd": "8c3e622b22c03f4f",
     },
     "procrustes": {
-        "htvi_direct": "18b43fa1f2369fea",
-        "htvi_adaptive": "a264c52d37d5aabb",
+        "htvi_direct": "06ab4a9fa2057c94",
+        "htvi_adaptive": "e7d022d9eccbc364",
         "el_v1": "87b9f32e5d270855",
         "el_v2": "3b4d72f4c388ff5c",
         "rgd": "b26c47afba8aa9f6",
