@@ -413,6 +413,14 @@ def _prepare(config: dict):
     return problem, run_configs, labels, initial
 
 
+def _report(label: str, trace: Trace) -> None:
+    """Print the outcome of one method block's run."""
+    if trace.failed:
+        print(f"{label}: FAILED ({trace.failure_reason})")
+    else:
+        print(f"{label}: {len(trace) - 1} iterations, final f = {trace.fs[-1]:.6e}")
+
+
 def cmd_run(config_path: str, out_override: str | None = None) -> int:
     """Run every method block; write one CSV per block."""
     config = _load_json(config_path)
@@ -422,11 +430,8 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
     for run_config, label in zip(run_configs, labels):
         trace = optimizers.run(run_config, problem, initial)
         write_trace_csv(out_dir / f"{label}.csv", trace)
-        if trace.failed:
-            print(f"{label}: FAILED ({trace.failure_reason})")
-            failed = True
-        else:
-            print(f"{label}: {len(trace) - 1} iterations, final f = {trace.fs[-1]:.6e}")
+        _report(label, trace)
+        failed = failed or trace.failed
     return EXIT_NUMERICAL if failed else EXIT_OK
 
 
@@ -448,14 +453,9 @@ def cmd_compare(config_path: str, out_override: str | None = None,
     for run_config, label in zip(run_configs, labels):
         trace = optimizers.run(run_config, problem, initial)
         lines.extend(_trace_lines(trace, (label,)))
-        if trace.failed:
-            failed = True
-            print(f"{label}: FAILED ({trace.failure_reason})")
-        else:
-            print(f"{label}: {len(trace) - 1} iterations, final f = {trace.fs[-1]:.6e}")
-        values = (
-            [e for e in trace.errors_vs_oracle] if has_oracle else list(trace.fs)
-        )
+        _report(label, trace)
+        failed = failed or trace.failed
+        values = list(trace.errors_vs_oracle if has_oracle else trace.fs)
         pairs = [(k, v) for k, v in zip(trace.ks, values) if v is not None]
         series.append((label, [k for k, _ in pairs], [v for _, v in pairs]))
     _write_csv(out_dir / "compare.csv", ("method",) + CSV_COLUMNS, lines)
@@ -503,12 +503,10 @@ def _order_check_system(name: str):
         # The raw two-point momentum carries an O(h) constraint-normal
         # component; projecting it onto the cotangent space leaves the
         # position recursion unchanged and restores second-order momenta.
-        # The multiplier solve has just put q_next on the sphere, so the
-        # unchecked projection skips project_momentum's feasibility check.
         def step(state, h):
             q, p = state[:3], state[3:]
             result = dynamics.constrained_lagrangian_map(lagrangian, manifold, q, p, h)
-            p_next = manifold._project(result.q_next, result.p_next)
+            p_next = manifold.tangent_project(result.q_next, result.p_next)
             return np.concatenate([result.q_next, p_next])
 
         q0 = np.array([0.6, 0.0, 0.8])

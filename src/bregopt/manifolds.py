@@ -1,12 +1,31 @@
 """Embedded-submanifold geometry for the unit sphere and the Stiefel manifold.
 
 Each manifold is described by a constraint map ``C`` whose zero level set is
-the manifold, together with the operations needed by the constrained
-integrators and optimizers: the Lagrange-multiplier solve that places a
-drifted point back on the manifold, tangent-space projection, retraction,
-vector transport and Riemannian gradient.  The ambient metric is the
-Frobenius (flat dot product) inner product throughout, so cotangent vectors
-are identified with tangent vectors component-wise.
+the manifold.  Its operations are one method each, called alike by the
+integrators, the optimizers and the tests:
+
+* ``constraint`` and ``constraint_violation``: ``C(q)`` and its infinity
+  norm;
+* ``solve_multiplier``: the Lagrange-multiplier solve of the HTVI step,
+  which places a drifted point back on the manifold (on the sphere the
+  small root of a scalar quadratic, on the Stiefel manifold an m x m
+  Riccati equation solved by the SHAKE/RATTLE fixed point with exact
+  Newton (Lyapunov) steps);
+* ``gradient_and_violation``: the Riemannian gradient and the constraint
+  violation at an iterate, from one constraint evaluation;
+* ``tangent_project``, ``retract`` and ``transport``: the geometry of the
+  retraction-based EL and gradient-descent steps;
+* ``random_point``: a seeded start point.
+
+The ambient metric is the Frobenius (flat dot product) inner product
+throughout, so cotangent vectors are identified with tangent vectors
+component-wise.
+
+Inputs are checked where they enter the program, not on every call:
+``constraint`` checks the length of its point, ``run`` checks the start
+point, and ``gradient_and_violation`` raises :class:`FeasibilityError` when
+an iterate violates the constraint by more than ``FEAS_TOL`` (or by NaN).
+The other operations take points the steppers built and check nothing.
 
 Points and tangent vectors are flat 1-D arrays of length ``ambient_dim``.
 Stiefel points are n x m matrices with orthonormal columns, flattened in
@@ -20,11 +39,6 @@ It is accepted only when the Cholesky factorization succeeds, ``L``'s
 diagonal passes the rank threshold and ``Q`` is orthonormal to
 ``RETRACT_ORTH_TOL``; otherwise Householder QR gives ``Q``, and a
 rank-deficient ``X + V`` raises :class:`RetractionError`.
-
-The multiplier solve places a drifted point back on the manifold: on the
-sphere it is the small root of a scalar quadratic, on the Stiefel manifold
-an m x m Riccati equation solved by the SHAKE/RATTLE fixed point with exact
-Newton (Lyapunov) steps.
 
 All operations are pure functions of their inputs, and a manifold object
 carries nothing but its dimensions and constants derived from them, so
@@ -106,6 +120,16 @@ def _lyapunov(m: np.ndarray, f: np.ndarray) -> np.ndarray:
     return (e + e.T) / 2.0
 
 
+def positive_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q factor of the reduced QR factorization of ``a`` with R's diagonal
+    made positive, which makes it unique for a full-rank ``a``, and R's
+    diagonal before the sign change."""
+    q, r = np.linalg.qr(a)
+    diag = r.diagonal()
+    np.negative(q, out=q, where=diag < 0.0)
+    return q, diag
+
+
 class EmbeddedManifold:
     """A submanifold of ``R^N`` given as the zero set of a constraint.
 
@@ -153,63 +177,35 @@ class EmbeddedManifold:
 
     # -- geometry -----------------------------------------------------------
 
-    def tangent_project(self, q: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of ``z`` onto the tangent space at ``q``.
+    def gradient_and_violation(
+        self, q: np.ndarray, ambient_grad: np.ndarray
+    ) -> tuple[np.ndarray, float]:
+        """Riemannian gradient (the tangent projection of ``ambient_grad``)
+        and :meth:`constraint_violation` at ``q``, from one constraint
+        evaluation.  Both arguments must be float arrays of length
+        ``ambient_dim``.
 
         Raises:
-            FeasibilityError: ``q`` is off the manifold.
+            FeasibilityError: ``q`` violates the constraint by more than
+                ``FEAS_TOL``, or by NaN.
         """
-        q = self._check_dim(q)
-        self._check_feasible(q)
-        return self._project(q, self._check_dim(z))
+        raise NotImplementedError
 
-    def _project(self, q: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """:meth:`tangent_project` without the checks of its inputs."""
+    def tangent_project(self, q: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Orthogonal projection of ``z`` onto the tangent space at ``q``."""
         raise NotImplementedError
 
     def retract(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """First-order map from the tangent space at ``q`` back to the manifold."""
+        """First-order map from the tangent space at ``q`` back to the
+        manifold; a zero ``v`` gives back ``q`` bit for bit."""
         raise NotImplementedError
 
     def transport(self, q_from: np.ndarray, q_to: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Move a tangent vector at ``q_from`` to the tangent space at ``q_to``.
-
-        Raises:
-            FeasibilityError: ``q_from`` or ``q_to`` is off the manifold.
-        """
-        q_from = self._check_dim(q_from)
-        self._check_feasible(q_from)
-        q_to = self._check_dim(q_to)
-        self._check_feasible(q_to)
-        return self._transport(q_from, q_to, self._check_dim(v))
-
-    def _transport(self, q_from: np.ndarray, q_to: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """:meth:`transport` without the checks of its inputs."""
+        """Move a tangent vector at ``q_from`` to the tangent space at ``q_to``."""
         raise NotImplementedError
-
-    def riemannian_gradient(self, q: np.ndarray, ambient_grad: np.ndarray) -> np.ndarray:
-        """Riemannian gradient: the tangent projection of the ambient gradient."""
-        return self.tangent_project(q, ambient_grad)
-
-    def _gradient_and_violation(
-        self, q: np.ndarray, ambient_grad: np.ndarray
-    ) -> tuple[np.ndarray, float]:
-        """:meth:`riemannian_gradient` and :meth:`constraint_violation` at
-        ``q`` from one constraint evaluation.  Both arguments must already be
-        float arrays of length ``ambient_dim``; they are not checked.
-
-        Raises:
-            FeasibilityError: ``q`` is off the manifold.
-        """
-        raise NotImplementedError
-
-    # -- sampling helpers ---------------------------------------------------
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
-
-    def random_tangent(self, q: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self.tangent_project(q, rng.standard_normal(self.ambient_dim))
 
     # -- validation ---------------------------------------------------------
 
@@ -221,10 +217,6 @@ class EmbeddedManifold:
                 f"got shape {q.shape}"
             )
         return q
-
-    def _check_feasible(self, q: np.ndarray) -> float:
-        """Constraint violation of ``q``, which must be within ``FEAS_TOL``."""
-        return self._check_violation(self.constraint_violation(q))
 
     def _check_violation(self, violation: float) -> float:
         """``violation`` if it is within ``FEAS_TOL``; a NaN is not."""
@@ -260,16 +252,14 @@ class Sphere(EmbeddedManifold):
         lam = _sphere_multiplier(drift, coeff * grad)
         return np.array([lam]), grad * lam, 0
 
-    def _project(self, q, z):
+    def gradient_and_violation(self, q, ambient_grad):
+        violation = self._check_violation(abs(float(q @ q) - 1.0))
+        return self.tangent_project(q, ambient_grad), violation
+
+    def tangent_project(self, q, z):
         return z - (q @ z) * q
 
-    def _gradient_and_violation(self, q, ambient_grad):
-        violation = self._check_violation(abs(float(q @ q) - 1.0))
-        return self._project(q, ambient_grad), violation
-
     def retract(self, q, v):
-        q = self._check_dim(q)
-        v = self._check_dim(v)
         if not v.any():
             return q.copy()
         w = q + v
@@ -278,7 +268,7 @@ class Sphere(EmbeddedManifold):
             raise RetractionError("sphere retraction undefined: q + v is zero")
         return w / norm
 
-    def _transport(self, x, y, v):
+    def transport(self, x, y, v):
         """Exact parallel transport along the great circle joining the points."""
         c = x @ y
         if 1.0 + c < 1e-12:
@@ -412,21 +402,21 @@ class Stiefel(EmbeddedManifold):
             )
         return NewtonError(message, residual_norm=norm, iterations=iterations)
 
-    def _project(self, q, z):
-        return self._project_at(self.as_matrix(q), z)
-
-    def _project_at(self, x, z):
-        """:meth:`_project` at the n x m matrix ``x``."""
-        zm = z.reshape(x.shape, order="F")
-        xtz = x.T @ zm
-        return (zm - x @ ((xtz + xtz.T) / 2.0)).reshape(-1, order="F")
-
-    def _gradient_and_violation(self, q, ambient_grad):
+    def gradient_and_violation(self, q, ambient_grad):
         x = q.reshape((self.n, self.m), order="F")
         violation = self._check_violation(
             float(np.abs((x.T @ x - self._eye)[self._triu]).max())
         )
         return self._project_at(x, ambient_grad), violation
+
+    def tangent_project(self, q, z):
+        return self._project_at(self.as_matrix(q), z)
+
+    def _project_at(self, x, z):
+        """:meth:`tangent_project` at the n x m matrix ``x``."""
+        zm = z.reshape(x.shape, order="F")
+        xtz = x.T @ zm
+        return (zm - x @ ((xtz + xtz.T) / 2.0)).reshape(-1, order="F")
 
     def retract(self, q, v):
         """Q factor of the QR factorization of ``W = X + V`` with R's
@@ -444,8 +434,6 @@ class Stiefel(EmbeddedManifold):
         Raises:
             RetractionError: ``W`` is rank deficient.
         """
-        q = self._check_dim(q)
-        v = self._check_dim(v)
         if not v.any():
             return q.copy()
         w = (q + v).reshape((self.n, self.m), order="F")
@@ -461,19 +449,14 @@ class Stiefel(EmbeddedManifold):
                 qf = np.linalg.solve(low, w.T).T
                 if np.abs(qf.T @ qf - self._eye).max() <= RETRACT_ORTH_TOL:
                     return qf.reshape(-1, order="F")
-        qf, r = np.linalg.qr(w)
-        diag = r.diagonal()
+        qf, diag = positive_qr(w)
         if (np.abs(diag) < rank_tol).any():
             raise RetractionError("QR retraction undefined: X + V is rank deficient")
-        np.negative(qf, out=qf, where=diag < 0.0)
         return self.from_matrix(qf)
 
-    def _transport(self, q_from, q_to, v):
+    def transport(self, q_from, q_to, v):
         """Projection-based vector transport onto the tangent space at ``q_to``."""
-        return self._project(q_to, v)
+        return self.tangent_project(q_to, v)
 
     def random_point(self, rng):
-        a = rng.standard_normal((self.n, self.m))
-        qf, r = np.linalg.qr(a)
-        qf = qf * np.where(np.diag(r) < 0.0, -1.0, 1.0)
-        return self.from_matrix(qf)
+        return self.from_matrix(positive_qr(rng.standard_normal((self.n, self.m)))[0])

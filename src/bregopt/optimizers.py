@@ -15,7 +15,7 @@ Three families are provided:
 per-iteration :class:`Trace`.  Each method contributes only a step closure;
 one loop evaluates each iterate once (``ProblemSpec.value_and_grad`` for the
 objective and its ambient gradient, the manifold's
-``_gradient_and_violation`` for the Riemannian gradient and the constraint
+``gradient_and_violation`` for the Riemannian gradient and the constraint
 violation), records the row, tests the stop and turns any step or
 evaluation failure into a failed trace, so every method is recorded,
 stopped and failed alike.  Traces accumulate locally, so independent runs
@@ -182,9 +182,9 @@ def el_step(
     objective there.  Version 1 evaluates the gradient at ``x``; version 2
     at the trial point reached by following the damped velocity alone.
     The gradient coefficient grows polynomially in ``k`` and is clamped at
-    ``params.coeff_cap``.  The velocity transport does not check that
-    ``x`` and the new point lie on the manifold: :func:`run` checks every
-    iterate itself.
+    ``params.coeff_cap``.  Neither the retraction nor the velocity
+    transport checks that its points lie on the manifold: :func:`run`
+    checks every iterate itself.
     """
     if version not in (1, 2):
         raise ValueError("version must be 1 or 2")
@@ -199,7 +199,7 @@ def el_step(
         grad = riemannian_grad(manifold.retract(x, (h * b_k) * v))
     a_k = b_k * v - (h * c_k) * grad
     x_next = manifold.retract(x, h * a_k)
-    v_next = manifold._transport(x, x_next, a_k)
+    v_next = manifold.transport(x, x_next, a_k)
     return x_next, v_next
 
 
@@ -248,7 +248,7 @@ def _el_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
 
     def riemannian_grad(point):
         # the look-ahead point is a fresh retraction, gated like an iterate
-        return manifold._gradient_and_violation(point, problem.ambient_grad(point))[0]
+        return manifold.gradient_and_violation(point, problem.ambient_grad(point))[0]
 
     def advance(k, f_val, grad, rgrad):
         nonlocal x, v
@@ -284,7 +284,7 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
     standard extended state (zero momenta, unit time coordinate).  Each
     iterate is evaluated once: ``problem.value_and_grad`` gives the
     objective and its ambient gradient, and the manifold's
-    ``_gradient_and_violation`` the Riemannian gradient and the constraint
+    ``gradient_and_violation`` the Riemannian gradient and the constraint
     violation.  The same values are recorded and passed to the next step,
     and the recorded violation is the one that must be within ``FEAS_TOL``
     (a NaN is not) for the gradient to exist.  A :class:`BregoptError`
@@ -312,7 +312,7 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
     try:
         while True:
             f_val, grad = problem.value_and_grad(point)
-            rgrad, violation = manifold._gradient_and_violation(point, grad)
+            rgrad, violation = manifold.gradient_and_violation(point, grad)
             grad_norm = math.sqrt(float(rgrad @ rgrad))
             gap = None if problem.oracle_value is None else f_val - problem.oracle_value
             trace.append(k, t, f_val, grad_norm, violation, gap, newton_iters)

@@ -8,10 +8,11 @@ Brockett and the SVD for balanced Procrustes, both from ``numpy.linalg``.
 
 Objectives and gradients take flat point vectors in the convention of the
 host manifold (Stiefel points column-major flattened).  Each problem
-gives its value and ambient gradient three ways: ``f``, ``ambient_grad``
-and ``value_and_grad``, which shares the work common to both and is what
-the run loop calls once per iterate.  All three evaluate the same
-per-problem code, so they agree bit for bit.
+gives them two ways: ``value_and_grad``, the objective value and the
+ambient gradient from the work common to both, which the run loop calls
+once per iterate, and ``ambient_grad`` alone, which ``el_v2`` calls at its
+look-ahead point.  Both evaluate the same per-problem code, so their
+gradients agree bit for bit.
 """
 
 from __future__ import annotations
@@ -21,20 +22,19 @@ from typing import Callable
 
 import numpy as np
 
-from .manifolds import EmbeddedManifold, Sphere, Stiefel
+from .manifolds import EmbeddedManifold, Sphere, Stiefel, positive_qr
 
 
 @dataclass
 class ProblemSpec:
     """An objective bound to a manifold, with optional solution oracle.
 
-    ``value_and_grad(q)`` returns ``(f(q), ambient_grad(q))`` from one
-    evaluation.
+    ``value_and_grad(q)`` returns the objective value at ``q`` and
+    ``ambient_grad(q)`` from one evaluation.
     """
 
     name: str
     manifold: EmbeddedManifold
-    f: Callable[[np.ndarray], float]
     ambient_grad: Callable[[np.ndarray], np.ndarray]
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
     oracle_value: float | None = None
@@ -47,9 +47,6 @@ def _spec(name, manifold, shared, value, gradient, oracle_value=None, oracle_poi
     ``gradient(q, shared(q))``; ``value_and_grad`` evaluates ``shared`` once
     for both."""
 
-    def f(q):
-        return value(q, shared(q))
-
     def ambient_grad(q):
         return gradient(q, shared(q))
 
@@ -57,7 +54,7 @@ def _spec(name, manifold, shared, value, gradient, oracle_value=None, oracle_poi
         s = shared(q)
         return value(q, s), gradient(q, s)
 
-    return ProblemSpec(name, manifold, f, ambient_grad, value_and_grad,
+    return ProblemSpec(name, manifold, ambient_grad, value_and_grad,
                        oracle_value, oracle_point)
 
 
@@ -182,8 +179,7 @@ def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
 
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-ish orthogonal matrix from the QR of a Gaussian sample."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    return positive_qr(rng.standard_normal((n, n)))[0]
 
 
 def symmetric_from_spectrum(rng: np.random.Generator, spectrum: np.ndarray) -> np.ndarray:

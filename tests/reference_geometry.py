@@ -1,7 +1,7 @@
 """Test-local geometry references: the dense constraint Jacobian, which the
 package never forms, a dense Newton solver for the reference solves built
-on it, and an unconstrained (``d = 0``) manifold for the unconstrained
-limit of the constrained maps."""
+on it, an unconstrained (``d = 0``) manifold for the unconstrained limit of
+the constrained maps, and a random tangent vector sampler."""
 
 from typing import NamedTuple
 
@@ -83,6 +83,11 @@ def constraint_jacobian(manifold, q):
     return np.zeros((manifold.constraint_dim, manifold.ambient_dim))
 
 
+def random_tangent(manifold, q, rng):
+    """Tangent vector at ``q``: the projection of a standard normal draw."""
+    return manifold.tangent_project(q, rng.standard_normal(manifold.ambient_dim))
+
+
 class Unconstrained(EmbeddedManifold):
     """``R^n`` with no constraint (``d = 0``)."""
 
@@ -101,7 +106,7 @@ class Unconstrained(EmbeddedManifold):
     def solve_multiplier(self, drift, q, coeff, lam0, newton):
         return np.zeros(0), np.zeros(self.ambient_dim), 0
 
-    def _project(self, q, z):
+    def tangent_project(self, q, z):
         return z.copy()
 
     def random_point(self, rng):
