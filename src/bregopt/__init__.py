@@ -11,7 +11,6 @@ from .bregman import (
 )
 from .dynamics import (
     MidpointLagrangian,
-    NewtonConfig,
     constrained_lagrangian_map,
     order_check,
     project_momentum,
@@ -32,7 +31,6 @@ __all__ = [
     "EmbeddedManifold",
     "ExtendedState",
     "MidpointLagrangian",
-    "NewtonConfig",
     "ProblemSpec",
     "RunConfig",
     "Sphere",

@@ -32,19 +32,20 @@ A ``run`` or ``compare`` config holds:
   block's output file: letters, digits, ``_``, ``.`` and ``-``, distinct
   across blocks), the Bregman parameters ``p`` (6), ``p_ring``
   (``2 p / 3``), ``c_const`` (1), ``lambda_conv`` (1), ``h`` (1e-3) and
-  ``coeff_cap`` (1e6), the multiplier solve's ``newton_tol`` (1e-10, at
-  most ``FEAS_TOL``) and ``newton_max_iter`` (50), and the stopping rule
-  ``max_iters`` (1000), ``stop_grad_tol`` (1e-12) and ``stop_f_tol``
-  (1e-12).  The gap stop cannot be switched off on a problem with an
-  oracle: ``f`` may round a few ulps below the oracle value, so any
-  positive ``stop_f_tol`` can end the run.  A run that is to stop on the
-  gradient norm alone needs a problem without an oracle (an unbalanced
-  ``procrustes``, ``m < n``).
+  ``coeff_cap`` (1e6), and the stopping rule ``max_iters`` (1000),
+  ``stop_grad_tol`` (1e-12) and ``stop_f_tol`` (1e-12).  The gap stop
+  cannot be switched off on a problem with an oracle: ``f`` may round a
+  few ulps below the oracle value, so any positive ``stop_f_tol`` can end
+  the run.  A run that is to stop on the gradient norm alone needs a
+  problem without an oracle (an unbalanced ``procrustes``, ``m < n``).
+  The multiplier solve's tolerance and budget are not keys but the
+  constants ``NEWTON_TOL`` and ``NEWTON_MAX_ITER`` of
+  ``bregopt.manifolds``.
 * ``output_dir`` (``.``) and, read by ``compare`` only, ``plot`` (true; a
   JSON boolean).
 
-The counts ``seed``, ``dims``, ``m``, ``newton_max_iter`` and ``max_iters``
-must be JSON integers: ``2.7`` or ``true`` is an error, not a truncation.
+The counts ``seed``, ``dims``, ``m`` and ``max_iters`` must be JSON
+integers: ``2.7`` or ``true`` is an error, not a truncation.
 
 An ``order-check`` config holds ``system`` (required; ``quadratic`` or
 ``spherical_pendulum``), ``h_list`` (required; at least three positive,
@@ -68,9 +69,9 @@ import numpy as np
 
 from . import dynamics, optimizers, problems
 from .bregman import BregmanParams
-from .dynamics import MidpointLagrangian, NewtonConfig
+from .dynamics import MidpointLagrangian
 from .errors import BregoptError, ConfigError
-from .manifolds import FEAS_TOL, Sphere
+from .manifolds import Sphere
 from .optimizers import METHODS, RunConfig, Trace
 
 CSV_COLUMNS = ("k", "t", "f", "grad_norm", "constraint_violation",
@@ -111,9 +112,8 @@ INPUT_KEYS = {
 # default but p's.
 PARAM_KEYS = {"p": float, "p_ring": float, "c_const": float, "lambda_conv": float,
               "h": float, "coeff_cap": float}
-NEWTON_KEYS = {"newton_tol": float, "newton_max_iter": _count}
 STOP_KEYS = {"max_iters": _count, "stop_grad_tol": float, "stop_f_tol": float}
-METHOD_KEYS = ("method", "label", *PARAM_KEYS, *NEWTON_KEYS, *STOP_KEYS)
+METHOD_KEYS = ("method", "label", *PARAM_KEYS, *STOP_KEYS)
 # A label is a file stem in output_dir and a field of compare.csv/.svg.
 LABEL_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
 ORDER_CHECK_KEYS = ("system", "h_list", "duration", "expected_rate", "output_dir")
@@ -198,13 +198,13 @@ def build_problem(block: dict) -> problems.ProblemSpec:
         raise ConfigError(f"bad problem block: {exc}") from exc
 
 
-def _given(block: dict, keys: dict, prefix: str = "") -> dict:
-    """The keys of ``block`` among ``keys``, converted, less ``prefix``."""
+def _given(block: dict, keys: dict) -> dict:
+    """The keys of ``block`` among ``keys``, converted."""
     given = {}
     for key, convert in keys.items():
         if key in block:
             try:
-                given[key.removeprefix(prefix)] = convert(block[key])
+                given[key] = convert(block[key])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
     return given
@@ -218,16 +218,7 @@ def build_run_config(block: dict) -> RunConfig:
         raise ConfigError(f"unknown method {block['method']!r}")
     try:
         params = BregmanParams(**{"p": 6.0, **_given(block, PARAM_KEYS)})
-        newton = NewtonConfig(**_given(block, NEWTON_KEYS, "newton_"))
-        # The multiplier solve stops at newton_tol on the constraint residual,
-        # and every iterate must then meet FEAS_TOL to have a gradient.
-        if newton.tol > FEAS_TOL:
-            raise ValueError(
-                f"newton_tol {newton.tol:g} exceeds the feasibility tolerance "
-                f"{FEAS_TOL:g} that every iterate must meet"
-            )
-        return RunConfig(method=block["method"], params=params, newton=newton,
-                         **_given(block, STOP_KEYS))
+        return RunConfig(method=block["method"], params=params, **_given(block, STOP_KEYS))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad method block: {exc}") from exc
 
@@ -435,8 +426,7 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
     return EXIT_NUMERICAL if failed else EXIT_OK
 
 
-def cmd_compare(config_path: str, out_override: str | None = None,
-                no_plot: bool = False) -> int:
+def cmd_compare(config_path: str, out_override: str | None = None) -> int:
     """Run all method blocks on the identical instance and initial point."""
     config = _load_json(config_path)
     plot = config.get("plot", True)
@@ -459,7 +449,7 @@ def cmd_compare(config_path: str, out_override: str | None = None,
         pairs = [(k, v) for k, v in zip(trace.ks, values) if v is not None]
         series.append((label, [k for k, _ in pairs], [v for _, v in pairs]))
     _write_csv(out_dir / "compare.csv", ("method",) + CSV_COLUMNS, lines)
-    if plot and not no_plot:
+    if plot:
         ylabel = "f - oracle" if has_oracle else "f"
         write_convergence_svg(out_dir / "compare.svg", series, ylabel)
     return EXIT_NUMERICAL if failed else EXIT_OK
@@ -472,7 +462,6 @@ def spherical_pendulum_lagrangian():
     """Midpoint discrete Lagrangian of a unit-mass pendulum on the sphere."""
     return MidpointLagrangian(
         potential_grad=lambda q: np.array([0.0, 0.0, PENDULUM_GRAVITY]),
-        potential_hess=lambda q: np.zeros((3, 3)),
     )
 
 
@@ -566,14 +555,10 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="path to a JSON config")
         cmd.add_argument("--out", default=None, help="override the output directory")
-        if name == "compare":
-            cmd.add_argument("--no-plot", action="store_true", help="skip SVG output")
     args = parser.parse_args(argv)
+    handlers = {"run": cmd_run, "compare": cmd_compare, "order-check": cmd_order_check}
     try:
-        if args.command == "compare":
-            return cmd_compare(args.config, args.out, args.no_plot)
-        handler = cmd_run if args.command == "run" else cmd_order_check
-        return handler(args.config, args.out)
+        return handlers[args.command](args.config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,16 +1,18 @@
 """Discrete constrained variational mechanics.
 
 This module holds the pieces the constrained integrators share besides the
-manifold geometry: the settings of the implicit solves, the unit-mass
-midpoint discrete Lagrangian, the momentum form of its constrained discrete
-Euler--Lagrange map, and an empirical order-of-accuracy harness.
+manifold geometry: the unit-mass midpoint discrete Lagrangian, the momentum
+form of its constrained discrete Euler--Lagrange map, and an empirical
+order-of-accuracy harness.
 
 The map (:func:`constrained_lagrangian_map`) splits off the force term of
 the midpoint Lagrangian and places each drifted position back on the
 constraint with the manifold's own multiplier solve, so it forms no
 constraint Jacobian (on the sphere the solve is a closed-form quadratic).
+It stops at the tolerance and budget of the manifold's solve,
+``manifolds.NEWTON_TOL`` and ``manifolds.NEWTON_MAX_ITER``.
 
-One-step maps are pure functions of ``(state, config)``; independent
+One-step maps are pure functions of their arguments; independent
 trajectories can run in parallel, while a single trajectory is sequential.
 """
 
@@ -19,46 +21,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import manifolds
 from .errors import NewtonError
 
-if TYPE_CHECKING:
-    from .manifolds import EmbeddedManifold
-
 Array = np.ndarray
-
-
-# ---------------------------------------------------------------------------
-# Solver settings
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Tolerance and budget of the implicit solves: the steps of the Stiefel
-    multiplier iteration (the SHAKE/RATTLE fixed point with exact Newton
-    steps, :meth:`~bregopt.manifolds.Stiefel.solve_multiplier`) and the
-    passes of :func:`constrained_lagrangian_map`.
-
-    Attributes:
-        tol: convergence threshold on the residual infinity norm.
-        max_iter: iteration budget.
-    """
-
-    tol: float = 1e-10
-    max_iter: int = 50
-
-    def __post_init__(self):
-        if not self.tol > 0:  # also rejects NaN
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
-DEFAULT_NEWTON = NewtonConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -72,26 +42,15 @@ class MidpointLagrangian:
 
         L_d(q0, q1; h) = |q1 - q0|^2 / (2 h) - h V((q0 + q1) / 2)
 
-    ``d1`` and ``d2`` are its partial derivatives with respect to the first
-    and second position argument, and ``d12`` is the mixed second partial
-    (``d/dq1`` of ``d1``).  :func:`constrained_lagrangian_map` splits the
-    force term ``potential_grad`` off the unit-mass kinetic term.
+    :func:`constrained_lagrangian_map` needs only the force term
+    ``potential_grad``, the gradient of ``V``; the unit-mass kinetic term is
+    written into the map.
     """
 
     potential_grad: Callable[[Array], Array]
-    potential_hess: Callable[[Array], Array]
-
-    def d1(self, q0: Array, q1: Array, h: float) -> Array:
-        return -(q1 - q0) / h - 0.5 * h * self.potential_grad((q0 + q1) / 2.0)
-
-    def d2(self, q0: Array, q1: Array, h: float) -> Array:
-        return (q1 - q0) / h - 0.5 * h * self.potential_grad((q0 + q1) / 2.0)
-
-    def d12(self, q0: Array, q1: Array, h: float) -> Array:
-        return -np.eye(q0.size) / h - 0.25 * h * self.potential_hess((q0 + q1) / 2.0)
 
 
-def project_momentum(manifold: EmbeddedManifold, q: Array, p: Array) -> Array:
+def project_momentum(manifold: manifolds.EmbeddedManifold, q: Array, p: Array) -> Array:
     """Remove the constraint-normal component of a momentum vector.
 
     Under the inherited metric this makes ``<dH/dp, grad C>`` vanish, i.e.
@@ -114,11 +73,10 @@ class HamiltonStepResult(NamedTuple):
 
 def constrained_lagrangian_map(
     lagrangian: MidpointLagrangian,
-    manifold: EmbeddedManifold,
+    manifold: manifolds.EmbeddedManifold,
     q: Array,
     p: Array,
     h: float,
-    newton: NewtonConfig = DEFAULT_NEWTON,
     lam0: Array | None = None,
 ) -> HamiltonStepResult:
     """Momentum form of the constrained discrete Euler--Lagrange map of a
@@ -139,38 +97,37 @@ def constrained_lagrangian_map(
     needs one pass; in general the passes contract when
     ``(h^2 / 4) |Hess V| < 1``.  The map stops when the momentum residual
     ``|-D1 L_d(q, q_next) + J_C(q)^T lam - p|_inf`` is at most
-    ``newton.tol``, or when a pass leaves ``q_next`` unchanged: that point
-    solves the equations to rounding, whose floor on the residual, about
-    ``ulp(q) / h``, exceeds ``newton.tol`` at very small steps.  The
-    number of passes is reported as the Newton iterations.
+    ``manifolds.NEWTON_TOL``, or when a pass leaves ``q_next`` unchanged:
+    that point solves the equations to rounding, whose floor on the
+    residual, about ``ulp(q) / h``, exceeds the tolerance at very small
+    steps.  The number of passes is reported as the Newton iterations.
 
     Raises:
-        TypeError: ``lagrangian`` is not a :class:`MidpointLagrangian`.
-        NewtonError: ``newton.max_iter`` passes left the momentum residual
-            above ``newton.tol``, or no multiplier reaches the manifold.
+        NewtonError: ``manifolds.NEWTON_MAX_ITER`` passes left the momentum
+            residual above ``manifolds.NEWTON_TOL``, or no multiplier
+            reaches the manifold.
     """
-    if not isinstance(lagrangian, MidpointLagrangian):
-        raise TypeError("constrained_lagrangian_map needs a MidpointLagrangian")
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     lam = np.zeros(manifold.constraint_dim) if lam0 is None else lam0
     q_next = q
+    tol, max_iter = manifolds.NEWTON_TOL, manifolds.NEWTON_MAX_ITER
     force = 0.5 * h * lagrangian.potential_grad(q)
-    for passes in range(1, newton.max_iter + 1):
+    for passes in range(1, max_iter + 1):
         drift = q + h * (p - force)
-        lam, normal, _ = manifold.solve_multiplier(drift, q, h, lam, newton)
+        lam, normal, _ = manifold.solve_multiplier(drift, q, h, lam)
         q_last, q_next = q_next, drift - h * normal
         force = 0.5 * h * lagrangian.potential_grad((q + q_next) / 2.0)
         velocity = (q_next - q) / h
         norm = float(np.abs(velocity + force + normal - p).max())
-        if norm <= newton.tol or np.array_equal(q_next, q_last):
-            # D2 L_d(q, q_next), as lagrangian.d2 computes it
+        if norm <= tol or np.array_equal(q_next, q_last):
+            # D2 L_d(q, q_next) = (q_next - q) / h - N(q_next)
             return HamiltonStepResult(q_next, velocity - force, lam, passes)
     raise NewtonError(
-        f"constrained Euler--Lagrange map did not converge in {newton.max_iter} "
+        f"constrained Euler--Lagrange map did not converge in {max_iter} "
         f"passes (momentum residual {norm:.3e})",
         residual_norm=norm,
-        iterations=newton.max_iter,
+        iterations=max_iter,
     )
 
 

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -61,9 +60,6 @@ from .errors import (
     TransportError,
 )
 
-if TYPE_CHECKING:
-    from .dynamics import NewtonConfig
-
 # Default tolerance for accepting a point as feasible on input.
 FEAS_TOL = 1e-8
 # Largest |Q^T Q - I| entry at which the CholeskyQR Stiefel retraction is
@@ -71,6 +67,13 @@ FEAS_TOL = 1e-8
 # from the Householder one by about this much (up to ~1.2x over 6000
 # random 5x5 steps), so it also bounds the change to the retraction.
 RETRACT_ORTH_TOL = 1e-14
+# Tolerance on the residual infinity norm and iteration budget of the
+# implicit solves: the steps of the Stiefel multiplier solve and the passes
+# of ``dynamics.constrained_lagrangian_map``.  The tolerance sits well under
+# FEAS_TOL, which every iterate the solves produce must then meet.  Both
+# solves read them at call time.
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 50
 # Halvings of a Newton step of the Stiefel multiplier solve that fails to
 # reduce the residual before the solve gives up.
 NEWTON_HALVINGS = 10
@@ -155,7 +158,6 @@ class EmbeddedManifold:
         q: np.ndarray,
         coeff: float,
         lam0: np.ndarray,
-        newton: NewtonConfig,
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """Multiplier ``lam`` with ``C(drift - coeff * J(q)^T lam) = 0``.
 
@@ -245,9 +247,9 @@ class Sphere(EmbeddedManifold):
         q = self._check_dim(q)
         return np.array([q @ q - 1.0])
 
-    def solve_multiplier(self, drift, q, coeff, lam0, newton):
+    def solve_multiplier(self, drift, q, coeff, lam0):
         """Closed-form root of the scalar quadratic ``|drift - coeff 2q lam|^2 = 1``;
-        ``lam0`` and ``newton`` are unused."""
+        ``lam0`` is unused."""
         grad = 2.0 * q
         lam = _sphere_multiplier(drift, coeff * grad)
         return np.array([lam]), grad * lam, 0
@@ -317,7 +319,7 @@ class Stiefel(EmbeddedManifold):
         x = self.as_matrix(self._check_dim(q))
         return (x.T @ x - self._eye)[self._triu]
 
-    def solve_multiplier(self, drift, q, coeff, lam0, newton):
+    def solve_multiplier(self, drift, q, coeff, lam0):
         """Solve ``F(T) = Y^T Y - I = 0`` with ``Y = D - X T``, ``T = coeff S``.
 
         ``D`` is the drift and ``X`` the point ``q`` as n x m matrices.  The
@@ -335,13 +337,14 @@ class Stiefel(EmbeddedManifold):
         equation ``M^T E + E M = F``: for ``M = V diag(mu) V^{-1}``,
         ``E = V^{-T} [(V^T F V)_ij / (mu_i + mu_j)] V^{-1}``.  A Newton step
         that does not reduce ``max |F|`` is halved, up to
-        ``NEWTON_HALVINGS`` times, so the residual never grows.  Each step
-        costs O(n m^2 + m^3).  Returns ``lam = triu(S)`` with its diagonal
-        halved.
+        ``NEWTON_HALVINGS`` times, so the residual never grows.  The solve
+        stops once ``max |F| <= NEWTON_TOL``, within ``NEWTON_MAX_ITER``
+        steps.  Each step costs O(n m^2 + m^3).  Returns ``lam = triu(S)``
+        with its diagonal halved.
 
         Raises:
-            NewtonError: ``max |F|`` is still above ``newton.tol`` after
-                ``newton.max_iter`` steps, is not finite, or no halving of a
+            NewtonError: ``max |F|`` is still above ``NEWTON_TOL`` after
+                ``NEWTON_MAX_ITER`` steps, is not finite, or no halving of a
                 Newton step reduces it.  The message calls the constraint
                 unreachable when the Hamiltonian matrix
                 ``K = [[A, -G], [C, -A^T]]`` of the Riccati equation has an
@@ -363,8 +366,8 @@ class Stiefel(EmbeddedManifold):
         # a failing solve may overflow; each residual is tested instead
         with np.errstate(all="ignore"):
             y, f, norm = landing(s)
-            while not norm <= newton.tol:
-                if iterations == newton.max_iter or not math.isfinite(norm):
+            while not norm <= NEWTON_TOL:
+                if iterations == NEWTON_MAX_ITER or not math.isfinite(norm):
                     raise self._multiplier_error(x, d, iterations, norm)
                 trial = s + f / (2.0 * coeff)
                 y_next, f_next, norm_next = landing(trial)

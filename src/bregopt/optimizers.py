@@ -25,13 +25,12 @@ may execute concurrently; a single run is sequential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bregman
 from .bregman import BregmanParams, ExtendedState
-from .dynamics import DEFAULT_NEWTON, NewtonConfig
 from .errors import BregoptError
 from .manifolds import EmbeddedManifold
 from .problems import ProblemSpec
@@ -50,6 +49,8 @@ class RunConfig:
     value, so even ``stop_f_tol=1e-300`` can end the run; a run that is to
     stop on the gradient norm alone needs a problem without an oracle.
     ``seed`` draws the initial point when none is passed to :func:`run`.
+    The HTVI multiplier solve runs to the manifold constants
+    ``NEWTON_TOL`` and ``NEWTON_MAX_ITER``, which are not settings.
     """
 
     method: str
@@ -58,7 +59,6 @@ class RunConfig:
     stop_grad_tol: float = 1e-12
     stop_f_tol: float = 1e-12
     seed: int = 0
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -123,7 +123,6 @@ def htvi_step(
     state: ExtendedState,
     grad_f: np.ndarray,
     f_val: float,
-    newton: NewtonConfig = DEFAULT_NEWTON,
 ) -> tuple[ExtendedState, int]:
     """One step of the direct or adaptive constrained Hamiltonian integrator.
 
@@ -134,7 +133,8 @@ def htvi_step(
     on the constraint manifold), and the remaining updates follow
     explicitly.  The manifold solves for the multiplier
     (:meth:`~bregopt.manifolds.EmbeddedManifold.solve_multiplier`), warm
-    started from ``state.lam``, and returns the normal force that corrects
+    started from ``state.lam``, which must have the length
+    ``manifold.constraint_dim``, and returns the normal force that corrects
     the momentum.
 
     Returns the new state and the number of iterations of the multiplier
@@ -146,10 +146,8 @@ def htvi_step(
     coeffs = bregman.step_coefficients(params, state.q_t, adaptive)
 
     base = state.r - coeffs.gradient * np.asarray(grad_f, dtype=float)
-    d = manifold.constraint_dim
-    lam0 = state.lam if state.lam.shape == (d,) else np.zeros(d)
     lam, normal, iterations = manifold.solve_multiplier(
-        state.q + coeffs.position * base, state.q, coeffs.position, lam0, newton
+        state.q + coeffs.position * base, state.q, coeffs.position, state.lam
     )
     r_next = base - normal
     q_next = state.q + coeffs.position * r_next
@@ -229,9 +227,7 @@ def _htvi_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
 
     def advance(k, f_val, grad, rgrad):
         nonlocal state
-        state, iters = htvi_step(
-            direction, config.params, manifold, state, grad, f_val, config.newton
-        )
+        state, iters = htvi_step(direction, config.params, manifold, state, grad, f_val)
         # one scalar test: a NaN or an infinity in any entry reaches the sum
         if not math.isfinite(float(state.q @ state.q) + float(state.r @ state.r)
                              + state.q_t + state.r_t):

@@ -1,15 +1,18 @@
 """Test-local geometry references: the dense constraint Jacobian, which the
 package never forms, a dense Newton solver for the reference solves built
-on it, an unconstrained (``d = 0``) manifold for the unconstrained limit of
-the constrained maps, and a random tangent vector sampler."""
+on it, the partial derivatives of the midpoint discrete Lagrangian that
+those solves need, an unconstrained (``d = 0``) manifold for the
+unconstrained limit of the constrained maps, and a random tangent vector
+sampler."""
 
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from bregopt.dynamics import NewtonConfig
+from bregopt.dynamics import MidpointLagrangian
 from bregopt.errors import NewtonError
-from bregopt.manifolds import EmbeddedManifold, Sphere, Stiefel
+from bregopt.manifolds import NEWTON_MAX_ITER, NEWTON_TOL, EmbeddedManifold, Sphere, Stiefel
 
 
 class NewtonResult(NamedTuple):
@@ -18,8 +21,9 @@ class NewtonResult(NamedTuple):
     residual_norm: float
 
 
-def newton_solve(residual, jacobian, x0, config=NewtonConfig()):
-    """Solve ``residual(x) = 0`` by Newton iteration from ``x0``.
+def newton_solve(residual, jacobian, x0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
+    """Solve ``residual(x) = 0`` by Newton iteration from ``x0``, to ``tol``
+    on the residual infinity norm within ``max_iter`` iterations.
 
     ``jacobian(x)`` is the derivative of ``residual`` at ``x``.  Returns the
     solution together with the iteration count and final residual norm.
@@ -36,8 +40,8 @@ def newton_solve(residual, jacobian, x0, config=NewtonConfig()):
             f"residual shape {res.shape} does not match unknown shape {x.shape}"
         )
     norm = float(np.abs(res).max()) if res.size else 0.0
-    for iteration in range(config.max_iter):
-        if norm <= config.tol:
+    for iteration in range(max_iter):
+        if norm <= tol:
             return NewtonResult(x, iteration, norm)
         try:
             delta = np.linalg.solve(np.asarray(jacobian(x), dtype=float), res)
@@ -50,14 +54,32 @@ def newton_solve(residual, jacobian, x0, config=NewtonConfig()):
         x = x - delta
         res = np.asarray(residual(x), dtype=float)
         norm = float(np.abs(res).max())
-    if norm <= config.tol:
-        return NewtonResult(x, config.max_iter, norm)
+    if norm <= tol:
+        return NewtonResult(x, max_iter, norm)
     raise NewtonError(
-        f"Newton did not converge in {config.max_iter} iterations "
-        f"(residual {norm:.3e})",
+        f"Newton did not converge in {max_iter} iterations (residual {norm:.3e})",
         residual_norm=norm,
-        iterations=config.max_iter,
+        iterations=max_iter,
     )
+
+
+@dataclass(frozen=True)
+class DenseLagrangian(MidpointLagrangian):
+    """A :class:`MidpointLagrangian` with its partial derivatives: ``d1`` and
+    ``d2`` with respect to the first and second position argument, and the
+    mixed second partial ``d12`` (``d/dq1`` of ``d1``), from the potential's
+    Hessian ``potential_hess``."""
+
+    potential_hess: Callable[[np.ndarray], np.ndarray]
+
+    def d1(self, q0, q1, h):
+        return -(q1 - q0) / h - 0.5 * h * self.potential_grad((q0 + q1) / 2.0)
+
+    def d2(self, q0, q1, h):
+        return (q1 - q0) / h - 0.5 * h * self.potential_grad((q0 + q1) / 2.0)
+
+    def d12(self, q0, q1, h):
+        return -np.eye(q0.size) / h - 0.25 * h * self.potential_hess((q0 + q1) / 2.0)
 
 
 def loop_stiefel_jacobian(st, q):
@@ -103,7 +125,7 @@ class Unconstrained(EmbeddedManifold):
     def constraint_violation(self, q):
         return 0.0
 
-    def solve_multiplier(self, drift, q, coeff, lam0, newton):
+    def solve_multiplier(self, drift, q, coeff, lam0):
         return np.zeros(0), np.zeros(self.ambient_dim), 0
 
     def tangent_project(self, q, z):

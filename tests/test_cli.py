@@ -12,6 +12,7 @@ from bregopt.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CONFIG,
     EXIT_OK,
+    METHOD_KEYS,
     _order_check_system,
     build_run_config,
     main,
@@ -151,31 +152,6 @@ class TestRun:
         assert lines[-1] == "517,nan,nan,nan,nan,,"
         assert len((tmp_path / "out" / "next.csv").read_text().splitlines()) == 52
 
-    def test_newton_tol_above_feasibility_tolerance_is_config_error(self, tmp_path, capsys):
-        # the multiplier solve would stop before its iterate meets FEAS_TOL
-        for method in ("htvi_direct", "el_v1"):
-            config = write_config(
-                tmp_path,
-                {
-                    "problem": {"name": "brockett", "dims": [6, 2], "seed": 0},
-                    "methods": [{"method": method, "newton_tol": 1e-6, "max_iters": 5}],
-                    "output_dir": str(tmp_path / "out"),
-                },
-            )
-            assert main(["run", "--config", config]) == EXIT_CONFIG
-            err = capsys.readouterr().err
-            assert "newton_tol 1e-06" in err and "1e-08" in err
-        assert not (tmp_path / "out").exists()
-        config = write_config(
-            tmp_path,
-            {
-                "problem": {"name": "brockett", "dims": [6, 2], "seed": 0},
-                "methods": [{"method": "htvi_direct", "newton_tol": 1e-8, "max_iters": 5}],
-                "output_dir": str(tmp_path / "out"),
-            },
-        )
-        assert main(["run", "--config", config]) == EXIT_OK
-
     def test_matrix_file_input(self, tmp_path):
         a = np.diag([1.0, 2.0, 5.0])
         matrix_path = tmp_path / "a.txt"
@@ -265,6 +241,8 @@ class TestCompare:
         assert not (tmp_path / "cmp").exists()
 
     def test_no_plot_flag(self, tmp_path):
+        # the config's plot key is the one plot switch, so the outputs are a
+        # function of the config alone
         block = {"method": "rgd", "h": 0.1, "max_iters": 5}
         config = write_config(
             tmp_path,
@@ -272,14 +250,16 @@ class TestCompare:
                 "problem": {"name": "rayleigh", "dims": [4], "seed": 0},
                 "methods": [dict(block, label="x"), dict(block, label="y")],
                 "output_dir": str(tmp_path / "cmp"),
+                "plot": False,
             },
         )
-        assert main(["compare", "--config", config, "--no-plot"]) == EXIT_OK
+        assert main(["compare", "--config", config]) == EXIT_OK
         assert not (tmp_path / "cmp" / "compare.svg").exists()
         assert (tmp_path / "cmp" / "compare.csv").exists()
-        # only compare plots, so the other subcommands reject the flag
-        with pytest.raises(SystemExit):
-            main(["run", "--config", config, "--no-plot"])
+        for command in ("compare", "run"):
+            with pytest.raises(SystemExit) as info:
+                main([command, "--config", config, "--no-plot"])
+            assert info.value.code == 2
 
 
 class TestOrderCheck:
@@ -420,7 +400,6 @@ class TestMalformedConfig:
         # NaN fails no ordered comparison, so each check is a negated one
         ({"h": math.nan}, "timestep h must be positive"),
         ({"stop_f_tol": math.nan}, "stopping tolerances"),
-        ({"newton_tol": math.nan}, "tol must be positive"),
     ])
     def test_bad_method_value(self, tmp_path, capsys, method, phrase):
         config = run_config(tmp_path, method=method)
@@ -495,7 +474,7 @@ class TestMalformedConfig:
         assert main(["run", "--config", config]) == EXIT_OK
 
     @pytest.mark.parametrize("value", [2.7, 2.0, True])
-    @pytest.mark.parametrize("key", ["max_iters", "newton_max_iter"])
+    @pytest.mark.parametrize("key", ["max_iters"])
     def test_method_count_must_be_integer(self, tmp_path, capsys, key, value):
         config = run_config(tmp_path, method={key: value})
         assert_config_error(capsys, ["run", "--config", config], key, f"{value!r}")
@@ -563,6 +542,9 @@ class TestMalformedConfig:
         # keys that no longer change a run are reported, not ignored
         ("method", "momentum_projection"),
         ("method", "seed"),
+        # the multiplier solve's tolerance and budget are manifold constants
+        ("method", "newton_tol"),
+        ("method", "newton_max_iter"),
         ("top", "plots"),
     ])
     def test_unknown_run_key_is_named(self, tmp_path, capsys, block, key):
@@ -579,12 +561,12 @@ class TestMalformedConfig:
                             "unknown key 'h_lsit'")
 
     def test_every_documented_key_is_accepted(self, tmp_path):
-        method = {"label": "all", "p": 4.0, "p_ring": 3.0, "c_const": 1.0,
-                  "lambda_conv": 1.0, "h": 1e-2, "coeff_cap": 1e6,
-                  "newton_tol": 1e-10, "newton_max_iter": 50, "max_iters": 3,
-                  "stop_grad_tol": 1e-12, "stop_f_tol": 1e-12}
-        config = run_config(tmp_path, problem={"conditioning": 3.0},
-                            method={"method": "htvi_direct", **method}, plot=False)
+        method = {"method": "htvi_direct", "label": "all", "p": 4.0, "p_ring": 3.0,
+                  "c_const": 1.0, "lambda_conv": 1.0, "h": 1e-2, "coeff_cap": 1e6,
+                  "max_iters": 3, "stop_grad_tol": 1e-12, "stop_f_tol": 1e-12}
+        assert set(method) == set(METHOD_KEYS)
+        config = run_config(tmp_path, problem={"conditioning": 3.0}, method=method,
+                            plot=False)
         assert main(["run", "--config", config]) == EXIT_OK
         assert (tmp_path / "out" / "all.csv").exists()
 

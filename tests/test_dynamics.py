@@ -2,39 +2,43 @@
 dense reference Newton solver."""
 
 import math
-import types
 
 import numpy as np
 import pytest
 
+from bregopt import manifolds
 from bregopt.bregman import BregmanParams, ExtendedState
 from bregopt.dynamics import (
     HamiltonStepResult,
-    MidpointLagrangian,
-    NewtonConfig,
     constrained_lagrangian_map,
     order_check,
     project_momentum,
 )
 from bregopt.errors import NewtonError
-from bregopt.manifolds import Sphere, Stiefel
+from bregopt.manifolds import NEWTON_MAX_ITER, NEWTON_TOL, Sphere, Stiefel
 from bregopt.optimizers import htvi_step
 from bregopt.problems import make_instance
 
-from reference_geometry import Unconstrained, constraint_jacobian, newton_solve, random_tangent
+from reference_geometry import (
+    DenseLagrangian,
+    Unconstrained,
+    constraint_jacobian,
+    newton_solve,
+    random_tangent,
+)
 
 GRAVITY = 9.81
 
 
 def pendulum_lagrangian():
-    return MidpointLagrangian(
+    return DenseLagrangian(
         potential_grad=lambda q: np.array([0.0, 0.0, GRAVITY]),
         potential_hess=lambda q: np.zeros((3, 3)),
     )
 
 
 def free_lagrangian(dim=3):
-    return MidpointLagrangian(
+    return DenseLagrangian(
         potential_grad=lambda q: np.zeros(dim),
         potential_hess=lambda q: np.zeros((dim, dim)),
     )
@@ -58,9 +62,8 @@ class TestNewton:
         assert result.iterations == 1
 
     def test_square_root_of_two(self):
-        config = NewtonConfig(tol=1e-13)
         result = newton_solve(lambda x: x * x - 2.0, scalar_derivative, np.array([1.0]),
-                              config)
+                              tol=1e-13)
         assert abs(result.x[0] - np.sqrt(2.0)) <= 1e-12
         assert result.iterations <= 8
 
@@ -77,10 +80,9 @@ class TestNewton:
 
     def test_budget_exhaustion_reports_residual(self):
         # the cube root makes Newton overshoot and diverge from any start
-        config = NewtonConfig(tol=1e-10, max_iter=3)
         with pytest.raises(NewtonError) as info:
             newton_solve(np.cbrt, lambda x: np.diag(1.0 / (3.0 * np.cbrt(x) ** 2)),
-                         np.array([1.0]), config)
+                         np.array([1.0]), tol=1e-10, max_iter=3)
         assert info.value.residual_norm is not None
         assert info.value.iterations == 3
 
@@ -114,25 +116,15 @@ class TestNewton:
         for budget in range(1, 5):
             try:
                 newton_solve(residual, jacobian, np.array([1.0, 0.2]),
-                             NewtonConfig(tol=1e-14, max_iter=budget))
+                             tol=1e-14, max_iter=budget)
             except NewtonError as exc:
                 norms.append(exc.residual_norm)
-        result = newton_solve(residual, jacobian, np.array([1.0, 0.2]),
-                              NewtonConfig(tol=1e-14))
+        result = newton_solve(residual, jacobian, np.array([1.0, 0.2]), tol=1e-14)
         np.testing.assert_allclose(result.x, [np.sqrt(0.5)] * 2, atol=1e-14)
         assert len(norms) >= 3
         for before, after in zip(norms, norms[1:]):
             assert after <= 2.0 * before ** 2
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NewtonConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            NewtonConfig(max_iter=0)
-
-    def test_nan_tol_rejected(self):
-        with pytest.raises(ValueError):
-            NewtonConfig(tol=math.nan)
 
 class TestGeneratingFunctions:
     def test_lagrangian_partials_match_finite_differences(self):
@@ -193,9 +185,10 @@ class TestLegendreTransforms:
         np.testing.assert_allclose(-free.d1(q0, q1, 0.1), free.d2(q0, q1, 0.1))
 
 
-def dense_lagrangian_map(lagrangian, manifold, q, p, h, newton=NewtonConfig(), lam0=None):
+def dense_lagrangian_map(lagrangian, manifold, q, p, h, lam0=None):
     """The constrained Euler--Lagrange map as first written: a dense Newton
-    solve of the (n + d) momentum and constraint equations (reference)."""
+    solve of the (n + d) momentum and constraint equations, to the package's
+    solve tolerance and budget (reference)."""
     n, d = manifold.ambient_dim, manifold.constraint_dim
     jac_c = constraint_jacobian(manifold, q)
 
@@ -211,26 +204,27 @@ def dense_lagrangian_map(lagrangian, manifold, q, p, h, newton=NewtonConfig(), l
         return np.vstack([top, bottom])
 
     x0 = np.concatenate([q, np.zeros(d) if lam0 is None else lam0])
-    result = newton_solve(residual, jacobian, x0, newton)
+    result = newton_solve(residual, jacobian, x0, manifolds.NEWTON_TOL,
+                          manifolds.NEWTON_MAX_ITER)
     q_next, lam = result.x[:n], result.x[n:]
     return HamiltonStepResult(q_next, lagrangian.d2(q, q_next, h), lam, result.iterations)
 
 
 def quadratic_lagrangian(weights, tilt):
     """Midpoint Lagrangian of ``V(q) = q.(weights * q) / 2 + tilt.q``."""
-    return MidpointLagrangian(
+    return DenseLagrangian(
         potential_grad=lambda q: weights * q + tilt,
         potential_hess=lambda q: np.diag(weights),
     )
 
 
-def map_trajectory(step_map, lagrangian, manifold, q, p, h, steps, newton=NewtonConfig()):
+def map_trajectory(step_map, lagrangian, manifold, q, p, h, steps):
     """Positions and momenta of ``steps`` steps, warm started and with the
     momentum projected as in the pendulum's long runs; also the largest
     number of Newton iterations (passes) a step took."""
     lam, states, most = None, [], 0
     for _ in range(steps):
-        result = step_map(lagrangian, manifold, q, p, h, newton, lam)
+        result = step_map(lagrangian, manifold, q, p, h, lam)
         q, lam = result.q_next, result.lam
         p = project_momentum(manifold, q, result.p_next)
         states.append(np.concatenate([q, p]))
@@ -274,22 +268,21 @@ class TestConstrainedLagrangianMap:
                                       "stiefel-quadratic", "euclidean-quadratic"])
     def test_each_step_matches_dense_newton(self, name):
         lagrangian, manifold, q, p, h, steps = map_case(name)
-        newton = NewtonConfig()
         states, passes = map_trajectory(constrained_lagrangian_map, lagrangian, manifold,
                                         q, p, h, steps)
         assert (passes > 1) == (name != "pendulum-coarse")
-        # both maps meet the same equations to newton.tol from the same state;
+        # both maps meet the same equations to NEWTON_TOL from the same state;
         # the momentum and the multiplier carry a factor 1 / h
         n, lam = manifold.ambient_dim, None
         for state in states:
             q, p = state[:n], state[n:]
-            new = constrained_lagrangian_map(lagrangian, manifold, q, p, h, newton, lam)
-            old = dense_lagrangian_map(lagrangian, manifold, q, p, h, newton, lam)
-            assert np.abs(new.q_next - old.q_next).max() <= newton.tol
-            assert np.abs(new.p_next - old.p_next).max() <= newton.tol / h
+            new = constrained_lagrangian_map(lagrangian, manifold, q, p, h, lam)
+            old = dense_lagrangian_map(lagrangian, manifold, q, p, h, lam)
+            assert np.abs(new.q_next - old.q_next).max() <= NEWTON_TOL
+            assert np.abs(new.p_next - old.p_next).max() <= NEWTON_TOL / h
             if lam is not None and lam.size:
-                assert np.abs(new.lam - old.lam).max() <= newton.tol / h
-            assert manifold.constraint_violation(new.q_next) <= newton.tol
+                assert np.abs(new.lam - old.lam).max() <= NEWTON_TOL / h
+            assert manifold.constraint_violation(new.q_next) <= NEWTON_TOL
             lam = new.lam
 
     def test_refined_step_converges_to_reference(self):
@@ -384,13 +377,11 @@ class TestConstrainedLagrangianMap:
 
     def test_warm_start_reaches_the_same_step(self):
         lagrangian, manifold, q, p, h, _ = map_case("stiefel-quadratic")
-        newton = NewtonConfig()
-        cold = constrained_lagrangian_map(lagrangian, manifold, q, p, h, newton)
-        warm = constrained_lagrangian_map(lagrangian, manifold, q, p, h, newton,
-                                          lam0=cold.lam)
-        assert np.abs(warm.q_next - cold.q_next).max() <= newton.tol
-        assert np.abs(warm.p_next - cold.p_next).max() <= newton.tol / h
-        assert np.abs(warm.lam - cold.lam).max() <= newton.tol / h
+        cold = constrained_lagrangian_map(lagrangian, manifold, q, p, h)
+        warm = constrained_lagrangian_map(lagrangian, manifold, q, p, h, lam0=cold.lam)
+        assert np.abs(warm.q_next - cold.q_next).max() <= NEWTON_TOL
+        assert np.abs(warm.p_next - cold.p_next).max() <= NEWTON_TOL / h
+        assert np.abs(warm.lam - cold.lam).max() <= NEWTON_TOL / h
 
     @pytest.mark.parametrize("name", ["pendulum-coarse", "sphere-quadratic",
                                       "stiefel-quadratic"])
@@ -413,16 +404,15 @@ class TestConstrainedLagrangianMap:
         else:
             # the Stiefel multiplier solve iterates at least once per step
             assert sum(counts) >= 50
-            assert max(counts) <= NewtonConfig().max_iter
+            assert max(counts) <= NEWTON_MAX_ITER
 
     @pytest.mark.parametrize("name", ["pendulum-coarse", "sphere-quadratic"])
     @pytest.mark.parametrize("h", [3e-7, 1e-7])
     def test_tiny_steps_stop_at_the_rounding_floor(self, name, h):
         # rounding keeps the momentum residual near ulp(q) / h, above
-        # newton.tol at these steps; the map stops once a pass no longer
+        # NEWTON_TOL at these steps; the map stops once a pass no longer
         # moves q_next, while the dense Newton fails from some states
         lagrangian, manifold = map_case(name)[:2]
-        newton = NewtonConfig()
         rng = np.random.default_rng(5)
         failures = {constrained_lagrangian_map: 0, dense_lagrangian_map: 0}
         for _ in range(20):
@@ -431,30 +421,22 @@ class TestConstrainedLagrangianMap:
             results = {}
             for step_map in failures:
                 try:
-                    results[step_map] = step_map(lagrangian, manifold, q, p, h, newton)
+                    results[step_map] = step_map(lagrangian, manifold, q, p, h)
                 except NewtonError:
                     failures[step_map] += 1
             new = results[constrained_lagrangian_map]
             momentum = (-lagrangian.d1(q, new.q_next, h)
                         + constraint_jacobian(manifold, q).T @ new.lam)
             assert np.abs(momentum - p).max() <= 4.0 * np.spacing(1.0) / h
-            assert manifold.constraint_violation(new.q_next) <= newton.tol
+            assert manifold.constraint_violation(new.q_next) <= NEWTON_TOL
             if dense_lagrangian_map in results:
                 old = results[dense_lagrangian_map]
-                assert np.abs(new.q_next - old.q_next).max() <= newton.tol
+                assert np.abs(new.q_next - old.q_next).max() <= NEWTON_TOL
         assert failures[constrained_lagrangian_map] == 0
         assert failures[dense_lagrangian_map] > 0
 
-    def test_needs_a_midpoint_lagrangian(self):
-        lagrangian = pendulum_lagrangian()
-        generic = types.SimpleNamespace(d1=lagrangian.d1, d2=lagrangian.d2,
-                                        potential_grad=lagrangian.potential_grad)
-        q, p = np.array([0.6, 0.0, 0.8]), np.array([0.0, 1.2, 0.0])
-        with pytest.raises(TypeError):
-            constrained_lagrangian_map(generic, Sphere(3), q, p, 1e-2)
-
     @pytest.mark.parametrize("manifold", [Unconstrained(3), Sphere(3)])
-    def test_stiff_potential_raises_newton_error(self, manifold):
+    def test_stiff_potential_raises_newton_error(self, manifold, monkeypatch):
         # (h^2 / 4) |Hess V| = 2 > 1: the passes move away from the solution
         # until the pass budget runs out or, on the sphere, the drift leaves
         # the reach of the multiplier
@@ -462,11 +444,11 @@ class TestConstrainedLagrangianMap:
         lagrangian = quadratic_lagrangian(np.array([stiffness, 0.0, 0.0]), np.zeros(3))
         q = np.array([0.6, 0.0, 0.8])
         p = np.array([0.0, 1.2, 0.0])
-        newton = NewtonConfig(max_iter=20)
+        monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", 20)
         with pytest.raises(NewtonError) as info:
-            constrained_lagrangian_map(lagrangian, manifold, q, p, h, newton)
+            constrained_lagrangian_map(lagrangian, manifold, q, p, h)
         if isinstance(manifold, Unconstrained):
-            assert info.value.iterations == newton.max_iter
+            assert info.value.iterations == 20
             assert info.value.residual_norm > 1e6
         else:
             assert "unreachable" in str(info.value)

@@ -10,10 +10,9 @@ import pytest
 
 from bregopt.bregman import BregmanParams, ExtendedState
 from bregopt.cli import DEFAULT_DIMS, build_problem, build_run_config
-from bregopt.dynamics import DEFAULT_NEWTON, NewtonConfig
 from bregopt.errors import DimensionError, NewtonError
-from bregopt import optimizers
-from bregopt.manifolds import Sphere, Stiefel, _lyapunov
+from bregopt import manifolds, optimizers
+from bregopt.manifolds import NEWTON_MAX_ITER, NEWTON_TOL, Sphere, Stiefel, _lyapunov
 from bregopt.optimizers import METHODS, RunConfig, el_step, htvi_step, rgd_step, run
 from bregopt.problems import make_instance, rayleigh
 
@@ -47,10 +46,11 @@ def bisection_roots(fun, center, width=50.0, tol=1e-14):
     return roots
 
 
-def dense_multiplier(manifold, drift, q, coeff, lam0, newton):
+def dense_multiplier(manifold, drift, q, coeff, lam0):
     """Multiplier solve through the dense constraint Jacobian: Newton on
     ``C(drift - coeff J(q)^T lam) = 0`` with the Jacobian
-    ``-J(y) coeff J(q)^T`` (reference for ``solve_multiplier``)."""
+    ``-J(y) coeff J(q)^T``, to the package's solve tolerance and budget
+    (reference for ``solve_multiplier``)."""
     jac_t = constraint_jacobian(manifold, q).T
     shift = coeff * jac_t
 
@@ -60,7 +60,8 @@ def dense_multiplier(manifold, drift, q, coeff, lam0, newton):
     def jacobian(lam):
         return -constraint_jacobian(manifold, drift - shift @ lam) @ shift
 
-    result = newton_solve(residual, jacobian, lam0, newton)
+    result = newton_solve(residual, jacobian, lam0, manifolds.NEWTON_TOL,
+                          manifolds.NEWTON_MAX_ITER)
     return result.x, jac_t @ result.x, result.iterations
 
 
@@ -94,8 +95,8 @@ def closed_form_sphere_multiplier(w, v):
 class DenseStiefel(Stiefel):
     """Stiefel manifold whose multiplier solve uses the dense reference."""
 
-    def solve_multiplier(self, drift, q, coeff, lam0, newton):
-        return dense_multiplier(self, drift, q, coeff, lam0, newton)
+    def solve_multiplier(self, drift, q, coeff, lam0):
+        return dense_multiplier(self, drift, q, coeff, lam0)
 
 
 class CountsConstraint:
@@ -143,27 +144,27 @@ class TestSolveMultiplier:
             lam0 = 0.1 * rng.standard_normal(st.constraint_dim) if warm \
                 else np.zeros(st.constraint_dim)
             drift = q + coeff * base
-            lam, normal, iters = st.solve_multiplier(drift, q, coeff, lam0, DEFAULT_NEWTON)
-            ref_lam, ref_normal, _ = dense_multiplier(st, drift, q, coeff, lam0, DEFAULT_NEWTON)
-            assert 1 <= iters <= DEFAULT_NEWTON.max_iter
-            assert st.constraint_violation(q + coeff * (base - normal)) <= DEFAULT_NEWTON.tol
+            lam, normal, iters = st.solve_multiplier(drift, q, coeff, lam0)
+            ref_lam, ref_normal, _ = dense_multiplier(st, drift, q, coeff, lam0)
+            assert 1 <= iters <= NEWTON_MAX_ITER
+            assert st.constraint_violation(q + coeff * (base - normal)) <= NEWTON_TOL
             # both solves stop with max |F| <= tol and T = coeff S moves F
             # about twice as fast, so the multipliers agree to tol / coeff
             # (measured: at most 0.35 of it)
-            atol = DEFAULT_NEWTON.tol / coeff
+            atol = NEWTON_TOL / coeff
             np.testing.assert_allclose(lam, ref_lam, rtol=0, atol=atol)
             np.testing.assert_allclose(normal, ref_normal, rtol=0, atol=atol)
 
-    def test_stiefel_failure_is_newton_error(self):
+    def test_stiefel_failure_is_newton_error(self, monkeypatch):
         # a drift far from any point the normals can reach: the Newton step
         # cannot reduce the residual, and the solve stops there
+        monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", 5)
         st = Stiefel(6, 2)
         q = st.random_point(np.random.default_rng(1))
-        newton = NewtonConfig(max_iter=5)
         with pytest.raises(NewtonError, match="Newton did not converge") as info:
-            st.solve_multiplier(q + 50.0, q, 1e-3, np.zeros(3), newton)
+            st.solve_multiplier(q + 50.0, q, 1e-3, np.zeros(3))
         assert "unreachable" in str(info.value)
-        assert info.value.iterations < newton.max_iter
+        assert info.value.iterations < 5
 
     @pytest.mark.parametrize("shift", [1e200, math.inf, math.nan])
     def test_stiefel_non_finite_residual_is_newton_error(self, shift):
@@ -173,20 +174,21 @@ class TestSolveMultiplier:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NewtonError, match="Newton did not converge in 0 iterations"):
-                st.solve_multiplier(q + shift, q, 1e-3, np.zeros(3), DEFAULT_NEWTON)
+                st.solve_multiplier(q + shift, q, 1e-3, np.zeros(3))
 
-    def test_stiefel_budget_exhaustion(self):
+    def test_stiefel_budget_exhaustion(self, monkeypatch):
         # a reachable drift with too small a budget
+        monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", 1)
         st = Stiefel(6, 2)
         rng = np.random.default_rng(2)
         q = st.random_point(rng)
         drift = q + 0.2 * rng.standard_normal(12)
         with pytest.raises(NewtonError, match="Newton did not converge in 1 iterations") \
                 as info:
-            st.solve_multiplier(drift, q, 0.2, np.zeros(3), NewtonConfig(max_iter=1))
+            st.solve_multiplier(drift, q, 0.2, np.zeros(3))
         assert "unreachable" not in str(info.value)
         assert info.value.iterations == 1
-        assert info.value.residual_norm > DEFAULT_NEWTON.tol
+        assert info.value.residual_norm > NEWTON_TOL
 
     def test_lyapunov_step_solves_its_equation(self):
         # M^T E + E M = F for an M near I, as in the solve, and for one with
@@ -208,8 +210,7 @@ class TestSolveMultiplier:
             q = sphere.random_point(rng)
             coeff = float(rng.uniform(1e-4, 0.5))
             drift = q + coeff * rng.standard_normal(5)
-            lam, normal, iters = sphere.solve_multiplier(
-                drift, q, coeff, np.zeros(1), DEFAULT_NEWTON)
+            lam, normal, iters = sphere.solve_multiplier(drift, q, coeff, np.zeros(1))
             jac_t = constraint_jacobian(sphere, q).T
             ref = np.array([closed_form_sphere_multiplier(drift, coeff * jac_t[:, 0])])
             np.testing.assert_array_equal(lam, ref)
@@ -220,13 +221,13 @@ class TestSolveMultiplier:
         sphere = Sphere(3)
         q = np.array([1.0, 0.0, 0.0])
         # no step at all: a feasible drift needs no multiplier ...
-        lam, normal, _ = sphere.solve_multiplier(q, q, 0.0, np.zeros(1), DEFAULT_NEWTON)
+        lam, normal, _ = sphere.solve_multiplier(q, q, 0.0, np.zeros(1))
         np.testing.assert_array_equal(lam, [closed_form_sphere_multiplier(q, 0.0 * q)])
         np.testing.assert_array_equal(lam, [0.0])
         np.testing.assert_array_equal(normal, np.zeros(3))
         # ... and an infeasible one cannot be corrected
         drift = np.array([2.0, 0.0, 0.0])
-        for solve in (lambda: sphere.solve_multiplier(drift, q, 0.0, np.zeros(1), DEFAULT_NEWTON),
+        for solve in (lambda: sphere.solve_multiplier(drift, q, 0.0, np.zeros(1)),
                       lambda: closed_form_sphere_multiplier(drift, 0.0 * q)):
             with pytest.raises(NewtonError, match="degenerate"):
                 solve()
@@ -237,7 +238,7 @@ class TestSolveMultiplier:
         q = np.array([1.0, 0.0, 0.0])
         drift = np.array([0.0, 2.0, 0.0])
         with pytest.raises(NewtonError) as ours:
-            sphere.solve_multiplier(drift, q, 0.1, np.zeros(1), DEFAULT_NEWTON)
+            sphere.solve_multiplier(drift, q, 0.1, np.zeros(1))
         with pytest.raises(NewtonError) as ref:
             closed_form_sphere_multiplier(drift, 0.1 * 2.0 * q)
         assert "discriminant" in str(ours.value)
@@ -255,9 +256,9 @@ class TestSolveMultiplier:
         reference = run(config, dense)
         assert not trace.failed and not reference.failed
         assert len(trace) == len(reference) == 1001
-        assert max(trace.newton_iters[1:]) <= config.newton.max_iter
+        assert max(trace.newton_iters[1:]) <= NEWTON_MAX_ITER
         assert max(trace.constraint_violations) <= 1e-9
-        # the two solves stop at different points within newton.tol; the
+        # the two solves stop at different points within NEWTON_TOL; the
         # largest gap measured over the four runs is 1.1e-8
         np.testing.assert_allclose(trace.fs, reference.fs, rtol=0, atol=3e-8)
 
@@ -563,12 +564,12 @@ class TestRunDriver:
         assert trace.failure_reason
         assert len(trace) < 100000
 
-    def test_infeasible_iterate_marks_trace_failed(self):
+    def test_infeasible_iterate_marks_trace_failed(self, monkeypatch):
         # a loose multiplier tolerance leaves the first Stiefel iterate off
         # the manifold; evaluating its gradient must end the run gracefully
+        monkeypatch.setattr(manifolds, "NEWTON_TOL", 1e-6)
         prob = make_instance("brockett", (6, 2), seed=0)
-        cfg = RunConfig(method="htvi_direct", params=BregmanParams(p=6.0), max_iters=100,
-                        newton=NewtonConfig(tol=1e-6))
+        cfg = RunConfig(method="htvi_direct", params=BregmanParams(p=6.0), max_iters=100)
         trace = run(cfg, prob)
         assert trace.failed
         assert "violates constraint" in trace.failure_reason
