@@ -19,7 +19,7 @@ from bregopt.cli import (
     spherical_pendulum_lagrangian,
 )
 from bregopt.dynamics import constrained_lagrangian_map, project_momentum
-from bregopt.manifolds import Sphere
+from bregopt.manifolds import NEWTON_TOL, Sphere
 from bregopt.optimizers import METHODS, RunConfig
 
 from reference_geometry import random_tangent
@@ -151,6 +151,36 @@ class TestRun:
         assert len(lines) == 519  # header, k = 0..516, failure row
         assert lines[-1] == "517,nan,nan,nan,nan,,"
         assert len((tmp_path / "out" / "next.csv").read_text().splitlines()) == 52
+
+    def test_newton_tol_above_feasibility_tolerance_is_config_error(self, tmp_path, capsys):
+        # the multiplier solve's tolerance is the manifold constant, under
+        # FEAS_TOL, so a block cannot set one the iterates would then fail
+        block = {"max_iters": 5, "stop_f_tol": 1e-300, "stop_grad_tol": 1e-300}
+        for method in ("htvi_direct", "el_v1"):
+            config = write_config(
+                tmp_path,
+                {
+                    "problem": {"name": "brockett", "dims": [6, 2], "seed": 0},
+                    "methods": [dict(block, method=method, newton_tol=1e-6)],
+                    "output_dir": str(tmp_path / "out"),
+                },
+            )
+            assert main(["run", "--config", config]) == EXIT_CONFIG
+            assert "unknown key 'newton_tol'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        config = write_config(
+            tmp_path,
+            {
+                "problem": {"name": "brockett", "dims": [6, 2], "seed": 0},
+                "methods": [dict(block, method="htvi_direct", label="default")],
+                "output_dir": str(tmp_path / "out"),
+            },
+        )
+        assert main(["run", "--config", config]) == EXIT_OK
+        rows = (tmp_path / "out" / "default.csv").read_text().splitlines()[1:]
+        column = CSV_COLUMNS.index("constraint_violation")
+        assert len(rows) == 6
+        assert max(float(row.split(",")[column]) for row in rows) <= NEWTON_TOL
 
     def test_matrix_file_input(self, tmp_path):
         a = np.diag([1.0, 2.0, 5.0])

@@ -10,6 +10,7 @@ from bregopt import manifolds
 from bregopt.bregman import BregmanParams, ExtendedState
 from bregopt.dynamics import (
     HamiltonStepResult,
+    MidpointLagrangian,
     constrained_lagrangian_map,
     order_check,
     project_momentum,
@@ -124,6 +125,26 @@ class TestNewton:
         assert len(norms) >= 3
         for before, after in zip(norms, norms[1:]):
             assert after <= 2.0 * before ** 2
+
+    def test_config_validation(self):
+        # the solves' tolerance and budgets are manifold constants: a
+        # positive tolerance under the feasibility gate that every iterate of
+        # the solves must then pass, and positive integer budgets
+        assert 0.0 < manifolds.NEWTON_TOL < manifolds.FEAS_TOL
+        for budget in (manifolds.NEWTON_MAX_ITER, manifolds.NEWTON_HALVINGS):
+            assert isinstance(budget, int) and budget >= 1
+
+    def test_nan_tol_rejected(self, monkeypatch):
+        # NaN fails every comparison, so a NaN tolerance accepts no residual,
+        # not even an exact zero
+        with pytest.raises(NewtonError):
+            newton_solve(lambda x: x - 1.0, scalar_derivative, np.array([1.0]),
+                         tol=math.nan)
+        monkeypatch.setattr(manifolds, "NEWTON_TOL", math.nan)
+        st = Stiefel(4, 2)
+        q = st.random_point(np.random.default_rng(3))
+        with pytest.raises(NewtonError, match="Newton did not converge"):
+            st.solve_multiplier(q, q, 0.1, np.zeros(3))
 
 
 class TestGeneratingFunctions:
@@ -434,6 +455,41 @@ class TestConstrainedLagrangianMap:
                 assert np.abs(new.q_next - old.q_next).max() <= NEWTON_TOL
         assert failures[constrained_lagrangian_map] == 0
         assert failures[dense_lagrangian_map] > 0
+
+    def test_patched_tolerance_reaches_both_solves(self, monkeypatch):
+        # the map and the Stiefel multiplier solve inside it read NEWTON_TOL
+        # at call time, so a looser one ends both sooner
+        lagrangian, manifold, q, p, h, _ = map_case("stiefel-quadratic")
+        solve = manifold.solve_multiplier
+        steps = {}
+        for tol in (NEWTON_TOL, 1e-6):
+            monkeypatch.setattr(manifolds, "NEWTON_TOL", tol)
+            counts = []
+
+            def counting_solve(*args):
+                result = solve(*args)
+                counts.append(result[2])
+                return result
+
+            monkeypatch.setattr(manifold, "solve_multiplier", counting_solve)
+            result = constrained_lagrangian_map(lagrangian, manifold, q, p, h)
+            momentum = (-lagrangian.d1(q, result.q_next, h)
+                        + constraint_jacobian(manifold, q).T @ result.lam)
+            assert np.abs(momentum - p).max() <= tol
+            steps[tol] = (result.newton_iterations, sum(counts))
+        assert steps[1e-6][0] < steps[NEWTON_TOL][0]
+        assert steps[1e-6][1] < steps[NEWTON_TOL][1]
+
+    def test_needs_a_midpoint_lagrangian(self):
+        # the map reads only the potential gradient, so a bare
+        # MidpointLagrangian takes the same step as one with its partials
+        for name in ("pendulum-coarse", "stiefel-quadratic"):
+            lagrangian, manifold, q, p, h, _ = map_case(name)
+            bare = MidpointLagrangian(potential_grad=lagrangian.potential_grad)
+            full = constrained_lagrangian_map(lagrangian, manifold, q, p, h)
+            step = constrained_lagrangian_map(bare, manifold, q, p, h)
+            for got, want in zip(step, full):
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("manifold", [Unconstrained(3), Sphere(3)])
     def test_stiff_potential_raises_newton_error(self, manifold, monkeypatch):

@@ -382,6 +382,26 @@ class TestHtviStep:
         assert st.constraint_violation(out.q) <= 1e-10
         assert iters >= 1
 
+    def test_wrong_length_multiplier_is_not_replaced(self):
+        # state.lam warm starts the solve as it is: the multiplier of a step
+        # lands the same step again at once, and one of the wrong length is
+        # an error, not a silent cold start
+        params = BregmanParams(p=4.0, h=1e-2)
+        st = Stiefel(5, 2)
+        rng = np.random.default_rng(2)
+        state = ExtendedState(q=st.random_point(rng), q_t=1.0,
+                              r=rng.standard_normal(10) * 0.3, r_t=0.0, lam=np.zeros(3))
+        grad = rng.standard_normal(10)
+        cold, iters = htvi_step("direct", params, st, state, grad, 0.5)
+        assert iters >= 1
+        warm, iters = htvi_step("direct", params, st, dataclasses.replace(state, lam=cold.lam),
+                                grad, 0.5)
+        assert iters == 0
+        np.testing.assert_array_equal(warm.q, cold.q)
+        with pytest.raises(ValueError):
+            htvi_step("direct", params, st, dataclasses.replace(state, lam=np.zeros(2)),
+                      grad, 0.5)
+
     def test_invalid_direction(self):
         params = BregmanParams(p=2.0)
         state = ExtendedState(q=np.zeros(2), q_t=1.0, r=np.zeros(2), r_t=0.0,
