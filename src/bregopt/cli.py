@@ -17,13 +17,13 @@ A ``run`` or ``compare`` config holds:
 
 * ``problem`` -- the problem block: ``name`` (required; ``rayleigh``,
   ``brockett`` or ``procrustes``), ``seed`` (0), ``dims`` (``[100]``,
-  ``[20, 5]``, ``[20, 5, 30]``) and ``conditioning`` (10; the eigenvalues
-  of a random ``rayleigh``/``brockett`` matrix spread over
-  ``[1, conditioning]``).  The seed draws the random instance and also the
-  initial point that every method block starts from.  ``file`` reads the
-  matrix ``A`` from a text file instead of drawing it; ``procrustes`` then
-  reads ``B`` from ``file_b``, and ``brockett`` takes the weights
-  ``1, ..., m`` with ``m`` (5).  A key that the chosen input does not read
+  ``[20, 5]``, ``[20, 5, 30]``) and ``conditioning`` (10; finite and at
+  least 1, the eigenvalues of a random ``rayleigh``/``brockett`` matrix
+  spread over ``[1, conditioning]``).  The seed draws the random instance
+  and also the initial point that every method block starts from.
+  ``file`` reads the matrix ``A`` from a text file instead of drawing it;
+  ``procrustes`` then reads ``B`` from ``file_b``, and ``brockett`` takes
+  the weights ``1, ..., m`` with ``m`` (5).  A key that the chosen input does not read
   is an error: ``dims`` and ``conditioning`` shape only a random instance
   (``conditioning`` only a ``rayleigh``/``brockett`` one), ``m`` only a
   ``brockett`` and ``file_b`` only a ``procrustes`` read from ``file``.
@@ -50,7 +50,7 @@ integers: ``2.7`` or ``true`` is an error, not a truncation.
 An ``order-check`` config holds ``system`` (required; ``quadratic`` or
 ``spherical_pendulum``), ``h_list`` (required; at least three positive,
 strictly decreasing step sizes), ``duration`` (1), ``expected_rate``
-(required; ``[lo, hi]``) and ``output_dir`` (``.``).
+(required; ``[lo, hi]`` with ``lo <= hi``) and ``output_dir`` (``.``).
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 order-check acceptance failure.
@@ -460,9 +460,7 @@ PENDULUM_GRAVITY = 9.81
 
 def spherical_pendulum_lagrangian():
     """Midpoint discrete Lagrangian of a unit-mass pendulum on the sphere."""
-    return MidpointLagrangian(
-        potential_grad=lambda q: np.array([0.0, 0.0, PENDULUM_GRAVITY]),
-    )
+    return MidpointLagrangian(field=np.array([0.0, 0.0, PENDULUM_GRAVITY]))
 
 
 def _order_check_system(name: str):
@@ -472,8 +470,8 @@ def _order_check_system(name: str):
     quadratic Hamiltonian ``|p|^2 / 2 + q.(K q) / 2``, the explicit update
     ``p1 = p0 - h K q0``, ``q1 = q0 + h p1`` (first order).
     ``spherical_pendulum``: midpoint constrained Euler--Lagrange map on the
-    sphere under gravity (second order).  States are packed as
-    ``concat(q, p)``.
+    sphere under gravity, one SHAKE step per step (second order).  States
+    are packed as ``concat(q, p)``.
     """
     if name == "quadratic":
         stiffness = np.array([1.0, 4.0, 9.0])
@@ -522,6 +520,8 @@ def cmd_order_check(config_path: str, out_override: str | None = None) -> int:
     try:
         duration = float(config.get("duration", 1.0))
         lo, hi = float(interval[0]), float(interval[1])
+        if not lo <= hi:  # NaN fails it too
+            raise ValueError(f"expected_rate must be [lo, hi] with lo <= hi, not {interval}")
         result = dynamics.order_check(step, initial, h_list, duration)
     except BregoptError:
         raise  # a numerical failure of the step, although it may be a ValueError

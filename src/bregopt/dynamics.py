@@ -5,12 +5,12 @@ manifold geometry: the unit-mass midpoint discrete Lagrangian, the momentum
 form of its constrained discrete Euler--Lagrange map, and an empirical
 order-of-accuracy harness.
 
-The map (:func:`constrained_lagrangian_map`) splits off the force term of
-the midpoint Lagrangian and places each drifted position back on the
-constraint with the manifold's own multiplier solve, so it forms no
-constraint Jacobian (on the sphere the solve is a closed-form quadratic).
-It stops at the tolerance and budget of the manifold's solve,
-``manifolds.NEWTON_TOL`` and ``manifolds.NEWTON_MAX_ITER``.
+The Lagrangian is that of a unit mass in a uniform field, such as the
+pendulum's gravity.  Its force term is then constant, and the map
+(:func:`constrained_lagrangian_map`) is one SHAKE step: the manifold's own
+multiplier solve places the drifted position back on the constraint, and
+no constraint Jacobian is formed (on the sphere the solve is a closed-form
+quadratic).
 
 One-step maps are pure functions of their arguments; independent
 trajectories can run in parallel, while a single trajectory is sequential.
@@ -26,7 +26,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import manifolds
-from .errors import NewtonError
 
 Array = np.ndarray
 
@@ -38,16 +37,15 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class MidpointLagrangian:
-    """Midpoint-rule discrete Lagrangian of ``L = |qdot|^2 / 2 - V(q)``::
+    """Midpoint-rule discrete Lagrangian of a unit mass in the uniform field
+    ``field``, ``L = |qdot|^2 / 2 - V(q)`` with ``V(q) = field . q``::
 
         L_d(q0, q1; h) = |q1 - q0|^2 / (2 h) - h V((q0 + q1) / 2)
 
-    :func:`constrained_lagrangian_map` needs only the force term
-    ``potential_grad``, the gradient of ``V``; the unit-mass kinetic term is
-    written into the map.
+    The pendulum's gravity is such a field.
     """
 
-    potential_grad: Callable[[Array], Array]
+    field: Array
 
 
 def project_momentum(manifold: manifolds.EmbeddedManifold, q: Array, p: Array) -> Array:
@@ -68,7 +66,6 @@ class HamiltonStepResult(NamedTuple):
     q_next: Array
     p_next: Array
     lam: Array
-    newton_iterations: int
 
 
 def constrained_lagrangian_map(
@@ -86,49 +83,25 @@ def constrained_lagrangian_map(
     and returns ``p_next = D2 L_d(q, q_next)``, the discrete Legendre
     transforms of the position recursion, as a ``(q, p)`` one-step map.
 
-    The unit-mass kinetic term of the midpoint Lagrangian gives
-    ``-D1 L_d(q, q_next) = (q_next - q) / h + N(q_next)`` with the force
-    term ``N(q_next) = (h / 2) grad V((q + q_next) / 2)``.  Each pass
-    freezes ``N`` at the current ``q_next``, lets the manifold place the
+    The unit-mass kinetic term gives ``-D1 L_d(q, q_next) = (q_next - q) / h
+    + N`` with the force term ``N = (h / 2) field``, which the uniform field
+    makes constant.  So the map is one SHAKE step: the manifold places the
     drift ``q + h (p - N)`` back on the constraint
     (:meth:`~bregopt.manifolds.EmbeddedManifold.solve_multiplier`, warm
-    started from ``lam0`` and then from the previous pass) and moves
-    ``q_next`` there.  A constant force, such as the pendulum's gravity,
-    needs one pass; in general the passes contract when
-    ``(h^2 / 4) |Hess V| < 1``.  The map stops when the momentum residual
-    ``|-D1 L_d(q, q_next) + J_C(q)^T lam - p|_inf`` is at most
-    ``manifolds.NEWTON_TOL``, or when a pass leaves ``q_next`` unchanged:
-    that point solves the equations to rounding, whose floor on the
-    residual, about ``ulp(q) / h``, exceeds the tolerance at very small
-    steps.  The number of passes is reported as the Newton iterations.
+    started from ``lam0``), ``q_next`` is the drift less ``h J_C(q)^T lam``,
+    and ``p_next = (q_next - q) / h - N``.
 
     Raises:
-        NewtonError: ``manifolds.NEWTON_MAX_ITER`` passes left the momentum
-            residual above ``manifolds.NEWTON_TOL``, or no multiplier
-            reaches the manifold.
+        NewtonError: no multiplier reaches the manifold.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     lam = np.zeros(manifold.constraint_dim) if lam0 is None else lam0
-    q_next = q
-    tol, max_iter = manifolds.NEWTON_TOL, manifolds.NEWTON_MAX_ITER
-    force = 0.5 * h * lagrangian.potential_grad(q)
-    for passes in range(1, max_iter + 1):
-        drift = q + h * (p - force)
-        lam, normal, _ = manifold.solve_multiplier(drift, q, h, lam)
-        q_last, q_next = q_next, drift - h * normal
-        force = 0.5 * h * lagrangian.potential_grad((q + q_next) / 2.0)
-        velocity = (q_next - q) / h
-        norm = float(np.abs(velocity + force + normal - p).max())
-        if norm <= tol or np.array_equal(q_next, q_last):
-            # D2 L_d(q, q_next) = (q_next - q) / h - N(q_next)
-            return HamiltonStepResult(q_next, velocity - force, lam, passes)
-    raise NewtonError(
-        f"constrained Euler--Lagrange map did not converge in {max_iter} "
-        f"passes (momentum residual {norm:.3e})",
-        residual_norm=norm,
-        iterations=max_iter,
-    )
+    force = 0.5 * h * lagrangian.field
+    drift = q + h * (p - force)
+    lam, normal, _ = manifold.solve_multiplier(drift, q, h, lam)
+    q_next = drift - h * normal
+    return HamiltonStepResult(q_next, (q_next - q) / h - force, lam)
 
 
 # ---------------------------------------------------------------------------

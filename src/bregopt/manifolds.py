@@ -68,10 +68,9 @@ FEAS_TOL = 1e-8
 # random 5x5 steps), so it also bounds the change to the retraction.
 RETRACT_ORTH_TOL = 1e-14
 # Tolerance on the residual infinity norm and iteration budget of the
-# implicit solves: the steps of the Stiefel multiplier solve and the passes
-# of ``dynamics.constrained_lagrangian_map``.  The tolerance sits well under
-# FEAS_TOL, which every iterate the solves produce must then meet.  Both
-# solves read them at call time.
+# Stiefel multiplier solve.  The tolerance sits well under FEAS_TOL, which
+# every iterate the solve produces must then meet.  The solve reads them at
+# call time.
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 # Halvings of a Newton step of the Stiefel multiplier solve that fails to
@@ -199,7 +198,7 @@ class EmbeddedManifold:
 
     def retract(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
         """First-order map from the tangent space at ``q`` back to the
-        manifold; a zero ``v`` gives back ``q`` bit for bit."""
+        manifold."""
         raise NotImplementedError
 
     def transport(self, q_from: np.ndarray, q_to: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -262,8 +261,6 @@ class Sphere(EmbeddedManifold):
         return z - (q @ z) * q
 
     def retract(self, q, v):
-        if not v.any():
-            return q.copy()
         w = q + v
         norm = math.sqrt(float(w @ w))
         if norm < 1e-12:
@@ -437,8 +434,6 @@ class Stiefel(EmbeddedManifold):
         Raises:
             RetractionError: ``W`` is rank deficient.
         """
-        if not v.any():
-            return q.copy()
         w = (q + v).reshape((self.n, self.m), order="F")
         big = float(np.abs(w).max())
         rank_tol = 1e-12 * max(1.0, big)

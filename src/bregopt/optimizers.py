@@ -48,7 +48,6 @@ class RunConfig:
     problem with an oracle: ``f`` may round a few ulps below the oracle
     value, so even ``stop_f_tol=1e-300`` can end the run; a run that is to
     stop on the gradient norm alone needs a problem without an oracle.
-    ``seed`` draws the initial point when none is passed to :func:`run`.
     The HTVI multiplier solve runs to the manifold constants
     ``NEWTON_TOL`` and ``NEWTON_MAX_ITER``, which are not settings.
     """
@@ -58,7 +57,6 @@ class RunConfig:
     max_iters: int = 1000
     stop_grad_tol: float = 1e-12
     stop_f_tol: float = 1e-12
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -178,7 +176,8 @@ def el_step(
 
     ``riemannian_grad`` maps a point to the Riemannian gradient of the
     objective there.  Version 1 evaluates the gradient at ``x``; version 2
-    at the trial point reached by following the damped velocity alone.
+    at the trial point reached by following the damped velocity alone, which
+    is ``x`` itself when ``v`` is zero, as at the first step of a run.
     The gradient coefficient grows polynomially in ``k`` and is clamped at
     ``params.coeff_cap``.  Neither the retraction nor the velocity
     transport checks that its points lie on the manifold: :func:`run`
@@ -194,7 +193,7 @@ def el_step(
     if version == 1:
         grad = riemannian_grad(x)
     else:
-        grad = riemannian_grad(manifold.retract(x, (h * b_k) * v))
+        grad = riemannian_grad(manifold.retract(x, (h * b_k) * v) if v.any() else x)
     a_k = b_k * v - (h * c_k) * grad
     x_next = manifold.retract(x, h * a_k)
     v_next = manifold.transport(x, x_next, a_k)
@@ -276,7 +275,7 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
     """Execute an optimizer run and return its trace.
 
     ``initial`` is a feasible point (flat array); when omitted it is drawn
-    from the manifold with the config seed.  HTVI methods start from the
+    from the manifold with seed 0.  HTVI methods start from the
     standard extended state (zero momenta, unit time coordinate).  Each
     iterate is evaluated once: ``problem.value_and_grad`` gives the
     objective and its ambient gradient, and the manifold's
@@ -293,7 +292,7 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
     """
     manifold = problem.manifold
     if initial is None:
-        initial = manifold.random_point(np.random.default_rng(config.seed))
+        initial = manifold.random_point(np.random.default_rng(0))
     q0 = manifold._check_dim(initial)
     if config.method in ("htvi_direct", "htvi_adaptive"):
         start = _htvi_stepper

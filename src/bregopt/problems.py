@@ -191,9 +191,9 @@ def symmetric_from_spectrum(rng: np.random.Generator, spectrum: np.ndarray) -> n
 
 def symmetric_instance(seed: int, n: int, conditioning: float = 10.0) -> np.ndarray:
     """Reproducible symmetric matrix with eigenvalues spread over
-    ``[1, conditioning]``."""
-    if not conditioning >= 1.0:
-        raise ValueError(f"conditioning must be >= 1, not {conditioning}")
+    ``[1, conditioning]``; ``conditioning`` must be finite."""
+    if not 1.0 <= conditioning < np.inf:
+        raise ValueError(f"conditioning must be >= 1 and finite, not {conditioning}")
     rng = np.random.default_rng(seed)
     return symmetric_from_spectrum(rng, np.linspace(1.0, conditioning, n))
 
@@ -205,8 +205,8 @@ def make_instance(
 
     ``dims`` is ``(n,)`` for rayleigh, ``(n, m)`` for brockett and
     ``(n, m, l)`` for procrustes.  The rayleigh and brockett matrices are
-    :func:`symmetric_instance` draws, so ``conditioning`` must be >= 1;
-    procrustes ignores it.
+    :func:`symmetric_instance` draws, so ``conditioning`` must be finite and
+    >= 1; procrustes ignores it.
     """
     if name == "rayleigh":
         (n,) = dims

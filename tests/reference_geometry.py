@@ -6,7 +6,7 @@ unconstrained limit of the constrained maps, and a random tangent vector
 sampler."""
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,19 +67,17 @@ def newton_solve(residual, jacobian, x0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITE
 class DenseLagrangian(MidpointLagrangian):
     """A :class:`MidpointLagrangian` with its partial derivatives: ``d1`` and
     ``d2`` with respect to the first and second position argument, and the
-    mixed second partial ``d12`` (``d/dq1`` of ``d1``), from the potential's
-    Hessian ``potential_hess``."""
-
-    potential_hess: Callable[[np.ndarray], np.ndarray]
+    mixed second partial ``d12`` (``d/dq1`` of ``d1``).  The uniform field
+    has no Hessian, so ``d12`` is ``-I / h``."""
 
     def d1(self, q0, q1, h):
-        return -(q1 - q0) / h - 0.5 * h * self.potential_grad((q0 + q1) / 2.0)
+        return -(q1 - q0) / h - 0.5 * h * self.field
 
     def d2(self, q0, q1, h):
-        return (q1 - q0) / h - 0.5 * h * self.potential_grad((q0 + q1) / 2.0)
+        return (q1 - q0) / h - 0.5 * h * self.field
 
     def d12(self, q0, q1, h):
-        return -np.eye(q0.size) / h - 0.25 * h * self.potential_hess((q0 + q1) / 2.0)
+        return -np.eye(q0.size) / h
 
 
 def loop_stiefel_jacobian(st, q):

@@ -1,5 +1,6 @@
 """End-to-end tests of the benchmark runner CLI."""
 
+import hashlib
 import json
 import math
 
@@ -292,7 +293,28 @@ class TestCompare:
             assert info.value.code == 2
 
 
+# First 16 hex digits of the sha256 of the states after each step of the
+# order-check systems (numpy 2.4 with single-threaded OpenBLAS on x86-64, as
+# tests/conftest.py pins it), keyed by system, step count and step size.
+ORDER_CHECK_DIGESTS = {
+    ("quadratic", 80, 0.0125): "f45eb148326f35f7",
+    ("quadratic", 8000, 1.25e-4): "56d1c8bac52f642d",
+    ("spherical_pendulum", 80, 0.0125): "8017e2bcf3b36ece",
+    ("spherical_pendulum", 8000, 1.25e-4): "346452406f12f576",
+}
+
+
 class TestOrderCheck:
+    @pytest.mark.parametrize("name,steps,h", sorted(ORDER_CHECK_DIGESTS))
+    def test_trajectories_are_bit_identical(self, name, steps, h):
+        step, state = _order_check_system(name)
+        states = []
+        for _ in range(steps):
+            state = step(state, h)
+            states.append(state)
+        digest = hashlib.sha256(np.concatenate(states).tobytes()).hexdigest()[:16]
+        assert digest == ORDER_CHECK_DIGESTS[name, steps, h]
+
     def test_quadratic_first_order_passes(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -415,6 +437,8 @@ class TestMalformedConfig:
         ({"dims": [3, 2]}, "bad problem block"),
         ({"conditioning": "high"}, "high"),
         ({"conditioning": 0.5}, "conditioning must be >= 1"),
+        # Python's json reads Infinity, which would leave no finite spectrum
+        ({"conditioning": math.inf}, "conditioning must be >= 1 and finite"),
         ({"name": ["rayleigh"]}, "unknown problem"),
         ({"file": "missing.txt"}, "bad problem matrix input"),
     ])
@@ -560,6 +584,10 @@ class TestMalformedConfig:
         ({"h_list": [0.1, 0.05, 0.0]}, "positive"),
         ({"h_list": [0.1, "x", 0.01]}, "bad order-check config"),
         ({"expected_rate": ["lo", 2.0]}, "lo"),
+        # an interval that no rate can meet, rejected before the check runs
+        ({"expected_rate": [math.nan, 2.2]}, "with lo <= hi"),
+        ({"expected_rate": [1.8, math.nan]}, "with lo <= hi"),
+        ({"expected_rate": [2.2, 1.8]}, "with lo <= hi"),
     ])
     def test_bad_order_check_value(self, tmp_path, capsys, keys, phrase):
         config = order_check_config(tmp_path, **keys)

@@ -546,8 +546,9 @@ class TestRunDriver:
     def test_seeded_runs_identical(self):
         prob = make_instance("rayleigh", (6,), seed=11)
         cfg = RunConfig(method="el_v2", params=BregmanParams(p=4.0, h=1e-2),
-                        max_iters=50, seed=5)
-        first, second = run(cfg, prob), run(cfg, prob)
+                        max_iters=50)
+        initial = prob.manifold.random_point(np.random.default_rng(5))
+        first, second = run(cfg, prob, initial), run(cfg, prob, initial)
         assert first.fs == second.fs
         assert first.ts == second.ts
 
