@@ -45,7 +45,11 @@ A ``run`` or ``compare`` config holds:
   JSON boolean).
 
 The counts ``seed``, ``dims``, ``m`` and ``max_iters`` must be JSON
-integers: ``2.7`` or ``true`` is an error, not a truncation.
+integers: ``2.7`` or ``true`` is an error, not a truncation; ``seed`` must
+also be non-negative.  Every other numeric value (the Bregman parameters,
+the stopping tolerances, ``conditioning``, ``h_list``, ``duration`` and
+``expected_rate``) must be a JSON number: ``true`` or ``"0.01"`` is an
+error, not a conversion.
 
 An ``order-check`` config holds ``system`` (required; ``quadratic`` or
 ``spherical_pendulum``), ``h_list`` (required; at least three positive,
@@ -96,6 +100,14 @@ def _count(value) -> int:
     return value
 
 
+def _number(value) -> float:
+    """A JSON integer or float as a float; ``float()`` would also take a
+    boolean or a numeric string."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"must be a number, not {value!r}")
+    return float(value)
+
+
 RUN_KEYS = ("problem", "methods", "output_dir", "plot")
 PROBLEM_KEYS = ("name", "seed", "dims", "conditioning", "file", "file_b", "m")
 # The problem keys beyond name and seed that each input reads, keyed by the
@@ -110,9 +122,9 @@ INPUT_KEYS = {
 }
 # Method-block keys with their converters; the dataclasses own every
 # default but p's.
-PARAM_KEYS = {"p": float, "p_ring": float, "c_const": float, "lambda_conv": float,
-              "h": float, "coeff_cap": float}
-STOP_KEYS = {"max_iters": _count, "stop_grad_tol": float, "stop_f_tol": float}
+PARAM_KEYS = {"p": _number, "p_ring": _number, "c_const": _number,
+              "lambda_conv": _number, "h": _number, "coeff_cap": _number}
+STOP_KEYS = {"max_iters": _count, "stop_grad_tol": _number, "stop_f_tol": _number}
 METHOD_KEYS = ("method", "label", *PARAM_KEYS, *STOP_KEYS)
 # A label is a file stem in output_dir and a field of compare.csv/.svg.
 LABEL_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
@@ -144,10 +156,11 @@ def _check_keys(block: dict, allowed: tuple, where: str) -> None:
 
 def _problem_seed(block: dict) -> int:
     """Seed of a problem block: it draws the instance and the initial point."""
-    try:
-        return _count(block.get("seed", 0))
-    except TypeError as exc:
-        raise ConfigError(f"bad problem block: seed: {exc}") from exc
+    seed = block.get("seed", 0)
+    if not _is_count(seed) or seed < 0:
+        raise ConfigError(f"bad problem block: seed must be a non-negative integer, "
+                          f"not {seed!r}")
+    return seed
 
 
 def _check_applicable(block: dict, name: str) -> None:
@@ -187,11 +200,11 @@ def build_problem(block: dict) -> problems.ProblemSpec:
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad problem matrix input: {exc}") from exc
     _check_applicable(block, name)
+    conditioning = _given(block, {"conditioning": _number}).get("conditioning", 10.0)
     try:
         dims = block.get("dims", list(DEFAULT_DIMS[name]))
         if not isinstance(dims, list) or not all(map(_is_count, dims)):
             raise TypeError(f"dims must be a list of integers, not {dims!r}")
-        conditioning = float(block.get("conditioning", 10.0))
         return problems.make_instance(name, tuple(dims), seed=seed,
                                       conditioning=conditioning)
     except (TypeError, ValueError) as exc:
@@ -518,11 +531,11 @@ def cmd_order_check(config_path: str, out_override: str | None = None) -> int:
         raise ConfigError("order-check config needs 'expected_rate': [lo, hi]")
     step, initial = _order_check_system(name)
     try:
-        duration = float(config.get("duration", 1.0))
-        lo, hi = float(interval[0]), float(interval[1])
+        duration = _number(config.get("duration", 1.0))
+        lo, hi = map(_number, interval)
         if not lo <= hi:  # NaN fails it too
             raise ValueError(f"expected_rate must be [lo, hi] with lo <= hi, not {interval}")
-        result = dynamics.order_check(step, initial, h_list, duration)
+        result = dynamics.order_check(step, initial, list(map(_number, h_list)), duration)
     except BregoptError:
         raise  # a numerical failure of the step, although it may be a ValueError
     except (TypeError, ValueError) as exc:

@@ -29,7 +29,8 @@ class SingularTimeError(BregoptError, ValueError):
 
 
 class NewtonError(BregoptError, RuntimeError):
-    """Newton iteration failed to reach the residual tolerance.
+    """A Lagrange-multiplier solve found no multiplier that puts the step
+    back on the manifold, within its residual tolerance.
 
     Attributes:
         residual_norm: infinity norm of the residual at the last iterate.

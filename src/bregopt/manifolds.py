@@ -9,8 +9,8 @@ integrators, the optimizers and the tests:
 * ``solve_multiplier``: the Lagrange-multiplier solve of the HTVI step,
   which places a drifted point back on the manifold (on the sphere the
   small root of a scalar quadratic, on the Stiefel manifold an m x m
-  Riccati equation solved by the SHAKE/RATTLE fixed point with exact
-  Newton (Lyapunov) steps);
+  Riccati equation solved by the SHAKE/RATTLE fixed point, with one exact
+  invariant-subspace step of its Hamiltonian matrix as the fallback);
 * ``gradient_and_violation``: the Riemannian gradient and the constraint
   violation at an iterate, from one constraint evaluation;
 * ``tangent_project``, ``retract`` and ``transport``: the geometry of the
@@ -73,9 +73,6 @@ RETRACT_ORTH_TOL = 1e-14
 # call time.
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
-# Halvings of a Newton step of the Stiefel multiplier solve that fails to
-# reduce the residual before the solve gives up.
-NEWTON_HALVINGS = 10
 
 
 def _sphere_multiplier(w: np.ndarray, v: np.ndarray) -> float:
@@ -106,20 +103,6 @@ def _sphere_multiplier(w: np.ndarray, v: np.ndarray) -> float:
         return 0.0
     small = c / (a * big)
     return small if abs(small) <= abs(big) else big
-
-
-def _lyapunov(m: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Solution ``E`` of ``M^T E + E M = F`` for a symmetric ``F``, through
-    the eigendecomposition ``M = V diag(mu) V^{-1}``; NaN where ``M`` has
-    none that numpy can compute."""
-    try:
-        mu, v = np.linalg.eig(m)
-        v_inv = np.linalg.inv(v)
-    except np.linalg.LinAlgError:
-        return np.full_like(f, np.nan)
-    e = (v.T @ f @ v) / (mu[:, np.newaxis] + mu)
-    e = (v_inv.T @ e @ v_inv).real
-    return (e + e.T) / 2.0
 
 
 def positive_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,25 +311,23 @@ class Stiefel(EmbeddedManifold):
         The derivative of ``F`` along ``dT`` is ``-(M^T dT + dT M)`` with
         ``M = X^T Y``, which is near ``I`` for a small step, so the solve
         iterates the SHAKE/RATTLE fixed point ``S <- S + F / (2 coeff)``
-        (Leimkuhler & Reich 2004, on orthogonality constraints).  A step
-        that does not halve ``max |F|`` is replaced by an exact Newton step,
-        ``S <- S + E / coeff`` with ``E`` the solution of the Lyapunov
-        equation ``M^T E + E M = F``: for ``M = V diag(mu) V^{-1}``,
-        ``E = V^{-T} [(V^T F V)_ij / (mu_i + mu_j)] V^{-1}``.  A Newton step
-        that does not reduce ``max |F|`` is halved, up to
-        ``NEWTON_HALVINGS`` times, so the residual never grows.  The solve
-        stops once ``max |F| <= NEWTON_TOL``, within ``NEWTON_MAX_ITER``
-        steps.  Each step costs O(n m^2 + m^3).  Returns ``lam = triu(S)``
+        (Leimkuhler & Reich 2004, on orthogonality constraints), each step
+        O(n m^2), until ``max |F| <= NEWTON_TOL``.  When a step does not
+        halve ``max |F|``, ``NEWTON_MAX_ITER`` steps are used up or the
+        residual is not finite, it ends with one exact step, counted as an
+        iteration: with the eigenvectors of the Hamiltonian matrix
+        ``K = [[A, -G], [C, -A^T]]`` for its m eigenvalues of positive real
+        part stacked as ``[U1; U2]``, ``T = U2 U1^{-1}``, symmetrized (the
+        invariant-subspace method, Laub 1979).  ``M = A - G T`` then has
+        exactly those eigenvalues, so this is the solution near ``T = 0``,
+        ``M = I`` that the fixed point tracks.  Returns ``lam = triu(S)``
         with its diagonal halved.
 
         Raises:
-            NewtonError: ``max |F|`` is still above ``NEWTON_TOL`` after
-                ``NEWTON_MAX_ITER`` steps, is not finite, or no halving of a
-                Newton step reduces it.  The message calls the constraint
-                unreachable when the Hamiltonian matrix
-                ``K = [[A, -G], [C, -A^T]]`` of the Riccati equation has an
-                eigenvalue on the imaginary axis, where its real solutions
-                are lost.
+            NewtonError: the exact step does not land within ``NEWTON_TOL``.
+                The message calls the constraint unreachable when ``K`` has
+                an eigenvalue on the imaginary axis, where the real
+                solutions of the Riccati equation are lost.
         """
         x = self.as_matrix(q)
         d = self.as_matrix(drift)
@@ -357,50 +338,48 @@ class Stiefel(EmbeddedManifold):
         def landing(s):
             y = d - x @ (coeff * s)
             f = y.T @ y - self._eye
-            return y, f, float(np.abs(f).max())
+            return f, float(np.abs(f).max())
 
         iterations = 0
         # a failing solve may overflow; each residual is tested instead
         with np.errstate(all="ignore"):
-            y, f, norm = landing(s)
-            while not norm <= NEWTON_TOL:
-                if iterations == NEWTON_MAX_ITER or not math.isfinite(norm):
-                    raise self._multiplier_error(x, d, iterations, norm)
+            f, norm = landing(s)
+            while (not norm <= NEWTON_TOL and iterations < NEWTON_MAX_ITER
+                   and math.isfinite(norm)):
                 trial = s + f / (2.0 * coeff)
-                y_next, f_next, norm_next = landing(trial)
+                f_next, norm_next = landing(trial)
                 if not norm_next <= 0.5 * norm:
-                    # the Newton step, halved until it reduces the residual
-                    step = _lyapunov(x.T @ y, f) / coeff
-                    for _ in range(NEWTON_HALVINGS + 1):
-                        trial = s + step
-                        y_next, f_next, norm_next = landing(trial)
-                        if norm_next < norm:
-                            break
-                        step = step / 2.0
-                    else:
-                        raise self._multiplier_error(x, d, iterations, norm)
-                s, y, f, norm = trial, y_next, f_next, norm_next
+                    break
+                s, f, norm = trial, f_next, norm_next
+                iterations += 1
+            if not norm <= NEWTON_TOL:
+                a = x.T @ d
+                k = np.block([[a, -(x.T @ x)], [d.T @ d - self._eye, -a.T]])
+                mu = np.array([math.nan])
+                exact = s
+                # a non-finite K has no eigenvalues, and U1 is not square
+                # unless exactly m eigenvalues have positive real part
+                try:
+                    mu, u = np.linalg.eig(k)
+                    right = mu.real > 0.0
+                    t = np.linalg.solve(u[: self.m, right].T, u[self.m :, right].T).real
+                    exact = (t + t.T) / (2.0 * coeff)
+                except np.linalg.LinAlgError:
+                    pass
+                if not landing(exact)[1] <= NEWTON_TOL:
+                    message = (f"Newton did not converge in {iterations} iterations "
+                               f"(residual {norm:.3e})")
+                    gap = float(np.abs(mu.real).min())
+                    # eigenvalues on the axis sit there to rounding; a
+                    # solvable step keeps them near +-1
+                    if gap <= 1e-8 * float(np.abs(mu).max()):
+                        message += (f"; stiefel constraint unreachable: the Riccati "
+                                    f"Hamiltonian has an eigenvalue on the imaginary "
+                                    f"axis (|Re| {gap:.1e})")
+                    raise NewtonError(message, residual_norm=norm, iterations=iterations)
+                s = exact
                 iterations += 1
         return s[self._triu] * self._triu_weight, self.from_matrix(x @ s), iterations
-
-    def _multiplier_error(self, x, d, iterations, norm):
-        """The :class:`NewtonError` of a failed :meth:`solve_multiplier`."""
-        a = x.T @ d
-        k = np.block([[a, -(x.T @ x)], [d.T @ d - self._eye, -a.T]])
-        message = f"Newton did not converge in {iterations} iterations (residual {norm:.3e})"
-        try:  # a non-finite K has no eigenvalues
-            mu = np.linalg.eigvals(k)
-        except np.linalg.LinAlgError:
-            mu = np.array([math.nan])
-        gap = float(np.abs(mu.real).min())
-        # eigenvalues on the axis sit there to rounding; a solvable step
-        # keeps them near +-1
-        if gap <= 1e-8 * float(np.abs(mu).max()):
-            message += (
-                f"; stiefel constraint unreachable: the Riccati Hamiltonian has an "
-                f"eigenvalue on the imaginary axis (|Re| {gap:.1e})"
-            )
-        return NewtonError(message, residual_norm=norm, iterations=iterations)
 
     def gradient_and_violation(self, q, ambient_grad):
         x = q.reshape((self.n, self.m), order="F")

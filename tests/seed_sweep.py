@@ -7,7 +7,8 @@ at most 1e-6, or Riemannian gradient norm at most 1e-6 on a problem without
 an oracle.  It prints one row per problem and method with the outcome of
 each seed -- ``S<k>`` reached the target at iteration ``k``, ``U<k>`` used
 up the budget, ``F<k>`` failed at step ``k`` -- followed by the text of
-every failure.  Not collected by pytest; run it as
+every failure and a count of the failures and of those classified
+unreachable.  Not collected by pytest; run it as
 
     PYTHONPATH=src python tests/seed_sweep.py
 """
@@ -60,6 +61,8 @@ def main():
     print("failures:" if failures else "failures: none")
     for line in failures:
         print(" ", line)
+    unreachable = sum("unreachable" in line for line in failures)
+    print(f"failures: {len(failures)}, unreachable: {unreachable}")
 
 
 if __name__ == "__main__":

@@ -399,9 +399,11 @@ class TestOrderCheck:
 
 
 def run_config(tmp_path, problem=None, method=None, **top):
-    """A one-block ``run`` config with the given problem and method keys."""
+    """A one-block ``run`` config with the given problem and method keys; a
+    problem key given as None is left out."""
+    problem = {"name": "rayleigh", "dims": [3], "seed": 1, **(problem or {})}
     payload = {
-        "problem": {"name": "rayleigh", "dims": [3], "seed": 1, **(problem or {})},
+        "problem": {key: value for key, value in problem.items() if value is not None},
         "methods": [{"method": "rgd", "max_iters": 2, **(method or {})}],
         "output_dir": str(tmp_path / "out"),
         **top,
@@ -439,10 +441,19 @@ class TestMalformedConfig:
         ({"conditioning": 0.5}, "conditioning must be >= 1"),
         # Python's json reads Infinity, which would leave no finite spectrum
         ({"conditioning": math.inf}, "conditioning must be >= 1 and finite"),
+        # a number must be a JSON number, not a string or a boolean
+        ({"conditioning": "10"}, "conditioning: must be a number, not '10'"),
+        ({"conditioning": True}, "conditioning: must be a number, not True"),
         ({"name": ["rayleigh"]}, "unknown problem"),
         ({"file": "missing.txt"}, "bad problem matrix input"),
+        # the seed also draws the initial point of a problem read from a file
+        ({"seed": -1}, "seed must be a non-negative integer, not -1"),
+        ({"file": "a.txt", "dims": None, "seed": -1},
+         "seed must be a non-negative integer, not -1"),
     ])
-    def test_bad_problem_value(self, tmp_path, capsys, problem, phrase):
+    def test_bad_problem_value(self, tmp_path, capsys, monkeypatch, problem, phrase):
+        monkeypatch.chdir(tmp_path)
+        np.savetxt("a.txt", np.diag([1.0, 2.0, 3.0]))
         for command in ("run", "compare"):
             config = run_config(tmp_path, problem=problem)
             assert_config_error(capsys, [command, "--config", config], phrase)
@@ -450,6 +461,9 @@ class TestMalformedConfig:
 
     @pytest.mark.parametrize("method,phrase", [
         ({"h": "small"}, "small"),
+        ({"h": "0.01"}, "h: must be a number, not '0.01'"),
+        ({"p": True}, "p: must be a number, not True"),
+        ({"stop_f_tol": False}, "stop_f_tol: must be a number, not False"),
         ({"max_iters": None}, "bad method block"),
         # NaN fails no ordered comparison, so each check is a negated one
         ({"h": math.nan}, "timestep h must be positive"),
@@ -583,6 +597,12 @@ class TestMalformedConfig:
         ({"h_list": [0.1, 0.05, 0.05]}, "strictly decreasing"),
         ({"h_list": [0.1, 0.05, 0.0]}, "positive"),
         ({"h_list": [0.1, "x", 0.01]}, "bad order-check config"),
+        # a number must be a JSON number, not a string or a boolean
+        ({"h_list": [True, 0.05, 0.025]}, "must be a number, not True"),
+        ({"h_list": [0.1, "0.05", 0.025]}, "must be a number, not '0.05'"),
+        ({"duration": "1"}, "must be a number, not '1'"),
+        ({"expected_rate": [True, 1.5]}, "must be a number, not True"),
+        ({"expected_rate": [0.5, "1.5"]}, "must be a number, not '1.5'"),
         ({"expected_rate": ["lo", 2.0]}, "lo"),
         # an interval that no rate can meet, rejected before the check runs
         ({"expected_rate": [math.nan, 2.2]}, "with lo <= hi"),

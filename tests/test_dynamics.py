@@ -121,12 +121,12 @@ class TestNewton:
             assert after <= 2.0 * before ** 2
 
     def test_config_validation(self):
-        # the solves' tolerance and budgets are manifold constants: a
+        # the solve's tolerance and budget are manifold constants: a
         # positive tolerance under the feasibility gate that every iterate of
-        # the solves must then pass, and positive integer budgets
+        # the solve must then pass, and a positive integer budget
         assert 0.0 < manifolds.NEWTON_TOL < manifolds.FEAS_TOL
-        for budget in (manifolds.NEWTON_MAX_ITER, manifolds.NEWTON_HALVINGS):
-            assert isinstance(budget, int) and budget >= 1
+        budget = manifolds.NEWTON_MAX_ITER
+        assert isinstance(budget, int) and budget >= 1
 
     def test_nan_tol_rejected(self, monkeypatch):
         # NaN fails every comparison, so a NaN tolerance accepts no residual,

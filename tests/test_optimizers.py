@@ -12,7 +12,7 @@ from bregopt.bregman import BregmanParams, ExtendedState
 from bregopt.cli import DEFAULT_DIMS, build_problem, build_run_config
 from bregopt.errors import DimensionError, NewtonError
 from bregopt import manifolds, optimizers
-from bregopt.manifolds import NEWTON_MAX_ITER, NEWTON_TOL, Sphere, Stiefel, _lyapunov
+from bregopt.manifolds import NEWTON_MAX_ITER, NEWTON_TOL, Sphere, Stiefel
 from bregopt.optimizers import METHODS, RunConfig, el_step, htvi_step, rgd_step, run
 from bregopt.problems import make_instance, rayleigh
 
@@ -156,8 +156,8 @@ class TestSolveMultiplier:
             np.testing.assert_allclose(normal, ref_normal, rtol=0, atol=atol)
 
     def test_stiefel_failure_is_newton_error(self, monkeypatch):
-        # a drift far from any point the normals can reach: the Newton step
-        # cannot reduce the residual, and the solve stops there
+        # a drift far from any point the normals can reach: the exact step
+        # finds no real multiplier, and the solve stops there
         monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", 5)
         st = Stiefel(6, 2)
         q = st.random_point(np.random.default_rng(1))
@@ -177,31 +177,22 @@ class TestSolveMultiplier:
                 st.solve_multiplier(q + shift, q, 1e-3, np.zeros(3))
 
     def test_stiefel_budget_exhaustion(self, monkeypatch):
-        # a reachable drift with too small a budget
-        monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", 1)
+        # with no fixed-point budget left, a reachable drift is solved by the
+        # exact invariant-subspace step alone
         st = Stiefel(6, 2)
         rng = np.random.default_rng(2)
         q = st.random_point(rng)
-        drift = q + 0.2 * rng.standard_normal(12)
-        with pytest.raises(NewtonError, match="Newton did not converge in 1 iterations") \
-                as info:
-            st.solve_multiplier(drift, q, 0.2, np.zeros(3))
-        assert "unreachable" not in str(info.value)
-        assert info.value.iterations == 1
-        assert info.value.residual_norm > NEWTON_TOL
-
-    def test_lyapunov_step_solves_its_equation(self):
-        # M^T E + E M = F for an M near I, as in the solve, and for one with
-        # complex eigenvalues
-        rng = np.random.default_rng(4)
-        rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
-        for m in (np.eye(5) + 0.2 * rng.standard_normal((5, 5)),
-                  np.kron(np.eye(2), rotation) + 0.05 * rng.standard_normal((4, 4))):
-            f = rng.standard_normal(m.shape)
-            f = f + f.T
-            e = _lyapunov(m, f)
-            np.testing.assert_allclose(m.T @ e + e @ m, f, rtol=0, atol=1e-13)
-            np.testing.assert_array_equal(e, e.T)
+        base = rng.standard_normal(12)
+        coeff = 0.2
+        drift = q + coeff * base
+        ref_lam, ref_normal, _ = dense_multiplier(st, drift, q, coeff, np.zeros(3))
+        monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", 0)
+        lam, normal, iters = st.solve_multiplier(drift, q, coeff, np.zeros(3))
+        assert iters == 1
+        assert st.constraint_violation(q + coeff * (base - normal)) <= NEWTON_TOL
+        atol = NEWTON_TOL / coeff
+        np.testing.assert_allclose(lam, ref_lam, rtol=0, atol=atol)
+        np.testing.assert_allclose(normal, ref_normal, rtol=0, atol=atol)
 
     def test_sphere_bit_equal_to_closed_form(self):
         sphere = Sphere(5)
@@ -267,8 +258,8 @@ class TestSolveMultiplier:
         ("brockett", "htvi_adaptive", 0, 1487),
         ("procrustes", "htvi_direct", 0, 4019),
         ("procrustes", "htvi_adaptive", 0, 1249),
-        # the step before the failure needs a halved Newton step
         ("procrustes", "htvi_direct", 9, 4043),
+        ("procrustes", "htvi_direct", 5, 4100),
     ])
     def test_default_failures_are_classified_unreachable(self, name, method, seed, rows):
         # at these steps the multiplier equation loses its real solutions;
