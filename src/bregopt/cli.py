@@ -23,10 +23,13 @@ A ``run`` or ``compare`` config holds:
   and also the initial point that every method block starts from.
   ``file`` reads the matrix ``A`` from a text file instead of drawing it;
   ``procrustes`` then reads ``B`` from ``file_b``, and ``brockett`` takes
-  the weights ``1, ..., m`` with ``m`` (5).  A key that the chosen input does not read
-  is an error: ``dims`` and ``conditioning`` shape only a random instance
-  (``conditioning`` only a ``rayleigh``/``brockett`` one), ``m`` only a
-  ``brockett`` and ``file_b`` only a ``procrustes`` read from ``file``.
+  the weights ``1, ..., m`` with ``m`` (5).  A matrix file holds one row
+  per line, entries separated by whitespace; a file of one number per line
+  is a column, and a non-finite entry is an error.  A key that the chosen
+  input does not read is an error: ``dims`` and ``conditioning`` shape
+  only a random instance (``conditioning`` only a ``rayleigh``/``brockett``
+  one), ``m`` only a ``brockett`` and ``file_b`` only a ``procrustes`` read
+  from ``file``.
 * ``methods`` -- a non-empty list of method blocks: ``method`` (required;
   one of ``METHODS``), ``label`` (``<method>_<index>``; the stem of the
   block's output file: letters, digits, ``_``, ``.`` and ``-``, distinct
@@ -76,7 +79,7 @@ from .bregman import BregmanParams
 from .dynamics import MidpointLagrangian
 from .errors import BregoptError, ConfigError
 from .manifolds import Sphere
-from .optimizers import METHODS, RunConfig, Trace
+from .optimizers import RunConfig, Trace
 
 CSV_COLUMNS = ("k", "t", "f", "grad_norm", "constraint_violation",
                "error_vs_oracle", "newton_iters")
@@ -227,8 +230,6 @@ def build_run_config(block: dict) -> RunConfig:
     if not isinstance(block, dict) or "method" not in block:
         raise ConfigError("method block must be an object with a 'method'")
     _check_keys(block, METHOD_KEYS, "method block")
-    if block["method"] not in METHODS:
-        raise ConfigError(f"unknown method {block['method']!r}")
     try:
         params = BregmanParams(**{"p": 6.0, **_given(block, PARAM_KEYS)})
         return RunConfig(method=block["method"], params=params, **_given(block, STOP_KEYS))
@@ -547,7 +548,7 @@ def cmd_order_check(config_path: str, out_override: str | None = None) -> int:
     rows.append(f"fitted_rate,{_fmt(result.rate)}")
     (out_dir / "order_check.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
-    ok = (not result.at_noise_floor) and lo <= result.rate <= hi
+    ok = lo <= result.rate <= hi  # a NaN rate (no fit) fails it
     status = "pass" if ok else "fail"
     print(f"{name}: fitted rate {result.rate:.4f}, expected [{lo}, {hi}] -> {status}")
     return EXIT_OK if ok else EXIT_ACCEPTANCE

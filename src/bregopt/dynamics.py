@@ -1,9 +1,9 @@
 """Discrete constrained variational mechanics.
 
-This module holds the pieces the constrained integrators share besides the
-manifold geometry: the unit-mass midpoint discrete Lagrangian, the momentum
-form of its constrained discrete Euler--Lagrange map, and an empirical
-order-of-accuracy harness.
+This module holds the spherical pendulum's mechanics and the harness that
+``bregopt order-check`` runs: the unit-mass midpoint discrete Lagrangian,
+the momentum form of its constrained discrete Euler--Lagrange map, and an
+empirical order-of-accuracy check.
 
 The Lagrangian is that of a unit mass in a uniform field, such as the
 pendulum's gravity.  Its force term is then constant, and the map
@@ -118,19 +118,17 @@ class OrderCheckResult:
             ``nan`` when fewer than two usable points remain.
         step_sizes: step sizes actually used (after snapping to the duration).
         errors: terminal-state errors against the reference trajectory.
-        dropped: step sizes whose error sat at the floating-point noise
-            floor and were excluded from the fit.
-        at_noise_floor: True when too few points survived to fit a rate.
     """
 
     rate: float
     step_sizes: list
     errors: list
-    dropped: list
-    at_noise_floor: bool
 
 
 StepMap = Callable[[Array, float], Array]
+
+# The reference trajectory runs at min(h_list) / REFERENCE_REFINEMENT.
+REFERENCE_REFINEMENT = 100
 
 
 def _integrate(step_map: StepMap, state: Array, h: float, n_steps: int) -> Array:
@@ -145,16 +143,16 @@ def order_check(
     initial: Array,
     h_list,
     duration: float,
-    reference_refinement: int = 100,
 ) -> OrderCheckResult:
     """Fit the empirical order of accuracy of a one-step map.
 
     Integrates ``step_map`` from ``initial`` to time ``duration`` for each
     step size, measures the terminal-state error against ``step_map`` itself
-    run at ``min(h_list) / reference_refinement``, and returns the
+    run at ``min(h_list) / REFERENCE_REFINEMENT``, and returns the
     least-squares slope of ``log(error)`` versus ``log(h)``.  Errors below
     one hundred machine epsilons (relative to the reference magnitude) are
-    at the noise floor; those points are dropped with a warning.
+    at the noise floor; those points are dropped with a warning, and the
+    rate is ``nan`` when fewer than two points remain.
     """
     h_list = [float(h) for h in h_list]
     if len(h_list) < 3:
@@ -164,14 +162,14 @@ def order_check(
     if not 0.0 < duration < math.inf:
         raise ValueError("duration must be positive and finite")
 
-    h_ref = min(h_list) / reference_refinement
+    h_ref = min(h_list) / REFERENCE_REFINEMENT
     n_ref = max(1, round(duration / h_ref))
     reference = _integrate(step_map, initial, duration / n_ref, n_ref)
 
     scale = max(1.0, float(np.max(np.abs(reference))))
     floor = 100.0 * np.finfo(float).eps * scale
 
-    used_h, errors, dropped = [], [], []
+    used_h, errors = [], []
     for h in h_list:
         n_steps = max(1, round(duration / h))
         h_eff = duration / n_steps
@@ -183,24 +181,11 @@ def order_check(
                 f"noise floor {floor:.2e}; dropping this point",
                 stacklevel=2,
             )
-            dropped.append(h_eff)
             continue
         used_h.append(h_eff)
         errors.append(err)
 
-    if len(used_h) < 2:
-        return OrderCheckResult(
-            rate=float("nan"),
-            step_sizes=used_h,
-            errors=errors,
-            dropped=dropped,
-            at_noise_floor=True,
-        )
-    slope = float(np.polyfit(np.log(used_h), np.log(errors), 1)[0])
-    return OrderCheckResult(
-        rate=slope,
-        step_sizes=used_h,
-        errors=errors,
-        dropped=dropped,
-        at_noise_floor=False,
-    )
+    rate = float("nan")
+    if len(used_h) >= 2:
+        rate = float(np.polyfit(np.log(used_h), np.log(errors), 1)[0])
+    return OrderCheckResult(rate=rate, step_sizes=used_h, errors=errors)

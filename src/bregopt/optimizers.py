@@ -75,8 +75,7 @@ class Trace:
     are ``None`` for methods without an inner solve.
     """
 
-    def __init__(self, method: str):
-        self.method = method
+    def __init__(self):
         self.ks: list[int] = []
         self.ts: list[float] = []
         self.fs: list[float] = []
@@ -302,7 +301,7 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
         start = _rgd_stepper
     point, t, advance = start(config, problem, q0)
 
-    trace = Trace(config.method)
+    trace = Trace()
     k, newton_iters = 0, None
     try:
         while True:

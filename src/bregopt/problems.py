@@ -224,5 +224,12 @@ def make_instance(
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a plain-text matrix: one row per line, whitespace-separated."""
-    return np.atleast_2d(np.loadtxt(path, dtype=float))
+    """Read a plain-text matrix: one row per line, whitespace-separated.
+
+    A file of one number per line is a column.  A non-finite entry
+    (``nan``, ``inf``) is a ``ValueError`` that names the file.
+    """
+    matrix = np.loadtxt(path, dtype=float, ndmin=2)
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"{path}: matrix entries must be finite")
+    return matrix

@@ -15,18 +15,25 @@ from pathlib import Path
 
 import pytest
 
+from bregopt import dynamics
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture(scope="module")
-def spans():
-    """The benchmark's tracer module, loaded from its file."""
+def _load(name):
+    """A benchmark module, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look the module up
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def spans():
+    """The benchmark's tracer module."""
+    return _load("spans")
 
 
 @pytest.mark.parametrize("manifold", ["Sphere", "Stiefel"])
@@ -35,6 +42,13 @@ def test_tracer_finds_the_manifold_operations(spans, manifold, operation):
     path = f"manifolds.{manifold}.{operation}"
     assert ("manifolds." + operation, path, None) in spans.HOOKS
     assert spans._resolve(path) is not None
+
+
+def test_benchmark_counts_the_order_check_reference_steps():
+    # the benchmark keeps its own copy of the reference refinement to count
+    # the order check's iterations; a drift would mis-scale us_per_iter
+    workloads = _load("workloads")
+    assert workloads.REFERENCE_REFINEMENT == dynamics.REFERENCE_REFINEMENT
 
 
 def test_benchmark_smoke_test_passes():

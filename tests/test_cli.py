@@ -99,7 +99,7 @@ class TestRun:
         config = write_config(tmp_path, {"problem": {"name": "rayleigh", "dims": [3]}})
         assert main(["run", "--config", config]) == EXIT_CONFIG
 
-    def test_unknown_method_is_config_error(self, tmp_path):
+    def test_unknown_method_is_config_error(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
             {
@@ -108,7 +108,8 @@ class TestRun:
                 "output_dir": str(tmp_path / "out"),
             },
         )
-        assert main(["run", "--config", config]) == EXIT_CONFIG
+        assert_config_error(capsys, ["run", "--config", config],
+                            "unknown method 'adamw'")
 
     def test_failed_run_truncates_csv_and_exits_nonzero(self, tmp_path):
         from bregopt.cli import EXIT_NUMERICAL
@@ -199,6 +200,23 @@ class TestRun:
         assert main(["run", "--config", config]) == EXIT_OK
         final = (tmp_path / "out" / "rgd.csv").read_text().splitlines()[-1]
         assert abs(float(final.split(",")[2]) - (-5.0)) <= 1e-6
+
+    def test_one_column_matrix_file_is_a_column(self, tmp_path):
+        # procrustes with m = 1: a file of one number per line is B's column
+        rng = np.random.default_rng(2)
+        np.savetxt(tmp_path / "a.txt", rng.standard_normal((4, 3)))
+        np.savetxt(tmp_path / "b.txt", rng.standard_normal((4, 1)))
+        config = write_config(
+            tmp_path,
+            {
+                "problem": {"name": "procrustes", "file": str(tmp_path / "a.txt"),
+                            "file_b": str(tmp_path / "b.txt")},
+                "methods": [{"method": "rgd", "label": "rgd", "max_iters": 5}],
+                "output_dir": str(tmp_path / "out"),
+            },
+        )
+        assert main(["run", "--config", config]) == EXIT_OK
+        assert len((tmp_path / "out" / "rgd.csv").read_text().splitlines()) == 7
 
 
 class TestCompare:
@@ -346,6 +364,26 @@ class TestOrderCheck:
         out = capsys.readouterr().out
         assert "fitted rate" in out and "fail" in out
 
+    def test_noise_floor_fails_with_nan_rate(self, tmp_path, capsys):
+        # steps this small leave every error below the noise floor, so each
+        # point is dropped, no rate is fitted and the check fails
+        config = write_config(
+            tmp_path,
+            {
+                "system": "quadratic",
+                "h_list": [1e-12, 5e-13, 2.5e-13],
+                "duration": 1e-12,
+                "expected_rate": [0.5, 1.5],
+                "output_dir": str(tmp_path / "oc"),
+            },
+        )
+        with pytest.warns(UserWarning, match="noise floor") as caught:
+            assert main(["order-check", "--config", config]) == EXIT_ACCEPTANCE
+        assert len(caught) == 3
+        assert "fitted rate nan" in capsys.readouterr().out
+        table = (tmp_path / "oc" / "order_check.csv").read_text()
+        assert table == "h,error\nfitted_rate,nan\n"
+
     def test_unknown_system_is_config_error(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -446,6 +484,9 @@ class TestMalformedConfig:
         ({"conditioning": True}, "conditioning: must be a number, not True"),
         ({"name": ["rayleigh"]}, "unknown problem"),
         ({"file": "missing.txt"}, "bad problem matrix input"),
+        # a non-finite entry would give a NaN objective
+        ({"file": "nan.txt", "dims": None}, "bad problem matrix input: nan.txt"),
+        ({"file": "inf.txt", "dims": None}, "bad problem matrix input: inf.txt"),
         # the seed also draws the initial point of a problem read from a file
         ({"seed": -1}, "seed must be a non-negative integer, not -1"),
         ({"file": "a.txt", "dims": None, "seed": -1},
@@ -454,6 +495,8 @@ class TestMalformedConfig:
     def test_bad_problem_value(self, tmp_path, capsys, monkeypatch, problem, phrase):
         monkeypatch.chdir(tmp_path)
         np.savetxt("a.txt", np.diag([1.0, 2.0, 3.0]))
+        np.savetxt("nan.txt", np.diag([1.0, math.nan, 3.0]))
+        np.savetxt("inf.txt", np.diag([1.0, 2.0, math.inf]))
         for command in ("run", "compare"):
             config = run_config(tmp_path, problem=problem)
             assert_config_error(capsys, [command, "--config", config], phrase)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bregopt import manifolds
+from bregopt import dynamics, manifolds
 from bregopt.bregman import BregmanParams, ExtendedState
 from bregopt.dynamics import (
     HamiltonStepResult,
@@ -493,7 +493,7 @@ class TestProjectMomentum:
 class TestOrderCheck:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("direction", ["direct", "adaptive"])
-    def test_htvi_is_first_order(self, direction, seed):
+    def test_htvi_is_first_order(self, direction, seed, monkeypatch):
         # the zeroth-order Taylor, rectangle-quadrature construction of the
         # paper's integrator, as a map on the packed state (q, q_t, r, r_t)
         problem = make_instance("rayleigh", (5,), seed=seed)
@@ -512,8 +512,8 @@ class TestOrderCheck:
 
         q0 = manifold.random_point(np.random.default_rng(0))
         initial = np.concatenate([q0, [1.0], np.zeros(n), [0.0]])
-        result = order_check(step, initial, [0.02, 0.01, 0.005], 1.0,
-                             reference_refinement=20)
+        monkeypatch.setattr(dynamics, "REFERENCE_REFINEMENT", 20)
+        result = order_check(step, initial, [0.02, 0.01, 0.005], 1.0)
         assert 0.85 <= result.rate <= 1.15
 
     def test_second_order_map_fits_rate_two(self):
@@ -538,18 +538,18 @@ class TestOrderCheck:
         np.testing.assert_allclose(result.step_sizes, [1 / 3, 1 / 5, 1 / 7])
         assert 0.85 <= result.rate <= 1.15
 
-    def test_exact_map_lands_at_noise_floor(self):
+    def test_exact_map_fits_no_rate_at_the_noise_floor(self):
         # a map that is exact for its system leaves zero terminal error at
         # every step size, so all points are dropped and no rate is fitted
         def exact(state, h):
             return state.copy()
 
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="noise floor") as caught:
             result = order_check(exact, np.array([1.0, 0.3]),
                                  [1e-1, 5e-2, 2.5e-2], 1.0)
-        assert result.at_noise_floor
         assert np.isnan(result.rate)
-        assert len(result.dropped) == 3
+        assert result.step_sizes == [] and result.errors == []
+        assert len(caught) == 3
 
     def test_input_validation(self):
         step = lambda state, h: state

@@ -266,3 +266,8 @@ class TestMatrixFile:
         path = tmp_path / "row.txt"
         path.write_text("1.0 2.0 3.0\n")
         assert load_matrix(path).shape == (1, 3)
+
+    def test_single_column(self, tmp_path):
+        path = tmp_path / "column.txt"
+        path.write_text("1.0\n2.0\n3.0\n4.0\n")
+        assert load_matrix(path).shape == (4, 1)
