@@ -25,11 +25,11 @@ A ``run`` or ``compare`` config holds:
   ``procrustes`` then reads ``B`` from ``file_b``, and ``brockett`` takes
   the weights ``1, ..., m`` with ``m`` (5).  A matrix file holds one row
   per line, entries separated by whitespace; a file of one number per line
-  is a column, and a non-finite entry is an error.  A key that the chosen
-  input does not read is an error: ``dims`` and ``conditioning`` shape
-  only a random instance (``conditioning`` only a ``rayleigh``/``brockett``
-  one), ``m`` only a ``brockett`` and ``file_b`` only a ``procrustes`` read
-  from ``file``.
+  is a column, and a file with no numbers or a non-finite entry is an
+  error.  A key that the chosen input does not read is an error: ``dims``
+  and ``conditioning`` shape only a random instance (``conditioning`` only
+  a ``rayleigh``/``brockett`` one), ``m`` only a ``brockett`` and
+  ``file_b`` only a ``procrustes`` read from ``file``.
 * ``methods`` -- a non-empty list of method blocks: ``method`` (required;
   one of ``METHODS``), ``label`` (``<method>_<index>``; the stem of the
   block's output file: letters, digits, ``_``, ``.`` and ``-``, distinct
@@ -58,6 +58,9 @@ An ``order-check`` config holds ``system`` (required; ``quadratic`` or
 ``spherical_pendulum``), ``h_list`` (required; at least three positive,
 strictly decreasing step sizes), ``duration`` (1), ``expected_rate``
 (required; ``[lo, hi]`` with ``lo <= hi``) and ``output_dir`` (``.``).
+A step size whose error is at the noise floor is dropped from the fit and
+reported as one ``order-check: <message>`` line on stderr; with fewer than
+two points left the rate is ``nan`` and the check fails.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 order-check acceptance failure.
@@ -70,6 +73,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -536,7 +540,13 @@ def cmd_order_check(config_path: str, out_override: str | None = None) -> int:
         lo, hi = map(_number, interval)
         if not lo <= hi:  # NaN fails it too
             raise ValueError(f"expected_rate must be [lo, hi] with lo <= hi, not {interval}")
-        result = dynamics.order_check(step, initial, list(map(_number, h_list)), duration)
+        # each point dropped at the noise floor is one line of the report,
+        # not a Python warning with its source line
+        with warnings.catch_warnings(record=True) as dropped:
+            warnings.simplefilter("always")
+            result = dynamics.order_check(step, initial, list(map(_number, h_list)), duration)
+        for warning in dropped:
+            print(f"order-check: {warning.message}", file=sys.stderr)
     except BregoptError:
         raise  # a numerical failure of the step, although it may be a ValueError
     except (TypeError, ValueError) as exc:

@@ -177,8 +177,8 @@ def order_check(
         err = float(np.max(np.abs(terminal - reference)))
         if err < floor:
             warnings.warn(
-                f"order_check: error {err:.2e} at h={h_eff:.2e} is below the "
-                f"noise floor {floor:.2e}; dropping this point",
+                f"error {err:.2e} at h={h_eff:.2e} is below the noise floor "
+                f"{floor:.2e}; dropping this point",
                 stacklevel=2,
             )
             continue

@@ -11,10 +11,11 @@ integrators, the optimizers and the tests:
   small root of a scalar quadratic, on the Stiefel manifold an m x m
   Riccati equation solved by the SHAKE/RATTLE fixed point, with one exact
   invariant-subspace step of its Hamiltonian matrix as the fallback);
-* ``gradient_and_violation``: the Riemannian gradient and the constraint
-  violation at an iterate, from one constraint evaluation;
 * ``tangent_project``, ``retract`` and ``transport``: the geometry of the
-  retraction-based EL and gradient-descent steps;
+  retraction-based EL and gradient-descent steps.  ``retract`` returns the
+  new point together with its ``constraint_violation``, which it computes
+  anyway (on the Stiefel manifold it is the CholeskyQR acceptance test), so
+  no caller evaluates the constraint at a retracted point again;
 * ``random_point``: a seeded start point.
 
 The ambient metric is the Frobenius (flat dot product) inner product
@@ -22,10 +23,11 @@ throughout, so cotangent vectors are identified with tangent vectors
 component-wise.
 
 Inputs are checked where they enter the program, not on every call:
-``constraint`` checks the length of its point, ``run`` checks the start
-point, and ``gradient_and_violation`` raises :class:`FeasibilityError` when
-an iterate violates the constraint by more than ``FEAS_TOL`` (or by NaN).
-The other operations take points the steppers built and check nothing.
+``constraint`` checks the length of its point, and ``optimizers.run`` checks
+the start point and raises :class:`~bregopt.errors.FeasibilityError` when an
+iterate's violation, the one its step reported, exceeds ``FEAS_TOL`` (or is
+NaN).  The other operations take points the steppers built and check
+nothing.
 
 Points and tangent vectors are flat 1-D arrays of length ``ambient_dim``.
 Stiefel points are n x m matrices with orthonormal columns, flattened in
@@ -52,15 +54,9 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    FeasibilityError,
-    NewtonError,
-    RetractionError,
-    TransportError,
-)
+from .errors import DimensionError, NewtonError, RetractionError, TransportError
 
-# Default tolerance for accepting a point as feasible on input.
+# Largest constraint violation at which a point counts as feasible.
 FEAS_TOL = 1e-8
 # Largest |Q^T Q - I| entry at which the CholeskyQR Stiefel retraction is
 # accepted instead of falling back to Householder QR.  An accepted Q differs
@@ -97,7 +93,7 @@ def _sphere_multiplier(w: np.ndarray, v: np.ndarray) -> float:
             f"sphere constraint unreachable along the multiplier direction "
             f"(discriminant {disc:.3e})"
         )
-    sq = np.sqrt(disc)
+    sq = math.sqrt(disc)
     big = (-b - sq) / (2.0 * a) if b >= 0.0 else (-b + sq) / (2.0 * a)
     if big == 0.0:
         return 0.0
@@ -156,32 +152,21 @@ class EmbeddedManifold:
         raise NotImplementedError
 
     def constraint_violation(self, q: np.ndarray) -> float:
-        """Infinity norm of the constraint residual."""
+        """Infinity norm of the constraint residual, a Python float; NaN
+        when ``q`` holds a NaN.  ``q`` must be a float array of length
+        ``ambient_dim``."""
         return float(np.abs(self.constraint(q)).max())
 
     # -- geometry -----------------------------------------------------------
-
-    def gradient_and_violation(
-        self, q: np.ndarray, ambient_grad: np.ndarray
-    ) -> tuple[np.ndarray, float]:
-        """Riemannian gradient (the tangent projection of ``ambient_grad``)
-        and :meth:`constraint_violation` at ``q``, from one constraint
-        evaluation.  Both arguments must be float arrays of length
-        ``ambient_dim``.
-
-        Raises:
-            FeasibilityError: ``q`` violates the constraint by more than
-                ``FEAS_TOL``, or by NaN.
-        """
-        raise NotImplementedError
 
     def tangent_project(self, q: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Orthogonal projection of ``z`` onto the tangent space at ``q``."""
         raise NotImplementedError
 
-    def retract(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def retract(self, q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
         """First-order map from the tangent space at ``q`` back to the
-        manifold."""
+        manifold.  Returns the new point and its :meth:`constraint_violation`,
+        bit for bit."""
         raise NotImplementedError
 
     def transport(self, q_from: np.ndarray, q_to: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -201,15 +186,6 @@ class EmbeddedManifold:
                 f"got shape {q.shape}"
             )
         return q
-
-    def _check_violation(self, violation: float) -> float:
-        """``violation`` if it is within ``FEAS_TOL``; a NaN is not."""
-        if not violation <= FEAS_TOL:
-            raise FeasibilityError(
-                f"{self.name}: point violates constraint by {violation:.3e} "
-                f"(tolerance {FEAS_TOL:.1e})"
-            )
-        return violation
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
@@ -236,9 +212,14 @@ class Sphere(EmbeddedManifold):
         lam = _sphere_multiplier(drift, coeff * grad)
         return np.array([lam]), grad * lam, 0
 
-    def gradient_and_violation(self, q, ambient_grad):
-        violation = self._check_violation(abs(float(q @ q) - 1.0))
-        return self.tangent_project(q, ambient_grad), violation
+    def constraint_violation(self, q):
+        return self._norm_violation(q)
+
+    @staticmethod
+    def _norm_violation(q):
+        """``|q.q - 1|``: the violation of ``q``, which :meth:`retract` also
+        reports."""
+        return abs(float(q @ q) - 1.0)
 
     def tangent_project(self, q, z):
         return z - (q @ z) * q
@@ -248,7 +229,8 @@ class Sphere(EmbeddedManifold):
         norm = math.sqrt(float(w @ w))
         if norm < 1e-12:
             raise RetractionError("sphere retraction undefined: q + v is zero")
-        return w / norm
+        point = w / norm
+        return point, self._norm_violation(point)
 
     def transport(self, x, y, v):
         """Exact parallel transport along the great circle joining the points."""
@@ -381,18 +363,17 @@ class Stiefel(EmbeddedManifold):
                 iterations += 1
         return s[self._triu] * self._triu_weight, self.from_matrix(x @ s), iterations
 
-    def gradient_and_violation(self, q, ambient_grad):
-        x = q.reshape((self.n, self.m), order="F")
-        violation = self._check_violation(
-            float(np.abs((x.T @ x - self._eye)[self._triu]).max())
-        )
-        return self._project_at(x, ambient_grad), violation
+    def constraint_violation(self, q):
+        return self._gram_violation(q.reshape((self.n, self.m), order="F"))
+
+    def _gram_violation(self, x):
+        """``max |X^T X - I|`` of the n x m matrix ``x``: the violation of the
+        point it holds, since the Gram matrix is computed exactly symmetric,
+        and the acceptance test of the CholeskyQR retraction."""
+        return float(np.abs(x.T @ x - self._eye).max())
 
     def tangent_project(self, q, z):
-        return self._project_at(self.as_matrix(q), z)
-
-    def _project_at(self, x, z):
-        """:meth:`tangent_project` at the n x m matrix ``x``."""
+        x = q.reshape((self.n, self.m), order="F")
         zm = z.reshape(x.shape, order="F")
         xtz = x.T @ zm
         return (zm - x @ ((xtz + xtz.T) / 2.0)).reshape(-1, order="F")
@@ -408,7 +389,10 @@ class Stiefel(EmbeddedManifold):
         ``max |Q^T Q - I| <= RETRACT_ORTH_TOL``; an ill-conditioned ``W``
         fails the last test, since CholeskyQR loses orthogonality as
         ``cond(W)^2``.  Otherwise, and when ``W^T W`` would overflow,
-        Householder QR is used, with the sign rule on R's diagonal.
+        Householder QR is used, with the sign rule on R's diagonal.  The
+        violation returned with the point is that acceptance residual on the
+        CholeskyQR path and is computed once from the point on the
+        Householder path.
 
         Raises:
             RetractionError: ``W`` is rank deficient.
@@ -423,13 +407,17 @@ class Stiefel(EmbeddedManifold):
             except np.linalg.LinAlgError:
                 low = None
             if low is not None and low.diagonal().min() >= rank_tol:
+                # Fortran-ordered like a reshaped point, so the Gram matrix
+                # and the violation are those of the point returned
                 qf = np.linalg.solve(low, w.T).T
-                if np.abs(qf.T @ qf - self._eye).max() <= RETRACT_ORTH_TOL:
-                    return qf.reshape(-1, order="F")
+                violation = self._gram_violation(qf)
+                if violation <= RETRACT_ORTH_TOL:
+                    return qf.reshape(-1, order="F"), violation
         qf, diag = positive_qr(w)
         if (np.abs(diag) < rank_tol).any():
             raise RetractionError("QR retraction undefined: X + V is rank deficient")
-        return self.from_matrix(qf)
+        point = self.from_matrix(qf)
+        return point, self._gram_violation(self.as_matrix(point))
 
     def transport(self, q_from, q_to, v):
         """Projection-based vector transport onto the tangent space at ``q_to``."""

@@ -12,14 +12,16 @@ Three families are provided:
 * ``rgd`` -- Riemannian gradient descent.
 
 ``run`` drives any of them to a stopping criterion and records a
-per-iteration :class:`Trace`.  Each method contributes only a step closure;
-one loop evaluates each iterate once (``ProblemSpec.value_and_grad`` for the
-objective and its ambient gradient, the manifold's
-``gradient_and_violation`` for the Riemannian gradient and the constraint
-violation), records the row, tests the stop and turns any step or
-evaluation failure into a failed trace, so every method is recorded,
-stopped and failed alike.  Traces accumulate locally, so independent runs
-may execute concurrently; a single run is sequential.
+per-iteration :class:`Trace`.  Each method contributes only a step closure,
+which returns the new iterate with its constraint violation: the
+retraction's own value for the EL and gradient-descent steps, the
+manifold's ``constraint_violation`` for HTVI.  One loop then gates each
+iterate on that violation, evaluates it once (``ProblemSpec.value_and_grad``
+for the objective and its ambient gradient, the manifold's
+``tangent_project`` for the Riemannian gradient), records the row, tests the
+stop and turns any step or evaluation failure into a failed trace, so every
+method is recorded, stopped and failed alike.  Traces accumulate locally, so
+independent runs may execute concurrently; a single run is sequential.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ import numpy as np
 
 from . import bregman
 from .bregman import BregmanParams, ExtendedState
-from .errors import BregoptError
-from .manifolds import EmbeddedManifold
+from .errors import BregoptError, FeasibilityError
+from .manifolds import FEAS_TOL, EmbeddedManifold
 from .problems import ProblemSpec
 
 METHODS = ("htvi_direct", "htvi_adaptive", "el_v1", "el_v2", "rgd")
@@ -170,17 +172,25 @@ def el_step(
     v: np.ndarray,
     k: int,
     riemannian_grad,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Semi-implicit Euler step of the accelerated-flow velocity recursion.
 
     ``riemannian_grad`` maps a point to the Riemannian gradient of the
     objective there.  Version 1 evaluates the gradient at ``x``; version 2
     at the trial point reached by following the damped velocity alone, which
-    is ``x`` itself when ``v`` is zero, as at the first step of a run.
+    is ``x`` itself when ``v`` is zero, as at the first step of a run.  That
+    look-ahead point must be within ``FEAS_TOL`` of the manifold, by the
+    violation its retraction reports, before its gradient is taken.
     The gradient coefficient grows polynomially in ``k`` and is clamped at
-    ``params.coeff_cap``.  Neither the retraction nor the velocity
-    transport checks that its points lie on the manifold: :func:`run`
-    checks every iterate itself.
+    ``params.coeff_cap``.
+
+    Returns the new point, the transported velocity and the new point's
+    constraint violation as the retraction reports it; :func:`run` gates
+    the point on that value.
+
+    Raises:
+        FeasibilityError: the look-ahead point violates the constraint by
+            more than ``FEAS_TOL``, or by NaN.
     """
     if version not in (1, 2):
         raise ValueError("version must be 1 or 2")
@@ -189,22 +199,33 @@ def el_step(
     h, p = params.h, params.p
     b_k = 1.0 - (params.lambda_conv * p + 1.0) / k
     c_k = min(params.coeff_cap, params.c_const * p * p * (k * h) ** (p - 2.0))
-    if version == 1:
-        grad = riemannian_grad(x)
-    else:
-        grad = riemannian_grad(manifold.retract(x, (h * b_k) * v) if v.any() else x)
-    a_k = b_k * v - (h * c_k) * grad
-    x_next = manifold.retract(x, h * a_k)
+    ahead = x
+    if version == 2 and v.any():
+        ahead, violation = manifold.retract(x, (h * b_k) * v)
+        _check_feasible(manifold, violation)
+    a_k = b_k * v - (h * c_k) * riemannian_grad(ahead)
+    x_next, violation = manifold.retract(x, h * a_k)
     v_next = manifold.transport(x, x_next, a_k)
-    return x_next, v_next
+    return x_next, v_next, violation
 
 
 def rgd_step(
     manifold: EmbeddedManifold, x: np.ndarray, h: float, riemannian_grad: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """Riemannian gradient descent: retract along minus the Riemannian
-    gradient ``riemannian_grad`` at ``x``."""
+    gradient ``riemannian_grad`` at ``x``.  Returns the new point and its
+    constraint violation as the retraction reports it."""
     return manifold.retract(x, -h * riemannian_grad)
+
+
+def _check_feasible(manifold: EmbeddedManifold, violation: float) -> None:
+    """Raise :class:`FeasibilityError` unless ``violation`` is within
+    ``FEAS_TOL``; a NaN is not."""
+    if not violation <= FEAS_TOL:
+        raise FeasibilityError(
+            f"{manifold.name}: point violates constraint by {violation:.3e} "
+            f"(tolerance {FEAS_TOL:.1e})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +233,10 @@ def rgd_step(
 # ---------------------------------------------------------------------------
 
 # Each ``_*_stepper`` returns the start point, its time coordinate and a
-# closure ``advance(k, f_val, grad, rgrad) -> (point, t, newton_iters)`` that
-# takes step ``k`` from the current point, whose objective value, ambient
-# gradient and Riemannian gradient are ``f_val``, ``grad`` and ``rgrad``.
+# closure ``advance(k, f_val, grad, rgrad) -> (point, t, newton_iters,
+# violation)`` that takes step ``k`` from the current point, whose objective
+# value, ambient gradient and Riemannian gradient are ``f_val``, ``grad`` and
+# ``rgrad``, and reports the new point's constraint violation.
 # The step functions are looked up by module name at call time, so replacing
 # them on the module takes effect.
 
@@ -230,7 +252,7 @@ def _htvi_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
         if not math.isfinite(float(state.q @ state.q) + float(state.r @ state.r)
                              + state.q_t + state.r_t):
             raise BregoptError("non-finite state")
-        return state.q, state.q_t, iters
+        return state.q, state.q_t, iters, manifold.constraint_violation(state.q)
 
     return state.q, state.q_t, advance
 
@@ -241,18 +263,17 @@ def _el_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
     x, v = q0.copy(), np.zeros_like(q0)
 
     def riemannian_grad(point):
-        # the look-ahead point is a fresh retraction, gated like an iterate
-        return manifold.gradient_and_violation(point, problem.ambient_grad(point))[0]
+        return manifold.tangent_project(point, problem.ambient_grad(point))
 
     def advance(k, f_val, grad, rgrad):
         nonlocal x, v
         # version 1 evaluates the gradient at the current point, which the
         # run loop has already done
-        x, v = el_step(version, config.params, manifold, x, v, k,
-                       (lambda point: rgrad) if version == 1 else riemannian_grad)
+        x, v, violation = el_step(version, config.params, manifold, x, v, k,
+                                  (lambda point: rgrad) if version == 1 else riemannian_grad)
         if not math.isfinite(float(x @ x) + float(v @ v)):
             raise BregoptError("non-finite state")
-        return x, k * config.params.h, None
+        return x, k * config.params.h, None, violation
 
     return x, 0.0, advance
 
@@ -262,10 +283,10 @@ def _rgd_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
 
     def advance(k, f_val, grad, rgrad):
         nonlocal x
-        x = rgd_step(problem.manifold, x, config.params.h, rgrad)
+        x, violation = rgd_step(problem.manifold, x, config.params.h, rgrad)
         if not math.isfinite(float(x @ x)):
             raise BregoptError("non-finite state")
-        return x, k * config.params.h, None
+        return x, k * config.params.h, None, violation
 
     return x, 0.0, advance
 
@@ -275,15 +296,17 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
 
     ``initial`` is a feasible point (flat array); when omitted it is drawn
     from the manifold with seed 0.  HTVI methods start from the
-    standard extended state (zero momenta, unit time coordinate).  Each
-    iterate is evaluated once: ``problem.value_and_grad`` gives the
-    objective and its ambient gradient, and the manifold's
-    ``gradient_and_violation`` the Riemannian gradient and the constraint
-    violation.  The same values are recorded and passed to the next step,
-    and the recorded violation is the one that must be within ``FEAS_TOL``
-    (a NaN is not) for the gradient to exist.  A :class:`BregoptError`
-    raised by a step or while evaluating an iterate, an infeasible initial
-    point included, marks the trace as failed and ends the run gracefully.
+    standard extended state (zero momenta, unit time coordinate).  The
+    constraint violation of each iterate is evaluated once: by
+    ``constraint_violation`` at the initial point, and by the step that
+    built every later one.  That value must be within ``FEAS_TOL`` (a NaN
+    is not), and it is the one recorded.  Each iterate is then evaluated
+    once: ``problem.value_and_grad`` gives the objective and its ambient
+    gradient, and the manifold's ``tangent_project`` the Riemannian
+    gradient.  The same values are recorded and passed to the next step.
+    A :class:`BregoptError` raised by a step, by the feasibility gate or
+    while evaluating an iterate, an infeasible initial point included,
+    marks the trace as failed and ends the run gracefully.
 
     Raises:
         DimensionError: ``initial`` is not a vector of length
@@ -302,11 +325,12 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
     point, t, advance = start(config, problem, q0)
 
     trace = Trace()
-    k, newton_iters = 0, None
+    k, newton_iters, violation = 0, None, manifold.constraint_violation(q0)
     try:
         while True:
+            _check_feasible(manifold, violation)
             f_val, grad = problem.value_and_grad(point)
-            rgrad, violation = manifold.gradient_and_violation(point, grad)
+            rgrad = manifold.tangent_project(point, grad)
             grad_norm = math.sqrt(float(rgrad @ rgrad))
             gap = None if problem.oracle_value is None else f_val - problem.oracle_value
             trace.append(k, t, f_val, grad_norm, violation, gap, newton_iters)
@@ -315,7 +339,7 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
                     or k == config.max_iters):
                 return trace
             k += 1
-            point, t, newton_iters = advance(k, f_val, grad, rgrad)
+            point, t, newton_iters, violation = advance(k, f_val, grad, rgrad)
     except BregoptError as exc:
         trace.failed = True
         trace.failure_reason = str(exc)

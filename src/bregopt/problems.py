@@ -18,6 +18,7 @@ gradients agree bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -226,10 +227,15 @@ def make_instance(
 def load_matrix(path) -> np.ndarray:
     """Read a plain-text matrix: one row per line, whitespace-separated.
 
-    A file of one number per line is a column.  A non-finite entry
-    (``nan``, ``inf``) is a ``ValueError`` that names the file.
+    A file of one number per line is a column.  A file with no numbers
+    (empty, blank or only ``#`` comments) and a non-finite entry (``nan``,
+    ``inf``) are each a ``ValueError`` that names the file.
     """
-    matrix = np.loadtxt(path, dtype=float, ndmin=2)
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    # numpy would only warn and return an empty array
+    if not any(line.split("#", 1)[0].strip() for line in lines):
+        raise ValueError(f"{path}: the file holds no numbers")
+    matrix = np.loadtxt(lines, dtype=float, ndmin=2)
     if not np.all(np.isfinite(matrix)):
         raise ValueError(f"{path}: matrix entries must be finite")
     return matrix

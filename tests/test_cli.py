@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,7 +367,8 @@ class TestOrderCheck:
 
     def test_noise_floor_fails_with_nan_rate(self, tmp_path, capsys):
         # steps this small leave every error below the noise floor, so each
-        # point is dropped, no rate is fitted and the check fails
+        # point is dropped, no rate is fitted and the check fails; each drop
+        # is one line of the report, not a Python warning
         config = write_config(
             tmp_path,
             {
@@ -377,10 +379,16 @@ class TestOrderCheck:
                 "output_dir": str(tmp_path / "oc"),
             },
         )
-        with pytest.warns(UserWarning, match="noise floor") as caught:
-            assert main(["order-check", "--config", config]) == EXIT_ACCEPTANCE
-        assert len(caught) == 3
-        assert "fitted rate nan" in capsys.readouterr().out
+        assert main(["order-check", "--config", config]) == EXIT_ACCEPTANCE
+        out, err = capsys.readouterr()
+        assert "fitted rate nan" in out
+        lines = err.splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            assert line.startswith("order-check: error ")
+            assert line.endswith("; dropping this point")
+            assert "below the noise floor" in line
+        assert "UserWarning" not in err and "dynamics.order_check" not in err
         table = (tmp_path / "oc" / "order_check.csv").read_text()
         assert table == "h,error\nfitted_rate,nan\n"
 
@@ -487,6 +495,9 @@ class TestMalformedConfig:
         # a non-finite entry would give a NaN objective
         ({"file": "nan.txt", "dims": None}, "bad problem matrix input: nan.txt"),
         ({"file": "inf.txt", "dims": None}, "bad problem matrix input: inf.txt"),
+        # numpy would warn on an empty file and leave an empty matrix
+        ({"file": "empty.txt", "dims": None},
+         "bad problem matrix input: empty.txt: the file holds no numbers"),
         # the seed also draws the initial point of a problem read from a file
         ({"seed": -1}, "seed must be a non-negative integer, not -1"),
         ({"file": "a.txt", "dims": None, "seed": -1},
@@ -497,6 +508,7 @@ class TestMalformedConfig:
         np.savetxt("a.txt", np.diag([1.0, 2.0, 3.0]))
         np.savetxt("nan.txt", np.diag([1.0, math.nan, 3.0]))
         np.savetxt("inf.txt", np.diag([1.0, 2.0, math.inf]))
+        Path("empty.txt").write_text(" \n")
         for command in ("run", "compare"):
             config = run_config(tmp_path, problem=problem)
             assert_config_error(capsys, [command, "--config", config], phrase)

@@ -1,7 +1,6 @@
 """Tests of the HTVI / Euler-Lagrange / gradient-descent iteration engines."""
 
 import dataclasses
-import hashlib
 import math
 import warnings
 
@@ -10,12 +9,13 @@ import pytest
 
 from bregopt.bregman import BregmanParams, ExtendedState
 from bregopt.cli import DEFAULT_DIMS, build_problem, build_run_config
-from bregopt.errors import DimensionError, NewtonError
+from bregopt.errors import DimensionError, FeasibilityError, NewtonError
 from bregopt import manifolds, optimizers
 from bregopt.manifolds import NEWTON_MAX_ITER, NEWTON_TOL, Sphere, Stiefel
 from bregopt.optimizers import METHODS, RunConfig, el_step, htvi_step, rgd_step, run
 from bregopt.problems import make_instance, rayleigh
 
+from digests import trace_digest
 from reference_geometry import (
     Unconstrained,
     constraint_jacobian,
@@ -101,7 +101,7 @@ class DenseStiefel(Stiefel):
 
 class CountsConstraint:
     """Mixin that counts constraint evaluations: calls of ``constraint`` and
-    of ``gradient_and_violation``, which evaluates the constraint itself."""
+    of ``constraint_violation``, which evaluates the constraint itself."""
 
     constraint_calls = 0
 
@@ -109,9 +109,17 @@ class CountsConstraint:
         self.constraint_calls += 1
         return super().constraint(q)
 
-    def gradient_and_violation(self, q, ambient_grad):
+    def constraint_violation(self, q):
         self.constraint_calls += 1
-        return super().gradient_and_violation(q, ambient_grad)
+        return super().constraint_violation(q)
+
+
+class DriftingSphere(Sphere):
+    """Sphere whose retraction lands 10% off the sphere and reports it."""
+
+    def retract(self, q, v):
+        point = 1.1 * super().retract(q, v)[0]
+        return point, self.constraint_violation(point)
 
 
 class CountingSphere(CountsConstraint, Sphere):
@@ -120,17 +128,6 @@ class CountingSphere(CountsConstraint, Sphere):
 
 class CountingStiefel(CountsConstraint, Stiefel):
     pass
-
-
-def trace_digest(trace):
-    """Digest of the exact bits of a trace's ``fs``, ``grad_norms``,
-    ``constraint_violations`` and ``newton_iters``."""
-    digest = hashlib.sha256()
-    for column in (trace.fs, trace.grad_norms, trace.constraint_violations):
-        digest.update(" ".join(float(v).hex() for v in column).encode())
-        digest.update(b"|")
-    digest.update(" ".join(str(n) for n in trace.newton_iters).encode())
-    return digest.hexdigest()[:16]
 
 
 class TestSolveMultiplier:
@@ -407,10 +404,11 @@ class TestElStep:
         sphere = Sphere(3)
         x = sphere.random_point(np.random.default_rng(3))
         v = np.zeros(3)
-        x1, v1 = el_step(1, params, sphere, x, v, k=5,
-                         riemannian_grad=lambda point: np.zeros(3))
+        x1, v1, violation = el_step(1, params, sphere, x, v, k=5,
+                                    riemannian_grad=lambda point: np.zeros(3))
         np.testing.assert_array_equal(x1, x)
         np.testing.assert_array_equal(v1, np.zeros(3))
+        assert violation == sphere.constraint_violation(x1)
 
     def test_zero_damping_index_gives_pure_gradient_step(self):
         # at k = lambda p + 1 the velocity coefficient vanishes
@@ -423,9 +421,9 @@ class TestElStep:
         k = int(params.lambda_conv * params.p + 1.0)
         c_k = min(params.coeff_cap,
                   params.c_const * params.p ** 2 * (k * params.h) ** (params.p - 2.0))
-        x1, v1 = el_step(1, params, sphere, x, v, k,
-                         riemannian_grad=lambda point: grad)
-        expected = sphere.retract(x, params.h * (-params.h * c_k) * grad)
+        x1, v1, _ = el_step(1, params, sphere, x, v, k,
+                            riemannian_grad=lambda point: grad)
+        expected, _ = sphere.retract(x, params.h * (-params.h * c_k) * grad)
         np.testing.assert_allclose(x1, expected, atol=1e-14)
 
     def test_versions_differ_at_second_order(self):
@@ -446,8 +444,8 @@ class TestElStep:
             # p = 2 keeps the gradient coefficient independent of h, so the
             # version gap is governed by the corrected evaluation point alone
             params = BregmanParams(p=2.0, h=h, coeff_cap=math.inf)
-            _, v1 = el_step(1, params, sphere, x, v, k=10, riemannian_grad=rgrad)
-            _, v2 = el_step(2, params, sphere, x, v, k=10, riemannian_grad=rgrad)
+            _, v1, _ = el_step(1, params, sphere, x, v, k=10, riemannian_grad=rgrad)
+            _, v2, _ = el_step(2, params, sphere, x, v, k=10, riemannian_grad=rgrad)
             return np.linalg.norm(v1 - v2)
 
         ratio = difference(0.02) / difference(0.01)
@@ -469,11 +467,24 @@ class TestElStep:
             v = random_tangent(sphere, x, rng)
             b_k = 1.0 - (params.lambda_conv * params.p + 1.0) / k
             assert b_k >= 0.0
-            _, v1 = el_step(1, params, sphere, x, v, k, riemannian_grad=rgrad)
+            _, v1, _ = el_step(1, params, sphere, x, v, k, riemannian_grad=rgrad)
             bound = (b_k * np.linalg.norm(v)
                      + params.h * params.coeff_cap * np.linalg.norm(rgrad(x)))
             # projection-based transport never increases the norm
             assert np.linalg.norm(v1) <= bound + 1e-12
+
+    def test_infeasible_look_ahead_raises(self):
+        # version 2 gates its look-ahead point on the violation its
+        # retraction reports; version 1 hands the new point's violation back
+        params = BregmanParams(p=4.0, h=1e-2)
+        sphere = DriftingSphere(3)
+        rng = np.random.default_rng(8)
+        x = Sphere(3).random_point(rng)
+        v = random_tangent(sphere, x, rng)
+        *_, violation = el_step(1, params, sphere, x, v, 10, lambda point: np.zeros(3))
+        assert violation == pytest.approx(0.21)
+        with pytest.raises(FeasibilityError, match="violates constraint by 2.100e-01"):
+            el_step(2, params, sphere, x, v, 10, lambda point: np.zeros(3))
 
     def test_index_validation(self):
         params = BregmanParams(p=2.0)
@@ -489,16 +500,17 @@ class TestRgdStep:
     def test_critical_point_fixed(self):
         prob = rayleigh(np.diag([2.0, 1.0]))
         e1 = np.array([1.0, 0.0])
-        out = rgd_step(prob.manifold, e1, 0.1,
-                       prob.manifold.tangent_project(e1, prob.ambient_grad(e1)))
+        out, violation = rgd_step(prob.manifold, e1, 0.1,
+                                  prob.manifold.tangent_project(e1, prob.ambient_grad(e1)))
         np.testing.assert_array_equal(out, e1)
+        assert violation == 0.0
 
     def test_converges_to_dominant_eigenvector(self):
         prob = rayleigh(np.diag([2.0, 1.0]))
         x = prob.manifold.random_point(np.random.default_rng(8))
         for _ in range(500):
-            x = rgd_step(prob.manifold, x, 0.1,
-                         prob.manifold.tangent_project(x, prob.ambient_grad(x)))
+            x, _ = rgd_step(prob.manifold, x, 0.1,
+                            prob.manifold.tangent_project(x, prob.ambient_grad(x)))
         assert abs(prob.value_and_grad(x)[0] - prob.oracle_value) <= 1e-6
         assert abs(abs(x[0]) - 1.0) <= 1e-3
 
@@ -506,9 +518,9 @@ class TestRgdStep:
         prob = make_instance("brockett", (6, 2), seed=9)
         x = prob.manifold.random_point(np.random.default_rng(9))
         for _ in range(50):
-            x = rgd_step(prob.manifold, x, 0.05,
-                         prob.manifold.tangent_project(x, prob.ambient_grad(x)))
-            assert prob.manifold.constraint_violation(x) <= 1e-12
+            x, violation = rgd_step(prob.manifold, x, 0.05,
+                                    prob.manifold.tangent_project(x, prob.ambient_grad(x)))
+            assert violation == prob.manifold.constraint_violation(x) <= 1e-12
 
 
 class TestRunDriver:
@@ -589,16 +601,32 @@ class TestRunDriver:
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("name,dims", [("rayleigh", (6,)), ("brockett", (6, 2))])
-    def test_nan_initial_point_fails_at_the_gate(self, method, name, dims):
+    @pytest.mark.parametrize("start,violation", [("nan", "nan"), ("scaled", "2.100e-01")])
+    def test_infeasible_initial_point_fails_at_the_gate(self, method, name, dims, start,
+                                                        violation):
         # the feasibility gate, not a later finiteness check, stops the run
         # before any row is recorded
         prob = make_instance(name, dims, seed=0)
         initial = prob.manifold.random_point(np.random.default_rng(1))
-        initial[0] = np.nan
+        if start == "nan":
+            initial[0] = np.nan
+        else:
+            initial *= 1.1  # |X^T X - I| = 1.1^2 - 1
         trace = run(RunConfig(method=method, params=BregmanParams(p=4.0)), prob, initial)
         assert trace.failed
-        assert "violates constraint by nan" in trace.failure_reason
+        assert trace.failure_reason == (f"{prob.manifold.name}: point violates constraint "
+                                        f"by {violation} (tolerance 1.0e-08)")
         assert len(trace) == 0
+
+    @pytest.mark.parametrize("method", ["el_v1", "el_v2", "rgd"])
+    def test_infeasible_retraction_fails_at_the_gate(self, method):
+        # the gate reads the violation the step's retraction reports
+        prob = make_instance("rayleigh", (6,), seed=0)
+        trace = run(RunConfig(method=method, params=BregmanParams(p=4.0), max_iters=5),
+                    dataclasses.replace(prob, manifold=DriftingSphere(6)))
+        assert trace.failed
+        assert "sphere:6: point violates constraint by 2.100e-01" in trace.failure_reason
+        assert len(trace) == 1
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("method,part", [
@@ -624,12 +652,17 @@ class TestRunDriver:
             step = optimizers.el_step
 
             def bad_step(*args):
-                x, v = step(*args)
-                return (corrupt(x), v) if part == "x" else (x, corrupt(v))
+                x, v, violation = step(*args)
+                return ((corrupt(x), v, violation) if part == "x"
+                        else (x, corrupt(v), violation))
             monkeypatch.setattr(optimizers, "el_step", bad_step)
         else:
             step = optimizers.rgd_step
-            monkeypatch.setattr(optimizers, "rgd_step", lambda *args: corrupt(step(*args)))
+
+            def bad_step(*args):
+                x, violation = step(*args)
+                return corrupt(x), violation
+            monkeypatch.setattr(optimizers, "rgd_step", bad_step)
         prob = make_instance("rayleigh", (6,), seed=0)
         trace = run(RunConfig(method=method, params=BregmanParams(p=4.0), max_iters=5), prob)
         assert trace.failed
@@ -674,10 +707,10 @@ class TestRunDriver:
                 newton.append(it)
             else:
                 if method == "rgd":
-                    x = rgd_step(manifold, x, params.h,
-                                 manifold.tangent_project(x, prob.ambient_grad(x)))
+                    x, _ = rgd_step(manifold, x, params.h,
+                                    manifold.tangent_project(x, prob.ambient_grad(x)))
                 else:
-                    x, v = el_step(int(method[-1]), params, manifold, x, v, k, rgrad)
+                    x, v, _ = el_step(int(method[-1]), params, manifold, x, v, k, rgrad)
                 ts.append(k * params.h)
                 newton.append(None)
             fs.append(prob.value_and_grad(x)[0])
@@ -719,11 +752,11 @@ class TestRunDriver:
                     manifold.random_point(np.random.default_rng(17)))
         assert not trace.failed
         assert len(trace) == 31
-        # one evaluation per recorded iterate both gates its gradient and is
-        # recorded; the EL transport relies on those, and el_v2 also checks
-        # its look-ahead point
-        per_step = 1 if method == "el_v2" else 0
-        assert manifold.constraint_calls == len(trace) + per_step * (len(trace) - 1)
+        # the initial point is evaluated once; a retraction reports the
+        # violation of every point it builds, the look-ahead of el_v2
+        # included, so only an HTVI step evaluates the constraint again
+        per_step = 1 if method.startswith("htvi") else 0
+        assert manifold.constraint_calls == 1 + per_step * (len(trace) - 1)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_large_stiefel_stays_on_the_manifold(self, method):

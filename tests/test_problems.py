@@ -1,5 +1,7 @@
 """Tests of the benchmark problems and their oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -203,7 +205,7 @@ class TestOracleLocalOptimality:
         f_star = prob.value_and_grad(base)[0]
         for _ in range(50):
             xi = random_tangent(prob.manifold, base, rng)
-            nudged = prob.manifold.retract(base, 1e-3 * xi)
+            nudged, _ = prob.manifold.retract(base, 1e-3 * xi)
             assert f_star <= prob.value_and_grad(nudged)[0] + 1e-9
 
 
@@ -266,6 +268,15 @@ class TestMatrixFile:
         path = tmp_path / "row.txt"
         path.write_text("1.0 2.0 3.0\n")
         assert load_matrix(path).shape == (1, 3)
+
+    @pytest.mark.parametrize("text", ["", "  \n\t\n", "# no data\n"])
+    def test_file_without_numbers_is_named(self, tmp_path, text):
+        # numpy's loadtxt would warn (an error in this suite) and return an
+        # empty array
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the file holds no numbers$"):
+            load_matrix(path)
 
     def test_single_column(self, tmp_path):
         path = tmp_path / "column.txt"
