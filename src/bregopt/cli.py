@@ -194,6 +194,9 @@ def build_problem(block: dict) -> problems.ProblemSpec:
         except (OSError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad problem matrix input: {exc}") from exc
         _check_applicable(block, name)
+        if name == "procrustes" and "file_b" not in block:
+            raise ConfigError("bad problem block: procrustes with 'file' needs the "
+                              "key 'file_b', the file of B")
         try:
             if name == "rayleigh":
                 return problems.rayleigh(a)
@@ -204,7 +207,7 @@ def build_problem(block: dict) -> problems.ProblemSpec:
                 return problems.brockett(a, np.arange(1.0, m + 1.0))
             b = problems.load_matrix(block["file_b"])
             return problems.procrustes(a, b)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad problem matrix input: {exc}") from exc
     _check_applicable(block, name)
     conditioning = _given(block, {"conditioning": _number}).get("conditioning", 10.0)

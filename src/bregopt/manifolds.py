@@ -30,9 +30,15 @@ NaN).  The other operations take points the steppers built and check
 nothing.
 
 Points and tangent vectors are flat 1-D arrays of length ``ambient_dim``.
-Stiefel points are n x m matrices with orthonormal columns, flattened in
-column-major (Fortran) order; :meth:`Stiefel.as_matrix` and
-:meth:`Stiefel.from_matrix` convert between the two representations.
+Stiefel points are n x m matrices ``X`` with orthonormal columns, flattened
+in column-major (Fortran) order, so the flat array read row-major is the
+m x n matrix ``X^T``.  That is the layout the Stiefel kernels work on: they
+view a flat vector as ``X^T`` with ``reshape(m, n)``, which copies nothing,
+write each product transposed (``X S`` as ``S X^T``), and flatten their
+``X^T``-shaped results with ``reshape(-1)``.  :meth:`Stiefel.from_matrix`
+flattens an ``X`` built outside the per-iteration path (start points,
+oracles and the Householder fallback of the retraction), and
+:meth:`Stiefel.as_matrix` views a flat point as ``X``.
 
 The Stiefel retraction is the Q factor of ``X + V`` with a positive R
 diagonal (Absil, Mahony & Sepulchre 2008, sec. 4.1.1), computed as
@@ -278,8 +284,8 @@ class Stiefel(EmbeddedManifold):
         return np.asarray(x, dtype=float).reshape(-1, order="F")
 
     def constraint(self, q):
-        x = self.as_matrix(self._check_dim(q))
-        return (x.T @ x - self._eye)[self._triu]
+        xt = self._check_dim(q).reshape(self.m, self.n)
+        return (xt @ xt.T - self._eye)[self._triu]
 
     def solve_multiplier(self, drift, q, coeff, lam0):
         """Solve ``F(T) = Y^T Y - I = 0`` with ``Y = D - X T``, ``T = coeff S``.
@@ -311,15 +317,18 @@ class Stiefel(EmbeddedManifold):
                 an eigenvalue on the imaginary axis, where the real
                 solutions of the Riccati equation are lost.
         """
-        x = self.as_matrix(q)
-        d = self.as_matrix(drift)
+        xt = q.reshape(self.m, self.n)
+        dt = drift.reshape(self.m, self.n)
         s = np.zeros((self.m, self.m))
         s[self._triu] = lam0
         s = s + s.T
 
         def landing(s):
-            y = d - x @ (coeff * s)
-            f = y.T @ y - self._eye
+            # Y^T = D^T - (coeff S) X^T, as S is symmetric
+            yt = (coeff * s) @ xt
+            np.subtract(dt, yt, out=yt)
+            f = yt @ yt.T
+            f -= self._eye
             return f, float(np.abs(f).max())
 
         iterations = 0
@@ -335,8 +344,8 @@ class Stiefel(EmbeddedManifold):
                 s, f, norm = trial, f_next, norm_next
                 iterations += 1
             if not norm <= NEWTON_TOL:
-                a = x.T @ d
-                k = np.block([[a, -(x.T @ x)], [d.T @ d - self._eye, -a.T]])
+                a = xt @ dt.T
+                k = np.block([[a, -(xt @ xt.T)], [dt @ dt.T - self._eye, -a.T]])
                 mu = np.array([math.nan])
                 exact = s
                 # a non-finite K has no eigenvalues, and U1 is not square
@@ -361,22 +370,30 @@ class Stiefel(EmbeddedManifold):
                     raise NewtonError(message, residual_norm=norm, iterations=iterations)
                 s = exact
                 iterations += 1
-        return s[self._triu] * self._triu_weight, self.from_matrix(x @ s), iterations
+        return s[self._triu] * self._triu_weight, (s @ xt).reshape(-1), iterations
 
     def constraint_violation(self, q):
-        return self._gram_violation(q.reshape((self.n, self.m), order="F"))
+        return self._gram_violation(q.reshape(self.m, self.n))
 
-    def _gram_violation(self, x):
-        """``max |X^T X - I|`` of the n x m matrix ``x``: the violation of the
-        point it holds, since the Gram matrix is computed exactly symmetric,
-        and the acceptance test of the CholeskyQR retraction."""
-        return float(np.abs(x.T @ x - self._eye).max())
+    def _gram_violation(self, xt):
+        """``max |X^T X - I|`` of the m x n matrix ``xt`` holding ``X^T``: the
+        violation of the point it holds, since the Gram matrix is computed
+        exactly symmetric, and the acceptance test of the CholeskyQR
+        retraction."""
+        gram = xt @ xt.T
+        gram -= self._eye
+        return float(np.abs(gram, out=gram).max())
 
     def tangent_project(self, q, z):
-        x = q.reshape((self.n, self.m), order="F")
-        zm = z.reshape(x.shape, order="F")
-        xtz = x.T @ zm
-        return (zm - x @ ((xtz + xtz.T) / 2.0)).reshape(-1, order="F")
+        """``Z - X sym(X^T Z)``, computed transposed as
+        ``Z^T - sym(X^T Z) X^T``."""
+        xt = q.reshape(self.m, self.n)
+        zt = z.reshape(self.m, self.n)
+        xtz = xt @ zt.T
+        sym = xtz + xtz.T
+        sym /= 2.0
+        out = sym @ xt
+        return np.subtract(zt, out, out=out).reshape(-1)
 
     def retract(self, q, v):
         """Q factor of the QR factorization of ``W = X + V`` with R's
@@ -397,27 +414,27 @@ class Stiefel(EmbeddedManifold):
         Raises:
             RetractionError: ``W`` is rank deficient.
         """
-        w = (q + v).reshape((self.n, self.m), order="F")
-        big = float(np.abs(w).max())
+        wt = (q + v).reshape(self.m, self.n)
+        big = float(np.abs(wt).max())
         rank_tol = 1e-12 * max(1.0, big)
         # Positive comparisons, so a NaN falls through to Householder.
         if big <= self._gram_limit:
             try:
-                low = np.linalg.cholesky(w.T @ w)
+                low = np.linalg.cholesky(wt @ wt.T)
             except np.linalg.LinAlgError:
                 low = None
             if low is not None and low.diagonal().min() >= rank_tol:
-                # Fortran-ordered like a reshaped point, so the Gram matrix
-                # and the violation are those of the point returned
-                qf = np.linalg.solve(low, w.T).T
-                violation = self._gram_violation(qf)
+                # Q^T = L^{-1} W^T holds the point returned, so the Gram
+                # matrix and the violation are those of that point
+                qt = np.linalg.solve(low, wt)
+                violation = self._gram_violation(qt)
                 if violation <= RETRACT_ORTH_TOL:
-                    return qf.reshape(-1, order="F"), violation
-        qf, diag = positive_qr(w)
+                    return qt.reshape(-1), violation
+        qf, diag = positive_qr(wt.T)
         if (np.abs(diag) < rank_tol).any():
             raise RetractionError("QR retraction undefined: X + V is rank deficient")
         point = self.from_matrix(qf)
-        return point, self._gram_violation(self.as_matrix(point))
+        return point, self._gram_violation(point.reshape(self.m, self.n))
 
     def transport(self, q_from, q_to, v):
         """Projection-based vector transport onto the tangent space at ``q_to``."""

@@ -7,12 +7,14 @@ dense closed-form oracles: the symmetric eigendecomposition for Rayleigh and
 Brockett and the SVD for balanced Procrustes, both from ``numpy.linalg``.
 
 Objectives and gradients take flat point vectors in the convention of the
-host manifold (Stiefel points column-major flattened).  Each problem
-gives them two ways: ``value_and_grad``, the objective value and the
-ambient gradient from the work common to both, which the run loop calls
-once per iterate, and ``ambient_grad`` alone, which ``el_v2`` calls at its
-look-ahead point.  Both evaluate the same per-problem code, so their
-gradients agree bit for bit.
+host manifold: a Stiefel point is ``X`` flattened column-major, and the
+Stiefel objectives read it row-major as ``X^T`` (``q.reshape(m, n)``, no
+copy), as the manifold's kernels do, and return the gradient ``G`` as the
+row-major flattening of ``G^T``.  Each problem gives them two ways:
+``value_and_grad``, the objective value and the ambient gradient from the
+work common to both, which the run loop calls once per iterate, and
+``ambient_grad`` alone, which ``el_v2`` calls at its look-ahead point.  Both
+evaluate the same per-problem code, so their gradients agree bit for bit.
 """
 
 from __future__ import annotations
@@ -113,15 +115,21 @@ def brockett(a: np.ndarray, n_diag: np.ndarray) -> ProblemSpec:
     manifold = Stiefel(n, m)
     values, vectors = np.linalg.eigh(a)
     n_mat = np.diag(mu)
-    # The gradient 2 A X N scales the columns of A X by 2 mu, which rounds
-    # exactly as the product ((2 A) X) N does.
-    two_mu = 2.0 * mu
+    # The gradient 2 A X N, read as 2 N X^T A^T, scales the rows of X^T A^T
+    # by 2 mu, which rounds exactly as the product ((2 A) X) N does.
+    two_mu = (2.0 * mu)[:, np.newaxis]
+
+    def gradient(q, xt):
+        grad = xt @ a.T
+        grad *= two_mu
+        return grad.reshape(-1)
+
     return _spec(
         "brockett",
         manifold,
-        shared=manifold.as_matrix,
-        value=lambda q, x: float(np.trace(x.T @ a @ x @ n_mat)),
-        gradient=lambda q, x: manifold.from_matrix((a @ x) * two_mu),
+        shared=lambda q: q.reshape(m, n),
+        value=lambda q, xt: float(np.trace(xt @ a @ xt.T @ n_mat)),
+        gradient=gradient,
         oracle_value=float(np.sum(mu * values[m - 1 :: -1])),
         oracle_point=manifold.from_matrix(vectors[:, m - 1 :: -1]),
     )
@@ -146,10 +154,12 @@ def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
     if n < m:
         raise ValueError("procrustes requires n >= m for the Stiefel domain")
     manifold = Stiefel(n, m)
-    two_at = 2.0 * a.T
+    two_a = 2.0 * a
 
     def residual(q):
-        return a @ manifold.as_matrix(q) - b
+        res = a @ q.reshape(m, n).T
+        res -= b
+        return res
 
     def value(q, res):
         return float(np.sum(res * res))
@@ -167,7 +177,8 @@ def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
         manifold,
         shared=residual,
         value=value,
-        gradient=lambda q, res: manifold.from_matrix(two_at @ res),
+        # the gradient 2 A^T (A X - B), transposed
+        gradient=lambda q, res: (res.T @ two_a).reshape(-1),
         oracle_value=oracle_value,
         oracle_point=oracle_point,
     )

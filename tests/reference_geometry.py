@@ -2,17 +2,22 @@
 package never forms, a dense Newton solver for the reference solves built
 on it, the partial derivatives of the midpoint discrete Lagrangian that
 those solves need, an unconstrained (``d = 0``) manifold for the
-unconstrained limit of the constrained maps, and a random tangent vector
-sampler."""
+unconstrained limit of the constrained maps, a random tangent vector
+sampler, and the Stiefel kernels and Stiefel objectives written on the
+column-major n x m matrix ``X`` of a flat point, which the package's
+kernels, written on the row-major ``X^T``, reproduce bit for bit."""
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from bregopt import manifolds
 from bregopt.dynamics import MidpointLagrangian
-from bregopt.errors import NewtonError
-from bregopt.manifolds import NEWTON_MAX_ITER, NEWTON_TOL, EmbeddedManifold, Sphere, Stiefel
+from bregopt.errors import NewtonError, RetractionError
+from bregopt.manifolds import (NEWTON_MAX_ITER, NEWTON_TOL, RETRACT_ORTH_TOL,
+                               EmbeddedManifold, Sphere, Stiefel, positive_qr)
 
 
 class NewtonResult(NamedTuple):
@@ -131,3 +136,118 @@ class Unconstrained(EmbeddedManifold):
 
     def random_point(self, rng):
         return rng.standard_normal(self.ambient_dim)
+
+
+# ---------------------------------------------------------------------------
+# Column-major Stiefel kernels and objectives
+# ---------------------------------------------------------------------------
+
+
+def _matrix(st, q):
+    """The flat point ``q`` as the n x m matrix ``X`` it flattens."""
+    return q.reshape((st.n, st.m), order="F")
+
+
+def column_major_violation(st, q):
+    """``max |X^T X - I|``."""
+    x = _matrix(st, q)
+    return float(np.abs(x.T @ x - np.eye(st.m)).max())
+
+
+def column_major_tangent_project(st, q, z):
+    """``Z - X sym(X^T Z)``."""
+    x = _matrix(st, q)
+    zm = _matrix(st, z)
+    xtz = x.T @ zm
+    return (zm - x @ ((xtz + xtz.T) / 2.0)).reshape(-1, order="F")
+
+
+def column_major_retract(st, q, v):
+    """CholeskyQR of ``W = X + V``, accepted as in ``Stiefel.retract``, and
+    Householder QR otherwise; returns the point and its violation."""
+    w = _matrix(st, q + v)
+    big = float(np.abs(w).max())
+    rank_tol = 1e-12 * max(1.0, big)
+    if big <= math.sqrt(np.finfo(float).max / st.n):
+        try:
+            low = np.linalg.cholesky(w.T @ w)
+        except np.linalg.LinAlgError:
+            low = None
+        if low is not None and low.diagonal().min() >= rank_tol:
+            qf = np.linalg.solve(low, w.T).T
+            violation = float(np.abs(qf.T @ qf - np.eye(st.m)).max())
+            if violation <= RETRACT_ORTH_TOL:
+                return qf.reshape(-1, order="F"), violation
+    qf, diag = positive_qr(w)
+    if (np.abs(diag) < rank_tol).any():
+        raise RetractionError("QR retraction undefined: X + V is rank deficient")
+    point = qf.reshape(-1, order="F")
+    return point, column_major_violation(st, point)
+
+
+def column_major_solve_multiplier(st, drift, q, coeff, lam0):
+    """The SHAKE/RATTLE fixed point with its exact Riccati fallback, as in
+    ``Stiefel.solve_multiplier``, on ``Y = D - X (coeff S)``."""
+    m, eye, triu = st.m, np.eye(st.m), np.triu_indices(st.m)
+    x = _matrix(st, q)
+    d = _matrix(st, drift)
+    s = np.zeros((m, m))
+    s[triu] = lam0
+    s = s + s.T
+
+    def landing(s):
+        y = d - x @ (coeff * s)
+        f = y.T @ y - eye
+        return f, float(np.abs(f).max())
+
+    iterations = 0
+    with np.errstate(all="ignore"):
+        f, norm = landing(s)
+        while (not norm <= manifolds.NEWTON_TOL and iterations < manifolds.NEWTON_MAX_ITER
+               and math.isfinite(norm)):
+            trial = s + f / (2.0 * coeff)
+            f_next, norm_next = landing(trial)
+            if not norm_next <= 0.5 * norm:
+                break
+            s, f, norm = trial, f_next, norm_next
+            iterations += 1
+        if not norm <= manifolds.NEWTON_TOL:
+            a = x.T @ d
+            k = np.block([[a, -(x.T @ x)], [d.T @ d - eye, -a.T]])
+            mu = np.array([math.nan])
+            exact = s
+            try:
+                mu, u = np.linalg.eig(k)
+                right = mu.real > 0.0
+                t = np.linalg.solve(u[:m, right].T, u[m:, right].T).real
+                exact = (t + t.T) / (2.0 * coeff)
+            except np.linalg.LinAlgError:
+                pass
+            if not landing(exact)[1] <= manifolds.NEWTON_TOL:
+                message = (f"Newton did not converge in {iterations} iterations "
+                           f"(residual {norm:.3e})")
+                gap = float(np.abs(mu.real).min())
+                if gap <= 1e-8 * float(np.abs(mu).max()):
+                    message += (f"; stiefel constraint unreachable: the Riccati "
+                                f"Hamiltonian has an eigenvalue on the imaginary "
+                                f"axis (|Re| {gap:.1e})")
+                raise NewtonError(message, residual_norm=norm, iterations=iterations)
+            s = exact
+            iterations += 1
+    lam = s[triu] * np.where(triu[0] == triu[1], 0.5, 1.0)
+    return lam, (x @ s).reshape(-1, order="F"), iterations
+
+
+def column_major_brockett(st, a, n_diag, q):
+    """Value and ambient gradient of ``trace(X^T A X N)``: the trace of the
+    product and ``(A X) 2 mu``."""
+    x = _matrix(st, q)
+    value = float(np.trace(x.T @ a @ x @ np.diag(n_diag)))
+    return value, ((a @ x) * (2.0 * np.asarray(n_diag))).reshape(-1, order="F")
+
+
+def column_major_procrustes(st, a, b, q):
+    """Value and ambient gradient of ``|A X - B|_F^2``: the sum of squares
+    of the residual ``R`` and ``(2 A^T) R``."""
+    res = a @ _matrix(st, q) - b
+    return float(np.sum(res * res)), ((2.0 * a.T) @ res).reshape(-1, order="F")

@@ -20,9 +20,11 @@ collected by pytest; run it as
 import hashlib
 import os
 
-# one BLAS thread, as the test suite and the benchmark run
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+# one BLAS thread, as the test suite and the benchmark run, whatever the
+# environment asks: the digest depends on the thread count
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 

@@ -498,6 +498,9 @@ class TestMalformedConfig:
         # numpy would warn on an empty file and leave an empty matrix
         ({"file": "empty.txt", "dims": None},
          "bad problem matrix input: empty.txt: the file holds no numbers"),
+        # a procrustes read from a file names the missing file of B
+        ({"name": "procrustes", "file": "a.txt", "dims": None},
+         "bad problem block: procrustes with 'file' needs the key 'file_b'"),
         # the seed also draws the initial point of a problem read from a file
         ({"seed": -1}, "seed must be a non-negative integer, not -1"),
         ({"file": "a.txt", "dims": None, "seed": -1},

@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 
 from bregopt.bregman import BregmanParams
-from bregopt.errors import DimensionError, RetractionError, TransportError
+from bregopt import manifolds
+from bregopt.errors import DimensionError, NewtonError, RetractionError, TransportError
 from bregopt.manifolds import RETRACT_ORTH_TOL, Sphere, Stiefel
 from bregopt.optimizers import el_step
 
-from reference_geometry import constraint_jacobian, random_tangent
+from reference_geometry import (
+    column_major_retract,
+    column_major_solve_multiplier,
+    column_major_tangent_project,
+    column_major_violation,
+    constraint_jacobian,
+    random_tangent,
+)
 
 
 def central_difference_jacobian(func, x, step=1e-5):
@@ -405,6 +413,117 @@ class TestRetractedViolation:
         for point in (q, 1.1 * q, np.where(np.arange(q.size) == 0, np.nan, q)):
             expected = float(np.abs(manifold.constraint(point)).max())
             assert bits(manifold.constraint_violation(point)) == bits(expected)
+
+
+LAYOUT_SHAPES = [(2, 1), (6, 2), (7, 3), (5, 5), (20, 5)]
+
+
+class TestColumnMajorReference:
+    """The kernels read a flat point row-major, as ``X^T``; each gives the
+    bits of its column-major formula on ``X`` (``reference_geometry``)."""
+
+    @staticmethod
+    def points(st, rng):
+        """Points on the manifold and drifted off it, as the steps pass them."""
+        for scale in (0.0, 1e-6, 1e-2, 0.3):
+            for _ in range(5):
+                yield st.random_point(rng) + scale * rng.standard_normal(st.ambient_dim)
+
+    @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
+    def test_tangent_project_and_transport(self, n, m):
+        st = Stiefel(n, m)
+        rng = np.random.default_rng(40)
+        for q in self.points(st, rng):
+            z = rng.standard_normal(st.ambient_dim)
+            expected = column_major_tangent_project(st, q, z)
+            assert np.array_equal(st.tangent_project(q, z), expected)
+            assert np.array_equal(st.transport(q, q, z), expected)
+
+    @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
+    def test_constraint_violation(self, n, m):
+        st = Stiefel(n, m)
+        rng = np.random.default_rng(41)
+        for q in self.points(st, rng):
+            assert bits(st.constraint_violation(q)) == bits(column_major_violation(st, q))
+            x = st.as_matrix(q)
+            expected = (x.T @ x - np.eye(m))[np.triu_indices(m)]
+            assert np.array_equal(st.constraint(q), expected)
+
+    @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
+    def test_retract_on_the_cholesky_path(self, n, m):
+        st = Stiefel(n, m)
+        rng = np.random.default_rng(42)
+        for q in self.points(st, rng):
+            for scale in (1e-6, 1e-2, 0.3, 1.0):
+                v = scale * rng.standard_normal(st.ambient_dim)
+                point, violation = st.retract(q, v)
+                ref_point, ref_violation = column_major_retract(st, q, v)
+                assert np.array_equal(point, ref_point)
+                assert bits(violation) == bits(ref_violation)
+
+    @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
+    def test_retract_on_the_householder_path(self, n, m):
+        st = Stiefel(n, m)
+        rng = np.random.default_rng(43)
+        x = st.random_point(rng)
+        steps = [1e200 * rng.standard_normal(st.ambient_dim)]  # W^T W overflows
+        if m > 1:
+            # the last column at an angle of 1e-7 to the first fails the
+            # CholeskyQR orthogonality test
+            w = st.as_matrix(x).copy()
+            w[:, -1] = np.cos(1e-7) * w[:, 0] + np.sin(1e-7) * w[:, -1]
+            steps.append(st.from_matrix(w) - x)
+        for v in steps:
+            point, violation = st.retract(x, v)
+            ref_point, ref_violation = column_major_retract(st, x, v)
+            assert np.array_equal(point, ref_point)
+            assert bits(violation) == bits(ref_violation)
+        # a rank-deficient W raises on both
+        for retract in (st.retract, lambda q, v: column_major_retract(st, q, v)):
+            with pytest.raises(RetractionError, match="rank deficient"):
+                retract(x, -x)
+
+    @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
+    def test_solve_multiplier(self, n, m, monkeypatch):
+        st = Stiefel(n, m)
+        rng = np.random.default_rng(44)
+        cases = []
+        for coeff in (0.05, 0.2):
+            for warm in (False, True):
+                q = st.random_point(rng)
+                drift = q + coeff * 0.5 * rng.standard_normal(st.ambient_dim)
+                lam0 = (0.1 * rng.standard_normal(st.constraint_dim) if warm
+                        else np.zeros(st.constraint_dim))
+                cases.append((drift, q, coeff, lam0))
+
+        def assert_same(drift, q, coeff, lam0):
+            lam, normal, iters = st.solve_multiplier(drift, q, coeff, lam0)
+            ref_lam, ref_normal, ref_iters = column_major_solve_multiplier(
+                st, drift, q, coeff, lam0)
+            assert np.array_equal(lam, ref_lam)
+            assert np.array_equal(normal, ref_normal)
+            assert iters == ref_iters
+            return iters
+
+        assert all(1 <= assert_same(*case) <= manifolds.NEWTON_MAX_ITER for case in cases)
+        # the exact Riccati step alone
+        monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", 0)
+        assert all(assert_same(*case) == 1 for case in cases)
+
+    @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
+    def test_solve_multiplier_error_on_an_unreachable_drift(self, n, m, monkeypatch):
+        monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", 5)
+        st = Stiefel(n, m)
+        q = st.random_point(np.random.default_rng(45))
+        lam0 = np.zeros(st.constraint_dim)
+        with pytest.raises(NewtonError) as ours:
+            st.solve_multiplier(q + 50.0, q, 1e-3, lam0)
+        with pytest.raises(NewtonError) as ref:
+            column_major_solve_multiplier(st, q + 50.0, q, 1e-3, lam0)
+        assert "unreachable" in str(ours.value)
+        assert str(ours.value) == str(ref.value)
+        assert bits(ours.value.residual_norm) == bits(ref.value.residual_norm)
+        assert ours.value.iterations == ref.value.iterations
 
 
 class TestNamesAndStubs:

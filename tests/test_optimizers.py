@@ -784,6 +784,26 @@ class TestRunDriver:
             RunConfig(method="rgd", params=BregmanParams(p=2.0), **{field: math.nan})
 
 
+class TestRowMajorHotPath:
+    @pytest.mark.parametrize("name", ["brockett", "procrustes"])
+    def test_steps_never_convert_the_matrix_layout(self, name, monkeypatch):
+        # every per-iteration Stiefel kernel reads the flat point as X^T in
+        # place; the conversions are left to start points and oracles
+        problem = build_problem({"name": name})
+        initial = problem.manifold.random_point(np.random.default_rng(0))
+
+        def refuse(self, array):
+            raise AssertionError("the matrix layout was converted")
+
+        monkeypatch.setattr(Stiefel, "as_matrix", refuse)
+        monkeypatch.setattr(Stiefel, "from_matrix", refuse)
+        for method in METHODS:
+            trace = run(build_run_config({"method": method, "max_iters": 50}),
+                        problem, initial)
+            assert not trace.failed, trace.failure_reason
+            assert len(trace) == 51
+
+
 # Digests of the first 500 iterations at the CLI defaults, seed 0 (numpy 2.4
 # with single-threaded OpenBLAS on x86-64, as tests/conftest.py pins it); a
 # change that alters any rounding on the way changes them.

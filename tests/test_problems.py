@@ -15,7 +15,11 @@ from bregopt.problems import (
     symmetric_instance,
 )
 
-from reference_geometry import random_tangent
+from reference_geometry import (
+    column_major_brockett,
+    column_major_procrustes,
+    random_tangent,
+)
 
 
 def ambient_fd_gradient(f, q, eps=1e-6):
@@ -191,6 +195,33 @@ class TestValueAndGrad:
                 q = manifold.random_point(rng)
                 expected = manifold.from_matrix(product(manifold.as_matrix(q)))
                 assert bits(prob.value_and_grad(q)[1]) == bits(expected)
+
+
+class TestColumnMajorReference:
+    """The Stiefel objectives read a flat point row-major, as ``X^T``; their
+    values and gradients are the bits of the column-major formulas on ``X``
+    (``reference_geometry``)."""
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (6, 2), (7, 3), (5, 5), (20, 5)])
+    def test_brockett_and_procrustes(self, n, m):
+        rng = np.random.default_rng(46)
+        # symmetric_instance is symmetric only to rounding, so A and A^T differ
+        a_sym = symmetric_instance(47, n, conditioning=30.0)
+        mu = np.arange(1.0, m + 1.0)
+        a, b = rng.standard_normal((n + 3, n)), rng.standard_normal((n + 3, m))
+        for prob, reference in (
+            (brockett(a_sym, mu), lambda st, q: column_major_brockett(st, a_sym, mu, q)),
+            (procrustes(a, b), lambda st, q: column_major_procrustes(st, a, b, q)),
+        ):
+            st = prob.manifold
+            for scale in (1.0, 1.3):  # on the manifold and off it
+                for _ in range(10):
+                    q = scale * st.random_point(rng)
+                    f_val, grad = prob.value_and_grad(q)
+                    ref_val, ref_grad = reference(st, q)
+                    assert bits(f_val) == bits(ref_val)
+                    assert np.array_equal(grad, ref_grad)
+                    assert np.array_equal(prob.ambient_grad(q), ref_grad)
 
 
 class TestOracleLocalOptimality:
