@@ -263,7 +263,7 @@ def _el_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
     x, v = q0.copy(), np.zeros_like(q0)
 
     def riemannian_grad(point):
-        return manifold.tangent_project(point, problem.ambient_grad(point))
+        return manifold.tangent_project(point, problem.value_and_grad(point)[1])
 
     def advance(k, f_val, grad, rgrad):
         nonlocal x, v

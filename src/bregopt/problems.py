@@ -6,15 +6,14 @@ problem), and the orthogonal Procrustes problem.  Optimal values come from
 dense closed-form oracles: the symmetric eigendecomposition for Rayleigh and
 Brockett and the SVD for balanced Procrustes, both from ``numpy.linalg``.
 
-Objectives and gradients take flat point vectors in the convention of the
-host manifold: a Stiefel point is ``X`` flattened column-major, and the
-Stiefel objectives read it row-major as ``X^T`` (``q.reshape(m, n)``, no
-copy), as the manifold's kernels do, and return the gradient ``G`` as the
-row-major flattening of ``G^T``.  Each problem gives them two ways:
-``value_and_grad``, the objective value and the ambient gradient from the
-work common to both, which the run loop calls once per iterate, and
-``ambient_grad`` alone, which ``el_v2`` calls at its look-ahead point.  Both
-evaluate the same per-problem code, so their gradients agree bit for bit.
+Each problem gives one evaluation, ``value_and_grad(q)``: the objective
+value and its ambient gradient at a flat point ``q``, computed from the work
+common to both.  The run loop calls it once per iterate and ``el_v2`` once
+more at its look-ahead point.  Points take the convention of the host
+manifold: a Stiefel point is ``X`` flattened column-major, and the Stiefel
+objectives read it row-major as ``X^T`` (``q.reshape(m, n)``, no copy), as
+the manifold's kernels do, and return the gradient ``G`` as the row-major
+flattening of ``G^T``.
 """
 
 from __future__ import annotations
@@ -32,33 +31,15 @@ from .manifolds import EmbeddedManifold, Sphere, Stiefel, positive_qr
 class ProblemSpec:
     """An objective bound to a manifold, with optional solution oracle.
 
-    ``value_and_grad(q)`` returns the objective value at ``q`` and
-    ``ambient_grad(q)`` from one evaluation.
+    ``value_and_grad(q)`` returns the objective value at ``q``, a Python
+    float, and the ambient gradient there.
     """
 
     name: str
     manifold: EmbeddedManifold
-    ambient_grad: Callable[[np.ndarray], np.ndarray]
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
     oracle_value: float | None = None
     oracle_point: np.ndarray | None = None
-
-
-def _spec(name, manifold, shared, value, gradient, oracle_value=None, oracle_point=None):
-    """A :class:`ProblemSpec` whose objective at ``q`` is
-    ``value(q, shared(q))`` and whose ambient gradient is
-    ``gradient(q, shared(q))``; ``value_and_grad`` evaluates ``shared`` once
-    for both."""
-
-    def ambient_grad(q):
-        return gradient(q, shared(q))
-
-    def value_and_grad(q):
-        s = shared(q)
-        return value(q, s), gradient(q, s)
-
-    return ProblemSpec(name, manifold, ambient_grad, value_and_grad,
-                       oracle_value, oracle_point)
 
 
 # ---------------------------------------------------------------------------
@@ -85,15 +66,13 @@ def rayleigh(a: np.ndarray) -> ProblemSpec:
     n = a.shape[0]
     manifold = Sphere(n)
     values, vectors = np.linalg.eigh(a)
-    return _spec(
-        "rayleigh",
-        manifold,
-        shared=lambda q: a @ q,
-        value=lambda q, aq: -float(q @ aq),
-        gradient=lambda q, aq: -2.0 * aq,
-        oracle_value=-float(values[-1]),
-        oracle_point=vectors[:, -1].copy(),
-    )
+
+    def value_and_grad(q):
+        aq = a @ q
+        return -float(q @ aq), -2.0 * aq
+
+    return ProblemSpec("rayleigh", manifold, value_and_grad,
+                       oracle_value=-float(values[-1]), oracle_point=vectors[:, -1].copy())
 
 
 def brockett(a: np.ndarray, n_diag: np.ndarray) -> ProblemSpec:
@@ -119,20 +98,15 @@ def brockett(a: np.ndarray, n_diag: np.ndarray) -> ProblemSpec:
     # by 2 mu, which rounds exactly as the product ((2 A) X) N does.
     two_mu = (2.0 * mu)[:, np.newaxis]
 
-    def gradient(q, xt):
+    def value_and_grad(q):
+        xt = q.reshape(m, n)
         grad = xt @ a.T
         grad *= two_mu
-        return grad.reshape(-1)
+        return float(np.trace(xt @ a @ xt.T @ n_mat)), grad.reshape(-1)
 
-    return _spec(
-        "brockett",
-        manifold,
-        shared=lambda q: q.reshape(m, n),
-        value=lambda q, xt: float(np.trace(xt @ a @ xt.T @ n_mat)),
-        gradient=gradient,
-        oracle_value=float(np.sum(mu * values[m - 1 :: -1])),
-        oracle_point=manifold.from_matrix(vectors[:, m - 1 :: -1]),
-    )
+    return ProblemSpec("brockett", manifold, value_and_grad,
+                       oracle_value=float(np.sum(mu * values[m - 1 :: -1])),
+                       oracle_point=manifold.from_matrix(vectors[:, m - 1 :: -1]))
 
 
 def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
@@ -156,13 +130,11 @@ def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
     manifold = Stiefel(n, m)
     two_a = 2.0 * a
 
-    def residual(q):
+    def value_and_grad(q):
         res = a @ q.reshape(m, n).T
         res -= b
-        return res
-
-    def value(q, res):
-        return float(np.sum(res * res))
+        # the gradient 2 A^T (A X - B), transposed
+        return float(np.sum(res * res)), (res.T @ two_a).reshape(-1)
 
     oracle_value = None
     oracle_point = None
@@ -171,17 +143,8 @@ def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
         # maximizer is U V^T from the SVD of A^T B.
         u, _, vt = np.linalg.svd(a.T @ b)
         oracle_point = manifold.from_matrix(u @ vt)
-        oracle_value = value(oracle_point, residual(oracle_point))
-    return _spec(
-        "procrustes",
-        manifold,
-        shared=residual,
-        value=value,
-        # the gradient 2 A^T (A X - B), transposed
-        gradient=lambda q, res: (res.T @ two_a).reshape(-1),
-        oracle_value=oracle_value,
-        oracle_point=oracle_point,
-    )
+        oracle_value = value_and_grad(oracle_point)[0]
+    return ProblemSpec("procrustes", manifold, value_and_grad, oracle_value, oracle_point)
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +152,10 @@ def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 
 
-def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-ish orthogonal matrix from the QR of a Gaussian sample."""
-    return positive_qr(rng.standard_normal((n, n)))[0]
-
-
 def symmetric_from_spectrum(rng: np.random.Generator, spectrum: np.ndarray) -> np.ndarray:
     """Symmetric matrix with a prescribed spectrum and random eigenbasis."""
     spectrum = np.asarray(spectrum, dtype=float)
-    q = random_orthogonal(rng, spectrum.size)
+    q = positive_qr(rng.standard_normal((spectrum.size, spectrum.size)))[0]
     return (q * spectrum) @ q.T
 
 
