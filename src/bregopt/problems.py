@@ -93,16 +93,16 @@ def brockett(a: np.ndarray, n_diag: np.ndarray) -> ProblemSpec:
     n, m = a.shape[0], mu.size
     manifold = Stiefel(n, m)
     values, vectors = np.linalg.eigh(a)
-    n_mat = np.diag(mu)
     # The gradient 2 A X N, read as 2 N X^T A^T, scales the rows of X^T A^T
     # by 2 mu, which rounds exactly as the product ((2 A) X) N does.
     two_mu = (2.0 * mu)[:, np.newaxis]
 
     def value_and_grad(q):
-        xt = q.reshape(m, n)
-        grad = xt @ a.T
+        grad = q.reshape(m, n) @ a.T
         grad *= two_mu
-        return float(np.trace(xt @ a @ xt.T @ n_mat)), grad.reshape(-1)
+        grad = grad.reshape(-1)
+        # f = trace(X^T A X N) = <G, X> / 2, and G^T and X^T share the flat order
+        return 0.5 * float(grad @ q), grad
 
     return ProblemSpec("brockett", manifold, value_and_grad,
                        oracle_value=float(np.sum(mu * values[m - 1 :: -1])),

@@ -239,11 +239,10 @@ def column_major_solve_multiplier(st, drift, q, coeff, lam0):
 
 
 def column_major_brockett(st, a, n_diag, q):
-    """Value and ambient gradient of ``trace(X^T A X N)``: the trace of the
-    product and ``(A X) 2 mu``."""
-    x = _matrix(st, q)
-    value = float(np.trace(x.T @ a @ x @ np.diag(n_diag)))
-    return value, ((a @ x) * (2.0 * np.asarray(n_diag))).reshape(-1, order="F")
+    """Value and ambient gradient of ``trace(X^T A X N)``: the gradient
+    ``G = (A X) 2 mu`` and the value ``<G, X> / 2``."""
+    grad = ((a @ _matrix(st, q)) * (2.0 * np.asarray(n_diag))).reshape(-1, order="F")
+    return 0.5 * float(grad @ q), grad
 
 
 def column_major_procrustes(st, a, b, q):

@@ -810,11 +810,11 @@ GOLDEN_DIGESTS = {
         "rgd": "aa31c9c98489d11e",
     },
     "brockett": {
-        "htvi_direct": "d8d87a5fc29cc8c5",
-        "htvi_adaptive": "c5e398093730fcb7",
-        "el_v1": "d63fb73299d909ac",
-        "el_v2": "fdaa6886c4e0cff2",
-        "rgd": "8c3e622b22c03f4f",
+        "htvi_direct": "fffd08f7c1dddb07",
+        "htvi_adaptive": "1993f733cbc5fcf8",
+        "el_v1": "30ddf008df6bb94c",
+        "el_v2": "63d5da3bfe95f53f",
+        "rgd": "4058442e471e8548",
     },
     "procrustes": {
         "htvi_direct": "06ab4a9fa2057c94",
