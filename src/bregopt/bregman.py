@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SingularTimeError
+from .errors import BregoptError, SingularTimeError
 
 
 @dataclass(frozen=True)
@@ -221,15 +221,21 @@ def step_coefficients(params: BregmanParams, q_t: float, adaptive: bool) -> Step
     These are the exact partial derivatives of the underlying discrete
     Hamiltonian, so that the five-equation implicit system reduces to the
     closed-form chain documented on :class:`StepCoefficients`.
+
+    Raises:
+        BregoptError: a power of ``q_t`` leaves the float range.
     """
     s = _check_time(q_t)
     h, c = params.h, params.c_const
     b, e_k, e_p, a, e_t, a_e_t = _row(params, adaptive)
-    return StepCoefficients(
-        q_t_increment=h * a * s ** e_t,
-        position=h * b * s ** e_k,
-        gradient=min(params.coeff_cap, h * c * b * s ** e_p),
-        kinetic_rt=h * 0.5 * b * -e_k * s ** (e_k - 1.0),
-        potential_rt=h * c * b * e_p * s ** (e_p - 1.0),
-        feedback_rt=h * a_e_t * s ** (e_t - 1.0),
-    )
+    try:
+        return StepCoefficients(
+            q_t_increment=h * a * s ** e_t,
+            position=h * b * s ** e_k,
+            gradient=min(params.coeff_cap, h * c * b * s ** e_p),
+            kinetic_rt=h * 0.5 * b * -e_k * s ** (e_k - 1.0),
+            potential_rt=h * c * b * e_p * s ** (e_p - 1.0),
+            feedback_rt=h * a_e_t * s ** (e_t - 1.0),
+        )
+    except OverflowError as exc:
+        raise BregoptError(f"step coefficients overflow at time coordinate {s!r}") from exc

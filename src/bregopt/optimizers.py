@@ -27,6 +27,7 @@ independent runs may execute concurrently; a single run is sequential.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,10 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        # the run stops when the step count equals max_iters, which a
+        # fractional budget never does
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, not {self.max_iters!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
         if not (self.stop_grad_tol > 0 and self.stop_f_tol > 0):  # also rejects NaN
@@ -182,7 +187,8 @@ def el_step(
     look-ahead point must be within ``FEAS_TOL`` of the manifold, by the
     violation its retraction reports, before its gradient is taken.
     The gradient coefficient grows polynomially in ``k`` and is clamped at
-    ``params.coeff_cap``.
+    ``params.coeff_cap``, where it also stays once ``(k h)^(p - 2)`` leaves
+    the float range.
 
     Returns the new point, the transported velocity and the new point's
     constraint violation as the retraction reports it; :func:`run` gates
@@ -198,7 +204,10 @@ def el_step(
         raise ValueError("iteration index k must be >= 1")
     h, p = params.h, params.p
     b_k = 1.0 - (params.lambda_conv * p + 1.0) / k
-    c_k = min(params.coeff_cap, params.c_const * p * p * (k * h) ** (p - 2.0))
+    try:
+        c_k = min(params.coeff_cap, params.c_const * p * p * (k * h) ** (p - 2.0))
+    except OverflowError:
+        c_k = params.coeff_cap
     ahead = x
     if version == 2 and v.any():
         ahead, violation = manifold.retract(x, (h * b_k) * v)

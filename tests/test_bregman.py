@@ -13,7 +13,7 @@ from bregopt.bregman import (
     hamiltonian_partials,
     step_coefficients,
 )
-from bregopt.errors import SingularTimeError
+from bregopt.errors import BregoptError, SingularTimeError
 
 
 def random_state(rng, n=4, tangent_sphere=False):
@@ -337,6 +337,14 @@ class TestStepCoefficients:
     def test_direct_has_no_rt_feedback(self):
         params = BregmanParams(p=4.0)
         assert step_coefficients(params, 1.3, adaptive=False).feedback_rt == 0.0
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_overflow_is_a_bregopt_error(self, adaptive):
+        # s^e_p with e_p near 2 p leaves the float range between s = 5.9 and 6
+        params = BregmanParams(p=200.0, c_const=1e-300)
+        step_coefficients(params, 5.9, adaptive)
+        with pytest.raises(BregoptError, match="^step coefficients overflow at time coordinate 6.0$"):
+            step_coefficients(params, 6.0, adaptive)
 
     def test_gradient_coefficient_capped(self):
         capped = BregmanParams(p=6.0, c_const=1.0, h=1.0, coeff_cap=2.0)

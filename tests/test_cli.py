@@ -131,6 +131,17 @@ class TestRun:
         assert len(lines) < 100001
         assert "nan" in lines[-1]
 
+    def test_coefficient_overflow_exits_numerical(self, tmp_path, capsys):
+        from bregopt.cli import EXIT_NUMERICAL
+
+        # the HTVI step coefficients overflow in step 4925
+        config = run_config(tmp_path, method={"method": "htvi_direct", "label": "big_p",
+                                              "p": 200, "c_const": 1e-300, "max_iters": 6000})
+        assert main(["run", "--config", config]) == EXIT_NUMERICAL
+        assert "big_p: FAILED (step coefficients overflow" in capsys.readouterr().out
+        lines = (tmp_path / "out" / "big_p.csv").read_text().splitlines()
+        assert lines[-1] == "4925,nan,nan,nan,nan,,"
+
     def test_failed_block_leaves_failure_row_and_later_blocks_run(self, tmp_path):
         from bregopt.cli import EXIT_NUMERICAL
 

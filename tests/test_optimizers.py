@@ -486,6 +486,18 @@ class TestElStep:
         with pytest.raises(FeasibilityError, match="violates constraint by 2.100e-01"):
             el_step(2, params, sphere, x, v, 10, lambda point: np.zeros(3))
 
+    def test_overflowing_coefficient_saturates_at_the_cap(self):
+        # (k h)^(p - 2) leaves the float range from k h ~ 36 on when p = 200
+        params = BregmanParams(p=200.0, h=0.01)
+        sphere = Sphere(3)
+        rng = np.random.default_rng(9)
+        x = sphere.random_point(rng)
+        grad = random_tangent(sphere, x, rng)
+        x1, _, _ = el_step(1, params, sphere, x, np.zeros(3), 4000,
+                           riemannian_grad=lambda point: grad)
+        expected, _ = sphere.retract(x, params.h * (-params.h * params.coeff_cap) * grad)
+        np.testing.assert_allclose(x1, expected, atol=1e-14)
+
     def test_index_validation(self):
         params = BregmanParams(p=2.0)
         sphere = Sphere(3)
@@ -762,9 +774,44 @@ class TestRunDriver:
         assert len(trace) == 4
         assert max(trace.constraint_violations) <= 1e-9
 
+    @pytest.mark.parametrize("method", ["el_v1", "el_v2"])
+    def test_el_runs_past_the_coefficient_overflow(self, method):
+        # the gradient coefficient's power overflows from step 3600 on and
+        # the coefficient stays at the cap
+        prob = make_instance("rayleigh", (6,), seed=0)
+        cfg = RunConfig(method=method, params=BregmanParams(p=200.0, h=0.01), max_iters=3700)
+        trace = run(cfg, prob)
+        assert not trace.failed, trace.failure_reason
+        assert len(trace) == 3701
+
+    @pytest.mark.parametrize("method", ["htvi_direct", "htvi_adaptive"])
+    def test_htvi_coefficient_overflow_fails_the_trace(self, method):
+        # s^e_p leaves the float range near s = 5.9 when p = 200; the tiny
+        # c_const keeps the capped gradient coefficient below the cap
+        prob = make_instance("rayleigh", (6,), seed=0)
+        cfg = RunConfig(method=method, params=BregmanParams(p=200.0, c_const=1e-300),
+                        max_iters=6000)
+        trace = run(cfg, prob)
+        assert trace.failed
+        assert trace.failure_reason.startswith("step coefficients overflow at time coordinate 5.9")
+        assert len(trace) < 6001
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(method="sgd", params=BregmanParams(p=2.0))
+
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, True, np.float64(3.0), np.bool_(True)])
+    def test_non_integer_max_iters_rejected(self, max_iters):
+        # the run stops when the step count equals max_iters, which a
+        # fractional budget never does
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            RunConfig(method="rgd", params=BregmanParams(p=2.0), max_iters=max_iters)
+
+    def test_numpy_integer_max_iters_is_the_budget(self):
+        prob = make_instance("procrustes", (4, 2, 6), seed=9)  # no oracle, no gap stop
+        cfg = RunConfig(method="rgd", params=BregmanParams(p=2.0, h=0.01),
+                        max_iters=np.int64(3), stop_grad_tol=1e-300)
+        assert len(run(cfg, prob)) == 4
 
     @pytest.mark.parametrize("stop_f_tol", [0.0, -1e-6])
     def test_non_positive_stop_f_tol_rejected(self, stop_f_tol):
