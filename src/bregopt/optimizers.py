@@ -8,7 +8,8 @@ Three families are provided:
   need neither retraction nor transport.
 * ``el_v1`` / ``el_v2`` -- semi-implicit Euler discretizations of the
   accelerated-flow Euler--Lagrange equations written with a retraction and
-  a vector transport; version 2 evaluates a look-ahead corrected gradient.
+  a vector transport; version 2 takes the gradient at a look-ahead point,
+  from the same ``ProblemSpec.value_and_grad`` as the run loop.
 * ``rgd`` -- Riemannian gradient descent.
 
 ``run`` drives any of them to a stopping criterion and records a

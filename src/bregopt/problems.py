@@ -155,6 +155,7 @@ def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
 def symmetric_from_spectrum(rng: np.random.Generator, spectrum: np.ndarray) -> np.ndarray:
     """Symmetric matrix with a prescribed spectrum and random eigenbasis."""
     spectrum = np.asarray(spectrum, dtype=float)
+    # the sign-fixed QR factor of a Gaussian sample is a Haar-random basis
     q = positive_qr(rng.standard_normal((spectrum.size, spectrum.size)))[0]
     return (q * spectrum) @ q.T
 

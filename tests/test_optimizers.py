@@ -787,7 +787,7 @@ class TestRunDriver:
     @pytest.mark.parametrize("method", ["htvi_direct", "htvi_adaptive"])
     def test_htvi_coefficient_overflow_fails_the_trace(self, method):
         # s^e_p leaves the float range near s = 5.9 when p = 200; the tiny
-        # c_const keeps the capped gradient coefficient below the cap
+        # c_const keeps the gradient coefficient below its cap until then
         prob = make_instance("rayleigh", (6,), seed=0)
         cfg = RunConfig(method=method, params=BregmanParams(p=200.0, c_const=1e-300),
                         max_iters=6000)
