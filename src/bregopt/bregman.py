@@ -33,6 +33,7 @@ frozen and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,12 +47,13 @@ class BregmanParams:
     """Parameters of the Bregman Hamiltonian family and its discretizations.
 
     Attributes:
-        p: convergence-rate exponent (> 0).
-        p_ring: target exponent of the adaptive (time-rescaled) variant;
-            defaults to ``2 p / 3``.
-        c_const: constant scaling the potential term (> 0).
-        lambda_conv: convexity parameter, >= 1 (1 in the vector-space case).
-        h: integrator timestep (> 0).
+        p: convergence-rate exponent (> 0, finite).
+        p_ring: target exponent of the adaptive (time-rescaled) variant
+            (> 0, finite); defaults to ``2 p / 3``.
+        c_const: constant scaling the potential term (> 0, finite).
+        lambda_conv: convexity parameter, >= 1 and finite (1 in the
+            vector-space case).
+        h: integrator timestep (> 0, finite).
         coeff_cap: upper bound applied to the gradient coefficient in the
             updates; ``math.inf`` disables the cap.
     """
@@ -69,15 +71,17 @@ class BregmanParams:
         # target sits inside the stability envelope of the default cap.
         if self.p_ring is None:
             object.__setattr__(self, "p_ring", 2.0 * self.p / 3.0)
-        # Negated comparisons, so that NaN fails every check.
-        if not (self.p > 0 and self.p_ring > 0):
-            raise ValueError("exponents p and p_ring must be positive")
-        if not self.c_const > 0:
-            raise ValueError("c_const must be positive")
-        if not self.lambda_conv >= 1.0:
-            raise ValueError("lambda_conv must be >= 1")
-        if not self.h > 0:
-            raise ValueError("timestep h must be positive")
+        # Negated comparisons, so that NaN fails every check.  Only the cap
+        # may be infinite: an infinite exponent, constant or step makes the
+        # step coefficients inf or NaN.
+        if not (0 < self.p < math.inf and 0 < self.p_ring < math.inf):
+            raise ValueError("exponents p and p_ring must be positive and finite")
+        if not 0 < self.c_const < math.inf:
+            raise ValueError("c_const must be positive and finite")
+        if not 1.0 <= self.lambda_conv < math.inf:
+            raise ValueError("lambda_conv must be >= 1 and finite")
+        if not 0 < self.h < math.inf:
+            raise ValueError("timestep h must be positive and finite")
         if not self.coeff_cap > 0:
             raise ValueError("coeff_cap must be positive")
 
@@ -139,7 +143,7 @@ def _hamiltonian(params: BregmanParams, state: ExtendedState, f_val: float,
                  adaptive: bool) -> float:
     s = _check_time(state.q_t)
     b, e_k, e_p, a, e_t, _ = _row(params, adaptive)
-    rr = float(state.r @ state.r)
+    rr = float(state.r.dot(state.r))
     kinetic = 0.5 * b * s ** e_k * rr
     potential = params.c_const * b * s ** e_p * f_val
     return kinetic + potential + a * s ** e_t * state.r_t
@@ -179,7 +183,7 @@ def hamiltonian_partials(
     s = _check_time(state.q_t)
     c = params.c_const
     b, e_k, e_p, a, e_t, a_e_t = _row(params, adaptive)
-    rr = float(state.r @ state.r)
+    rr = float(state.r.dot(state.r))
     d_qt = (
         0.5 * b * e_k * s ** (e_k - 1.0) * rr
         + c * b * e_p * s ** (e_p - 1.0) * f_val

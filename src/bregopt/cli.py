@@ -35,7 +35,8 @@ A ``run`` or ``compare`` config holds:
   block's output file: letters, digits, ``_``, ``.`` and ``-``, distinct
   across blocks), the Bregman parameters ``p`` (6), ``p_ring``
   (``2 p / 3``), ``c_const`` (1), ``lambda_conv`` (1), ``h`` (1e-3) and
-  ``coeff_cap`` (1e6), and the stopping rule ``max_iters`` (1000),
+  ``coeff_cap`` (1e6; the only one that may be ``Infinity``, which lifts
+  the cap), and the stopping rule ``max_iters`` (1000),
   ``stop_grad_tol`` (1e-12) and ``stop_f_tol`` (1e-12).  The gap stop
   cannot be switched off on a problem with an oracle: ``f`` may round a
   few ulps below the oracle value, so any positive ``stop_f_tol`` can end
@@ -56,7 +57,7 @@ error, not a conversion.
 
 An ``order-check`` config holds ``system`` (required; ``quadratic`` or
 ``spherical_pendulum``), ``h_list`` (required; at least three positive,
-strictly decreasing step sizes), ``duration`` (1), ``expected_rate``
+finite, strictly decreasing step sizes), ``duration`` (1), ``expected_rate``
 (required; ``[lo, hi]`` with ``lo <= hi``) and ``output_dir`` (``.``).
 A step size whose error is at the noise floor is dropped from the fit and
 reported as one ``order-check: <message>`` line on stderr; with fewer than

@@ -157,8 +157,9 @@ def order_check(
     h_list = [float(h) for h in h_list]
     if len(h_list) < 3:
         raise ValueError("order_check needs at least three step sizes")
-    if not all(a > b > 0.0 for a, b in zip(h_list, h_list[1:])):
-        raise ValueError("step sizes must be positive and strictly decreasing")
+    # an infinite first step would be snapped to one step of ``duration``
+    if not (h_list[0] < math.inf and all(a > b > 0.0 for a, b in zip(h_list, h_list[1:]))):
+        raise ValueError("step sizes must be positive, finite and strictly decreasing")
     if not 0.0 < duration < math.inf:
         raise ValueError("duration must be positive and finite")
 

@@ -13,7 +13,8 @@ more at its look-ahead point.  Points take the convention of the host
 manifold: a Stiefel point is ``X`` flattened column-major, and the Stiefel
 objectives read it row-major as ``X^T`` (``q.reshape(m, n)``, no copy), as
 the manifold's kernels do, and return the gradient ``G`` as the row-major
-flattening of ``G^T``.
+flattening of ``G^T``.  Products are written ``a.dot(b)``, not ``a @ b``,
+which costs more in dispatch and gives the same bits (see ``manifolds``).
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ def rayleigh(a: np.ndarray) -> ProblemSpec:
     values, vectors = np.linalg.eigh(a)
 
     def value_and_grad(q):
-        aq = a @ q
-        return -float(q @ aq), -2.0 * aq
+        aq = a.dot(q)
+        return -float(q.dot(aq)), -2.0 * aq
 
     return ProblemSpec("rayleigh", manifold, value_and_grad,
                        oracle_value=-float(values[-1]), oracle_point=vectors[:, -1].copy())
@@ -98,11 +99,11 @@ def brockett(a: np.ndarray, n_diag: np.ndarray) -> ProblemSpec:
     two_mu = (2.0 * mu)[:, np.newaxis]
 
     def value_and_grad(q):
-        grad = q.reshape(m, n) @ a.T
+        grad = q.reshape(m, n).dot(a.T)
         grad *= two_mu
         grad = grad.reshape(-1)
         # f = trace(X^T A X N) = <G, X> / 2, and G^T and X^T share the flat order
-        return 0.5 * float(grad @ q), grad
+        return 0.5 * float(grad.dot(q)), grad
 
     return ProblemSpec("brockett", manifold, value_and_grad,
                        oracle_value=float(np.sum(mu * values[m - 1 :: -1])),
@@ -131,18 +132,18 @@ def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
     two_a = 2.0 * a
 
     def value_and_grad(q):
-        res = a @ q.reshape(m, n).T
+        res = a.dot(q.reshape(m, n).T)
         res -= b
         # the gradient 2 A^T (A X - B), transposed
-        return float(np.sum(res * res)), (res.T @ two_a).reshape(-1)
+        return float(np.sum(res * res)), res.T.dot(two_a).reshape(-1)
 
     oracle_value = None
     oracle_point = None
     if n == m:
         # Minimizing |AX - B|_F^2 over O(n) maximizes trace(X^T A^T B); the
         # maximizer is U V^T from the SVD of A^T B.
-        u, _, vt = np.linalg.svd(a.T @ b)
-        oracle_point = manifold.from_matrix(u @ vt)
+        u, _, vt = np.linalg.svd(a.T.dot(b))
+        oracle_point = manifold.from_matrix(u.dot(vt))
         oracle_value = value_and_grad(oracle_point)[0]
     return ProblemSpec("procrustes", manifold, value_and_grad, oracle_value, oracle_point)
 
@@ -157,7 +158,7 @@ def symmetric_from_spectrum(rng: np.random.Generator, spectrum: np.ndarray) -> n
     spectrum = np.asarray(spectrum, dtype=float)
     # the sign-fixed QR factor of a Gaussian sample is a Haar-random basis
     q = positive_qr(rng.standard_normal((spectrum.size, spectrum.size)))[0]
-    return (q * spectrum) @ q.T
+    return (q * spectrum).dot(q.T)
 
 
 def symmetric_instance(seed: int, n: int, conditioning: float = 10.0) -> np.ndarray:

@@ -65,6 +65,13 @@ class TestParams:
     def test_infinite_cap_allowed(self):
         assert BregmanParams(p=2.0, coeff_cap=math.inf).coeff_cap == math.inf
 
+    # an infinite exponent, constant or step turns the step coefficients
+    # into inf or NaN
+    @pytest.mark.parametrize("field", ["p", "p_ring", "c_const", "lambda_conv", "h"])
+    def test_infinite_rejected(self, field):
+        with pytest.raises(ValueError, match="finite"):
+            BregmanParams(**{"p": 2.0, field: math.inf})
+
 
 class TestHamiltonianValues:
     def test_direct_substitution(self):

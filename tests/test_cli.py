@@ -537,6 +537,10 @@ class TestMalformedConfig:
         # NaN fails no ordered comparison, so each check is a negated one
         ({"h": math.nan}, "timestep h must be positive"),
         ({"stop_f_tol": math.nan}, "stopping tolerances"),
+        # JSON's Infinity is a number, but no finite step coefficient
+        # follows from it
+        ({"h": math.inf}, "timestep h must be positive and finite"),
+        ({"lambda_conv": math.inf}, "lambda_conv must be >= 1 and finite"),
     ])
     def test_bad_method_value(self, tmp_path, capsys, method, phrase):
         config = run_config(tmp_path, method=method)
@@ -677,6 +681,10 @@ class TestMalformedConfig:
         ({"expected_rate": [math.nan, 2.2]}, "with lo <= hi"),
         ({"expected_rate": [1.8, math.nan]}, "with lo <= hi"),
         ({"expected_rate": [2.2, 1.8]}, "with lo <= hi"),
+        # an infinite step would be snapped to one step of the duration
+        ({"h_list": [math.inf, 0.1, 0.05]}, "positive, finite and strictly decreasing"),
+        ({"system": "spherical_pendulum", "h_list": [math.inf, 0.1, 0.05],
+          "expected_rate": [1.8, 2.2]}, "positive, finite and strictly decreasing"),
     ])
     def test_bad_order_check_value(self, tmp_path, capsys, keys, phrase):
         config = order_check_config(tmp_path, **keys)

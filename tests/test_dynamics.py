@@ -560,9 +560,11 @@ class TestOrderCheck:
         with pytest.raises(ValueError):
             order_check(step, np.zeros(2), [0.1, 0.05, 0.025], -1.0)
         # non-positive or nan step sizes and an infinite or nan duration
-        # would divide by zero or leave no step count
-        for h_list in ([0.1, 0.05, 0.0], [0.1, 0.0, -0.1], [0.1, math.nan, 0.01]):
-            with pytest.raises(ValueError, match="positive and strictly decreasing"):
+        # would divide by zero or leave no step count; an infinite step
+        # would be snapped to one step of the duration
+        for h_list in ([0.1, 0.05, 0.0], [0.1, 0.0, -0.1], [0.1, math.nan, 0.01],
+                       [math.inf, 0.1, 0.05]):
+            with pytest.raises(ValueError, match="positive, finite and strictly decreasing"):
                 order_check(step, np.zeros(2), h_list, 1.0)
         for duration in (math.inf, math.nan, 0.0):
             with pytest.raises(ValueError, match="duration"):

@@ -415,7 +415,10 @@ class TestRetractedViolation:
             assert bits(manifold.constraint_violation(point)) == bits(expected)
 
 
-LAYOUT_SHAPES = [(2, 1), (6, 2), (7, 3), (5, 5), (20, 5)]
+# The shape of ``test_large_stiefel_stays_on_the_manifold``, where BLAS
+# splits the products into blocks.
+BLOCKED_SHAPE = (200, 40)
+LAYOUT_SHAPES = [(2, 1), (6, 2), (7, 3), (5, 5), (20, 5), BLOCKED_SHAPE]
 
 
 class TestColumnMajorReference:
@@ -487,11 +490,14 @@ class TestColumnMajorReference:
     def test_solve_multiplier(self, n, m, monkeypatch):
         st = Stiefel(n, m)
         rng = np.random.default_rng(44)
+        # a drift of the small shapes' spread is out of reach at the
+        # blocked shape, where the Gram matrix sums 200 squares
+        spread = 0.5 / np.sqrt(m) if (n, m) == BLOCKED_SHAPE else 0.5
         cases = []
         for coeff in (0.05, 0.2):
             for warm in (False, True):
                 q = st.random_point(rng)
-                drift = q + coeff * 0.5 * rng.standard_normal(st.ambient_dim)
+                drift = q + coeff * spread * rng.standard_normal(st.ambient_dim)
                 lam0 = (0.1 * rng.standard_normal(st.constraint_dim) if warm
                         else np.zeros(st.constraint_dim))
                 cases.append((drift, q, coeff, lam0))
@@ -524,6 +530,16 @@ class TestColumnMajorReference:
         assert str(ours.value) == str(ref.value)
         assert bits(ours.value.residual_norm) == bits(ref.value.residual_norm)
         assert ours.value.iterations == ref.value.iterations
+
+    @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
+    def test_solve_multiplier_rejects_a_wrong_length_guess(self, n, m):
+        # S is gathered from lam0, which would read only the leading
+        # entries of a longer guess
+        st = Stiefel(n, m)
+        q = st.random_point(np.random.default_rng(46))
+        for size in (st.constraint_dim - 1, st.constraint_dim + 1):
+            with pytest.raises(ValueError, match="multiplier guess"):
+                st.solve_multiplier(q, q, 0.1, np.zeros(size))
 
 
 class TestNamesAndStubs:
