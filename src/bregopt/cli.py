@@ -57,8 +57,10 @@ error, not a conversion.
 
 An ``order-check`` config holds ``system`` (required; ``quadratic`` or
 ``spherical_pendulum``), ``h_list`` (required; at least three positive,
-finite, strictly decreasing step sizes), ``duration`` (1), ``expected_rate``
-(required; ``[lo, hi]`` with ``lo <= hi``) and ``output_dir`` (``.``).
+finite, strictly decreasing step sizes whose step counts over the duration,
+``max(1, round(duration / h))``, strictly increase), ``duration`` (1),
+``expected_rate`` (required; ``[lo, hi]`` with ``lo <= hi``) and
+``output_dir`` (``.``).
 A step size whose error is at the noise floor is dropped from the fit and
 reported as one ``order-check: <message>`` line on stderr; with fewer than
 two points left the rate is ``nan`` and the check fails.
@@ -113,7 +115,11 @@ def _number(value) -> float:
     boolean or a numeric string."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise TypeError(f"must be a number, not {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"must be within the float range, not an integer of "
+                         f"{value.bit_length()} bits") from None
 
 
 RUN_KEYS = ("problem", "methods", "output_dir", "plot")
@@ -148,7 +154,8 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: also bad UTF-8 and an integer past Python's digit limit
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")

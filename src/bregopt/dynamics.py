@@ -162,6 +162,12 @@ def order_check(
         raise ValueError("step sizes must be positive, finite and strictly decreasing")
     if not 0.0 < duration < math.inf:
         raise ValueError("duration must be positive and finite")
+    # each size is snapped to a whole number of steps, and two sizes that
+    # snap to one count would be one point fitted twice
+    counts = [max(1, round(duration / h)) for h in h_list]
+    if not all(a < b for a, b in zip(counts, counts[1:])):
+        raise ValueError(f"step sizes {h_list} snap to {counts} steps over duration "
+                         f"{duration}; the step counts must strictly increase")
 
     h_ref = min(h_list) / REFERENCE_REFINEMENT
     n_ref = max(1, round(duration / h_ref))
@@ -171,8 +177,7 @@ def order_check(
     floor = 100.0 * np.finfo(float).eps * scale
 
     used_h, errors = [], []
-    for h in h_list:
-        n_steps = max(1, round(duration / h))
+    for n_steps in counts:
         h_eff = duration / n_steps
         terminal = _integrate(step_map, initial, h_eff, n_steps)
         err = float(np.max(np.abs(terminal - reference)))

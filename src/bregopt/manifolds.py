@@ -46,7 +46,13 @@ CholeskyQR (Fukaya et al. 2014): ``Q = W L^{-T}`` with ``L = chol(W^T W)``.
 It is accepted only when the Cholesky factorization succeeds, ``L``'s
 diagonal passes the rank threshold and ``Q`` is orthonormal to
 ``RETRACT_ORTH_TOL``; otherwise Householder QR gives ``Q``, and a
-rank-deficient ``X + V`` raises :class:`RetractionError`.
+rank-deficient ``X + V`` raises :class:`RetractionError`.  ``L`` and
+``L^{-1} W^T`` come straight from the LAPACK gufuncs behind
+``np.linalg.cholesky`` and ``np.linalg.solve``,
+``numpy.linalg._umath_linalg.cholesky_lo(g, signature="d->d")`` and
+``solve(low, wt, signature="dd->d")``, called as the wrappers call them, so
+the bits are theirs; a failed factorization comes back NaN instead of
+raising ``LinAlgError``, and NaN fails the rank test.
 
 Every product is written ``a.dot(b)``, never ``a @ b``, and every
 reduction of the per-iteration path ``np.maximum.reduce(x, axis=None)``
@@ -59,6 +65,12 @@ takes about 1.4 microseconds through ``@`` and 0.8 through ``.dot``,
 0.4, and the maximum of a 5 x 5 array 1.4 and 1.2.  Both spellings call the
 same BLAS routines (gemm, syrk for ``X^T X``, gemv, ddot), so they give
 the same bits; ``tests/test_source.py`` keeps ``@`` out of the package.
+For the same reason the Stiefel retraction calls those two gufuncs
+directly, inside one ``np.errstate(all="ignore")``: the wrappers' type
+checks and their own ``errstate`` cost more than LAPACK at these sizes.
+On a 5 x 5 Gram matrix and a 5 x 20 right-hand side the factorization
+takes about 4.9 microseconds through the wrapper and 1.2 direct, the
+solve 8.3 and 3.9, and the whole 20 x 5 retraction 23 and 18.
 
 All operations are pure functions of their inputs, and a manifold object
 carries nothing but its dimensions and constants derived from them, so
@@ -71,6 +83,7 @@ import math
 import sys
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo, solve as _solve
 
 from .errors import DimensionError, NewtonError, RetractionError, TransportError
 
@@ -434,6 +447,16 @@ class Stiefel(EmbeddedManifold):
         CholeskyQR path and is computed once from the point on the
         Householder path.
 
+        ``L`` and ``Q^T = L^{-1} W^T`` come from the LAPACK gufuncs
+        ``_umath_linalg.cholesky_lo`` and ``solve``, called with the
+        ``"d->d"`` and ``"dd->d"`` signatures that ``np.linalg.cholesky``
+        and ``np.linalg.solve`` pass, so they give those functions' bits.
+        Both run under one ``np.errstate(all="ignore")``: the wrappers ignore
+        overflow, division by zero and underflow, and turn the invalid flag
+        into ``LinAlgError``.  A Gram matrix that is not positive definite
+        leaves ``L`` all NaN, which fails the rank threshold, so the step
+        goes to Householder QR.
+
         Raises:
             RetractionError: ``W`` is rank deficient.
         """
@@ -442,17 +465,17 @@ class Stiefel(EmbeddedManifold):
         rank_tol = 1e-12 * max(1.0, big)
         # Positive comparisons, so a NaN falls through to Householder.
         if big <= self._gram_limit:
-            try:
-                low = np.linalg.cholesky(wt.dot(wt.T))
-            except np.linalg.LinAlgError:
-                low = None
-            if low is not None and np.minimum.reduce(low.diagonal(), axis=None) >= rank_tol:
-                # Q^T = L^{-1} W^T holds the point returned, so the Gram
-                # matrix and the violation are those of that point
-                qt = np.linalg.solve(low, wt)
-                violation = self._gram_violation(qt)
-                if violation <= RETRACT_ORTH_TOL:
-                    return qt.reshape(-1), violation
+            # a failed factorization comes back all NaN and fails the rank
+            # test; the flags it raises are ignored, as np.linalg does
+            with np.errstate(all="ignore"):
+                low = _cholesky_lo(wt.dot(wt.T), signature="d->d")
+                if np.minimum.reduce(low.diagonal(), axis=None) >= rank_tol:
+                    # Q^T = L^{-1} W^T holds the point returned, so the Gram
+                    # matrix and the violation are those of that point
+                    qt = _solve(low, wt, signature="dd->d")
+                    violation = self._gram_violation(qt)
+                    if violation <= RETRACT_ORTH_TOL:
+                        return qt.reshape(-1), violation
         qf, diag = positive_qr(wt.T)
         if (np.abs(diag) < rank_tol).any():
             raise RetractionError("QR retraction undefined: X + V is rank deficient")

@@ -96,6 +96,16 @@ class TestRun:
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{",  # not UTF-8
+        # past the 4300 digits Python converts to an int by default
+        b'{"problem": {"name": "rayleigh", "seed": 1' + b"0" * 5000 + b"}}",
+    ], ids=["bad-utf8", "long-integer"])
+    def test_unreadable_json_is_config_error(self, tmp_path, capsys, content):
+        path = tmp_path / "broken.json"
+        path.write_bytes(content)
+        assert_config_error(capsys, ["run", "--config", str(path)], "cannot read config")
+
     def test_missing_methods_is_config_error(self, tmp_path):
         config = write_config(tmp_path, {"problem": {"name": "rayleigh", "dims": [3]}})
         assert main(["run", "--config", config]) == EXIT_CONFIG
@@ -541,6 +551,8 @@ class TestMalformedConfig:
         # follows from it
         ({"h": math.inf}, "timestep h must be positive and finite"),
         ({"lambda_conv": math.inf}, "lambda_conv must be >= 1 and finite"),
+        # a JSON integer beyond the float range
+        ({"h": 10 ** 400}, "h: must be within the float range"),
     ])
     def test_bad_method_value(self, tmp_path, capsys, method, phrase):
         config = run_config(tmp_path, method=method)
@@ -685,6 +697,12 @@ class TestMalformedConfig:
         ({"h_list": [math.inf, 0.1, 0.05]}, "positive, finite and strictly decreasing"),
         ({"system": "spherical_pendulum", "h_list": [math.inf, 0.1, 0.05],
           "expected_rate": [1.8, 2.2]}, "positive, finite and strictly decreasing"),
+        # sizes that snap to one step count would fit one point twice
+        ({"h_list": [5.0, 2.0, 0.05], "duration": 1.0, "expected_rate": [0.0, 5.0]},
+         "snap to [1, 1, 20] steps"),
+        ({"h_list": [0.1, 0.095, 0.05]}, "the step counts must strictly increase"),
+        ({"duration": 10 ** 400}, "must be within the float range"),
+        ({"h_list": [0.1, 0.05, 10 ** 400]}, "must be within the float range"),
     ])
     def test_bad_order_check_value(self, tmp_path, capsys, keys, phrase):
         config = order_check_config(tmp_path, **keys)

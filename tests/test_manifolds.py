@@ -1,5 +1,7 @@
 """Geometry tests: constraints, projections, retractions, transports."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -540,6 +542,97 @@ class TestColumnMajorReference:
         for size in (st.constraint_dim - 1, st.constraint_dim + 1):
             with pytest.raises(ValueError, match="multiplier guess"):
                 st.solve_multiplier(q, q, 0.1, np.zeros(size))
+
+
+def public_linalg_retract(st, q, v):
+    """``Stiefel.retract`` written with the public ``np.linalg.cholesky`` and
+    ``np.linalg.solve``, whose LAPACK gufuncs it calls directly."""
+    wt = (q + v).reshape(st.m, st.n)
+    big = float(np.abs(wt).max())
+    rank_tol = 1e-12 * max(1.0, big)
+    if big <= st._gram_limit:
+        try:
+            low = np.linalg.cholesky(wt.dot(wt.T))
+        except np.linalg.LinAlgError:
+            low = None
+        if low is not None and low.diagonal().min() >= rank_tol:
+            qt = np.linalg.solve(low, wt)
+            violation = st._gram_violation(qt)
+            if violation <= RETRACT_ORTH_TOL:
+                return qt.reshape(-1), violation
+    qf, diag = manifolds.positive_qr(wt.T)
+    if (np.abs(diag) < rank_tol).any():
+        raise RetractionError("QR retraction undefined: X + V is rank deficient")
+    point = st.from_matrix(qf)
+    return point, st._gram_violation(point.reshape(st.m, st.n))
+
+
+class TestRetractThroughGufuncs:
+    """``retract`` calls the gufuncs behind ``np.linalg.cholesky`` and
+    ``solve`` without their wrappers and gives the wrappers' bits, on every
+    path, with no warning."""
+
+    @staticmethod
+    def assert_same(st, q, v):
+        """Equal bits, or the same error; returns ``retract``'s point and
+        violation, or its error message."""
+        def outcome(retract):
+            try:
+                return retract(q, v)
+            except RetractionError as exc:
+                return str(exc)
+
+        def key(result):
+            return result if isinstance(result, str) else (bits(result[0]), bits(result[1]))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = outcome(st.retract)
+        assert key(ours) == key(outcome(lambda q, v: public_linalg_retract(st, q, v)))
+        return ours
+
+    @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
+    def test_cholesky_path(self, n, m):
+        st = Stiefel(n, m)
+        rng = np.random.default_rng(47)
+        for q in TestColumnMajorReference.points(st, rng):
+            for scale in (1e-6, 1e-2, 0.3, 1.0):
+                self.assert_same(st, q, scale * rng.standard_normal(st.ambient_dim))
+
+    @pytest.mark.parametrize("n,m", [shape for shape in LAYOUT_SHAPES if shape[1] > 1])
+    def test_non_positive_definite_gram(self, n, m):
+        # columns e_0 ... e_{m-2} and e_0 + 2^-36 e_{m-1}: the Gram matrix
+        # rounds to an exactly singular one, while R's last diagonal entry,
+        # 2^-36, passes the rank test
+        w = np.eye(n, m)
+        w[0, -1] = 1.0
+        w[m - 1, -1] = 2.0 ** -36
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(w.T @ w)
+        st = Stiefel(n, m)
+        q = st.from_matrix(w)
+        _, violation = self.assert_same(st, q, np.zeros_like(q))
+        assert violation <= 1e-13
+
+    @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
+    def test_nan_and_entries_above_the_gram_limit(self, n, m):
+        # none passes the Gram limit test, so all take Householder QR
+        st = Stiefel(n, m)
+        rng = np.random.default_rng(48)
+        q = st.random_point(rng)
+        huge = 2.0 * st._gram_limit
+        nan_step = 1e-2 * rng.standard_normal(st.ambient_dim)
+        nan_step[rng.integers(st.ambient_dim)] = np.nan
+        # the NaN point is left to the run loop's feasibility gate
+        assert np.isnan(self.assert_same(st, q, nan_step)[1])
+        # one huge entry leaves the other columns below the rank threshold
+        one_entry = np.zeros(st.ambient_dim)
+        one_entry[rng.integers(st.ambient_dim)] = huge
+        outcome = self.assert_same(st, np.zeros(st.ambient_dim), one_entry)
+        assert isinstance(outcome, str) == (m > 1)
+        # a huge entry in every column keeps W of full rank
+        diagonal = st.from_matrix(huge * np.eye(n, m))
+        assert self.assert_same(st, q, diagonal)[1] <= 1e-13
 
 
 class TestNamesAndStubs:

@@ -6,6 +6,10 @@ costs more than the product on the small arrays of the per-iteration path
 thread).  ``ndarray.dot`` reaches the same BLAS routines, so the two give
 the same bits and no trace digest can tell them apart; this test keeps the
 operator out instead.
+
+The Stiefel retraction calls numpy's private ``_umath_linalg`` gufuncs
+without the ``np.linalg`` wrappers; ``manifolds`` is the one module that may
+name them, and its tests pin their bits to the public calls.
 """
 
 import ast
@@ -30,3 +34,9 @@ def test_no_matmul_operator(path):
                    if isinstance(node, (ast.BinOp, ast.AugAssign))
                    and isinstance(node.op, ast.MatMult))
     assert not lines, f"{path.name} uses @ on lines {lines}; use ndarray.dot"
+
+
+def test_private_linalg_only_in_manifolds():
+    naming = {path.name for path in SOURCES
+              if "_umath_linalg" in path.read_text(encoding="utf-8")}
+    assert naming == {"manifolds.py"}
