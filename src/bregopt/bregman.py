@@ -16,9 +16,9 @@ convexity parameter and ``c`` the potential constant::
     direct:    b = p,             g = 1,           a = 1
     adaptive:  b = p^2 / p_ring,  g = p_ring / p,  a = p / p_ring
 
-so ``p_ring = p`` turns the adaptive row into the direct one.  The
-Hamiltonian values, their partials and the step coefficients all evaluate
-this one form.
+so ``p_ring = p`` turns the adaptive row into the direct one.  Only
+:func:`step_coefficients` evaluates this form; the Hamiltonian values and
+their partials read its terms at unit step with no cap.
 
 The convexity parameter ``lambda_conv`` generalizes the vector-space
 exponents (``lambda_conv = 1``, the default) to curved spaces, where it is
@@ -34,7 +34,7 @@ frozen and safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -118,12 +118,6 @@ class ExtendedState:
         )
 
 
-def _check_time(q_t: float) -> float:
-    if q_t <= 0.0:
-        raise SingularTimeError(f"time-position coordinate must be positive, got {q_t}")
-    return float(q_t)
-
-
 def _row(params: BregmanParams, adaptive: bool) -> tuple[float, ...]:
     """Constants ``(b, e_k, e_p, a, e_t, a e_t)`` of one member of the family.
 
@@ -141,12 +135,9 @@ def _row(params: BregmanParams, adaptive: bool) -> tuple[float, ...]:
 
 def _hamiltonian(params: BregmanParams, state: ExtendedState, f_val: float,
                  adaptive: bool) -> float:
-    s = _check_time(state.q_t)
-    b, e_k, e_p, a, e_t, _ = _row(params, adaptive)
-    rr = float(state.r.dot(state.r))
-    kinetic = 0.5 * b * s ** e_k * rr
-    potential = params.c_const * b * s ** e_p * f_val
-    return kinetic + potential + a * s ** e_t * state.r_t
+    unit = step_coefficients(replace(params, h=1.0, coeff_cap=math.inf), state.q_t, adaptive)
+    return (0.5 * unit.position * float(state.r.dot(state.r)) + unit.gradient * f_val
+            + unit.q_t_increment * state.r_t)
 
 
 def hamiltonian_direct(params: BregmanParams, state: ExtendedState, f_val: float) -> float:
@@ -178,22 +169,19 @@ def hamiltonian_partials(
 ) -> HamiltonianPartials:
     """Partial derivatives with respect to ``q``, ``q_t``, ``r`` and ``r_t``.
 
-    ``grad_f`` is the ambient gradient of the objective at ``state.q``.
+    ``grad_f`` is the ambient gradient of the objective at ``state.q``.  Read
+    off :func:`step_coefficients` at unit step with no cap: ``d_q = gradient
+    grad_f``, ``d_r = position r``, ``d_rt = q_t_increment`` and ``d_qt =
+    -kinetic_rt <r, r> + potential_rt f + feedback_rt r_t``.
     """
-    s = _check_time(state.q_t)
-    c = params.c_const
-    b, e_k, e_p, a, e_t, a_e_t = _row(params, adaptive)
+    unit = step_coefficients(replace(params, h=1.0, coeff_cap=math.inf), state.q_t, adaptive)
     rr = float(state.r.dot(state.r))
-    d_qt = (
-        0.5 * b * e_k * s ** (e_k - 1.0) * rr
-        + c * b * e_p * s ** (e_p - 1.0) * f_val
-        + a_e_t * s ** (e_t - 1.0) * state.r_t
-    )
     return HamiltonianPartials(
-        d_q=c * b * s ** e_p * np.asarray(grad_f, dtype=float),
-        d_qt=float(d_qt),
-        d_r=b * s ** e_k * state.r,
-        d_rt=float(a * s ** e_t),
+        d_q=unit.gradient * np.asarray(grad_f, dtype=float),
+        d_qt=float(-unit.kinetic_rt * rr + unit.potential_rt * f_val
+                   + unit.feedback_rt * state.r_t),
+        d_r=unit.position * state.r,
+        d_rt=unit.q_t_increment,
     )
 
 
@@ -208,7 +196,8 @@ class StepCoefficients(NamedTuple):
         r_t'   = (r_t + kinetic_rt * <r', r'> - potential_rt * f(q))
                  / (1 + feedback_rt)
 
-    ``gradient`` already includes the coefficient cap ``params.coeff_cap``.
+    ``gradient`` already includes the coefficient cap ``params.coeff_cap``;
+    at ``h = 1`` with no cap the coefficients are the Hamiltonian's terms.
     """
 
     q_t_increment: float
@@ -227,9 +216,12 @@ def step_coefficients(params: BregmanParams, q_t: float, adaptive: bool) -> Step
     closed-form chain documented on :class:`StepCoefficients`.
 
     Raises:
+        SingularTimeError: ``q_t`` is not positive.
         BregoptError: a power of ``q_t`` leaves the float range.
     """
-    s = _check_time(q_t)
+    if q_t <= 0.0:
+        raise SingularTimeError(f"time-position coordinate must be positive, got {q_t}")
+    s = float(q_t)
     h, c = params.h, params.c_const
     b, e_k, e_p, a, e_t, a_e_t = _row(params, adaptive)
     try:

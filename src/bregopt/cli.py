@@ -58,9 +58,10 @@ error, not a conversion.
 An ``order-check`` config holds ``system`` (required; ``quadratic`` or
 ``spherical_pendulum``), ``h_list`` (required; at least three positive,
 finite, strictly decreasing step sizes whose step counts over the duration,
-``max(1, round(duration / h))``, strictly increase), ``duration`` (1),
-``expected_rate`` (required; ``[lo, hi]`` with ``lo <= hi``) and
-``output_dir`` (``.``).
+``max(1, round(duration / h))``, strictly increase, and that leave at most
+``10**7`` steps to the reference run at ``min(h_list) / 100``),
+``duration`` (1), ``expected_rate`` (required; ``[lo, hi]`` with
+``lo <= hi``) and ``output_dir`` (``.``).
 A step size whose error is at the noise floor is dropped from the fit and
 reported as one ``order-check: <message>`` line on stderr; with fewer than
 two points left the rate is ``nan`` and the check fails.

@@ -127,8 +127,10 @@ class OrderCheckResult:
 
 StepMap = Callable[[Array, float], Array]
 
-# The reference trajectory runs at min(h_list) / REFERENCE_REFINEMENT.
+# The reference trajectory runs at min(h_list) / REFERENCE_REFINEMENT, in
+# at most REFERENCE_STEP_BUDGET steps.
 REFERENCE_REFINEMENT = 100
+REFERENCE_STEP_BUDGET = 10 ** 7
 
 
 def _integrate(step_map: StepMap, state: Array, h: float, n_steps: int) -> Array:
@@ -162,6 +164,11 @@ def order_check(
         raise ValueError("step sizes must be positive, finite and strictly decreasing")
     if not 0.0 < duration < math.inf:
         raise ValueError("duration must be positive and finite")
+    # bound the longest run, the reference, before any step count is formed
+    h_ref = min(h_list) / REFERENCE_REFINEMENT
+    if not h_ref * REFERENCE_STEP_BUDGET >= duration:
+        raise ValueError(f"step sizes down to {h_list[-1]!r} over duration {duration!r} need "
+                         f"more than {REFERENCE_STEP_BUDGET} reference steps")
     # each size is snapped to a whole number of steps, and two sizes that
     # snap to one count would be one point fitted twice
     counts = [max(1, round(duration / h)) for h in h_list]
@@ -169,7 +176,6 @@ def order_check(
         raise ValueError(f"step sizes {h_list} snap to {counts} steps over duration "
                          f"{duration}; the step counts must strictly increase")
 
-    h_ref = min(h_list) / REFERENCE_REFINEMENT
     n_ref = max(1, round(duration / h_ref))
     reference = _integrate(step_map, initial, duration / n_ref, n_ref)
 

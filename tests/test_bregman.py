@@ -230,6 +230,81 @@ class TestPartials:
             assert adaptive.d_rt == pytest.approx(direct.d_rt, rel=1e-12, abs=1e-12)
 
 
+def reference_row(params, adaptive):
+    """The row constants ``(b, e_k, e_p, a, e_t, a e_t)``, as the package
+    forms them."""
+    p, lam_c = params.p, params.lambda_conv
+    if adaptive:
+        pr = params.p_ring
+        b, g, a, a_e_t = p * p / pr, pr / p, p / pr, (p - pr) / pr
+    else:
+        b, g, a, a_e_t = p, 1.0, 1.0, 0.0
+    return b, -(lam_c * p + g), (lam_c + 1.0) * p - g, a, 1.0 - g, a_e_t
+
+
+def reference_hamiltonian(params, state, f_val, adaptive):
+    """The Hamiltonian value written out from the row, apart from the step
+    coefficients."""
+    s = float(state.q_t)
+    b, e_k, e_p, a, e_t, _ = reference_row(params, adaptive)
+    rr = float(state.r.dot(state.r))
+    kinetic = 0.5 * b * s ** e_k * rr
+    potential = params.c_const * b * s ** e_p * f_val
+    return kinetic + potential + a * s ** e_t * state.r_t
+
+
+def reference_partials(params, state, f_val, grad_f, adaptive):
+    """The four partials written out from the row, as ``(d_q, d_qt, d_r,
+    d_rt)``, apart from the step coefficients."""
+    s = float(state.q_t)
+    c = params.c_const
+    b, e_k, e_p, a, e_t, a_e_t = reference_row(params, adaptive)
+    rr = float(state.r.dot(state.r))
+    d_qt = (
+        0.5 * b * e_k * s ** (e_k - 1.0) * rr
+        + c * b * e_p * s ** (e_p - 1.0) * f_val
+        + a_e_t * s ** (e_t - 1.0) * state.r_t
+    )
+    return (c * b * s ** e_p * np.asarray(grad_f, dtype=float), float(d_qt),
+            b * s ** e_k * state.r, float(a * s ** e_t))
+
+
+class TestValuesReadTheStepCoefficients:
+    """The value and the partials read the step coefficients at unit step;
+    they keep the bits of the row written out on its own."""
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_bits_of_the_written_out_row(self, adaptive):
+        rng = np.random.default_rng(11)
+        hamiltonian = hamiltonian_adaptive if adaptive else hamiltonian_direct
+        for i in range(1500):
+            p = float(rng.uniform(0.3, 12.0))
+            params = BregmanParams(
+                p=p,
+                p_ring=float(rng.uniform(0.1, 3.0) * p),
+                c_const=float(rng.uniform(0.05, 10.0)),
+                lambda_conv=float(rng.uniform(1.0, 3.0)),
+                h=float(rng.uniform(1e-4, 1e-1)),
+                # the value and partials take no cap, whatever params carry
+                coeff_cap=(math.inf, 1e6, 1.0)[i % 3],
+            )
+            n = int(rng.integers(1, 6))
+            state = ExtendedState(q=np.zeros(n), q_t=float(rng.uniform(0.05, 60.0)),
+                                  r=rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3),
+                                  r_t=float(rng.standard_normal()), lam=np.zeros(0))
+            f_val = float(rng.standard_normal())
+            grad_f = rng.standard_normal(n)
+            value = hamiltonian(params, state, f_val)
+            assert float.hex(value) == float.hex(
+                reference_hamiltonian(params, state, f_val, adaptive))
+            partials = hamiltonian_partials(params, state, f_val, grad_f, adaptive)
+            d_q, d_qt, d_r, d_rt = reference_partials(params, state, f_val, grad_f, adaptive)
+            assert list(map(float.hex, partials.d_q)) == list(map(float.hex, d_q))
+            assert list(map(float.hex, partials.d_r)) == list(map(float.hex, d_r))
+            assert float.hex(partials.d_qt) == float.hex(d_qt)
+            assert float.hex(partials.d_rt) == float.hex(d_rt)
+
+
 def reference_step_coefficients(params, q_t, adaptive):
     """The step coefficients as written out per member before the shared row."""
     s = q_t
@@ -321,13 +396,13 @@ class TestStepCoefficients:
             state = random_state(rng)
             f_val = float(rng.standard_normal())
             coeffs = step_coefficients(params, state.q_t, adaptive)
-            partials = hamiltonian_partials(
+            _, d_qt, _, _ = reference_partials(
                 params, state, f_val, np.zeros(state.q.size), adaptive
             )
             rr = float(state.r @ state.r)
             combined = (-coeffs.kinetic_rt * rr + coeffs.potential_rt * f_val
                         + coeffs.feedback_rt * state.r_t) / params.h
-            assert combined == pytest.approx(partials.d_qt, rel=1e-12, abs=1e-12)
+            assert combined == pytest.approx(d_qt, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_position_and_time_coefficients_match_partials(self, adaptive):
@@ -335,11 +410,10 @@ class TestStepCoefficients:
         params = random_params(rng)
         state = random_state(rng)
         coeffs = step_coefficients(params, state.q_t, adaptive)
-        partials = hamiltonian_partials(params, state, 0.0, np.zeros(state.q.size),
-                                        adaptive)
-        np.testing.assert_allclose(coeffs.position * state.r, params.h * partials.d_r,
-                                   rtol=1e-13)
-        assert coeffs.q_t_increment == pytest.approx(params.h * partials.d_rt, rel=1e-13)
+        _, _, d_r, d_rt = reference_partials(params, state, 0.0, np.zeros(state.q.size),
+                                             adaptive)
+        np.testing.assert_allclose(coeffs.position * state.r, params.h * d_r, rtol=1e-13)
+        assert coeffs.q_t_increment == pytest.approx(params.h * d_rt, rel=1e-13)
 
     def test_direct_has_no_rt_feedback(self):
         params = BregmanParams(p=4.0)
@@ -347,11 +421,25 @@ class TestStepCoefficients:
 
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_overflow_is_a_bregopt_error(self, adaptive):
-        # s^e_p with e_p near 2 p leaves the float range between s = 5.9 and 6
+        # s^e_p with e_p near 2 p leaves the float range between s = 5.9 and 6;
+        # the value and the partials read the same powers at unit step
         params = BregmanParams(p=200.0, c_const=1e-300)
-        step_coefficients(params, 5.9, adaptive)
-        with pytest.raises(BregoptError, match="^step coefficients overflow at time coordinate 6.0$"):
-            step_coefficients(params, 6.0, adaptive)
+        hamiltonian = hamiltonian_adaptive if adaptive else hamiltonian_direct
+
+        def state(q_t):
+            return ExtendedState(q=np.zeros(2), q_t=q_t, r=np.ones(2), r_t=1.0,
+                                 lam=np.zeros(0))
+
+        evaluations = [
+            lambda q_t: step_coefficients(params, q_t, adaptive),
+            lambda q_t: hamiltonian(params, state(q_t), 1.0),
+            lambda q_t: hamiltonian_partials(params, state(q_t), 1.0, np.ones(2), adaptive),
+        ]
+        for evaluate in evaluations:
+            evaluate(5.9)
+            with pytest.raises(BregoptError,
+                               match="^step coefficients overflow at time coordinate 6.0$"):
+                evaluate(6.0)
 
     def test_gradient_coefficient_capped(self):
         capped = BregmanParams(p=6.0, c_const=1.0, h=1.0, coeff_cap=2.0)

@@ -703,6 +703,11 @@ class TestMalformedConfig:
         ({"h_list": [0.1, 0.095, 0.05]}, "the step counts must strictly increase"),
         ({"duration": 10 ** 400}, "must be within the float range"),
         ({"h_list": [0.1, 0.05, 10 ** 400]}, "must be within the float range"),
+        # the reference run, at min(h_list) / 100, would overflow the step
+        # count or take more steps than the budget allows
+        ({"h_list": [0.1, 0.05, 5e-324]}, "more than 10000000 reference steps"),
+        ({"h_list": [0.1, 0.05, 1e-300]}, "more than 10000000 reference steps"),
+        ({"duration": 1e6}, "more than 10000000 reference steps"),
     ])
     def test_bad_order_check_value(self, tmp_path, capsys, keys, phrase):
         config = order_check_config(tmp_path, **keys)

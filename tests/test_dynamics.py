@@ -569,3 +569,10 @@ class TestOrderCheck:
         for duration in (math.inf, math.nan, 0.0):
             with pytest.raises(ValueError, match="duration"):
                 order_check(step, np.zeros(2), [0.1, 0.05, 0.025], duration)
+        # a reference run, at min(h_list) / REFERENCE_REFINEMENT, of more
+        # steps than the budget, or of too many for duration / h to be finite
+        longest = 0.01 / dynamics.REFERENCE_REFINEMENT * dynamics.REFERENCE_STEP_BUDGET
+        for h_list, duration in (([0.1, 0.05, 5e-324], 1.0), ([0.1, 0.05, 1e-300], 1.0),
+                                 ([0.1, 0.05, 0.01], 1.01 * longest)):
+            with pytest.raises(ValueError, match="reference steps"):
+                order_check(step, np.zeros(2), h_list, duration)
