@@ -225,13 +225,15 @@ def step_coefficients(params: BregmanParams, q_t: float, adaptive: bool) -> Step
     h, c = params.h, params.c_const
     b, e_k, e_p, a, e_t, a_e_t = _row(params, adaptive)
     try:
+        # in field order: q_t_increment, position, gradient, kinetic_rt,
+        # potential_rt, feedback_rt (positional is cheaper than keywords)
         return StepCoefficients(
-            q_t_increment=h * a * s ** e_t,
-            position=h * b * s ** e_k,
-            gradient=min(params.coeff_cap, h * c * b * s ** e_p),
-            kinetic_rt=h * 0.5 * b * -e_k * s ** (e_k - 1.0),
-            potential_rt=h * c * b * e_p * s ** (e_p - 1.0),
-            feedback_rt=h * a_e_t * s ** (e_t - 1.0),
+            h * a * s ** e_t,
+            h * b * s ** e_k,
+            min(params.coeff_cap, h * c * b * s ** e_p),
+            h * 0.5 * b * -e_k * s ** (e_k - 1.0),
+            h * c * b * e_p * s ** (e_p - 1.0),
+            h * a_e_t * s ** (e_t - 1.0),
         )
     except OverflowError as exc:
         raise BregoptError(f"step coefficients overflow at time coordinate {s!r}") from exc

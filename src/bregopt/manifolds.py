@@ -54,17 +54,27 @@ rank-deficient ``X + V`` raises :class:`RetractionError`.  ``L`` and
 the bits are theirs; a failed factorization comes back NaN instead of
 raising ``LinAlgError``, and NaN fails the rank test.
 
-Every product is written ``a.dot(b)``, never ``a @ b``, and every
-reduction of the per-iteration path ``np.maximum.reduce(x, axis=None)``
-(or ``np.minimum``), never ``x.max()``.  At these sizes the cost is numpy's
-call overhead, not arithmetic: ``@`` is the ``matmul`` ufunc, whose
-dispatch costs more than the BLAS call it makes, and ``ndarray.max`` goes
-through a Python wrapper.  With one BLAS thread a 5 x 20 by 20 x 5 product
-takes about 1.4 microseconds through ``@`` and 0.8 through ``.dot``,
-``S X^T`` (5 x 5 by 5 x 20) 0.9 and 0.4, a length-100 dot product 0.9 and
-0.4, and the maximum of a 5 x 5 array 1.4 and 1.2.  Both spellings call the
-same BLAS routines (gemm, syrk for ``X^T X``, gemv, ddot), so they give
-the same bits; ``tests/test_source.py`` keeps ``@`` out of the package.
+Every product is written ``a.dot(b)``, never ``a @ b``; every reduction
+of the per-iteration path is a ufunc's own ``reduce``
+(``np.maximum.reduce(x, axis=None)``, ``np.minimum.reduce``,
+``np.add.reduce``), never ``x.max()`` or ``np.sum(x)``; and every test for
+a nonzero entry is ``np.count_nonzero(x)``, never ``x.any()``.  At these
+sizes the cost is numpy's call overhead, not arithmetic: ``@`` is the
+``matmul`` ufunc, whose dispatch costs more than the BLAS call it makes,
+and ``ndarray.max``, ``np.sum`` and ``ndarray.any`` go through a Python
+wrapper before they reach the same reduction.  With one BLAS thread a
+5 x 20 by 20 x 5 product takes about 1.4 microseconds through ``@`` and
+0.8 through ``.dot``, ``S X^T`` (5 x 5 by 5 x 20) 0.9 and 0.4, a
+length-100 dot product 0.9 and 0.4, and the maximum of a 5 x 5 array 1.4
+and 1.2.  The 20 x 5 Procrustes ``value_and_grad`` takes 5.9 with
+``np.sum`` and 4.2 with ``np.add.reduce``, and a length-100 ``v.any()``
+1.0 against 0.3 for ``np.count_nonzero(v)``, which has the same truth
+value (a NaN counts, ``-0.0`` does not).  Both spellings call the same
+BLAS routines (gemm, syrk for ``X^T X``, gemv, ddot) or the same
+reduction, so they give the same bits.  ``tests/test_source.py`` keeps
+``@`` out of the package, and the wrapped reductions (``np.sum``,
+``x.any()`` and their kin) out of ``manifolds``, ``optimizers``, ``bregman``
+and the objectives' ``value_and_grad``.
 For the same reason the Stiefel retraction calls those two gufuncs
 directly, inside one ``np.errstate(all="ignore")``: the wrappers' type
 checks and their own ``errstate`` cost more than LAPACK at these sizes.
@@ -239,9 +249,10 @@ class Sphere(EmbeddedManifold):
     def solve_multiplier(self, drift, q, coeff, lam0):
         """Closed-form root of the scalar quadratic ``|drift - coeff 2q lam|^2 = 1``;
         ``lam0`` is unused."""
-        grad = 2.0 * q
-        lam = _sphere_multiplier(drift, coeff * grad)
-        return np.array([lam]), grad * lam, 0
+        # doubling is exact, so (2 coeff) q and (2 lam) q round as
+        # coeff (2 q) and (2 q) lam do
+        lam = _sphere_multiplier(drift, (2.0 * coeff) * q)
+        return np.array([lam]), (2.0 * lam) * q, 0
 
     def constraint_violation(self, q):
         return self._norm_violation(q)
@@ -294,6 +305,8 @@ class Stiefel(EmbeddedManifold):
         self.ambient_dim = n * m
         self.constraint_dim = m * (m + 1) // 2
         self._triu = np.triu_indices(m)
+        # the same entries as flat indices into an m x m array, for take
+        self._triu_flat = np.ravel_multi_index(self._triu, (m, m))
         # maps S = L + L^T back to lam, the upper triangle of L
         self._triu_weight = np.where(self._triu[0] == self._triu[1], 0.5, 1.0)
         self._eye = np.eye(m)
@@ -396,17 +409,17 @@ class Stiefel(EmbeddedManifold):
                 if not landing(exact)[1] <= NEWTON_TOL:
                     message = (f"Newton did not converge in {iterations} iterations "
                                f"(residual {norm:.3e})")
-                    gap = float(np.abs(mu.real).min())
+                    gap = float(np.minimum.reduce(np.abs(mu.real), axis=None))
                     # eigenvalues on the axis sit there to rounding; a
                     # solvable step keeps them near +-1
-                    if gap <= 1e-8 * float(np.abs(mu).max()):
+                    if gap <= 1e-8 * float(np.maximum.reduce(np.abs(mu), axis=None)):
                         message += (f"; stiefel constraint unreachable: the Riccati "
                                     f"Hamiltonian has an eigenvalue on the imaginary "
                                     f"axis (|Re| {gap:.1e})")
                     raise NewtonError(message, residual_norm=norm, iterations=iterations)
                 s = exact
                 iterations += 1
-        return s[self._triu] * self._triu_weight, s.dot(xt).reshape(-1), iterations
+        return s.take(self._triu_flat) * self._triu_weight, s.dot(xt).reshape(-1), iterations
 
     def constraint_violation(self, q):
         return self._gram_violation(q.reshape(self.m, self.n))
@@ -477,7 +490,7 @@ class Stiefel(EmbeddedManifold):
                     if violation <= RETRACT_ORTH_TOL:
                         return qt.reshape(-1), violation
         qf, diag = positive_qr(wt.T)
-        if (np.abs(diag) < rank_tol).any():
+        if np.count_nonzero(np.abs(diag) < rank_tol):
             raise RetractionError("QR retraction undefined: X + V is rank deficient")
         point = self.from_matrix(qf)
         return point, self._gram_violation(point.reshape(self.m, self.n))

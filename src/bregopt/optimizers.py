@@ -21,7 +21,12 @@ iterate on that violation, evaluates it once (``ProblemSpec.value_and_grad``
 for the objective and its ambient gradient, the manifold's
 ``tangent_project`` for the Riemannian gradient), records the row, tests the
 stop and turns any step or evaluation failure into a failed trace, so every
-method is recorded, stopped and failed alike.  Traces accumulate locally, so
+method is recorded, stopped and failed alike.  A step that leaves a NaN or
+an infinity in its state fails as "non-finite state".  The HTVI step's
+finiteness test reads the violation in place of ``q.q``: it is NaN or
+infinite exactly when ``q`` is not finite or its Gram matrix overflows, so
+a Stiefel ``q`` whose squared norm overflows while its Gram matrix stays
+finite fails the feasibility gate instead.  Traces accumulate locally, so
 independent runs may execute concurrently; a single run is sequential.
 Inner products are written ``x.dot(y)``, not ``x @ y``, which costs more in
 dispatch and gives the same bits (see ``manifolds``).
@@ -134,10 +139,12 @@ def htvi_step(
     """One step of the direct or adaptive constrained Hamiltonian integrator.
 
     ``grad_f`` and ``f_val`` are the ambient gradient and objective value at
-    ``state.q``.  The implicit five-equation system is solved by exploiting
-    its explicit sub-chain: the time coordinate updates in closed form, the
-    multiplier is the only genuine unknown (it must place the new position
-    on the constraint manifold), and the remaining updates follow
+    ``state.q``, the float array and the float that
+    ``ProblemSpec.value_and_grad`` returns; the step uses them as they are,
+    with no conversion.  The implicit five-equation system is solved by
+    exploiting its explicit sub-chain: the time coordinate updates in closed
+    form, the multiplier is the only genuine unknown (it must place the new
+    position on the constraint manifold), and the remaining updates follow
     explicitly.  The manifold solves for the multiplier
     (:meth:`~bregopt.manifolds.EmbeddedManifold.solve_multiplier`), warm
     started from ``state.lam``, which must have the length
@@ -152,7 +159,7 @@ def htvi_step(
     adaptive = direction == "adaptive"
     coeffs = bregman.step_coefficients(params, state.q_t, adaptive)
 
-    base = state.r - coeffs.gradient * np.asarray(grad_f, dtype=float)
+    base = state.r - coeffs.gradient * grad_f
     lam, normal, iterations = manifold.solve_multiplier(
         state.q + coeffs.position * base, state.q, coeffs.position, state.lam
     )
@@ -212,7 +219,9 @@ def el_step(
     except OverflowError:
         c_k = params.coeff_cap
     ahead = x
-    if version == 2 and v.any():
+    # count_nonzero is v.any() without its Python wrapper: NaN counts and
+    # -0.0 does not in both
+    if version == 2 and np.count_nonzero(v):
         ahead, violation = manifold.retract(x, (h * b_k) * v)
         _check_feasible(manifold, violation)
     a_k = b_k * v - (h * c_k) * riemannian_grad(ahead)
@@ -260,11 +269,13 @@ def _htvi_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
     def advance(k, f_val, grad, rgrad):
         nonlocal state
         state, iters = htvi_step(direction, config.params, manifold, state, grad, f_val)
-        # one scalar test: a NaN or an infinity in any entry reaches the sum
-        if not math.isfinite(float(state.q.dot(state.q)) + float(state.r.dot(state.r))
-                             + state.q_t + state.r_t):
+        # one scalar test: a NaN or an infinity in any entry reaches the sum;
+        # the violation stands in for q.q, as it is NaN or infinite exactly
+        # when q is not finite or its Gram matrix overflows
+        violation = manifold.constraint_violation(state.q)
+        if not math.isfinite(violation + float(state.r.dot(state.r)) + state.q_t + state.r_t):
             raise BregoptError("non-finite state")
-        return state.q, state.q_t, iters, manifold.constraint_violation(state.q)
+        return state.q, state.q_t, iters, violation
 
     return state.q, state.q_t, advance
 
@@ -337,18 +348,23 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
     point, t, advance = start(config, problem, q0)
 
     trace = Trace()
+    # bound once: the loop reads them on every row
+    value_and_grad, tangent_project = problem.value_and_grad, manifold.tangent_project
+    append, oracle_value = trace.append, problem.oracle_value
+    stop_grad_tol, stop_f_tol = config.stop_grad_tol, config.stop_f_tol
+    max_iters = config.max_iters
     k, newton_iters, violation = 0, None, manifold.constraint_violation(q0)
     try:
         while True:
             _check_feasible(manifold, violation)
-            f_val, grad = problem.value_and_grad(point)
-            rgrad = manifold.tangent_project(point, grad)
+            f_val, grad = value_and_grad(point)
+            rgrad = tangent_project(point, grad)
             grad_norm = math.sqrt(float(rgrad.dot(rgrad)))
-            gap = None if problem.oracle_value is None else f_val - problem.oracle_value
-            trace.append(k, t, f_val, grad_norm, violation, gap, newton_iters)
-            if (grad_norm <= config.stop_grad_tol
-                    or (gap is not None and gap <= config.stop_f_tol)
-                    or k == config.max_iters):
+            gap = None if oracle_value is None else f_val - oracle_value
+            append(k, t, f_val, grad_norm, violation, gap, newton_iters)
+            if (grad_norm <= stop_grad_tol
+                    or (gap is not None and gap <= stop_f_tol)
+                    or k == max_iters):
                 return trace
             k += 1
             point, t, newton_iters, violation = advance(k, f_val, grad, rgrad)

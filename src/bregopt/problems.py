@@ -19,6 +19,7 @@ which costs more in dispatch and gives the same bits (see ``manifolds``).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -134,8 +135,9 @@ def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
     def value_and_grad(q):
         res = a.dot(q.reshape(m, n).T)
         res -= b
-        # the gradient 2 A^T (A X - B), transposed
-        return float(np.sum(res * res)), res.T.dot(two_a).reshape(-1)
+        # the value by np.sum's own reduction, without its Python wrapper,
+        # and the gradient 2 A^T (A X - B), transposed
+        return float(np.add.reduce(res * res, axis=None)), res.T.dot(two_a).reshape(-1)
 
     oracle_value = None
     oracle_point = None
@@ -170,29 +172,57 @@ def symmetric_instance(seed: int, n: int, conditioning: float = 10.0) -> np.ndar
     return symmetric_from_spectrum(rng, np.linspace(1.0, conditioning, n))
 
 
+# Most entries the largest matrix of a drawn instance may have: n x n for
+# rayleigh and brockett, l x n for procrustes.
+MAX_INSTANCE_ENTRIES = 10**8
+
+
 def make_instance(
     name: str, dims, seed: int = 0, conditioning: float = 10.0
 ) -> ProblemSpec:
     """Seeded benchmark instance of a named problem.
 
     ``dims`` is ``(n,)`` for rayleigh, ``(n, m)`` for brockett and
-    ``(n, m, l)`` for procrustes.  The rayleigh and brockett matrices are
-    :func:`symmetric_instance` draws, so ``conditioning`` must be finite and
-    >= 1; procrustes ignores it.
+    ``(n, m, l)`` for procrustes, integers with ``n >= 2``, ``1 <= m <= n``
+    and ``l >= n``, ``l > m``.  The largest matrix drawn, n x n or l x n,
+    may have at most ``MAX_INSTANCE_ENTRIES`` entries.  The dims are checked
+    before anything is drawn, and a ``ValueError`` names them.  The rayleigh
+    and brockett matrices are :func:`symmetric_instance` draws, so
+    ``conditioning`` must be finite and >= 1; procrustes ignores it.
     """
+    labels = {"rayleigh": ("n",), "brockett": ("n", "m"), "procrustes": ("n", "m", "l")}
+    if not isinstance(name, str) or name not in labels:
+        raise ValueError(f"unknown problem name {name!r}")
+    dims, labels = tuple(dims), labels[name]
+    if len(dims) != len(labels):
+        reason = f"expected ({', '.join(labels)}), not a list of length {len(dims)}"
+    elif not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in dims):
+        reason = "every entry must be an integer"
+    else:
+        size = dict(zip(labels, map(int, dims)))
+        n, m, l = size["n"], size.get("m", 1), size.get("l")
+        rows = n if l is None else l
+        if n < 2:
+            reason = "n must be at least 2"
+        elif not 1 <= m <= n:
+            reason = "m must satisfy 1 <= m <= n"
+        elif l is not None and not (l >= n and l > m):
+            reason = "l must satisfy l >= n and l > m"
+        elif rows * n > MAX_INSTANCE_ENTRIES:
+            reason = (f"its {rows} x {n} matrix would have more than "
+                      f"MAX_INSTANCE_ENTRIES = {MAX_INSTANCE_ENTRIES} entries")
+        else:
+            reason = None
+    if reason is not None:
+        raise ValueError(f"{name} dims {list(dims)!r}: {reason}")
     if name == "rayleigh":
-        (n,) = dims
         return rayleigh(symmetric_instance(seed, n, conditioning))
     if name == "brockett":
-        n, m = dims
         return brockett(symmetric_instance(seed, n, conditioning), np.arange(1.0, m + 1.0))
-    if name == "procrustes":
-        n, m, l = dims
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((l, n))
-        b = rng.standard_normal((l, m))
-        return procrustes(a, b)
-    raise ValueError(f"unknown problem name {name!r}")
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((l, n))
+    b = rng.standard_normal((l, m))
+    return procrustes(a, b)
 
 
 def load_matrix(path) -> np.ndarray:

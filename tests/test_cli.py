@@ -538,6 +538,30 @@ class TestMalformedConfig:
             assert_config_error(capsys, [command, "--config", config], phrase)
         assert not (tmp_path / "out").exists()
 
+    # The dims are checked before anything is drawn.  Before that check the
+    # first three gave a traceback (numpy refused the 8 TiB and 2.2 TiB
+    # arrays, and np.linspace raised IndexError) and the last three numpy's
+    # or Python's own message.
+    @pytest.mark.parametrize("problem,phrase", [
+        ({"dims": [1099511627776]},
+         "rayleigh dims [1099511627776]: its 1099511627776 x 1099511627776 matrix "
+         "would have more than MAX_INSTANCE_ENTRIES = 100000000 entries"),
+        ({"dims": [9223372036854775808]},
+         "rayleigh dims [9223372036854775808]: its 9223372036854775808 x "
+         "9223372036854775808 matrix would have more than MAX_INSTANCE_ENTRIES"),
+        ({"name": "procrustes", "dims": [3, 3, 100000000000]},
+         "procrustes dims [3, 3, 100000000000]: its 100000000000 x 3 matrix would "
+         "have more than MAX_INSTANCE_ENTRIES"),
+        ({"dims": [0]}, "rayleigh dims [0]: n must be at least 2"),
+        ({"dims": [-3]}, "rayleigh dims [-3]: n must be at least 2"),
+        ({"dims": [2, 3]}, "rayleigh dims [2, 3]: expected (n), not a list of length 2"),
+    ])
+    def test_bad_dims_are_named(self, tmp_path, capsys, problem, phrase):
+        config = run_config(tmp_path, problem=problem)
+        assert_config_error(capsys, ["run", "--config", config],
+                            f"config error: bad problem block: {phrase}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("method,phrase", [
         ({"h": "small"}, "small"),
         ({"h": "0.01"}, "h: must be a number, not '0.01'"),

@@ -205,6 +205,43 @@ class TestSolveMultiplier:
             np.testing.assert_array_equal(normal, jac_t @ ref)
             assert iters == 0
 
+    def test_sphere_bit_equal_to_the_doubled_gradient_form(self):
+        # the solve scales q by 2 coeff and 2 lam; doubling is exact, so
+        # lam and the normal keep the bits of the form that builds 2 q
+        def doubled_gradient_form(drift, q, coeff):
+            grad = 2.0 * q
+            lam = manifolds._sphere_multiplier(drift, coeff * grad)
+            return np.array([lam]), grad * lam
+
+        def outcome(solve):
+            try:
+                lam, normal = solve()[:2]
+            except NewtonError as exc:
+                return "raised", str(exc)
+            return lam.tobytes(), normal.tobytes()
+
+        sphere = Sphere(6)
+        rng = np.random.default_rng(31)
+        # the last point has entries of 1e-10, whose products with 2e-300
+        # are subnormal
+        points = [sphere.random_point(rng) for _ in range(40)]
+        points.append(np.array([1e-10, -1e-10, 1.0, 0.0, -0.0, 1e-10]))
+        raised = 0
+        for q in points:
+            for coeff in (0.0, 1e-300, float(rng.uniform(1e-4, 0.5)), 3.0):
+                for drift in (q, q + coeff * rng.standard_normal(6),
+                              q + rng.standard_normal(6), 3.0 * rng.standard_normal(6)):
+                    ours = outcome(lambda: sphere.solve_multiplier(drift, q, coeff,
+                                                                   np.zeros(1)))
+                    assert ours == outcome(lambda: doubled_gradient_form(drift, q, coeff))
+                    raised += ours[0] == "raised"
+        # the unreachable case raises the same text
+        q, drift = np.array([1.0, 0.0, 0.0]), np.array([0.0, 2.0, 0.0])
+        ours = outcome(lambda: Sphere(3).solve_multiplier(drift, q, 0.1, np.zeros(1)))
+        assert ours == outcome(lambda: doubled_gradient_form(drift, q, 0.1))
+        assert "unreachable" in ours[1]
+        assert raised
+
     def test_sphere_degenerate_cases(self):
         sphere = Sphere(3)
         q = np.array([1.0, 0.0, 0.0])
@@ -486,6 +523,31 @@ class TestElStep:
         with pytest.raises(FeasibilityError, match="violates constraint by 2.100e-01"):
             el_step(2, params, sphere, x, v, 10, lambda point: np.zeros(3))
 
+    @pytest.mark.parametrize("entries", [
+        [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, math.nan, -0.0], [0.0, 1e-320, 0.0],
+    ])
+    def test_version_two_looks_ahead_exactly_when_v_any(self, entries):
+        # the look-ahead is the first retraction; a NaN velocity takes it and
+        # fails its feasibility gate
+        events = []
+
+        class RecordingSphere(Sphere):
+            def retract(self, q, step):
+                events.append("retract")
+                return super().retract(q, step)
+
+        def rgrad(point):
+            events.append("grad")
+            return np.zeros(3)
+
+        v = np.array(entries)
+        x = Sphere(3).random_point(np.random.default_rng(10))
+        try:
+            el_step(2, BregmanParams(p=4.0, h=1e-2), RecordingSphere(3), x, v, 10, rgrad)
+        except FeasibilityError:
+            assert math.isnan(entries[1])
+        assert (events[0] == "retract") == bool(v.any())
+
     def test_overflowing_coefficient_saturates_at_the_cap(self):
         # (k h)^(p - 2) leaves the float range from k h ~ 36 on when p = 200
         params = BregmanParams(p=200.0, h=0.01)
@@ -642,8 +704,8 @@ class TestRunDriver:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("method,part", [
-        ("htvi_direct", "r"), ("htvi_adaptive", "r_t"), ("el_v1", "v"), ("el_v2", "x"),
-        ("rgd", "x"),
+        ("htvi_direct", "r"), ("htvi_adaptive", "r_t"), ("htvi_direct", "q"),
+        ("el_v1", "v"), ("el_v2", "x"), ("rgd", "x"),
     ])
     def test_non_finite_step_marks_trace_failed(self, method, part, bad, monkeypatch):
         # one bad entry in one part of the new state ends the run
@@ -657,7 +719,7 @@ class TestRunDriver:
 
             def bad_step(*args):
                 state, iters = step(*args)
-                value = corrupt(state.r) if part == "r" else bad
+                value = corrupt(getattr(state, part)) if part in ("q", "r") else bad
                 return dataclasses.replace(state, **{part: value}), iters
             monkeypatch.setattr(optimizers, "htvi_step", bad_step)
         elif method.startswith("el"):
@@ -679,6 +741,27 @@ class TestRunDriver:
         trace = run(RunConfig(method=method, params=BregmanParams(p=4.0), max_iters=5), prob)
         assert trace.failed
         assert trace.failure_reason == "non-finite state"
+        assert len(trace) == 1
+
+    def test_stiefel_point_with_overflowing_norm_fails_the_gate(self, monkeypatch):
+        # X^T X = diag(1.44e308, 1.44e308) is finite but q.q overflows: the
+        # HTVI finiteness test reads the violation, and the gate rejects it
+        step = optimizers.htvi_step
+        huge = np.zeros(6)
+        huge[0] = huge[4] = 1.2e154
+
+        def bad_step(*args):
+            state, iters = step(*args)
+            return dataclasses.replace(state, q=huge), iters
+        monkeypatch.setattr(optimizers, "htvi_step", bad_step)
+        prob = make_instance("brockett", (3, 2), seed=0)
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(float(huge.dot(huge)))
+        trace = run(RunConfig(method="htvi_direct", params=BregmanParams(p=4.0),
+                              max_iters=5), prob)
+        assert trace.failed
+        assert trace.failure_reason == ("stiefel:3,2: point violates constraint by "
+                                        "1.440e+308 (tolerance 1.0e-08)")
         assert len(trace) == 1
 
     @pytest.mark.parametrize("name,dims", [("rayleigh", (6,)), ("brockett", (6, 2))])

@@ -5,7 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from bregopt import problems
 from bregopt.problems import (
+    MAX_INSTANCE_ENTRIES,
     brockett,
     load_matrix,
     make_instance,
@@ -197,6 +199,21 @@ class TestValueAndGrad:
                 expected = manifold.from_matrix(product(manifold.as_matrix(q)))
                 assert bits(prob.value_and_grad(q)[1]) == bits(expected)
 
+    @pytest.mark.parametrize("n,m,l", [(20, 5, 30), (3, 3, 5), (6, 2, 9)])
+    def test_procrustes_value_is_np_sum(self, n, m, l):
+        # the value reduces A X - B, computed as the package computes it, as
+        # np.sum does; the default shape and two others
+        rng = np.random.default_rng(n * 100 + m * 10 + l)
+        a, b = rng.standard_normal((l, n)), rng.standard_normal((l, m))
+        prob = procrustes(a, b)
+        for scale in (1.0, 1.3, 1e100):
+            for _ in range(20):
+                q = scale * prob.manifold.random_point(rng)
+                res = a.dot(q.reshape(m, n).T)
+                res -= b
+                expected = float(np.sum(res * res))
+                assert float.hex(prob.value_and_grad(q)[0]) == float.hex(expected)
+
 
 class TestColumnMajorReference:
     """The Stiefel objectives read a flat point row-major, as ``X^T``; their
@@ -276,6 +293,50 @@ class TestInstanceGeneration:
             for new, old in zip(drawn, expected):
                 assert new.oracle_value == old.oracle_value
                 np.testing.assert_array_equal(new.oracle_point, old.oracle_point)
+
+    @pytest.mark.parametrize("name,dims,reason", [
+        ("rayleigh", (0,), "n must be at least 2"),
+        ("rayleigh", (-3,), "n must be at least 2"),
+        ("rayleigh", (2, 3), "expected (n), not a list of length 2"),
+        ("brockett", (5,), "expected (n, m), not a list of length 1"),
+        ("brockett", (3, 4), "m must satisfy 1 <= m <= n"),
+        ("brockett", (3, 0), "m must satisfy 1 <= m <= n"),
+        ("procrustes", (3, 4, 5), "m must satisfy 1 <= m <= n"),
+        ("procrustes", (3, 3, 3), "l must satisfy l >= n and l > m"),
+        ("procrustes", (4, 2, 3), "l must satisfy l >= n and l > m"),
+        ("rayleigh", (3.0,), "every entry must be an integer"),
+        ("brockett", (4, True), "every entry must be an integer"),
+        ("rayleigh", (10**12,), "its 1000000000000 x 1000000000000 matrix would have "
+                                "more than MAX_INSTANCE_ENTRIES = 100000000 entries"),
+        ("procrustes", (3, 3, 10**11), "its 100000000000 x 3 matrix would have"),
+    ])
+    def test_dims_checked_before_drawing(self, name, dims, reason, monkeypatch):
+        # nothing is drawn, so a huge instance is refused at once
+        def no_draw(*args):
+            raise AssertionError("drew an instance")
+        monkeypatch.setattr(problems, "symmetric_instance", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError) as info:
+            make_instance(name, dims, seed=0)
+        assert str(info.value).startswith(f"{name} dims {list(dims)!r}: {reason}")
+
+    def test_instance_budget_counts_the_largest_matrix(self, monkeypatch):
+        # n x n for rayleigh and brockett, l x n for procrustes
+        assert MAX_INSTANCE_ENTRIES == 10**8
+        monkeypatch.setattr(problems, "MAX_INSTANCE_ENTRIES", 36)
+        make_instance("rayleigh", (6,))
+        make_instance("brockett", (6, 2))
+        make_instance("procrustes", (4, 2, 9))
+        for name, dims in (("rayleigh", (7,)), ("brockett", (7, 2)),
+                           ("procrustes", (4, 2, 10))):
+            with pytest.raises(ValueError, match="MAX_INSTANCE_ENTRIES = 36"):
+                make_instance(name, dims)
+
+    def test_numpy_integer_dims_are_accepted(self):
+        drawn = make_instance("brockett", (np.int64(6), np.int32(2)), seed=3)
+        expected = make_instance("brockett", (6, 2), seed=3)
+        assert drawn.oracle_value == expected.oracle_value
+        assert drawn.manifold.name == "stiefel:6,2"
 
     @pytest.mark.parametrize("conditioning", [0.5, -1.0, float("nan")])
     def test_conditioning_below_one_rejected(self, conditioning):

@@ -14,6 +14,15 @@ name them, and its tests pin their bits to the public calls.
 The Bregman row's powers of the time coordinate are evaluated once, in
 ``bregman.step_coefficients``; the Hamiltonian values and partials read
 that result, so ``**`` may appear nowhere else in ``bregman``.
+
+The per-iteration path reduces arrays with the ufuncs' own ``reduce``
+(``np.add.reduce(x, axis=None)``, ``np.maximum.reduce``) and tests for a
+nonzero entry with ``np.count_nonzero``.  ``np.sum``, ``ndarray.any`` and
+their kin reach the same reductions through a Python wrapper that costs more
+than the reduction at these sizes (5.9 against 4.2 microseconds for the
+Procrustes ``value_and_grad``, 1.0 against 0.3 for ``any`` of a length-100
+vector), so they stay out of ``manifolds``, ``optimizers``, ``bregman`` and
+the ``value_and_grad`` closures of ``problems``.
 """
 
 import ast
@@ -57,3 +66,40 @@ def test_powers_only_in_step_coefficients():
                    and isinstance(node.op, ast.Pow) and id(node) not in inside)
     assert inside, "bregman.py defines no step_coefficients"
     assert not lines, f"bregman.py uses ** outside step_coefficients on lines {lines}"
+
+
+# Reductions reached through a Python wrapper: np.sum, np.any, np.all, np.max,
+# np.min, np.amax and np.amin, and the ndarray methods of the same names.
+WRAPPED_REDUCTIONS = {"sum", "any", "all", "max", "min", "amax", "amin"}
+
+
+def step_path_trees():
+    """``(label, tree)`` of the per-iteration sources: ``manifolds``,
+    ``optimizers`` and ``bregman`` whole, and each ``value_and_grad``
+    nested in a function of ``problems``."""
+    package = Path(bregopt.__file__).parent
+    for name in ("manifolds.py", "optimizers.py", "bregman.py"):
+        path = package / name
+        yield name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    path = package / "problems.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for outer in tree.body:
+        if isinstance(outer, ast.FunctionDef):
+            for node in ast.walk(outer):
+                if (isinstance(node, ast.FunctionDef) and node is not outer
+                        and node.name == "value_and_grad"):
+                    yield f"problems.py:{outer.name}", node
+
+
+def test_no_wrapped_reductions_on_the_step_path():
+    trees = list(step_path_trees())
+    # the three objectives' closures, so the walk is not vacuous
+    assert [label for label, _ in trees][3:] == ["problems.py:rayleigh",
+                                                 "problems.py:brockett",
+                                                 "problems.py:procrustes"]
+    calls = [f"{label} line {node.lineno}: .{node.func.attr}()"
+             for label, tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in WRAPPED_REDUCTIONS]
+    assert not calls, ("use the ufunc's reduce or np.count_nonzero instead of "
+                       + "; ".join(calls))
