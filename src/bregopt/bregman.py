@@ -97,6 +97,10 @@ class ExtendedState:
         r: momentum conjugate to ``q``.
         r_t: momentum conjugate to ``q_t``.
         lam: Lagrange multipliers of the holonomic constraint (length ``d``).
+        violation: constraint violation of ``q`` as the multiplier solve
+            that built it measured it
+            (:meth:`~bregopt.manifolds.EmbeddedManifold.solve_multiplier`);
+            NaN for a state no solve built, such as :meth:`initial`.
     """
 
     q: np.ndarray
@@ -104,6 +108,7 @@ class ExtendedState:
     r: np.ndarray
     r_t: float
     lam: np.ndarray
+    violation: float = math.nan
 
     @classmethod
     def initial(cls, q: np.ndarray, constraint_dim: int) -> "ExtendedState":

@@ -8,9 +8,10 @@ empirical order-of-accuracy check.
 The Lagrangian is that of a unit mass in a uniform field, such as the
 pendulum's gravity.  Its force term is then constant, and the map
 (:func:`constrained_lagrangian_map`) is one SHAKE step: the manifold's own
-multiplier solve places the drifted position back on the constraint, and
-no constraint Jacobian is formed (on the sphere the solve is a closed-form
-quadratic).
+multiplier solve places the drifted position back on the constraint and
+returns the point it lands on, which is the next position, so the landing
+has one formula, the manifold's, shared with the HTVI step.  No constraint
+Jacobian is formed (on the sphere the solve is a closed-form quadratic).
 
 One-step maps are pure functions of their arguments; independent
 trajectories can run in parallel, while a single trajectory is sequential.
@@ -88,8 +89,8 @@ def constrained_lagrangian_map(
     makes constant.  So the map is one SHAKE step: the manifold places the
     drift ``q + h (p - N)`` back on the constraint
     (:meth:`~bregopt.manifolds.EmbeddedManifold.solve_multiplier`, warm
-    started from ``lam0``), ``q_next`` is the drift less ``h J_C(q)^T lam``,
-    and ``p_next = (q_next - q) / h - N``.
+    started from ``lam0``), ``q_next`` is the point the solve lands on, the
+    drift less ``h J_C(q)^T lam``, and ``p_next = (q_next - q) / h - N``.
 
     Raises:
         NewtonError: no multiplier reaches the manifold.
@@ -99,8 +100,7 @@ def constrained_lagrangian_map(
     lam = np.zeros(manifold.constraint_dim) if lam0 is None else lam0
     force = 0.5 * h * lagrangian.field
     drift = q + h * (p - force)
-    lam, normal, _ = manifold.solve_multiplier(drift, q, h, lam)
-    q_next = drift - h * normal
+    lam, _, q_next, _, _ = manifold.solve_multiplier(drift, q, h, lam)
     return HamiltonStepResult(q_next, (q_next - q) / h - force, lam)
 
 

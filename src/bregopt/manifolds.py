@@ -12,11 +12,16 @@ integrators, the optimizers and the tests:
   Riccati equation solved by the SHAKE/RATTLE fixed point, with one exact
   invariant-subspace step of its Hamiltonian matrix as the fallback);
 * ``tangent_project``, ``retract`` and ``transport``: the geometry of the
-  retraction-based EL and gradient-descent steps.  ``retract`` returns the
-  new point together with its ``constraint_violation``, which it computes
-  anyway (on the Stiefel manifold it is the CholeskyQR acceptance test), so
-  no caller evaluates the constraint at a retracted point again;
+  retraction-based EL and gradient-descent steps;
 * ``random_point``: a seeded start point.
+
+Every kernel that builds an iterate reports its violation: ``retract``
+returns the new point together with its ``constraint_violation``, which it
+computes anyway (on the Stiefel manifold it is the CholeskyQR acceptance
+test), and ``solve_multiplier`` returns the point it lands on together with
+the residual of that landing, which is its violation.  So no caller forms
+an iterate again or evaluates the constraint there; the optimizers evaluate
+it only at the start point.
 
 The ambient metric is the Frobenius (flat dot product) inner product
 throughout, so cotangent vectors are identified with tangent vectors
@@ -177,15 +182,20 @@ class EmbeddedManifold:
         q: np.ndarray,
         coeff: float,
         lam0: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, int]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
         """Multiplier ``lam`` with ``C(drift - coeff * J(q)^T lam) = 0``.
 
         This is the SHAKE/RATTLE projection of a constrained one-step map:
         ``drift`` is the unconstrained update of the position ``q`` and the
         force ``J(q)^T lam`` acts along the constraint normals at ``q``.
-        ``lam0`` is the starting guess of an iterative solve.  Returns the
-        multiplier, the normal force ``J(q)^T lam`` as a flat ambient vector
-        and the number of iterations of the solve (0 for a closed form).
+        ``lam0`` is the starting guess of an iterative solve.  Returns
+        ``(lam, normal, point, violation, iterations)``: the multiplier, the
+        normal force ``J(q)^T lam`` as a flat ambient vector, the point the
+        solve lands on, ``drift - coeff * J(q)^T lam`` as the solve's last
+        evaluation formed it, that point's :meth:`constraint_violation`, bit
+        for bit, and the number of iterations of the solve (0 for a closed
+        form).  The point is the next position of the step, so no caller
+        forms it or evaluates the constraint there again.
 
         Raises:
             NewtonError: no multiplier reaches the manifold.
@@ -248,11 +258,14 @@ class Sphere(EmbeddedManifold):
 
     def solve_multiplier(self, drift, q, coeff, lam0):
         """Closed-form root of the scalar quadratic ``|drift - coeff 2q lam|^2 = 1``;
-        ``lam0`` is unused."""
+        ``lam0`` is unused.  The point is ``drift - lam ((2 coeff) q)`` and
+        its violation ``|p.p - 1|``."""
         # doubling is exact, so (2 coeff) q and (2 lam) q round as
         # coeff (2 q) and (2 q) lam do
-        lam = _sphere_multiplier(drift, (2.0 * coeff) * q)
-        return np.array([lam]), (2.0 * lam) * q, 0
+        shift = (2.0 * coeff) * q
+        lam = _sphere_multiplier(drift, shift)
+        point = drift - lam * shift
+        return np.array([lam]), (2.0 * lam) * q, point, self._norm_violation(point), 0
 
     def constraint_violation(self, q):
         return self._norm_violation(q)
@@ -353,7 +366,12 @@ class Stiefel(EmbeddedManifold):
         invariant-subspace method, Laub 1979).  ``M = A - G T`` then has
         exactly those eigenvalues, so this is the solution near ``T = 0``,
         ``M = I`` that the fixed point tracks.  Returns ``lam = triu(S)``
-        with its diagonal halved.
+        with its diagonal halved, the normal ``X S``, and the last accepted
+        landing: ``Y`` as a flat point (the ``Y^T`` the solve formed,
+        flattened row-major) and ``max |F|``, which is ``Y``'s violation bit
+        for bit, as ``F`` is formed as :meth:`constraint_violation` forms
+        it.  The Gram matrix ``Y^T Y`` is thus formed inside the solve's
+        ``np.errstate``, so an overflowing point raises no warning.
 
         Raises:
             NewtonError: the exact step does not land within ``NEWTON_TOL``.
@@ -370,27 +388,28 @@ class Stiefel(EmbeddedManifold):
         s = lam0[self._sym_index] * self._sym_weight
 
         def landing(s):
-            # Y^T = D^T - (coeff S) X^T, as S is symmetric
+            # Y^T = D^T - (coeff S) X^T, as S is symmetric; F and its max
+            # are _gram_violation's steps, so norm is Y's violation
             yt = (coeff * s).dot(xt)
             np.subtract(dt, yt, out=yt)
             f = yt.dot(yt.T)
             f -= self._eye
-            return f, float(np.maximum.reduce(np.abs(f), axis=None))
+            return yt, f, float(np.maximum.reduce(np.abs(f), axis=None))
 
         iterations = 0
         # a failing solve may overflow; each residual is tested instead
         with np.errstate(all="ignore"):
-            f, norm = landing(s)
+            yt, f, norm = landing(s)
             while (not norm <= NEWTON_TOL and iterations < NEWTON_MAX_ITER
                    and math.isfinite(norm)):
                 # the trial S + F / (2 coeff), in F's buffer
                 trial = f
                 trial /= 2.0 * coeff
                 trial += s
-                f_next, norm_next = landing(trial)
+                yt_next, f_next, norm_next = landing(trial)
                 if not norm_next <= 0.5 * norm:
                     break
-                s, f, norm = trial, f_next, norm_next
+                s, yt, f, norm = trial, yt_next, f_next, norm_next
                 iterations += 1
             if not norm <= NEWTON_TOL:
                 a = xt.dot(dt.T)
@@ -406,7 +425,9 @@ class Stiefel(EmbeddedManifold):
                     exact = (t + t.T) / (2.0 * coeff)
                 except np.linalg.LinAlgError:
                     pass
-                if not landing(exact)[1] <= NEWTON_TOL:
+                yt_exact, _, norm_exact = landing(exact)
+                if not norm_exact <= NEWTON_TOL:
+                    # the message quotes the fixed point's residual
                     message = (f"Newton did not converge in {iterations} iterations "
                                f"(residual {norm:.3e})")
                     gap = float(np.minimum.reduce(np.abs(mu.real), axis=None))
@@ -417,9 +438,10 @@ class Stiefel(EmbeddedManifold):
                                     f"Hamiltonian has an eigenvalue on the imaginary "
                                     f"axis (|Re| {gap:.1e})")
                     raise NewtonError(message, residual_norm=norm, iterations=iterations)
-                s = exact
+                s, yt, norm = exact, yt_exact, norm_exact
                 iterations += 1
-        return s.take(self._triu_flat) * self._triu_weight, s.dot(xt).reshape(-1), iterations
+        return (s.take(self._triu_flat) * self._triu_weight, s.dot(xt).reshape(-1),
+                yt.reshape(-1), norm, iterations)
 
     def constraint_violation(self, q):
         return self._gram_violation(q.reshape(self.m, self.n))

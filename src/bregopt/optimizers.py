@@ -14,18 +14,21 @@ Three families are provided:
 
 ``run`` drives any of them to a stopping criterion and records a
 per-iteration :class:`Trace`.  Each method contributes only a step closure,
-which returns the new iterate with its constraint violation: the
-retraction's own value for the EL and gradient-descent steps, the
-manifold's ``constraint_violation`` for HTVI.  One loop then gates each
-iterate on that violation, evaluates it once (``ProblemSpec.value_and_grad``
-for the objective and its ambient gradient, the manifold's
-``tangent_project`` for the Riemannian gradient), records the row, tests the
-stop and turns any step or evaluation failure into a failed trace, so every
-method is recorded, stopped and failed alike.  A step that leaves a NaN or
+which returns the new iterate with its constraint violation as the kernel
+that built the iterate reports it: the retraction for the EL and
+gradient-descent steps, the multiplier solve for HTVI, whose landing is the
+new position.  So ``run`` evaluates the constraint only at the start point.
+One loop then gates each iterate on that violation, evaluates it once
+(``ProblemSpec.value_and_grad`` for the objective and its ambient gradient,
+the manifold's ``tangent_project`` for the Riemannian gradient), records the
+row, tests the stop and turns any step or evaluation failure into a failed
+trace, so every method is recorded, stopped and failed alike.  A step that leaves a NaN or
 an infinity in its state fails as "non-finite state".  The HTVI step's
-finiteness test reads the violation in place of ``q.q``: it is NaN or
-infinite exactly when ``q`` is not finite or its Gram matrix overflows, so
-a Stiefel ``q`` whose squared norm overflows while its Gram matrix stays
+finiteness test reads the solve's violation in place of ``q.q``: it is NaN
+or infinite exactly when ``q`` is not finite or its Gram matrix overflows,
+and the solve forms that Gram matrix under its own ``np.errstate``, so an
+overflowing landing fails as "non-finite state" with no warning, and a
+Stiefel ``q`` whose squared norm overflows while its Gram matrix stays
 finite fails the feasibility gate instead.  Traces accumulate locally, so
 independent runs may execute concurrently; a single run is sequential.
 Inner products are written ``x.dot(y)``, not ``x @ y``, which costs more in
@@ -149,10 +152,11 @@ def htvi_step(
     (:meth:`~bregopt.manifolds.EmbeddedManifold.solve_multiplier`), warm
     started from ``state.lam``, which must have the length
     ``manifold.constraint_dim``, and returns the normal force that corrects
-    the momentum.
+    the momentum together with the point it lands on, which is the new
+    position, and that point's constraint violation.
 
-    Returns the new state and the number of iterations of the multiplier
-    solve.
+    Returns the new state, whose ``violation`` is the solve's, and the
+    number of iterations of the multiplier solve.
     """
     if direction not in ("direct", "adaptive"):
         raise ValueError("direction must be 'direct' or 'adaptive'")
@@ -160,11 +164,10 @@ def htvi_step(
     coeffs = bregman.step_coefficients(params, state.q_t, adaptive)
 
     base = state.r - coeffs.gradient * grad_f
-    lam, normal, iterations = manifold.solve_multiplier(
+    lam, normal, q_next, violation, iterations = manifold.solve_multiplier(
         state.q + coeffs.position * base, state.q, coeffs.position, state.lam
     )
     r_next = base - normal
-    q_next = state.q + coeffs.position * r_next
 
     r_t_next = (
         state.r_t + coeffs.kinetic_rt * float(r_next.dot(r_next)) - coeffs.potential_rt * f_val
@@ -175,6 +178,7 @@ def htvi_step(
         r=r_next,
         r_t=r_t_next,
         lam=lam,
+        violation=violation,
     )
     return next_state, iterations
 
@@ -270,12 +274,12 @@ def _htvi_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
         nonlocal state
         state, iters = htvi_step(direction, config.params, manifold, state, grad, f_val)
         # one scalar test: a NaN or an infinity in any entry reaches the sum;
-        # the violation stands in for q.q, as it is NaN or infinite exactly
-        # when q is not finite or its Gram matrix overflows
-        violation = manifold.constraint_violation(state.q)
-        if not math.isfinite(violation + float(state.r.dot(state.r)) + state.q_t + state.r_t):
+        # the solve's violation stands in for q.q, as it is NaN or infinite
+        # exactly when q is not finite or its Gram matrix overflows
+        if not math.isfinite(state.violation + float(state.r.dot(state.r)) + state.q_t
+                             + state.r_t):
             raise BregoptError("non-finite state")
-        return state.q, state.q_t, iters, violation
+        return state.q, state.q_t, iters, state.violation
 
     return state.q, state.q_t, advance
 

@@ -129,7 +129,8 @@ class Unconstrained(EmbeddedManifold):
         return 0.0
 
     def solve_multiplier(self, drift, q, coeff, lam0):
-        return np.zeros(0), np.zeros(self.ambient_dim), 0
+        # no normals: the drift is the landing, and it is feasible
+        return np.zeros(0), np.zeros(self.ambient_dim), drift, 0.0, 0
 
     def tangent_project(self, q, z):
         return z.copy()
@@ -187,7 +188,9 @@ def column_major_retract(st, q, v):
 
 def column_major_solve_multiplier(st, drift, q, coeff, lam0):
     """The SHAKE/RATTLE fixed point with its exact Riccati fallback, as in
-    ``Stiefel.solve_multiplier``, on ``Y = D - X (coeff S)``."""
+    ``Stiefel.solve_multiplier``, on ``Y = D - X (coeff S)``; returns
+    ``(lam, normal, Y, max |F|, iterations)`` with ``Y`` the last accepted
+    landing, flattened column-major."""
     m, eye, triu = st.m, np.eye(st.m), np.triu_indices(st.m)
     x = _matrix(st, q)
     d = _matrix(st, drift)
@@ -198,18 +201,18 @@ def column_major_solve_multiplier(st, drift, q, coeff, lam0):
     def landing(s):
         y = d - x @ (coeff * s)
         f = y.T @ y - eye
-        return f, float(np.abs(f).max())
+        return y, f, float(np.abs(f).max())
 
     iterations = 0
     with np.errstate(all="ignore"):
-        f, norm = landing(s)
+        y, f, norm = landing(s)
         while (not norm <= manifolds.NEWTON_TOL and iterations < manifolds.NEWTON_MAX_ITER
                and math.isfinite(norm)):
             trial = s + f / (2.0 * coeff)
-            f_next, norm_next = landing(trial)
+            y_next, f_next, norm_next = landing(trial)
             if not norm_next <= 0.5 * norm:
                 break
-            s, f, norm = trial, f_next, norm_next
+            s, y, f, norm = trial, y_next, f_next, norm_next
             iterations += 1
         if not norm <= manifolds.NEWTON_TOL:
             a = x.T @ d
@@ -223,7 +226,8 @@ def column_major_solve_multiplier(st, drift, q, coeff, lam0):
                 exact = (t + t.T) / (2.0 * coeff)
             except np.linalg.LinAlgError:
                 pass
-            if not landing(exact)[1] <= manifolds.NEWTON_TOL:
+            y_exact, _, norm_exact = landing(exact)
+            if not norm_exact <= manifolds.NEWTON_TOL:
                 message = (f"Newton did not converge in {iterations} iterations "
                            f"(residual {norm:.3e})")
                 gap = float(np.abs(mu.real).min())
@@ -232,10 +236,10 @@ def column_major_solve_multiplier(st, drift, q, coeff, lam0):
                                 f"Hamiltonian has an eigenvalue on the imaginary "
                                 f"axis (|Re| {gap:.1e})")
                 raise NewtonError(message, residual_norm=norm, iterations=iterations)
-            s = exact
+            s, y, norm = exact, y_exact, norm_exact
             iterations += 1
     lam = s[triu] * np.where(triu[0] == triu[1], 0.5, 1.0)
-    return lam, (x @ s).reshape(-1, order="F"), iterations
+    return lam, (x @ s).reshape(-1, order="F"), y.reshape(-1, order="F"), norm, iterations
 
 
 def column_major_brockett(st, a, n_diag, q):

@@ -391,7 +391,7 @@ class TestConstrainedLagrangianMap:
 
         def counting_solve(*args):
             result = solve(*args)
-            counts.append(result[2])
+            counts.append(result[4])
             return result
 
         monkeypatch.setattr(manifold, "solve_multiplier", counting_solve)
@@ -446,7 +446,7 @@ class TestConstrainedLagrangianMap:
 
             def counting_solve(*args):
                 result = solve(*args)
-                counts.append(result[2])
+                counts.append(result[4])
                 return result
 
             monkeypatch.setattr(manifold, "solve_multiplier", counting_solve)
@@ -454,6 +454,27 @@ class TestConstrainedLagrangianMap:
             assert manifold.constraint_violation(result.q_next) <= tol
             steps[tol] = sum(counts)
         assert steps[1e-6] < steps[NEWTON_TOL]
+
+    @pytest.mark.parametrize("name", ["pendulum-coarse", "stiefel-field"])
+    def test_next_position_is_the_solve_landing(self, name, monkeypatch):
+        # the map takes q_next from the multiplier solve, the one landing
+        # formula, and builds p_next from it
+        lagrangian, manifold, q, p, h, _ = map_case(name)
+        solve = manifold.solve_multiplier
+        landings = []
+
+        def recording_solve(*args):
+            result = solve(*args)
+            landings.append(result[2].copy())
+            return result
+
+        monkeypatch.setattr(manifold, "solve_multiplier", recording_solve)
+        for _ in range(20):
+            result = constrained_lagrangian_map(lagrangian, manifold, q, p, h)
+            assert result.q_next.tobytes() == landings[-1].tobytes()
+            force = 0.5 * h * lagrangian.field
+            assert result.p_next.tobytes() == ((result.q_next - q) / h - force).tobytes()
+            q, p = result.q_next, result.p_next
 
     def test_needs_a_midpoint_lagrangian(self):
         # the map reads only the field, so a bare MidpointLagrangian takes

@@ -505,11 +505,13 @@ class TestColumnMajorReference:
                 cases.append((drift, q, coeff, lam0))
 
         def assert_same(drift, q, coeff, lam0):
-            lam, normal, iters = st.solve_multiplier(drift, q, coeff, lam0)
-            ref_lam, ref_normal, ref_iters = column_major_solve_multiplier(
-                st, drift, q, coeff, lam0)
-            assert np.array_equal(lam, ref_lam)
-            assert np.array_equal(normal, ref_normal)
+            lam, normal, point, violation, iters = st.solve_multiplier(drift, q, coeff, lam0)
+            ref_lam, ref_normal, ref_point, ref_violation, ref_iters = \
+                column_major_solve_multiplier(st, drift, q, coeff, lam0)
+            assert lam.tobytes() == ref_lam.tobytes()
+            assert normal.tobytes() == ref_normal.tobytes()
+            assert point.tobytes() == ref_point.tobytes()
+            assert bits(violation) == bits(ref_violation)
             assert iters == ref_iters
             return iters
 
@@ -542,6 +544,46 @@ class TestColumnMajorReference:
         for size in (st.constraint_dim - 1, st.constraint_dim + 1):
             with pytest.raises(ValueError, match="multiplier guess"):
                 st.solve_multiplier(q, q, 0.1, np.zeros(size))
+
+
+class TestSolvedViolation:
+    """The point ``solve_multiplier`` returns is its landing, and the
+    violation it reports is that point's ``constraint_violation``, bit for
+    bit, which the HTVI step records instead of evaluating the constraint
+    again."""
+
+    @pytest.mark.parametrize("manifold", [Sphere(5)] + [Stiefel(n, m) for n, m in LAYOUT_SHAPES],
+                             ids=repr)
+    def test_bit_equal_to_constraint_violation(self, manifold, monkeypatch):
+        rng = np.random.default_rng(47)
+        # as in TestColumnMajorReference.test_solve_multiplier
+        blocked = isinstance(manifold, Stiefel) and (manifold.n, manifold.m) == BLOCKED_SHAPE
+        spread = 0.5 / np.sqrt(manifold.m) if blocked else 0.5
+        cases = []
+        for coeff in (0.05, 0.2):
+            for warm in (False, True):
+                q = manifold.random_point(rng)
+                drift = q + coeff * spread * rng.standard_normal(manifold.ambient_dim)
+                lam0 = (0.1 * rng.standard_normal(manifold.constraint_dim) if warm
+                        else np.zeros(manifold.constraint_dim))
+                cases.append((drift, q, coeff, lam0))
+
+        def check(drift, q, coeff, lam0):
+            lam, _, point, violation, iters = manifold.solve_multiplier(drift, q, coeff, lam0)
+            assert type(violation) is float
+            assert bits(violation) == bits(manifold.constraint_violation(point))
+            assert violation <= manifolds.NEWTON_TOL
+            if isinstance(manifold, Sphere):
+                expected = drift - lam[0] * ((2.0 * coeff) * q)
+                assert point.tobytes() == expected.tobytes()
+            return iters
+
+        for case in cases:
+            check(*case)
+        # the exact Riccati step alone
+        monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", 0)
+        iterations = {check(*case) for case in cases}
+        assert iterations == ({0} if isinstance(manifold, Sphere) else {1})
 
 
 def public_linalg_retract(st, q, v):

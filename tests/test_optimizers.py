@@ -62,7 +62,9 @@ def dense_multiplier(manifold, drift, q, coeff, lam0):
 
     result = newton_solve(residual, jacobian, lam0, manifolds.NEWTON_TOL,
                           manifolds.NEWTON_MAX_ITER)
-    return result.x, jac_t @ result.x, result.iterations
+    point = drift - shift @ result.x
+    return (result.x, jac_t @ result.x, point, manifold.constraint_violation(point),
+            result.iterations)
 
 
 def closed_form_sphere_multiplier(w, v):
@@ -141,8 +143,8 @@ class TestSolveMultiplier:
             lam0 = 0.1 * rng.standard_normal(st.constraint_dim) if warm \
                 else np.zeros(st.constraint_dim)
             drift = q + coeff * base
-            lam, normal, iters = st.solve_multiplier(drift, q, coeff, lam0)
-            ref_lam, ref_normal, _ = dense_multiplier(st, drift, q, coeff, lam0)
+            lam, normal, _, _, iters = st.solve_multiplier(drift, q, coeff, lam0)
+            ref_lam, ref_normal, *_ = dense_multiplier(st, drift, q, coeff, lam0)
             assert 1 <= iters <= NEWTON_MAX_ITER
             assert st.constraint_violation(q + coeff * (base - normal)) <= NEWTON_TOL
             # both solves stop with max |F| <= tol and T = coeff S moves F
@@ -182,9 +184,9 @@ class TestSolveMultiplier:
         base = rng.standard_normal(12)
         coeff = 0.2
         drift = q + coeff * base
-        ref_lam, ref_normal, _ = dense_multiplier(st, drift, q, coeff, np.zeros(3))
+        ref_lam, ref_normal, *_ = dense_multiplier(st, drift, q, coeff, np.zeros(3))
         monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", 0)
-        lam, normal, iters = st.solve_multiplier(drift, q, coeff, np.zeros(3))
+        lam, normal, _, _, iters = st.solve_multiplier(drift, q, coeff, np.zeros(3))
         assert iters == 1
         assert st.constraint_violation(q + coeff * (base - normal)) <= NEWTON_TOL
         atol = NEWTON_TOL / coeff
@@ -198,7 +200,7 @@ class TestSolveMultiplier:
             q = sphere.random_point(rng)
             coeff = float(rng.uniform(1e-4, 0.5))
             drift = q + coeff * rng.standard_normal(5)
-            lam, normal, iters = sphere.solve_multiplier(drift, q, coeff, np.zeros(1))
+            lam, normal, _, _, iters = sphere.solve_multiplier(drift, q, coeff, np.zeros(1))
             jac_t = constraint_jacobian(sphere, q).T
             ref = np.array([closed_form_sphere_multiplier(drift, coeff * jac_t[:, 0])])
             np.testing.assert_array_equal(lam, ref)
@@ -246,7 +248,7 @@ class TestSolveMultiplier:
         sphere = Sphere(3)
         q = np.array([1.0, 0.0, 0.0])
         # no step at all: a feasible drift needs no multiplier ...
-        lam, normal, _ = sphere.solve_multiplier(q, q, 0.0, np.zeros(1))
+        lam, normal, *_ = sphere.solve_multiplier(q, q, 0.0, np.zeros(1))
         np.testing.assert_array_equal(lam, [closed_form_sphere_multiplier(q, 0.0 * q)])
         np.testing.assert_array_equal(lam, [0.0])
         np.testing.assert_array_equal(normal, np.zeros(3))
@@ -406,6 +408,32 @@ class TestHtviStep:
         out, iters = htvi_step("direct", params, st, state, rng.standard_normal(10), 0.5)
         assert st.constraint_violation(out.q) <= 1e-10
         assert iters >= 1
+
+    @pytest.mark.parametrize("manifold", [Sphere(6), Stiefel(5, 2)], ids=repr)
+    def test_state_holds_the_solve_landing(self, manifold, monkeypatch):
+        # the new position is the point the multiplier solve lands on, and
+        # the state keeps the violation the solve reported for it
+        landings = []
+        solve = manifold.solve_multiplier
+
+        def recording_solve(*args):
+            result = solve(*args)
+            landings.append((result[2].copy(), result[3]))
+            return result
+        monkeypatch.setattr(manifold, "solve_multiplier", recording_solve)
+        rng = np.random.default_rng(12)
+        n = manifold.ambient_dim
+        state = ExtendedState.initial(manifold.random_point(rng), manifold.constraint_dim)
+        assert math.isnan(state.violation)
+        state = dataclasses.replace(state, r=0.3 * rng.standard_normal(n))
+        for direction in ("direct", "adaptive", "direct"):
+            state, _ = htvi_step(direction, BregmanParams(p=4.0, h=1e-2), manifold, state,
+                                 rng.standard_normal(n), 0.5)
+            point, violation = landings[-1]
+            assert state.q.tobytes() == point.tobytes()
+            assert type(state.violation) is float
+            assert state.violation.hex() == violation.hex()
+            assert state.violation <= NEWTON_TOL
 
     def test_wrong_length_multiplier_is_not_replaced(self):
         # state.lam warm starts the solve as it is: the multiplier of a step
@@ -714,12 +742,24 @@ class TestRunDriver:
             array[0] = bad
             return array
 
-        if method.startswith("htvi"):
+        prob = make_instance("rayleigh", (6,), seed=0)
+        if part == "q":
+            # the HTVI position is the multiplier solve's landing, which
+            # comes with its own violation
+            manifold = prob.manifold
+            solve = manifold.solve_multiplier
+
+            def bad_solve(*args):
+                lam, normal, point, _, iters = solve(*args)
+                point = corrupt(point)
+                return lam, normal, point, manifold.constraint_violation(point), iters
+            monkeypatch.setattr(manifold, "solve_multiplier", bad_solve)
+        elif method.startswith("htvi"):
             step = optimizers.htvi_step
 
             def bad_step(*args):
                 state, iters = step(*args)
-                value = corrupt(getattr(state, part)) if part in ("q", "r") else bad
+                value = corrupt(state.r) if part == "r" else bad
                 return dataclasses.replace(state, **{part: value}), iters
             monkeypatch.setattr(optimizers, "htvi_step", bad_step)
         elif method.startswith("el"):
@@ -737,7 +777,6 @@ class TestRunDriver:
                 x, violation = step(*args)
                 return corrupt(x), violation
             monkeypatch.setattr(optimizers, "rgd_step", bad_step)
-        prob = make_instance("rayleigh", (6,), seed=0)
         trace = run(RunConfig(method=method, params=BregmanParams(p=4.0), max_iters=5), prob)
         assert trace.failed
         assert trace.failure_reason == "non-finite state"
@@ -745,16 +784,18 @@ class TestRunDriver:
 
     def test_stiefel_point_with_overflowing_norm_fails_the_gate(self, monkeypatch):
         # X^T X = diag(1.44e308, 1.44e308) is finite but q.q overflows: the
-        # HTVI finiteness test reads the violation, and the gate rejects it
-        step = optimizers.htvi_step
+        # HTVI finiteness test reads the solve's violation of its landing,
+        # and the gate rejects it
         huge = np.zeros(6)
         huge[0] = huge[4] = 1.2e154
-
-        def bad_step(*args):
-            state, iters = step(*args)
-            return dataclasses.replace(state, q=huge), iters
-        monkeypatch.setattr(optimizers, "htvi_step", bad_step)
         prob = make_instance("brockett", (3, 2), seed=0)
+        manifold = prob.manifold
+        solve = manifold.solve_multiplier
+
+        def bad_solve(*args):
+            lam, normal, _, _, iters = solve(*args)
+            return lam, normal, huge, manifold.constraint_violation(huge), iters
+        monkeypatch.setattr(manifold, "solve_multiplier", bad_solve)
         with np.errstate(over="ignore"):
             assert not math.isfinite(float(huge.dot(huge)))
         trace = run(RunConfig(method="htvi_direct", params=BregmanParams(p=4.0),
@@ -762,6 +803,29 @@ class TestRunDriver:
         assert trace.failed
         assert trace.failure_reason == ("stiefel:3,2: point violates constraint by "
                                         "1.440e+308 (tolerance 1.0e-08)")
+        assert len(trace) == 1
+
+    def test_stiefel_landing_with_overflowing_gram_is_non_finite(self, monkeypatch):
+        # X^T X overflows: the solve forms it under its own errstate and
+        # reports an infinite violation, which ends the run as a non-finite
+        # state without a RuntimeWarning (the suite turns warnings into
+        # errors)
+        huge = np.full(6, 1e200)
+        prob = make_instance("brockett", (3, 2), seed=0)
+        manifold = prob.manifold
+        solve = manifold.solve_multiplier
+
+        def bad_solve(*args):
+            lam, normal, _, _, iters = solve(*args)
+            with np.errstate(all="ignore"):
+                violation = manifold.constraint_violation(huge)
+            assert violation == math.inf
+            return lam, normal, huge, violation, iters
+        monkeypatch.setattr(manifold, "solve_multiplier", bad_solve)
+        trace = run(RunConfig(method="htvi_direct", params=BregmanParams(p=4.0),
+                              max_iters=5), prob)
+        assert trace.failed
+        assert trace.failure_reason == "non-finite state"
         assert len(trace) == 1
 
     @pytest.mark.parametrize("name,dims", [("rayleigh", (6,)), ("brockett", (6, 2))])
@@ -843,9 +907,8 @@ class TestRunDriver:
         assert len(trace) == 31
         # the initial point is evaluated once; a retraction reports the
         # violation of every point it builds, the look-ahead of el_v2
-        # included, so only an HTVI step evaluates the constraint again
-        per_step = 1 if method.startswith("htvi") else 0
-        assert manifold.constraint_calls == 1 + per_step * (len(trace) - 1)
+        # included, and the HTVI multiplier solve that of its landing
+        assert manifold.constraint_calls == 1
 
     @pytest.mark.parametrize("method", METHODS)
     def test_large_stiefel_stays_on_the_manifold(self, method):
@@ -933,22 +996,22 @@ class TestRowMajorHotPath:
 # change that alters any rounding on the way changes them.
 GOLDEN_DIGESTS = {
     "rayleigh": {
-        "htvi_direct": "1507e2a2900c157e",
-        "htvi_adaptive": "2f7347a94f5075d1",
+        "htvi_direct": "edb399f1479a9c3f",
+        "htvi_adaptive": "5c10360f38bcfba0",
         "el_v1": "9c8fe0f20ab20c21",
         "el_v2": "26e6d21085c59b50",
         "rgd": "aa31c9c98489d11e",
     },
     "brockett": {
-        "htvi_direct": "fffd08f7c1dddb07",
-        "htvi_adaptive": "1993f733cbc5fcf8",
+        "htvi_direct": "5f4fb8f6c8a929bc",
+        "htvi_adaptive": "20f53f9d8ef2b7f5",
         "el_v1": "30ddf008df6bb94c",
         "el_v2": "63d5da3bfe95f53f",
         "rgd": "4058442e471e8548",
     },
     "procrustes": {
-        "htvi_direct": "06ab4a9fa2057c94",
-        "htvi_adaptive": "e7d022d9eccbc364",
+        "htvi_direct": "156b84d299347050",
+        "htvi_adaptive": "6f74f70015888308",
         "el_v1": "87b9f32e5d270855",
         "el_v2": "3b4d72f4c388ff5c",
         "rgd": "b26c47afba8aa9f6",
