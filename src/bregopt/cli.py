@@ -67,7 +67,11 @@ reported as one ``order-check: <message>`` line on stderr; with fewer than
 two points left the rate is ``nan`` and the check fails.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 order-check acceptance failure.
+3 order-check acceptance failure.  A numerical failure is a ``run`` or
+``compare`` method whose trace failed, or an ``order-check`` trajectory,
+the reference or one at a listed step size, that does not stay finite; the
+latter prints one ``numerical failure: ...`` line naming the step size and
+writes no CSV.
 """
 
 from __future__ import annotations

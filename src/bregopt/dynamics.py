@@ -27,6 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import manifolds
+from .errors import BregoptError
 
 Array = np.ndarray
 
@@ -134,10 +135,18 @@ REFERENCE_STEP_BUDGET = 10 ** 7
 
 
 def _integrate(step_map: StepMap, state: Array, h: float, n_steps: int) -> Array:
+    # a diverging trajectory overflows to inf and NaN without a warning;
+    # order_check tests the state it ends in
     x = np.asarray(state, dtype=float)
-    for _ in range(n_steps):
-        x = step_map(x, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            x = step_map(x, h)
     return x
+
+
+def _check_finite(state: Array, h: float, duration: float) -> None:
+    if not np.all(np.isfinite(state)):
+        raise BregoptError(f"the trajectory at h={h!r} is not finite at time {duration!r}")
 
 
 def order_check(
@@ -154,7 +163,13 @@ def order_check(
     least-squares slope of ``log(error)`` versus ``log(h)``.  Errors below
     one hundred machine epsilons (relative to the reference magnitude) are
     at the noise floor; those points are dropped with a warning, and the
-    rate is ``nan`` when fewer than two points remain.
+    rate is ``nan`` when fewer than two points remain.  The map runs with
+    numpy's overflow and invalid-value warnings off, and a trajectory that
+    diverges is a numerical failure, not a fit.
+
+    Raises:
+        BregoptError: the reference or a terminal state is not finite; the
+            message names the step size.
     """
     h_list = [float(h) for h in h_list]
     if len(h_list) < 3:
@@ -178,6 +193,7 @@ def order_check(
 
     n_ref = max(1, round(duration / h_ref))
     reference = _integrate(step_map, initial, duration / n_ref, n_ref)
+    _check_finite(reference, duration / n_ref, duration)
 
     scale = max(1.0, float(np.max(np.abs(reference))))
     floor = 100.0 * np.finfo(float).eps * scale
@@ -186,6 +202,7 @@ def order_check(
     for n_steps in counts:
         h_eff = duration / n_steps
         terminal = _integrate(step_map, initial, h_eff, n_steps)
+        _check_finite(terminal, h_eff, duration)
         err = float(np.max(np.abs(terminal - reference)))
         if err < floor:
             warnings.warn(

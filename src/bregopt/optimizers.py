@@ -22,15 +22,19 @@ One loop then gates each iterate on that violation, evaluates it once
 (``ProblemSpec.value_and_grad`` for the objective and its ambient gradient,
 the manifold's ``tangent_project`` for the Riemannian gradient), records the
 row, tests the stop and turns any step or evaluation failure into a failed
-trace, so every method is recorded, stopped and failed alike.  A step that leaves a NaN or
-an infinity in its state fails as "non-finite state".  The HTVI step's
-finiteness test reads the solve's violation in place of ``q.q``: it is NaN
-or infinite exactly when ``q`` is not finite or its Gram matrix overflows,
-and the solve forms that Gram matrix under its own ``np.errstate``, so an
-overflowing landing fails as "non-finite state" with no warning, and a
-Stiefel ``q`` whose squared norm overflows while its Gram matrix stays
-finite fails the feasibility gate instead.  Traces accumulate locally, so
-independent runs may execute concurrently; a single run is sequential.
+trace, so every method is recorded, stopped and failed alike.  A step that
+leaves a NaN or an infinity in its state fails as "non-finite state".  Each
+stepper's finiteness test reads scalars its step has already formed, and
+squares no point: the violation the step reported stands in for ``q.q``, as
+it is NaN or infinite exactly when the point is not finite or its Gram
+matrix overflows.  The HTVI test also reads ``r_t``, which holds ``r.r``
+times a nonnegative coefficient and so stands in for it; the EL test adds
+the velocity's ``v.v``, which no step forms.  The HTVI solve forms the Gram
+matrix under its own ``np.errstate``, so an overflowing landing fails as
+"non-finite state" with no warning; a Stiefel point whose squared norm
+overflows while its Gram matrix stays finite fails the feasibility gate
+instead.  Traces accumulate locally, so independent runs may execute
+concurrently; a single run is sequential.
 Inner products are written ``x.dot(y)``, not ``x @ y``, which costs more in
 dispatch and gives the same bits (see ``manifolds``).
 """
@@ -157,6 +161,11 @@ def htvi_step(
 
     Returns the new state, whose ``violation`` is the solve's, and the
     number of iterations of the multiplier solve.
+
+    Raises:
+        BregoptError: the step coefficients or the multiplier solve fail,
+            or the ``r_t`` update's denominator ``1 + feedback_rt`` is zero,
+            which ``p_ring > p`` allows.
     """
     if direction not in ("direct", "adaptive"):
         raise ValueError("direction must be 'direct' or 'adaptive'")
@@ -169,9 +178,15 @@ def htvi_step(
     )
     r_next = base - normal
 
-    r_t_next = (
-        state.r_t + coeffs.kinetic_rt * float(r_next.dot(r_next)) - coeffs.potential_rt * f_val
-    ) / (1.0 + coeffs.feedback_rt)
+    try:
+        r_t_next = (
+            state.r_t + coeffs.kinetic_rt * float(r_next.dot(r_next))
+            - coeffs.potential_rt * f_val
+        ) / (1.0 + coeffs.feedback_rt)
+    except ZeroDivisionError:
+        # with p_ring > p, feedback_rt is negative and may be exactly -1
+        raise BregoptError(f"r_t update divides by zero at time coordinate "
+                           f"{state.q_t!r}") from None
     next_state = ExtendedState(
         q=q_next,
         q_t=state.q_t + coeffs.q_t_increment,
@@ -273,11 +288,12 @@ def _htvi_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
     def advance(k, f_val, grad, rgrad):
         nonlocal state
         state, iters = htvi_step(direction, config.params, manifold, state, grad, f_val)
-        # one scalar test: a NaN or an infinity in any entry reaches the sum;
-        # the solve's violation stands in for q.q, as it is NaN or infinite
-        # exactly when q is not finite or its Gram matrix overflows
-        if not math.isfinite(state.violation + float(state.r.dot(state.r)) + state.q_t
-                             + state.r_t):
+        # one scalar test of values the step formed: the solve's violation
+        # stands in for q.q, as it is NaN or infinite exactly when q is not
+        # finite or its Gram matrix overflows, and r_t for r.r, which it holds
+        # times kinetic_rt >= 0, so an r.r that is NaN or infinite makes r_t
+        # NaN or infinite
+        if not math.isfinite(state.violation + state.q_t + state.r_t):
             raise BregoptError("non-finite state")
         return state.q, state.q_t, iters, state.violation
 
@@ -298,7 +314,9 @@ def _el_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
         # run loop has already done
         x, v, violation = el_step(version, config.params, manifold, x, v, k,
                                   (lambda point: rgrad) if version == 1 else riemannian_grad)
-        if not math.isfinite(float(x.dot(x)) + float(v.dot(v))):
+        # the retraction's violation stands in for x.x: it is NaN or infinite
+        # exactly when x is not finite or its Gram matrix overflows
+        if not math.isfinite(violation + float(v.dot(v))):
             raise BregoptError("non-finite state")
         return x, k * config.params.h, None, violation
 
@@ -311,7 +329,8 @@ def _rgd_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
     def advance(k, f_val, grad, rgrad):
         nonlocal x
         x, violation = rgd_step(problem.manifold, x, config.params.h, rgrad)
-        if not math.isfinite(float(x.dot(x))):
+        # the retraction's violation stands in for x.x, as in the EL stepper
+        if not math.isfinite(violation):
             raise BregoptError("non-finite state")
         return x, k * config.params.h, None, violation
 

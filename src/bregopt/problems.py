@@ -9,11 +9,13 @@ Brockett and the SVD for balanced Procrustes, both from ``numpy.linalg``.
 Each problem gives one evaluation, ``value_and_grad(q)``: the objective
 value and its ambient gradient at a flat point ``q``, computed from the work
 common to both.  The run loop calls it once per iterate and ``el_v2`` once
-more at its look-ahead point.  Points take the convention of the host
-manifold: a Stiefel point is ``X`` flattened column-major, and the Stiefel
-objectives read it row-major as ``X^T`` (``q.reshape(m, n)``, no copy), as
-the manifold's kernels do, and return the gradient ``G`` as the row-major
-flattening of ``G^T``.  Products are written ``a.dot(b)``, not ``a @ b``,
+more at its look-ahead point.  Each gradient's factor 2 lives in an array
+formed once, at construction: ``-2 A`` for Rayleigh, ``2 mu`` for Brockett
+and ``2 A`` for Procrustes, so no evaluation spends a multiply of its own on
+it.  Points take the convention of the host manifold: a Stiefel point is
+``X`` flattened column-major, and the Stiefel objectives read it row-major
+as ``X^T`` (``q.reshape(m, n)``, no copy), as the manifold's kernels do, and
+return the gradient ``G`` as the row-major flattening of ``G^T``.  Products are written ``a.dot(b)``, not ``a @ b``,
 which costs more in dispatch and gives the same bits (see ``manifolds``).
 """
 
@@ -62,16 +64,21 @@ def rayleigh(a: np.ndarray) -> ProblemSpec:
     """Rayleigh-quotient minimization of ``f(v) = -v^T A v`` on the sphere.
 
     The minimum is the negative largest eigenvalue, attained at the
-    corresponding unit eigenvector.
+    corresponding unit eigenvector.  The gradient's factor -2 is carried in
+    the matrix ``-2 A``, formed once here.  Scaling by -2 is exact, short of
+    overflow, and commutes with every rounding of the product, so the
+    gradient ``G`` is the bits of ``-2 (A v)`` and ``f = <v, G> / 2`` the
+    bits of ``-v^T (A v)``.
     """
     a = _check_symmetric(a, "A")
     n = a.shape[0]
     manifold = Sphere(n)
     values, vectors = np.linalg.eigh(a)
+    minus_two_a = -2.0 * a
 
     def value_and_grad(q):
-        aq = a.dot(q)
-        return -float(q.dot(aq)), -2.0 * aq
+        grad = minus_two_a.dot(q)
+        return 0.5 * float(q.dot(grad)), grad
 
     return ProblemSpec("rayleigh", manifold, value_and_grad,
                        oracle_value=-float(values[-1]), oracle_point=vectors[:, -1].copy())

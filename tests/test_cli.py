@@ -152,6 +152,21 @@ class TestRun:
         lines = (tmp_path / "out" / "big_p.csv").read_text().splitlines()
         assert lines[-1] == "4925,nan,nan,nan,nan,,"
 
+    def test_zero_r_t_denominator_exits_numerical(self, tmp_path, capsys):
+        from bregopt.cli import EXIT_NUMERICAL
+
+        # p_ring > p makes feedback_rt negative; at these settings the first
+        # step's 1 + feedback_rt is exactly 0
+        config = run_config(tmp_path, problem={"dims": [5], "seed": None},
+                            method={"method": "htvi_adaptive", "label": "zero", "p": 1,
+                                    "p_ring": 2, "h": 2, "c_const": 1e-9, "max_iters": 3})
+        assert main(["run", "--config", config]) == EXIT_NUMERICAL
+        assert capsys.readouterr().out == ("zero: FAILED (r_t update divides by zero at "
+                                           "time coordinate 1.0)\n")
+        lines = (tmp_path / "out" / "zero.csv").read_text().splitlines()
+        assert len(lines) == 3 and lines[1].startswith("0,")
+        assert lines[-1] == "1,nan,nan,nan,nan,,"
+
     def test_failed_block_leaves_failure_row_and_later_blocks_run(self, tmp_path):
         from bregopt.cli import EXIT_NUMERICAL
 
@@ -412,6 +427,20 @@ class TestOrderCheck:
         assert "UserWarning" not in err and "dynamics.order_check" not in err
         table = (tmp_path / "oc" / "order_check.csv").read_text()
         assert table == "h,error\nfitted_rate,nan\n"
+
+    def test_diverging_trajectory_is_a_numerical_failure(self, tmp_path, capsys):
+        from bregopt.cli import EXIT_NUMERICAL
+
+        # symplectic Euler on stiffness 9 is unstable for h > 2/3: the h = 4
+        # trajectory overflows, with no numpy warning, and nothing is fitted
+        config = order_check_config(tmp_path, h_list=[4, 2, 1], duration=2000,
+                                    expected_rate=[0.5, 1.5])
+        assert main(["order-check", "--config", config]) == EXIT_NUMERICAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("numerical failure: the trajectory at h=4.0 is not finite at "
+                       "time 2000.0\n")
+        assert not (tmp_path / "oc").exists()
 
     def test_unknown_system_is_config_error(self, tmp_path):
         config = write_config(

@@ -15,7 +15,7 @@ from bregopt.dynamics import (
     order_check,
     project_momentum,
 )
-from bregopt.errors import NewtonError
+from bregopt.errors import BregoptError, NewtonError
 from bregopt.manifolds import NEWTON_MAX_ITER, NEWTON_TOL, Sphere, Stiefel
 from bregopt.optimizers import htvi_step
 from bregopt.problems import make_instance
@@ -571,6 +571,32 @@ class TestOrderCheck:
         assert np.isnan(result.rate)
         assert result.step_sizes == [] and result.errors == []
         assert len(caught) == 3
+
+    def test_diverging_terminal_state_is_a_numerical_failure(self):
+        # symplectic Euler on stiffness 9 is unstable for h > 2/3, so the
+        # h = 4 trajectory overflows; the map's overflow and invalid-value
+        # warnings are off (the suite turns warnings into errors) and the
+        # failure names the step size before any error is formed
+        stiffness = np.array([1.0, 4.0, 9.0])
+
+        def euler(state, h):
+            q, p = state[:3], state[3:]
+            p_next = p - h * stiffness * q
+            return np.concatenate([q + h * p_next, p_next])
+
+        initial = np.array([1.0, -0.5, 0.25, 0.0, 0.3, -0.2])
+        with pytest.raises(BregoptError,
+                           match=r"^the trajectory at h=4\.0 is not finite at time 2000\.0$"):
+            order_check(euler, initial, [4.0, 2.0, 1.0], 2000.0)
+
+    def test_diverging_reference_is_a_numerical_failure(self):
+        # every trajectory overflows; the reference, at 0.025 / 100 and run
+        # first, is named
+        def growth(state, h):
+            return state * (1.0 + 1.0 / h)
+
+        with pytest.raises(BregoptError, match=r"^the trajectory at h=0\.00025 is not finite"):
+            order_check(growth, np.array([1.0, -1.0]), [0.1, 0.05, 0.025], 1.0)
 
     def test_input_validation(self):
         step = lambda state, h: state

@@ -10,7 +10,7 @@ import pytest
 from bregopt.bregman import BregmanParams, ExtendedState
 from bregopt.cli import DEFAULT_DIMS, build_problem, build_run_config
 from bregopt.errors import DimensionError, FeasibilityError, NewtonError
-from bregopt import manifolds, optimizers
+from bregopt import bregman, manifolds, optimizers
 from bregopt.manifolds import NEWTON_MAX_ITER, NEWTON_TOL, Sphere, Stiefel
 from bregopt.optimizers import METHODS, RunConfig, el_step, htvi_step, rgd_step, run
 from bregopt.problems import make_instance, rayleigh
@@ -690,6 +690,17 @@ class TestRunDriver:
         assert trace.failure_reason
         assert len(trace) < 100000
 
+    def test_zero_r_t_denominator_marks_trace_failed(self):
+        # p_ring > p makes feedback_rt = h (p - p_ring) / p_ring s^(-p_ring / p)
+        # negative, and here 1 + feedback_rt is exactly 0 at the first step
+        params = BregmanParams(p=1.0, p_ring=2.0, h=2.0, c_const=1e-9)
+        assert bregman.step_coefficients(params, 1.0, True).feedback_rt == -1.0
+        cfg = RunConfig(method="htvi_adaptive", params=params, max_iters=3)
+        trace = run(cfg, make_instance("rayleigh", (5,), seed=0))
+        assert trace.failed
+        assert trace.failure_reason == "r_t update divides by zero at time coordinate 1.0"
+        assert len(trace) == 1
+
     def test_infeasible_iterate_marks_trace_failed(self, monkeypatch):
         # a loose multiplier tolerance leaves the first Stiefel iterate off
         # the manifold; evaluating its gradient must end the run gracefully
@@ -736,21 +747,26 @@ class TestRunDriver:
         ("el_v1", "v"), ("el_v2", "x"), ("rgd", "x"),
     ])
     def test_non_finite_step_marks_trace_failed(self, method, part, bad, monkeypatch):
-        # one bad entry in one part of the new state ends the run
+        # one bad entry in one part of the new state ends the run; each part
+        # is corrupted where the step forms it, so the steppers' finiteness
+        # tests see it through the values the step reports
         def corrupt(array):
             array = array.copy()
             array[0] = bad
             return array
 
         prob = make_instance("rayleigh", (6,), seed=0)
-        if part == "q":
+        manifold = prob.manifold
+        if method.startswith("htvi") and part in ("q", "r"):
             # the HTVI position is the multiplier solve's landing, which
-            # comes with its own violation
-            manifold = prob.manifold
+            # comes with its own violation; the momentum is the step's base
+            # less the solve's normal, and r_t is formed from it
             solve = manifold.solve_multiplier
 
             def bad_solve(*args):
-                lam, normal, point, _, iters = solve(*args)
+                lam, normal, point, violation, iters = solve(*args)
+                if part == "r":
+                    return lam, corrupt(normal), point, violation, iters
                 point = corrupt(point)
                 return lam, normal, point, manifold.constraint_violation(point), iters
             monkeypatch.setattr(manifold, "solve_multiplier", bad_solve)
@@ -759,23 +775,25 @@ class TestRunDriver:
 
             def bad_step(*args):
                 state, iters = step(*args)
-                value = corrupt(state.r) if part == "r" else bad
-                return dataclasses.replace(state, **{part: value}), iters
+                return dataclasses.replace(state, **{part: bad}), iters
             monkeypatch.setattr(optimizers, "htvi_step", bad_step)
         elif method.startswith("el"):
+            # a retracted point comes with its own violation
             step = optimizers.el_step
 
             def bad_step(*args):
                 x, v, violation = step(*args)
-                return ((corrupt(x), v, violation) if part == "x"
-                        else (x, corrupt(v), violation))
+                if part == "x":
+                    x = corrupt(x)
+                    return x, v, manifold.constraint_violation(x)
+                return x, corrupt(v), violation
             monkeypatch.setattr(optimizers, "el_step", bad_step)
         else:
             step = optimizers.rgd_step
 
             def bad_step(*args):
-                x, violation = step(*args)
-                return corrupt(x), violation
+                x = corrupt(step(*args)[0])
+                return x, manifold.constraint_violation(x)
             monkeypatch.setattr(optimizers, "rgd_step", bad_step)
         trace = run(RunConfig(method=method, params=BregmanParams(p=4.0), max_iters=5), prob)
         assert trace.failed

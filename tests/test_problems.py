@@ -181,10 +181,26 @@ class TestValueAndGrad:
     product forms."""
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_gradients_round_as_the_product_forms(self, seed):
-        # (A X) 2 mu is bit-equal to ((2 A) X) N, and the hoisted 2 A^T to
-        # the per-call 2.0 * A^T
+    def test_gradients_round_as_the_product_forms(self, seed, tmp_path):
+        # (A X) 2 mu is bit-equal to ((2 A) X) N, the hoisted 2 A^T to the
+        # per-call 2.0 * A^T, and the hoisted -2 A to -2 (A v), with
+        # f = <v, G> / 2 the bits of -v^T (A v)
         rng = np.random.default_rng(seed)
+        for n in (7, 100):
+            sym = rng.standard_normal((n, n))
+            path = tmp_path / f"a{n}.txt"
+            np.savetxt(path, symmetric_instance(seed, n, conditioning=30.0), fmt="%.17g")
+            for a in (sym + sym.T, load_matrix(path)):
+                for scale in (1.0, 1e150, 1e-150):
+                    a_scaled = scale * a
+                    prob = rayleigh(a_scaled)
+                    for radius in (1.0, 1.3):  # on the sphere and off it
+                        for _ in range(10):
+                            q = radius * prob.manifold.random_point(rng)
+                            f_val, grad = prob.value_and_grad(q)
+                            aq = a_scaled @ q
+                            assert float.hex(f_val) == float.hex(-float(q @ aq))
+                            assert bits(grad) == bits(-2.0 * aq)
         sym = rng.standard_normal((20, 20))
         a_sym = sym + sym.T
         mu = np.arange(1.0, 6.0)

@@ -23,6 +23,11 @@ than the reduction at these sizes (5.9 against 4.2 microseconds for the
 Procrustes ``value_and_grad``, 1.0 against 0.3 for ``any`` of a length-100
 vector), so they stay out of ``manifolds``, ``optimizers``, ``bregman`` and
 the ``value_and_grad`` closures of ``problems``.
+
+Each stepper's finiteness test reads scalars its step has already formed:
+the violation the kernel reported in place of ``x.x`` and, for HTVI, ``r_t``
+in place of ``r.r``.  So the ``advance`` closures of ``optimizers`` take one
+inner product, the EL velocity's ``v.v``, which no step forms.
 """
 
 import ast
@@ -102,4 +107,21 @@ def test_no_wrapped_reductions_on_the_step_path():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr in WRAPPED_REDUCTIONS]
     assert not calls, ("use the ufunc's reduce or np.count_nonzero instead of "
+                       + "; ".join(calls))
+
+
+def test_advance_closures_dot_only_the_velocity():
+    path = Path(bregopt.__file__).parent / "optimizers.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    closures = {outer.name: node for outer in tree.body
+                if isinstance(outer, ast.FunctionDef)
+                for node in ast.walk(outer)
+                if isinstance(node, ast.FunctionDef) and node.name == "advance"}
+    assert sorted(closures) == ["_el_stepper", "_htvi_stepper", "_rgd_stepper"]
+    calls = [f"{name} line {node.lineno}: {ast.unparse(node)}"
+             for name, closure in closures.items() for node in ast.walk(closure)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "dot"
+             and ast.unparse(node) != "v.dot(v)"]
+    assert not calls, ("read the step's violation or r_t instead of forming "
                        + "; ".join(calls))
