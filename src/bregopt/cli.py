@@ -281,21 +281,16 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, str):
         return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    if isinstance(x, int):
+        return str(x)
     return f"{float(x):.17g}"
 
 
 def _trace_lines(trace: Trace, prefix: tuple = ()) -> list[str]:
     """CSV lines of one trace; a failed run gains a trailing all-nan failure row."""
-    rows = [
-        prefix + row
-        for row in zip(trace.ks, trace.ts, trace.fs, trace.grad_norms,
-                       trace.constraint_violations, trace.errors_vs_oracle,
-                       trace.newton_iters)
-    ]
+    rows = [prefix + row for row in trace.rows]
     if trace.failed:
-        next_k = (trace.ks[-1] + 1) if trace.ks else 0
+        next_k = (trace.rows[-1][0] + 1) if trace.rows else 0
         rows.append(prefix + (next_k, math.nan, math.nan, math.nan, math.nan, None, None))
     return [",".join(_fmt(v) for v in row) for row in rows]
 
@@ -443,7 +438,7 @@ def _report(label: str, trace: Trace) -> None:
     if trace.failed:
         print(f"{label}: FAILED ({trace.failure_reason})")
     else:
-        print(f"{label}: {len(trace) - 1} iterations, final f = {trace.fs[-1]:.6e}")
+        print(f"{label}: {len(trace) - 1} iterations, final f = {trace.rows[-1][2]:.6e}")
 
 
 def cmd_run(config_path: str, out_override: str | None = None) -> int:
@@ -474,14 +469,14 @@ def cmd_compare(config_path: str, out_override: str | None = None) -> int:
     series = []
     failed = False
     has_oracle = problem.oracle_value is not None
+    column = 5 if has_oracle else 2  # the gap, or f without an oracle
     for run_config, label in zip(run_configs, labels):
         trace = optimizers.run(run_config, problem, initial)
         lines.extend(_trace_lines(trace, (label,)))
         _report(label, trace)
         failed = failed or trace.failed
-        values = list(trace.errors_vs_oracle if has_oracle else trace.fs)
-        pairs = [(k, v) for k, v in zip(trace.ks, values) if v is not None]
-        series.append((label, [k for k, _ in pairs], [v for _, v in pairs]))
+        plotted = [row for row in trace.rows if row[column] is not None]
+        series.append((label, [row[0] for row in plotted], [row[column] for row in plotted]))
     _write_csv(out_dir / "compare.csv", ("method",) + CSV_COLUMNS, lines)
     if plot:
         ylabel = "f - oracle" if has_oracle else "f"

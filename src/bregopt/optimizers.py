@@ -22,19 +22,13 @@ One loop then gates each iterate on that violation, evaluates it once
 (``ProblemSpec.value_and_grad`` for the objective and its ambient gradient,
 the manifold's ``tangent_project`` for the Riemannian gradient), records the
 row, tests the stop and turns any step or evaluation failure into a failed
-trace, so every method is recorded, stopped and failed alike.  A step that
-leaves a NaN or an infinity in its state fails as "non-finite state".  Each
-stepper's finiteness test reads scalars its step has already formed, and
-squares no point: the violation the step reported stands in for ``q.q``, as
-it is NaN or infinite exactly when the point is not finite or its Gram
-matrix overflows.  The HTVI test also reads ``r_t``, which holds ``r.r``
-times a nonnegative coefficient and so stands in for it; the EL test adds
-the velocity's ``v.v``, which no step forms.  The HTVI solve forms the Gram
-matrix under its own ``np.errstate``, so an overflowing landing fails as
-"non-finite state" with no warning; a Stiefel point whose squared norm
-overflows while its Gram matrix stays finite fails the feasibility gate
-instead.  Traces accumulate locally, so independent runs may execute
-concurrently; a single run is sequential.
+trace, so every method is recorded, stopped and failed alike.  An iterate
+whose objective or gradient norm is not finite fails before its row is
+recorded, and a step that leaves a NaN or an infinity in its state fails as
+"non-finite state".  The loop runs under one ``np.errstate(all="ignore")``:
+those tests and the feasibility gate classify every overflow, so no numpy
+warning leaves a run.  Traces accumulate locally, so independent runs may
+execute concurrently; a single run is sequential.
 Inner products are written ``x.dot(y)``, not ``x @ y``, which costs more in
 dispatch and gives the same bits (see ``manifolds``).
 """
@@ -89,42 +83,44 @@ class RunConfig:
             raise ValueError("stopping tolerances must be positive")
 
 
+def _column(index: int) -> property:
+    return property(lambda self: [row[index] for row in self.rows])
+
+
 class Trace:
     """Per-iteration record of an optimizer run.
 
-    Columns are parallel lists indexed by row; ``errors_vs_oracle`` entries
-    are ``None`` when the problem has no oracle and ``newton_iters`` entries
-    are ``None`` for methods without an inner solve.
+    ``rows`` holds one tuple per recorded iterate, ``(k, t, f, grad_norm,
+    violation, gap, newton_iters)``: an ``int``, four ``float``, the oracle
+    gap ``f - oracle_value`` as a ``float`` (``None`` without an oracle) and
+    the multiplier solve's ``int`` iteration count (``None`` for methods
+    without one).  ``failure_reason`` is the text of the error that ended a
+    failed run, ``None`` otherwise.  The columns ``ks`` ... ``newton_iters``
+    are read-only lists built from ``rows`` on each access.
     """
 
+    ks = _column(0)
+    ts = _column(1)
+    fs = _column(2)
+    grad_norms = _column(3)
+    constraint_violations = _column(4)
+    errors_vs_oracle = _column(5)
+    newton_iters = _column(6)
+
     def __init__(self):
-        self.ks: list[int] = []
-        self.ts: list[float] = []
-        self.fs: list[float] = []
-        self.grad_norms: list[float] = []
-        self.constraint_violations: list[float] = []
-        self.errors_vs_oracle: list[float | None] = []
-        self.newton_iters: list[int | None] = []
-        self.failed = False
+        self.rows: list[tuple] = []
         self.failure_reason: str | None = None
 
-    def append(self, k, t, f, grad_norm, constraint_violation, error_vs_oracle, newton_iters):
-        self.ks.append(int(k))
-        self.ts.append(float(t))
-        self.fs.append(float(f))
-        self.grad_norms.append(float(grad_norm))
-        self.constraint_violations.append(float(constraint_violation))
-        self.errors_vs_oracle.append(
-            None if error_vs_oracle is None else float(error_vs_oracle)
-        )
-        self.newton_iters.append(None if newton_iters is None else int(newton_iters))
+    @property
+    def failed(self) -> bool:
+        return self.failure_reason is not None
 
     def __len__(self):
-        return len(self.ks)
+        return len(self.rows)
 
     def iterations_to_gap(self, gap: float) -> int | None:
         """First iteration index whose oracle gap is at most ``gap``."""
-        for k, err in zip(self.ks, self.errors_vs_oracle):
+        for k, _, _, _, _, err, _ in self.rows:
             if err is not None and err <= gap:
                 return k
         return None
@@ -303,6 +299,7 @@ def _htvi_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
 def _el_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
     version = 1 if config.method == "el_v1" else 2
     manifold = problem.manifold
+    h = float(config.params.h)
     x, v = q0.copy(), np.zeros_like(q0)
 
     def riemannian_grad(point):
@@ -318,21 +315,22 @@ def _el_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
         # exactly when x is not finite or its Gram matrix overflows
         if not math.isfinite(violation + float(v.dot(v))):
             raise BregoptError("non-finite state")
-        return x, k * config.params.h, None, violation
+        return x, k * h, None, violation
 
     return x, 0.0, advance
 
 
 def _rgd_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
     x = q0.copy()
+    h = float(config.params.h)
 
     def advance(k, f_val, grad, rgrad):
         nonlocal x
-        x, violation = rgd_step(problem.manifold, x, config.params.h, rgrad)
+        x, violation = rgd_step(problem.manifold, x, h, rgrad)
         # the retraction's violation stands in for x.x, as in the EL stepper
         if not math.isfinite(violation):
             raise BregoptError("non-finite state")
-        return x, k * config.params.h, None, violation
+        return x, k * h, None, violation
 
     return x, 0.0, advance
 
@@ -349,10 +347,12 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
     is not), and it is the one recorded.  Each iterate is then evaluated
     once: ``problem.value_and_grad`` gives the objective and its ambient
     gradient, and the manifold's ``tangent_project`` the Riemannian
-    gradient.  The same values are recorded and passed to the next step.
-    A :class:`BregoptError` raised by a step, by the feasibility gate or
-    while evaluating an iterate, an infeasible initial point included,
-    marks the trace as failed and ends the run gracefully.
+    gradient.  An objective or gradient norm that is not finite fails the
+    run before the row is recorded; otherwise the same values are recorded
+    and passed to the next step.  A :class:`BregoptError` raised by a step,
+    by the feasibility gate or while evaluating an iterate, an infeasible
+    initial point included, sets the trace's ``failure_reason`` and ends
+    the run gracefully.
 
     Raises:
         DimensionError: ``initial`` is not a vector of length
@@ -373,25 +373,27 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
     trace = Trace()
     # bound once: the loop reads them on every row
     value_and_grad, tangent_project = problem.value_and_grad, manifold.tangent_project
-    append, oracle_value = trace.append, problem.oracle_value
+    append, oracle_value = trace.rows.append, problem.oracle_value
     stop_grad_tol, stop_f_tol = config.stop_grad_tol, config.stop_f_tol
     max_iters = config.max_iters
-    k, newton_iters, violation = 0, None, manifold.constraint_violation(q0)
-    try:
-        while True:
-            _check_feasible(manifold, violation)
-            f_val, grad = value_and_grad(point)
-            rgrad = tangent_project(point, grad)
-            grad_norm = math.sqrt(float(rgrad.dot(rgrad)))
-            gap = None if oracle_value is None else f_val - oracle_value
-            append(k, t, f_val, grad_norm, violation, gap, newton_iters)
-            if (grad_norm <= stop_grad_tol
-                    or (gap is not None and gap <= stop_f_tol)
-                    or k == max_iters):
-                return trace
-            k += 1
-            point, t, newton_iters, violation = advance(k, f_val, grad, rgrad)
-    except BregoptError as exc:
-        trace.failed = True
-        trace.failure_reason = str(exc)
-        return trace
+    with np.errstate(all="ignore"):
+        k, newton_iters, violation = 0, None, manifold.constraint_violation(q0)
+        try:
+            while True:
+                _check_feasible(manifold, violation)
+                f_val, grad = value_and_grad(point)
+                rgrad = tangent_project(point, grad)
+                grad_norm = math.sqrt(float(rgrad.dot(rgrad)))
+                if not (math.isfinite(f_val) and math.isfinite(grad_norm)):
+                    raise BregoptError(f"non-finite objective or gradient norm at k={k}")
+                gap = None if oracle_value is None else f_val - oracle_value
+                append((k, t, f_val, grad_norm, violation, gap, newton_iters))
+                if (grad_norm <= stop_grad_tol
+                        or (gap is not None and gap <= stop_f_tol)
+                        or k == max_iters):
+                    return trace
+                k += 1
+                point, t, newton_iters, violation = advance(k, f_val, grad, rgrad)
+        except BregoptError as exc:
+            trace.failure_reason = str(exc)
+            return trace

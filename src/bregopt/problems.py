@@ -21,6 +21,7 @@ which costs more in dispatch and gives the same bits (see ``manifolds``).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,9 +56,27 @@ def _check_symmetric(a: np.ndarray, label: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{label} must be a square matrix")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{label} must be finite")
     if np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, np.max(np.abs(a))):
         raise ValueError(f"{label} must be symmetric")
     return a
+
+
+def _scaled(factor: float, a: np.ndarray, label: str) -> np.ndarray:
+    """``factor * a``, with no warning; a ``ValueError`` names ``label``
+    when the product is not finite."""
+    with np.errstate(over="ignore"):
+        scaled = factor * a
+    if not np.all(np.isfinite(scaled)):
+        raise ValueError(f"{label} is out of range: {factor:g} {label} is not finite")
+    return scaled
+
+
+def _finite_oracle(value: float, label: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{label} is out of range: the optimal value is not finite")
+    return value
 
 
 def rayleigh(a: np.ndarray) -> ProblemSpec:
@@ -68,13 +87,13 @@ def rayleigh(a: np.ndarray) -> ProblemSpec:
     the matrix ``-2 A``, formed once here.  Scaling by -2 is exact, short of
     overflow, and commutes with every rounding of the product, so the
     gradient ``G`` is the bits of ``-2 (A v)`` and ``f = <v, G> / 2`` the
-    bits of ``-v^T (A v)``.
+    bits of ``-v^T (A v)``.  ``A`` must be finite, and so must ``-2 A``.
     """
     a = _check_symmetric(a, "A")
     n = a.shape[0]
     manifold = Sphere(n)
     values, vectors = np.linalg.eigh(a)
-    minus_two_a = -2.0 * a
+    minus_two_a = _scaled(-2.0, a, "A")
 
     def value_and_grad(q):
         grad = minus_two_a.dot(q)
@@ -91,7 +110,7 @@ def brockett(a: np.ndarray, n_diag: np.ndarray) -> ProblemSpec:
     minimizer's columns are eigenvectors of the smallest eigenvalues of
     ``A``, with the largest weight paired with the smallest eigenvalue, so
     the optimal value is ``sum_j mu_j * lambda_{m - j + 1}`` for ascending
-    eigenvalues ``lambda``.
+    eigenvalues ``lambda``.  ``A`` and the optimal value must be finite.
     """
     a = _check_symmetric(a, "A")
     mu = np.asarray(n_diag, dtype=float)
@@ -113,8 +132,10 @@ def brockett(a: np.ndarray, n_diag: np.ndarray) -> ProblemSpec:
         # f = trace(X^T A X N) = <G, X> / 2, and G^T and X^T share the flat order
         return 0.5 * float(grad.dot(q)), grad
 
+    with np.errstate(over="ignore"):
+        oracle_value = float(np.sum(mu * values[m - 1 :: -1]))
     return ProblemSpec("brockett", manifold, value_and_grad,
-                       oracle_value=float(np.sum(mu * values[m - 1 :: -1])),
+                       oracle_value=_finite_oracle(oracle_value, "A"),
                        oracle_point=manifold.from_matrix(vectors[:, m - 1 :: -1]))
 
 
@@ -124,7 +145,8 @@ def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
     Requires ``A (l x n)`` and ``B (l x m)`` with ``l >= n`` and ``l > m``.
     In the balanced case ``n = m`` the global solution ``X* = U V^T`` comes
     from the SVD ``B^T A = U S V^T``; the unbalanced case has no closed-form
-    oracle and only descent trends can be checked.
+    oracle and only descent trends can be checked.  ``2 A`` must be finite,
+    and so must the optimal value when there is an oracle.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -137,7 +159,7 @@ def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
     if n < m:
         raise ValueError("procrustes requires n >= m for the Stiefel domain")
     manifold = Stiefel(n, m)
-    two_a = 2.0 * a
+    two_a = _scaled(2.0, a, "A")
 
     def value_and_grad(q):
         res = a.dot(q.reshape(m, n).T)
@@ -151,9 +173,10 @@ def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
     if n == m:
         # Minimizing |AX - B|_F^2 over O(n) maximizes trace(X^T A^T B); the
         # maximizer is U V^T from the SVD of A^T B.
-        u, _, vt = np.linalg.svd(a.T.dot(b))
-        oracle_point = manifold.from_matrix(u.dot(vt))
-        oracle_value = value_and_grad(oracle_point)[0]
+        with np.errstate(all="ignore"):
+            u, _, vt = np.linalg.svd(a.T.dot(b))
+            oracle_point = manifold.from_matrix(u.dot(vt))
+            oracle_value = _finite_oracle(value_and_grad(oracle_point)[0], "A or B")
     return ProblemSpec("procrustes", manifold, value_and_grad, oracle_value, oracle_point)
 
 
@@ -176,7 +199,11 @@ def symmetric_instance(seed: int, n: int, conditioning: float = 10.0) -> np.ndar
     if not 1.0 <= conditioning < np.inf:
         raise ValueError(f"conditioning must be >= 1 and finite, not {conditioning}")
     rng = np.random.default_rng(seed)
-    return symmetric_from_spectrum(rng, np.linspace(1.0, conditioning, n))
+    # linspace's interior products may overflow near the float limit; the
+    # entries stay finite, as the last is set to ``conditioning`` itself
+    with np.errstate(over="ignore"):
+        spectrum = np.linspace(1.0, conditioning, n)
+    return symmetric_from_spectrum(rng, spectrum)
 
 
 # Most entries the largest matrix of a drawn instance may have: n x n for

@@ -53,9 +53,9 @@ def outcome(name, method, seed, digest):
     if trace.failed:
         # the step that failed follows the last recorded iterate
         return "F", len(trace), trace.failure_reason
-    reached = (trace.errors_vs_oracle[-1] <= TARGET if has_oracle
-               else trace.grad_norms[-1] <= TARGET)
-    return ("S" if reached else "U"), trace.ks[-1], ""
+    k, _, _, grad_norm, _, gap, _ = trace.rows[-1]
+    reached = gap <= TARGET if has_oracle else grad_norm <= TARGET
+    return ("S" if reached else "U"), k, ""
 
 
 def main():

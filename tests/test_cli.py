@@ -167,6 +167,21 @@ class TestRun:
         assert len(lines) == 3 and lines[1].startswith("0,")
         assert lines[-1] == "1,nan,nan,nan,nan,,"
 
+    def test_overflowing_gradient_exits_numerical_without_warning(self, tmp_path, capsys):
+        from bregopt.cli import EXIT_NUMERICAL
+
+        # the Riemannian gradient's square overflows at the start point; the
+        # run fails there, and no numpy RuntimeWarning reaches stderr (the
+        # suite turns warnings into errors)
+        config = run_config(tmp_path, problem={"dims": [2], "conditioning": 1e308},
+                            method={"stop_f_tol": 1e-300})
+        assert main(["run", "--config", config]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == "rgd_0: FAILED (non-finite objective or gradient norm at k=0)\n"
+        assert captured.err == ""
+        lines = (tmp_path / "out" / "rgd_0.csv").read_text().splitlines()
+        assert lines[1:] == ["0,nan,nan,nan,nan,,"]
+
     def test_failed_block_leaves_failure_row_and_later_blocks_run(self, tmp_path):
         from bregopt.cli import EXIT_NUMERICAL
 
@@ -567,6 +582,24 @@ class TestMalformedConfig:
             assert_config_error(capsys, [command, "--config", config], phrase)
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_instance_is_named(self, tmp_path, capsys, monkeypatch):
+        # before the check the rayleigh run warned and recorded f = -inf with
+        # exit 0, and the procrustes oracle warned while it was built
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(5)
+        np.savetxt("a.txt", rng.standard_normal((6, 3)) * 1e200)
+        np.savetxt("b.txt", rng.standard_normal((6, 3)))
+        for problem, phrase in [
+            ({"dims": [5], "seed": 0, "conditioning": 1.79e308},
+             "bad problem block: A is out of range: -2 A is not finite"),
+            ({"name": "procrustes", "file": "a.txt", "file_b": "b.txt", "dims": None},
+             "bad problem matrix input: A or B is out of range: the optimal value is "
+             "not finite"),
+        ]:
+            config = run_config(tmp_path, problem=problem)
+            assert_config_error(capsys, ["run", "--config", config], phrase)
+        assert not (tmp_path / "out").exists()
+
     # The dims are checked before anything is drawn.  Before that check the
     # first three gave a traceback (numpy refused the 8 TiB and 2.2 TiB
     # arrays, and np.linspace raised IndexError) and the last three numpy's
@@ -818,3 +851,4 @@ class TestFloatFormatting:
         assert float(_fmt(value)) == value
         assert _fmt(None) == ""
         assert _fmt(7) == "7"
+        assert _fmt(np.int64(7)) == "7"  # the float branch prints the same digits

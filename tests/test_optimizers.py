@@ -846,6 +846,48 @@ class TestRunDriver:
         assert trace.failure_reason == "non-finite state"
         assert len(trace) == 1
 
+    def test_el_velocity_whose_square_overflows_fails_without_warning(self, monkeypatch):
+        # v.v overflows: the run's errstate keeps numpy's warning in (the
+        # suite turns warnings into errors), and the EL finiteness test ends
+        # the run as a non-finite state
+        prob = make_instance("rayleigh", (4,), seed=0)
+        step = optimizers.el_step
+
+        def fast_step(*args):
+            x, v, violation = step(*args)
+            return x, np.full_like(v, 1e200), violation
+        monkeypatch.setattr(optimizers, "el_step", fast_step)
+        trace = run(RunConfig(method="el_v1", params=BregmanParams(p=4.0), max_iters=5), prob)
+        assert trace.failure_reason == "non-finite state"
+        assert len(trace) == 1
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_overflowing_gradient_norm_fails_before_its_row(self, method):
+        # the Riemannian gradient's square overflows at the start point;
+        # without the test the row held grad_norm = inf and the run failed a
+        # step later, as an infeasible point or a non-finite state
+        prob = make_instance("rayleigh", (5,), seed=0, conditioning=8e307)
+        trace = run(RunConfig(method=method, params=BregmanParams(p=6.0)), prob)
+        assert trace.failure_reason == "non-finite objective or gradient norm at k=0"
+        assert trace.rows == []
+
+    @pytest.mark.parametrize("bad", ["f", "grad"])
+    def test_non_finite_objective_or_gradient_fails_before_its_row(self, bad):
+        # the fourth evaluation, at k = 3, returns a NaN objective or gradient
+        prob = make_instance("rayleigh", (5,), seed=0)
+        value_and_grad, calls = prob.value_and_grad, []
+
+        def evaluate(q):
+            f, grad = value_and_grad(q)
+            calls.append(q)
+            if len(calls) == 4:
+                return (math.nan, grad) if bad == "f" else (f, grad * math.nan)
+            return f, grad
+        cfg = RunConfig(method="rgd", params=BregmanParams(p=2.0, h=0.1), max_iters=10)
+        trace = run(cfg, dataclasses.replace(prob, value_and_grad=evaluate))
+        assert trace.failure_reason == "non-finite objective or gradient norm at k=3"
+        assert trace.ks == [0, 1, 2]
+
     @pytest.mark.parametrize("name,dims", [("rayleigh", (6,)), ("brockett", (6, 2))])
     def test_wrong_length_initial_point_raises(self, name, dims):
         prob = make_instance(name, dims, seed=0)
@@ -987,6 +1029,45 @@ class TestRunDriver:
         # a NaN tolerance would never stop a run
         with pytest.raises(ValueError):
             RunConfig(method="rgd", params=BregmanParams(p=2.0), **{field: math.nan})
+
+
+
+class TestTraceRows:
+    """A trace row is a tuple of Python numbers, whatever numeric types the
+    parameters were given in."""
+
+    @pytest.mark.parametrize("params", [
+        BregmanParams(p=6.0),
+        BregmanParams(p=6, c_const=1, lambda_conv=1, coeff_cap=10**6),
+        BregmanParams(p=6, h=1),
+    ], ids=["floats", "int_constants", "int_step"])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name,dims", [("rayleigh", (5,)), ("procrustes", (5, 2, 6))])
+    def test_rows_hold_exact_types(self, name, dims, method, params):
+        prob = make_instance(name, dims, seed=0)
+        cfg = RunConfig(method=method, params=params, max_iters=3,
+                        stop_f_tol=1e-300, stop_grad_tol=1e-300)
+        trace = run(cfg, prob)
+        # HTVI finds no multiplier for a step of length 1 and fails at once
+        assert len(trace.rows) == (1 if params.h == 1 and method.startswith("htvi") else 4)
+        gap = type(None) if prob.oracle_value is None else float
+        for row in trace.rows:
+            assert type(row) is tuple
+            iters = int if method.startswith("htvi") and row[0] > 0 else type(None)
+            assert ([type(value) for value in row]
+                    == [int, float, float, float, float, gap, iters])
+
+    def test_columns_are_read_only_views_of_the_rows(self):
+        prob = make_instance("brockett", (5, 2), seed=0)
+        trace = run(RunConfig(method="htvi_direct", params=BregmanParams(p=6.0),
+                              max_iters=4), prob)
+        columns = (trace.ks, trace.ts, trace.fs, trace.grad_norms,
+                   trace.constraint_violations, trace.errors_vs_oracle, trace.newton_iters)
+        assert list(zip(*columns)) == trace.rows
+        assert not trace.failed
+        for name in ("ks", "fs", "newton_iters", "failed"):
+            with pytest.raises(AttributeError):
+                setattr(trace, name, [])
 
 
 class TestRowMajorHotPath:

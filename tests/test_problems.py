@@ -119,6 +119,43 @@ class TestProcrustes:
             procrustes(rng.standard_normal((5, 2)), rng.standard_normal((5, 3)))
 
 
+
+class TestOutOfRange:
+    """An instance whose scaled matrix or optimal value overflows is a
+    ``ValueError`` naming ``A``; building one raises no numpy warning (the
+    suite turns warnings into errors)."""
+
+    def test_rayleigh_whose_doubled_matrix_overflows(self):
+        # before this check -2 A warned and a run recorded f = -inf
+        with pytest.raises(ValueError, match="A is out of range: -2 A is not finite"):
+            make_instance("rayleigh", (5,), seed=0, conditioning=1.79e308)
+
+    def test_brockett_whose_optimal_value_overflows(self):
+        with pytest.raises(ValueError, match="A is out of range: the optimal value"):
+            make_instance("brockett", (4, 3), seed=0, conditioning=1.7e308)
+
+    def test_procrustes_whose_doubled_matrix_overflows(self):
+        with pytest.raises(ValueError, match="A is out of range: 2 A is not finite"):
+            procrustes(np.full((6, 2), 1e308), np.ones((6, 1)))
+
+    def test_procrustes_whose_optimal_value_overflows(self):
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError, match="A or B is out of range: the optimal value"):
+            procrustes(rng.standard_normal((6, 3)) * 1e200, rng.standard_normal((6, 3)))
+
+    @pytest.mark.parametrize("build", [rayleigh, lambda a: brockett(a, [1.0, 2.0])])
+    def test_non_finite_symmetric_matrix(self, build):
+        # a NaN passed the symmetry test, which no comparison with NaN fails
+        with pytest.raises(ValueError, match="A must be finite"):
+            build(np.diag([1.0, np.nan, 3.0]))
+
+    def test_largest_conditioning_draws_a_finite_matrix(self):
+        # the spectrum's interior products overflow at the float limit; its
+        # last entry is the limit itself
+        a = symmetric_instance(0, 4, np.finfo(float).max)
+        assert np.all(np.isfinite(a))
+
+
 class TestGradientConsistency:
     @pytest.mark.parametrize(
         "name,dims",
