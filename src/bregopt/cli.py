@@ -67,11 +67,12 @@ reported as one ``order-check: <message>`` line on stderr; with fewer than
 two points left the rate is ``nan`` and the check fails.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 order-check acceptance failure.  A numerical failure is a ``run`` or
-``compare`` method whose trace failed, or an ``order-check`` trajectory,
-the reference or one at a listed step size, that does not stay finite; the
-latter prints one ``numerical failure: ...`` line naming the step size and
-writes no CSV.
+3 order-check acceptance failure.  An output that cannot be written, such
+as a CSV whose path is a directory, is a configuration error.  A numerical
+failure is a ``run`` or ``compare`` method whose trace failed, or an
+``order-check`` trajectory, the reference or one at a listed step size,
+that does not stay finite or whose step fails; the latter prints one
+``numerical failure: ...`` line naming the step size and writes no CSV.
 """
 
 from __future__ import annotations
@@ -295,20 +296,23 @@ def _trace_lines(trace: Trace, prefix: tuple = ()) -> list[str]:
     return [",".join(_fmt(v) for v in row) for row in rows]
 
 
-def _write_csv(path: Path, header: tuple, lines: list[str]) -> None:
-    path.write_text(",".join(header) + "\n" + "\n".join(lines) + "\n", encoding="utf-8")
+def _csv(header: tuple, lines: list[str]) -> str:
+    return ",".join(header) + "\n" + "\n".join(lines) + "\n"
 
 
-def write_trace_csv(path: Path, trace: Trace) -> None:
-    """Write one trace; a failed run gains a trailing all-nan failure row."""
-    _write_csv(path, CSV_COLUMNS, _trace_lines(trace))
+def _write(path: Path, text: str) -> None:
+    """Write one output file; a path that cannot be written is a config error."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _PLOT_FLOOR = 1e-16
 
 
-def write_convergence_svg(path: Path, series, ylabel: str) -> None:
+def convergence_svg(series, ylabel: str) -> str:
     """Hand-emitted SVG: iteration on x, log10 of the quantity on y.
 
     ``series`` is a list of ``(label, ks, values)`` triples; values are
@@ -397,7 +401,7 @@ def write_convergence_svg(path: Path, series, ylabel: str) -> None:
             f'<text x="{lx + 28:.2f}" y="{ly:.2f}" font-size="12">{label}</text>'
         )
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    return "\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +453,7 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
     failed = False
     for run_config, label in zip(run_configs, labels):
         trace = optimizers.run(run_config, problem, initial)
-        write_trace_csv(out_dir / f"{label}.csv", trace)
+        _write(out_dir / f"{label}.csv", _csv(CSV_COLUMNS, _trace_lines(trace)))
         _report(label, trace)
         failed = failed or trace.failed
     return EXIT_NUMERICAL if failed else EXIT_OK
@@ -477,10 +481,10 @@ def cmd_compare(config_path: str, out_override: str | None = None) -> int:
         failed = failed or trace.failed
         plotted = [row for row in trace.rows if row[column] is not None]
         series.append((label, [row[0] for row in plotted], [row[column] for row in plotted]))
-    _write_csv(out_dir / "compare.csv", ("method",) + CSV_COLUMNS, lines)
+    _write(out_dir / "compare.csv", _csv(("method",) + CSV_COLUMNS, lines))
     if plot:
         ylabel = "f - oracle" if has_oracle else "f"
-        write_convergence_svg(out_dir / "compare.svg", series, ylabel)
+        _write(out_dir / "compare.svg", convergence_svg(series, ylabel))
     return EXIT_NUMERICAL if failed else EXIT_OK
 
 
@@ -567,7 +571,7 @@ def cmd_order_check(config_path: str, out_override: str | None = None) -> int:
     rows = ["h,error"]
     rows += [f"{_fmt(h)},{_fmt(e)}" for h, e in zip(result.step_sizes, result.errors)]
     rows.append(f"fitted_rate,{_fmt(result.rate)}")
-    (out_dir / "order_check.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write(out_dir / "order_check.csv", "\n".join(rows) + "\n")
 
     ok = lo <= result.rate <= hi  # a NaN rate (no fit) fails it
     status = "pass" if ok else "fail"

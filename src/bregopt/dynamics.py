@@ -138,9 +138,13 @@ def _integrate(step_map: StepMap, state: Array, h: float, n_steps: int) -> Array
     # a diverging trajectory overflows to inf and NaN without a warning;
     # order_check tests the state it ends in
     x = np.asarray(state, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
-            x = step_map(x, h)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(n_steps):
+                x = step_map(x, h)
+    except BregoptError as exc:
+        raise BregoptError(f"the trajectory at h={h!r} fails at time {step * h!r}: "
+                           f"{exc}") from exc
     return x
 
 
@@ -168,8 +172,8 @@ def order_check(
     diverges is a numerical failure, not a fit.
 
     Raises:
-        BregoptError: the reference or a terminal state is not finite; the
-            message names the step size.
+        BregoptError: the reference or a terminal state is not finite, or a
+            step of the map raises one; the message names the step size.
     """
     h_list = [float(h) for h in h_list]
     if len(h_list) < 3:

@@ -4,8 +4,7 @@ Each manifold is described by a constraint map ``C`` whose zero level set is
 the manifold.  Its operations are one method each, called alike by the
 integrators, the optimizers and the tests:
 
-* ``constraint`` and ``constraint_violation``: ``C(q)`` and its infinity
-  norm;
+* ``constraint_violation``: the infinity norm of ``C(q)``;
 * ``solve_multiplier``: the Lagrange-multiplier solve of the HTVI step,
   which places a drifted point back on the manifold (on the sphere the
   small root of a scalar quadratic, on the Stiefel manifold an m x m
@@ -28,11 +27,10 @@ throughout, so cotangent vectors are identified with tangent vectors
 component-wise.
 
 Inputs are checked where they enter the program, not on every call:
-``constraint`` checks the length of its point, and ``optimizers.run`` checks
-the start point and raises :class:`~bregopt.errors.FeasibilityError` when an
-iterate's violation, the one its step reported, exceeds ``FEAS_TOL`` (or is
-NaN).  The other operations take points the steppers built and check
-nothing.
+``optimizers.run`` checks the length of the start point and raises
+:class:`~bregopt.errors.FeasibilityError` when an iterate's violation, the
+one its step reported, exceeds ``FEAS_TOL`` (or is NaN).  The operations
+take points the steppers built and check nothing.
 
 Points and tangent vectors are flat 1-D arrays of length ``ambient_dim``.
 Stiefel points are n x m matrices ``X`` with orthonormal columns, flattened
@@ -42,50 +40,10 @@ view a flat vector as ``X^T`` with ``reshape(m, n)``, which copies nothing,
 write each product transposed (``X S`` as ``S X^T``), and flatten their
 ``X^T``-shaped results with ``reshape(-1)``.  :meth:`Stiefel.from_matrix`
 flattens an ``X`` built outside the per-iteration path (start points,
-oracles and the Householder fallback of the retraction), and
-:meth:`Stiefel.as_matrix` views a flat point as ``X``.
+oracles and the Householder fallback of the retraction).
 
-The Stiefel retraction is the Q factor of ``X + V`` with a positive R
-diagonal (Absil, Mahony & Sepulchre 2008, sec. 4.1.1), computed as
-CholeskyQR (Fukaya et al. 2014): ``Q = W L^{-T}`` with ``L = chol(W^T W)``.
-It is accepted only when the Cholesky factorization succeeds, ``L``'s
-diagonal passes the rank threshold and ``Q`` is orthonormal to
-``RETRACT_ORTH_TOL``; otherwise Householder QR gives ``Q``, and a
-rank-deficient ``X + V`` raises :class:`RetractionError`.  ``L`` and
-``L^{-1} W^T`` come straight from the LAPACK gufuncs behind
-``np.linalg.cholesky`` and ``np.linalg.solve``,
-``numpy.linalg._umath_linalg.cholesky_lo(g, signature="d->d")`` and
-``solve(low, wt, signature="dd->d")``, called as the wrappers call them, so
-the bits are theirs; a failed factorization comes back NaN instead of
-raising ``LinAlgError``, and NaN fails the rank test.
-
-Every product is written ``a.dot(b)``, never ``a @ b``; every reduction
-of the per-iteration path is a ufunc's own ``reduce``
-(``np.maximum.reduce(x, axis=None)``, ``np.minimum.reduce``,
-``np.add.reduce``), never ``x.max()`` or ``np.sum(x)``; and every test for
-a nonzero entry is ``np.count_nonzero(x)``, never ``x.any()``.  At these
-sizes the cost is numpy's call overhead, not arithmetic: ``@`` is the
-``matmul`` ufunc, whose dispatch costs more than the BLAS call it makes,
-and ``ndarray.max``, ``np.sum`` and ``ndarray.any`` go through a Python
-wrapper before they reach the same reduction.  With one BLAS thread a
-5 x 20 by 20 x 5 product takes about 1.4 microseconds through ``@`` and
-0.8 through ``.dot``, ``S X^T`` (5 x 5 by 5 x 20) 0.9 and 0.4, a
-length-100 dot product 0.9 and 0.4, and the maximum of a 5 x 5 array 1.4
-and 1.2.  The 20 x 5 Procrustes ``value_and_grad`` takes 5.9 with
-``np.sum`` and 4.2 with ``np.add.reduce``, and a length-100 ``v.any()``
-1.0 against 0.3 for ``np.count_nonzero(v)``, which has the same truth
-value (a NaN counts, ``-0.0`` does not).  Both spellings call the same
-BLAS routines (gemm, syrk for ``X^T X``, gemv, ddot) or the same
-reduction, so they give the same bits.  ``tests/test_source.py`` keeps
-``@`` out of the package, and the wrapped reductions (``np.sum``,
-``x.any()`` and their kin) out of ``manifolds``, ``optimizers``, ``bregman``
-and the objectives' ``value_and_grad``.
-For the same reason the Stiefel retraction calls those two gufuncs
-directly, inside one ``np.errstate(all="ignore")``: the wrappers' type
-checks and their own ``errstate`` cost more than LAPACK at these sizes.
-On a 5 x 5 Gram matrix and a 5 x 20 right-hand side the factorization
-takes about 4.9 microseconds through the wrapper and 1.2 direct, the
-solve 8.3 and 3.9, and the whole 20 x 5 retraction 23 and 18.
+:meth:`Stiefel.retract` states how the retraction calls LAPACK, and
+``tests/test_source.py`` the spelling rules of the per-iteration path.
 
 All operations are pure functions of their inputs, and a manifold object
 carries nothing but its dimensions and constants derived from them, so
@@ -172,10 +130,6 @@ class EmbeddedManifold:
 
     # -- constraint ---------------------------------------------------------
 
-    def constraint(self, q: np.ndarray) -> np.ndarray:
-        """Constraint residual ``C(q)`` as a vector of length ``constraint_dim``."""
-        raise NotImplementedError
-
     def solve_multiplier(
         self,
         drift: np.ndarray,
@@ -206,7 +160,7 @@ class EmbeddedManifold:
         """Infinity norm of the constraint residual, a Python float; NaN
         when ``q`` holds a NaN.  ``q`` must be a float array of length
         ``ambient_dim``."""
-        return float(np.maximum.reduce(np.abs(self.constraint(q)), axis=None))
+        raise NotImplementedError
 
     # -- geometry -----------------------------------------------------------
 
@@ -238,9 +192,6 @@ class EmbeddedManifold:
             )
         return q
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.name!r})"
-
 
 class Sphere(EmbeddedManifold):
     """Unit sphere in R^n with constraint ``q.q - 1 = 0``."""
@@ -251,10 +202,6 @@ class Sphere(EmbeddedManifold):
         self.name = f"sphere:{n}"
         self.ambient_dim = n
         self.constraint_dim = 1
-
-    def constraint(self, q):
-        q = self._check_dim(q)
-        return np.array([q.dot(q) - 1.0])
 
     def solve_multiplier(self, drift, q, coeff, lam0):
         """Closed-form root of the scalar quadratic ``|drift - coeff 2q lam|^2 = 1``;
@@ -317,32 +264,24 @@ class Stiefel(EmbeddedManifold):
         self.m = m
         self.ambient_dim = n * m
         self.constraint_dim = m * (m + 1) // 2
-        self._triu = np.triu_indices(m)
+        triu = np.triu_indices(m)
         # the same entries as flat indices into an m x m array, for take
-        self._triu_flat = np.ravel_multi_index(self._triu, (m, m))
+        self._triu_flat = np.ravel_multi_index(triu, (m, m))
         # maps S = L + L^T back to lam, the upper triangle of L
-        self._triu_weight = np.where(self._triu[0] == self._triu[1], 0.5, 1.0)
+        self._triu_weight = np.where(triu[0] == triu[1], 0.5, 1.0)
         self._eye = np.eye(m)
         # builds S from lam in one gather: S[i, j] is lam's entry of
         # (min(i, j), max(i, j)), doubled on the diagonal
         index = np.empty((m, m), dtype=np.intp)
-        index[self._triu] = index.T[self._triu] = np.arange(self.constraint_dim)
+        index[triu] = index.T[triu] = np.arange(self.constraint_dim)
         self._sym_index = index
         self._sym_weight = self._eye + 1.0
         # Largest |W| entry for which W^T W cannot overflow.
         self._gram_limit = math.sqrt(sys.float_info.max / n)
 
-    def as_matrix(self, q: np.ndarray) -> np.ndarray:
-        """View a flat point as the underlying n x m matrix."""
-        return np.asarray(q, dtype=float).reshape((self.n, self.m), order="F")
-
     def from_matrix(self, x: np.ndarray) -> np.ndarray:
         """Flatten an n x m matrix into the packed point representation."""
         return np.asarray(x, dtype=float).reshape(-1, order="F")
-
-    def constraint(self, q):
-        xt = self._check_dim(q).reshape(self.m, self.n)
-        return (xt.dot(xt.T) - self._eye)[self._triu]
 
     def solve_multiplier(self, drift, q, coeff, lam0):
         """Solve ``F(T) = Y^T Y - I = 0`` with ``Y = D - X T``, ``T = coeff S``.
@@ -468,19 +407,20 @@ class Stiefel(EmbeddedManifold):
 
     def retract(self, q, v):
         """Q factor of the QR factorization of ``W = X + V`` with R's
-        diagonal positive, which makes the retraction deterministic.
+        diagonal positive, which makes the retraction deterministic (Absil,
+        Mahony & Sepulchre 2008, sec. 4.1.1).
 
-        It is computed as CholeskyQR: ``L = chol(W^T W)`` and
-        ``Q = W L^{-T}``, the same Q in exact arithmetic (``R = L^T``).  The
-        result is accepted only if the Cholesky factorization succeeds,
-        ``L``'s diagonal passes the rank threshold and
-        ``max |Q^T Q - I| <= RETRACT_ORTH_TOL``; an ill-conditioned ``W``
-        fails the last test, since CholeskyQR loses orthogonality as
-        ``cond(W)^2``.  Otherwise, and when ``W^T W`` would overflow,
-        Householder QR is used, with the sign rule on R's diagonal.  The
-        violation returned with the point is that acceptance residual on the
-        CholeskyQR path and is computed once from the point on the
-        Householder path.
+        It is computed as CholeskyQR (Fukaya et al. 2014):
+        ``L = chol(W^T W)`` and ``Q = W L^{-T}``, the same Q in exact
+        arithmetic (``R = L^T``).  The result is accepted only if the
+        Cholesky factorization succeeds, ``L``'s diagonal passes the rank
+        threshold and ``max |Q^T Q - I| <= RETRACT_ORTH_TOL``; an
+        ill-conditioned ``W`` fails the last test, since CholeskyQR loses
+        orthogonality as ``cond(W)^2``.  Otherwise, and when ``W^T W``
+        would overflow, Householder QR is used, with the sign rule on R's
+        diagonal.  The violation returned with the point is that acceptance
+        residual on the CholeskyQR path and is computed once from the point
+        on the Householder path.
 
         ``L`` and ``Q^T = L^{-1} W^T`` come from the LAPACK gufuncs
         ``_umath_linalg.cholesky_lo`` and ``solve``, called with the

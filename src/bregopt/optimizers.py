@@ -29,8 +29,6 @@ recorded, and a step that leaves a NaN or an infinity in its state fails as
 those tests and the feasibility gate classify every overflow, so no numpy
 warning leaves a run.  Traces accumulate locally, so independent runs may
 execute concurrently; a single run is sequential.
-Inner products are written ``x.dot(y)``, not ``x @ y``, which costs more in
-dispatch and gives the same bits (see ``manifolds``).
 """
 
 from __future__ import annotations

@@ -15,8 +15,7 @@ and ``2 A`` for Procrustes, so no evaluation spends a multiply of its own on
 it.  Points take the convention of the host manifold: a Stiefel point is
 ``X`` flattened column-major, and the Stiefel objectives read it row-major
 as ``X^T`` (``q.reshape(m, n)``, no copy), as the manifold's kernels do, and
-return the gradient ``G`` as the row-major flattening of ``G^T``.  Products are written ``a.dot(b)``, not ``a @ b``,
-which costs more in dispatch and gives the same bits (see ``manifolds``).
+return the gradient ``G`` as the row-major flattening of ``G^T``.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
-"""Test-local geometry references: the dense constraint Jacobian, which the
-package never forms, a dense Newton solver for the reference solves built
-on it, the partial derivatives of the midpoint discrete Lagrangian that
-those solves need, an unconstrained (``d = 0``) manifold for the
+"""Test-local geometry references: the constraint residual ``C(q)`` and its
+dense Jacobian, which the package never forms (it evaluates only the
+residual's infinity norm), a dense Newton solver for the reference solves
+built on it, the partial derivatives of the midpoint discrete Lagrangian
+that those solves need, an unconstrained (``d = 0``) manifold for the
 unconstrained limit of the constrained maps, a random tangent vector
-sampler, and the Stiefel kernels and Stiefel objectives written on the
-column-major n x m matrix ``X`` of a flat point, which the package's
-kernels, written on the row-major ``X^T``, reproduce bit for bit."""
+sampler, a test id for manifold parameters, and the Stiefel kernels and
+Stiefel objectives written on the column-major n x m matrix ``X`` of a flat
+point, which the package's kernels, written on the row-major ``X^T``,
+reproduce bit for bit."""
 
 import math
 from dataclasses import dataclass
@@ -85,10 +87,22 @@ class DenseLagrangian(MidpointLagrangian):
         return -np.eye(q0.size) / h
 
 
+def constraint(manifold, q):
+    """Constraint residual ``C(q)``, a vector of length ``constraint_dim``:
+    ``q.q - 1`` on the sphere, and on Stiefel the upper triangle, diagonal
+    included, of ``X^T X - I``, row by row."""
+    if isinstance(manifold, Sphere):
+        return np.array([q @ q - 1.0])
+    if isinstance(manifold, Stiefel):
+        x = matrix(manifold, q)
+        return (x.T @ x - np.eye(manifold.m))[np.triu_indices(manifold.m)]
+    return np.zeros(manifold.constraint_dim)
+
+
 def loop_stiefel_jacobian(st, q):
     """Row by row constraint Jacobian of a Stiefel point, written as a loop
     over the constraint components."""
-    x = st.as_matrix(q)
+    x = matrix(st, q)
     jac = np.zeros((st.constraint_dim, st.ambient_dim))
     for row, (i, j) in enumerate(zip(*np.triu_indices(st.m))):
         grad = np.zeros((st.n, st.m))
@@ -108,6 +122,14 @@ def constraint_jacobian(manifold, q):
     return np.zeros((manifold.constraint_dim, manifold.ambient_dim))
 
 
+def manifold_id(value):
+    """Test id of a manifold parameter, such as ``Stiefel('stiefel:20,5')``;
+    other parameters keep their ``str``."""
+    if isinstance(value, EmbeddedManifold):
+        return f"{type(value).__name__}({value.name!r})"
+    return str(value)
+
+
 def random_tangent(manifold, q, rng):
     """Tangent vector at ``q``: the projection of a standard normal draw."""
     return manifold.tangent_project(q, rng.standard_normal(manifold.ambient_dim))
@@ -121,9 +143,6 @@ class Unconstrained(EmbeddedManifold):
     def __init__(self, n):
         self.name = f"unconstrained:{n}"
         self.ambient_dim = n
-
-    def constraint(self, q):
-        return np.zeros(0)
 
     def constraint_violation(self, q):
         return 0.0
@@ -144,21 +163,21 @@ class Unconstrained(EmbeddedManifold):
 # ---------------------------------------------------------------------------
 
 
-def _matrix(st, q):
+def matrix(st, q):
     """The flat point ``q`` as the n x m matrix ``X`` it flattens."""
     return q.reshape((st.n, st.m), order="F")
 
 
 def column_major_violation(st, q):
     """``max |X^T X - I|``."""
-    x = _matrix(st, q)
+    x = matrix(st, q)
     return float(np.abs(x.T @ x - np.eye(st.m)).max())
 
 
 def column_major_tangent_project(st, q, z):
     """``Z - X sym(X^T Z)``."""
-    x = _matrix(st, q)
-    zm = _matrix(st, z)
+    x = matrix(st, q)
+    zm = matrix(st, z)
     xtz = x.T @ zm
     return (zm - x @ ((xtz + xtz.T) / 2.0)).reshape(-1, order="F")
 
@@ -166,7 +185,7 @@ def column_major_tangent_project(st, q, z):
 def column_major_retract(st, q, v):
     """CholeskyQR of ``W = X + V``, accepted as in ``Stiefel.retract``, and
     Householder QR otherwise; returns the point and its violation."""
-    w = _matrix(st, q + v)
+    w = matrix(st, q + v)
     big = float(np.abs(w).max())
     rank_tol = 1e-12 * max(1.0, big)
     if big <= math.sqrt(np.finfo(float).max / st.n):
@@ -192,8 +211,8 @@ def column_major_solve_multiplier(st, drift, q, coeff, lam0):
     ``(lam, normal, Y, max |F|, iterations)`` with ``Y`` the last accepted
     landing, flattened column-major."""
     m, eye, triu = st.m, np.eye(st.m), np.triu_indices(st.m)
-    x = _matrix(st, q)
-    d = _matrix(st, drift)
+    x = matrix(st, q)
+    d = matrix(st, drift)
     s = np.zeros((m, m))
     s[triu] = lam0
     s = s + s.T
@@ -245,12 +264,12 @@ def column_major_solve_multiplier(st, drift, q, coeff, lam0):
 def column_major_brockett(st, a, n_diag, q):
     """Value and ambient gradient of ``trace(X^T A X N)``: the gradient
     ``G = (A X) 2 mu`` and the value ``<G, X> / 2``."""
-    grad = ((a @ _matrix(st, q)) * (2.0 * np.asarray(n_diag))).reshape(-1, order="F")
+    grad = ((a @ matrix(st, q)) * (2.0 * np.asarray(n_diag))).reshape(-1, order="F")
     return 0.5 * float(grad @ q), grad
 
 
 def column_major_procrustes(st, a, b, q):
     """Value and ambient gradient of ``|A X - B|_F^2``: the sum of squares
     of the residual ``R`` and ``(2 A^T) R``."""
-    res = a @ _matrix(st, q) - b
+    res = a @ matrix(st, q) - b
     return float(np.sum(res * res)), ((2.0 * a.T) @ res).reshape(-1, order="F")

@@ -457,6 +457,22 @@ class TestOrderCheck:
                        "time 2000.0\n")
         assert not (tmp_path / "oc").exists()
 
+    def test_failing_step_names_the_run(self, tmp_path, capsys):
+        from bregopt.cli import EXIT_NUMERICAL
+
+        # the reference run, at 25 / 100, leaves the pendulum's multiplier
+        # solve without a root at its third step; the line names that run
+        config = order_check_config(tmp_path, system="spherical_pendulum",
+                                    h_list=[100, 50, 25], duration=1000,
+                                    expected_rate=[1.8, 2.2])
+        assert main(["order-check", "--config", config]) == EXIT_NUMERICAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("numerical failure: the trajectory at h=0.25 fails at time 0.5: "
+                       "sphere constraint unreachable along the multiplier direction "
+                       "(discriminant -8.682e-01)\n")
+        assert not (tmp_path / "oc").exists()
+
     def test_unknown_system_is_config_error(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -760,6 +776,21 @@ class TestMalformedConfig:
         (tmp_path / "taken").write_text("a file")
         config = run_config(tmp_path, output_dir=str(tmp_path / "taken"))
         assert_config_error(capsys, ["run", "--config", config], "output directory")
+
+    @pytest.mark.parametrize("command,output", [
+        ("run", "rgd_0.csv"), ("compare", "compare.csv"), ("compare", "compare.svg"),
+        ("order-check", "order_check.csv"),
+    ])
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, command, output):
+        # a directory where the command writes a file
+        (tmp_path / "out" / output).mkdir(parents=True)
+        if command == "order-check":
+            config = order_check_config(tmp_path, output_dir=str(tmp_path / "out"))
+        else:
+            methods = [{"method": "rgd", "max_iters": 2}] * (2 if command == "compare" else 1)
+            config = run_config(tmp_path, methods=methods)
+        assert_config_error(capsys, [command, "--config", config],
+                            f"cannot write {tmp_path / 'out' / output}: ")
 
     @pytest.mark.parametrize("keys,phrase", [
         ({"duration": "long"}, "long"),

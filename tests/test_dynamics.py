@@ -23,6 +23,7 @@ from bregopt.problems import make_instance
 from reference_geometry import (
     DenseLagrangian,
     Unconstrained,
+    constraint,
     constraint_jacobian,
     newton_solve,
     random_tangent,
@@ -209,7 +210,7 @@ def dense_lagrangian_map(lagrangian, manifold, q, p, h, lam0=None):
     def residual(x):
         q_next, lam = x[:n], x[n:]
         res_mom = -lagrangian.d1(q, q_next, h) + jac_c.T @ lam - p
-        return np.concatenate([res_mom, manifold.constraint(q_next)])
+        return np.concatenate([res_mom, constraint(manifold, q_next)])
 
     def jacobian(x):
         q_next = x[:n]
@@ -597,6 +598,30 @@ class TestOrderCheck:
 
         with pytest.raises(BregoptError, match=r"^the trajectory at h=0\.00025 is not finite"):
             order_check(growth, np.array([1.0, -1.0]), [0.1, 0.05, 0.025], 1.0)
+
+    def test_failing_step_names_the_run(self):
+        # a map that raises at its third step fails the reference run, at
+        # 0.025 / 100 and run first; one that raises for h > 0.06 fails the
+        # h = 0.1 run at its first step.  Each message names the step size
+        # and the time the failing step starts from, and chains the original
+        def third_step_fails(state, h):
+            if state[0] >= 2.0:
+                raise NewtonError("no multiplier")
+            return state + 1.0
+
+        def long_steps_fail(state, h):
+            if h > 0.06:
+                raise NewtonError("no multiplier")
+            return state
+
+        for step_map, message in (
+            (third_step_fails, "the trajectory at h=0.00025 fails at time 0.0005: no multiplier"),
+            (long_steps_fail, "the trajectory at h=0.1 fails at time 0.0: no multiplier"),
+        ):
+            with pytest.raises(BregoptError) as caught:
+                order_check(step_map, np.zeros(2), [0.1, 0.05, 0.025], 1.0)
+            assert str(caught.value) == message
+            assert isinstance(caught.value.__cause__, NewtonError)
 
     def test_input_validation(self):
         step = lambda state, h: state

@@ -7,7 +7,7 @@ import pytest
 
 from bregopt.bregman import BregmanParams
 from bregopt import manifolds
-from bregopt.errors import DimensionError, NewtonError, RetractionError, TransportError
+from bregopt.errors import NewtonError, RetractionError, TransportError
 from bregopt.manifolds import RETRACT_ORTH_TOL, Sphere, Stiefel
 from bregopt.optimizers import el_step
 
@@ -16,7 +16,10 @@ from reference_geometry import (
     column_major_solve_multiplier,
     column_major_tangent_project,
     column_major_violation,
+    constraint,
     constraint_jacobian,
+    manifold_id,
+    matrix,
     random_tangent,
 )
 
@@ -36,7 +39,7 @@ def reference_stiefel_retract(st, q, v):
     CholeskyQR one)."""
     if not np.any(v):
         return q.copy()
-    w = st.as_matrix(q) + st.as_matrix(v)
+    w = matrix(st, q) + matrix(st, v)
     qf, r = np.linalg.qr(w)
     diag = np.diag(r)
     scale = max(1.0, float(np.max(np.abs(w))))
@@ -48,33 +51,28 @@ def reference_stiefel_retract(st, q, v):
 
 def reference_stiefel_violation(st, q):
     """The Stiefel constraint violation as first written."""
-    gram = st.as_matrix(q).T @ st.as_matrix(q) - np.eye(st.m)
+    gram = matrix(st, q).T @ matrix(st, q) - np.eye(st.m)
     return float(np.max(np.abs(gram[np.triu_indices(st.m)])))
 
 
 class TestConstraint:
     def test_sphere_feasible_point(self):
         s = Sphere(2)
-        np.testing.assert_allclose(s.constraint(np.array([0.6, 0.8])), [0.0], atol=1e-15)
+        assert s.constraint_violation(np.array([0.6, 0.8])) <= 1e-15
 
     def test_sphere_infeasible_point(self):
         s = Sphere(2)
-        np.testing.assert_allclose(s.constraint(np.array([2.0, 0.0])), [3.0])
+        assert s.constraint_violation(np.array([2.0, 0.0])) == 3.0
 
     def test_stiefel_identity_column(self):
         st = Stiefel(2, 1)
-        np.testing.assert_allclose(st.constraint(np.array([1.0, 0.0])), [0.0], atol=1e-15)
+        assert st.constraint_violation(np.array([1.0, 0.0])) == 0.0
 
     def test_stiefel_constraint_length(self):
         st = Stiefel(5, 3)
         q = st.random_point(np.random.default_rng(0))
-        assert st.constraint(q).shape == (6,)
+        assert st.constraint_dim == constraint(st, q).size == 6
         assert st.constraint_violation(q) <= 1e-14
-
-    def test_dimension_mismatch(self):
-        s = Sphere(3)
-        with pytest.raises(DimensionError):
-            s.constraint(np.array([1.0, 0.0]))
 
 
 class TestConstraintJacobian:
@@ -84,7 +82,7 @@ class TestConstraintJacobian:
         s = Sphere(2)
         q = np.array([0.6, 0.8])
         np.testing.assert_allclose(constraint_jacobian(s, q), [[1.2, 1.6]])
-        fd = central_difference_jacobian(s.constraint, q, step=1e-5)
+        fd = central_difference_jacobian(lambda q: constraint(s, q), q, step=1e-5)
         np.testing.assert_allclose(constraint_jacobian(s, q), fd, atol=1e-9)
 
     def test_stiefel_single_column(self):
@@ -98,7 +96,7 @@ class TestConstraintJacobian:
         rng = np.random.default_rng(3)
         # the dense multiplier reference also evaluates it off the manifold
         for q in (st.random_point(rng), rng.standard_normal(st.ambient_dim)):
-            fd = central_difference_jacobian(st.constraint, q, step=1e-5)
+            fd = central_difference_jacobian(lambda q: constraint(st, q), q, step=1e-5)
             np.testing.assert_allclose(constraint_jacobian(st, q), fd, atol=1e-6)
 
     def test_full_row_rank_at_feasible_points(self):
@@ -208,7 +206,7 @@ class TestRetract:
         with pytest.raises(RetractionError):
             st.retract(x, -x)
         # X + V with two equal columns
-        w = st.as_matrix(x).copy()
+        w = matrix(st, x).copy()
         w[:, 1] = w[:, 0]
         v = st.from_matrix(w) - x
         for retract in (st.retract, lambda q, v: reference_stiefel_retract(st, q, v)):
@@ -217,12 +215,12 @@ class TestRetract:
 
         # columns 1e-14 apart: the Cholesky path falls back and the
         # Householder rank test raises
-        w[:, 1] = w[:, 0] + 1e-14 * st.as_matrix(x)[:, 1]
+        w[:, 1] = w[:, 0] + 1e-14 * matrix(st, x)[:, 1]
         with pytest.raises(RetractionError):
             st.retract(x, st.from_matrix(w) - x)
         # orthogonal columns, one of norm 1e-13: CholeskyQR returns an
         # orthonormal Q, but the rank threshold still applies
-        w = st.as_matrix(x) * np.array([1.0, 1e-13])
+        w = matrix(st, x) * np.array([1.0, 1e-13])
         with pytest.raises(RetractionError):
             st.retract(x, st.from_matrix(w) - x)
 
@@ -235,7 +233,7 @@ class TestRetract:
             for _ in range(10):
                 q = st.random_point(rng)
                 v = scale * rng.standard_normal(st.ambient_dim)
-                _, r = np.linalg.qr(st.as_matrix(q + v))
+                _, r = np.linalg.qr(matrix(st, q + v))
                 signs.update(np.sign(np.diag(r)))
                 out, _ = st.retract(q, v)
                 assert np.abs(out - reference_stiefel_retract(st, q, v)).max() <= 1e-14
@@ -252,7 +250,7 @@ class TestRetract:
         for scale in (1e-3, 0.3):
             q = st.random_point(rng)
             v = scale * rng.standard_normal(st.ambient_dim)
-            r = st.as_matrix(st.retract(q, v)[0]).T @ st.as_matrix(q + v)
+            r = matrix(st, st.retract(q, v)[0]).T @ matrix(st, q + v)
             assert np.abs(np.tril(r, -1)).max() <= 1e-13 * np.abs(r).max()
             assert (r.diagonal() > 0.0).all()
 
@@ -261,7 +259,7 @@ class TestRetract:
         # as cond(W)^2 ~ 1e14, while the rank test still passes
         st = Stiefel(6, 2)
         x = st.random_point(np.random.default_rng(11))
-        xm = st.as_matrix(x)
+        xm = matrix(st, x)
         w = np.column_stack([xm[:, 0], np.cos(1e-7) * xm[:, 0] + np.sin(1e-7) * xm[:, 1]])
         low = np.linalg.cholesky(w.T @ w)
         chol_q = np.linalg.solve(low, w.T).T
@@ -332,7 +330,7 @@ class TestRiemannianGradient:
         st = Stiefel(4, 2)
         x = st.random_point(np.random.default_rng(15))
         n_diag = np.array([1.0, 2.0])
-        ambient = st.from_matrix(2.0 * st.as_matrix(x) @ np.diag(n_diag))
+        ambient = st.from_matrix(2.0 * matrix(st, x) @ np.diag(n_diag))
         np.testing.assert_allclose(st.tangent_project(x, ambient), np.zeros(8),
                                    atol=1e-13)
 
@@ -343,11 +341,11 @@ class TestRiemannianGradient:
         a = a + a.T
 
         def f(q):
-            x = st.as_matrix(q)
+            x = matrix(st, q)
             return float(np.trace(x.T @ a @ x @ np.diag([1.0, 2.0])))
 
         def ambient_grad(q):
-            x = st.as_matrix(q)
+            x = matrix(st, q)
             return st.from_matrix(2.0 * a @ x @ np.diag([1.0, 2.0]))
 
         x0 = st.random_point(rng)
@@ -372,7 +370,7 @@ class TestRetractedViolation:
     the point it returns, bit for bit, which the run loop records instead of
     evaluating the constraint again."""
 
-    @pytest.mark.parametrize("manifold", GRADIENT_MANIFOLDS, ids=repr)
+    @pytest.mark.parametrize("manifold", GRADIENT_MANIFOLDS, ids=manifold_id)
     def test_bit_equal_to_constraint_violation(self, manifold):
         rng = np.random.default_rng(30)
         for scale in (1e-6, 1e-2, 0.3, 1.0):
@@ -387,14 +385,14 @@ class TestRetractedViolation:
         (manifold, case) for manifold in GRADIENT_MANIFOLDS if isinstance(manifold, Stiefel)
         # one column is never ill-conditioned
         for case in ("overflowing_gram",) + (("ill_conditioned",) if manifold.m > 1 else ())
-    ], ids=str)
+    ], ids=manifold_id)
     def test_bit_equal_on_the_householder_path(self, manifold, case):
         rng = np.random.default_rng(33)
         x = manifold.random_point(rng)
         if case == "ill_conditioned":
             # the last column at an angle of 1e-7 to the first: CholeskyQR
             # loses orthogonality as cond(W)^2 ~ 1e14
-            w = manifold.as_matrix(x).copy()
+            w = matrix(manifold, x).copy()
             w[:, -1] = np.cos(1e-7) * w[:, 0] + np.sin(1e-7) * w[:, -1]
             v = manifold.from_matrix(w) - x
             chol_q = np.linalg.solve(np.linalg.cholesky(w.T @ w), w.T).T
@@ -407,13 +405,13 @@ class TestRetractedViolation:
         assert bits(violation) == bits(manifold.constraint_violation(point))
         assert violation <= 1e-13
 
-    @pytest.mark.parametrize("manifold", GRADIENT_MANIFOLDS, ids=repr)
+    @pytest.mark.parametrize("manifold", GRADIENT_MANIFOLDS, ids=manifold_id)
     def test_constraint_violation_is_the_residual_norm(self, manifold):
         # on and off the manifold, and NaN for a NaN point
         rng = np.random.default_rng(31)
         q = manifold.random_point(rng)
         for point in (q, 1.1 * q, np.where(np.arange(q.size) == 0, np.nan, q)):
-            expected = float(np.abs(manifold.constraint(point)).max())
+            expected = float(np.abs(constraint(manifold, point)).max())
             assert bits(manifold.constraint_violation(point)) == bits(expected)
 
 
@@ -450,9 +448,6 @@ class TestColumnMajorReference:
         rng = np.random.default_rng(41)
         for q in self.points(st, rng):
             assert bits(st.constraint_violation(q)) == bits(column_major_violation(st, q))
-            x = st.as_matrix(q)
-            expected = (x.T @ x - np.eye(m))[np.triu_indices(m)]
-            assert np.array_equal(st.constraint(q), expected)
 
     @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
     def test_retract_on_the_cholesky_path(self, n, m):
@@ -475,7 +470,7 @@ class TestColumnMajorReference:
         if m > 1:
             # the last column at an angle of 1e-7 to the first fails the
             # CholeskyQR orthogonality test
-            w = st.as_matrix(x).copy()
+            w = matrix(st, x).copy()
             w[:, -1] = np.cos(1e-7) * w[:, 0] + np.sin(1e-7) * w[:, -1]
             steps.append(st.from_matrix(w) - x)
         for v in steps:
@@ -553,7 +548,7 @@ class TestSolvedViolation:
     again."""
 
     @pytest.mark.parametrize("manifold", [Sphere(5)] + [Stiefel(n, m) for n, m in LAYOUT_SHAPES],
-                             ids=repr)
+                             ids=manifold_id)
     def test_bit_equal_to_constraint_violation(self, manifold, monkeypatch):
         rng = np.random.default_rng(47)
         # as in TestColumnMajorReference.test_solve_multiplier
@@ -681,7 +676,7 @@ class TestNamesAndStubs:
     def test_stiefel_flattening_round_trip(self):
         st = Stiefel(4, 2)
         x = st.random_point(np.random.default_rng(17))
-        np.testing.assert_array_equal(st.from_matrix(st.as_matrix(x)), x)
+        np.testing.assert_array_equal(st.from_matrix(matrix(st, x)), x)
 
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):
