@@ -67,12 +67,16 @@ reported as one ``order-check: <message>`` line on stderr; with fewer than
 two points left the rate is ``nan`` and the check fails.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 order-check acceptance failure.  An output that cannot be written, such
-as a CSV whose path is a directory, is a configuration error.  A numerical
-failure is a ``run`` or ``compare`` method whose trace failed, or an
-``order-check`` trajectory, the reference or one at a listed step size,
-that does not stay finite or whose step fails; the latter prints one
-``numerical failure: ...`` line naming the step size and writes no CSV.
+3 order-check acceptance failure.  Each command checks its outputs before
+it runs anything: an output path that is a directory, or an ``output_dir``
+under a regular file, is a configuration error that prints no stdout line
+and writes nothing.  The output directory is created when the first output
+is written; an output that still cannot be written is a configuration
+error too.  A numerical failure is a ``run`` or ``compare`` method whose
+trace failed, or an ``order-check`` trajectory, the reference or one at a
+listed step size, that does not stay finite or whose step fails; the
+latter prints one ``numerical failure: ...`` line naming the step size and
+writes no CSV.
 """
 
 from __future__ import annotations
@@ -110,12 +114,6 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _count(value) -> int:
-    if not _is_count(value):
-        raise TypeError(f"must be an integer, not {value!r}")
-    return value
-
-
 def _number(value) -> float:
     """A JSON integer or float as a float; ``float()`` would also take a
     boolean or a numeric string."""
@@ -144,7 +142,8 @@ INPUT_KEYS = {
 # default but p's.
 PARAM_KEYS = {"p": _number, "p_ring": _number, "c_const": _number,
               "lambda_conv": _number, "h": _number, "coeff_cap": _number}
-STOP_KEYS = {"max_iters": _count, "stop_grad_tol": _number, "stop_f_tol": _number}
+# RunConfig checks the count max_iters itself.
+STOP_KEYS = {"max_iters": lambda n: n, "stop_grad_tol": _number, "stop_f_tol": _number}
 METHOD_KEYS = ("method", "label", *PARAM_KEYS, *STOP_KEYS)
 # A label is a file stem in output_dir and a field of compare.csv/.svg.
 LABEL_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
@@ -160,8 +159,9 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    # ValueError: also bad UTF-8 and an integer past Python's digit limit
-    except (OSError, ValueError) as exc:
+    # ValueError: also bad UTF-8 and an integer past Python's digit limit;
+    # RecursionError: arrays or objects nested too deep to decode
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
@@ -218,6 +218,9 @@ def build_problem(block: dict) -> problems.ProblemSpec:
                 m = block.get("m", DEFAULT_DIMS["brockett"][1])
                 if not _is_count(m):
                     raise TypeError(f"m must be an integer, not {m!r}")
+                # before np.arange allocates m weights
+                if not 1 <= m <= len(a):
+                    raise ValueError(f"m must be from 1 to {len(a)}, the rows of A, not {m}")
                 return problems.brockett(a, np.arange(1.0, m + 1.0))
             b = problems.load_matrix(block["file_b"])
             return problems.procrustes(a, b)
@@ -301,8 +304,10 @@ def _csv(header: tuple, lines: list[str]) -> str:
 
 
 def _write(path: Path, text: str) -> None:
-    """Write one output file; a path that cannot be written is a config error."""
+    """Write one output file, creating its directory; a path that cannot be
+    written is a config error."""
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
@@ -409,16 +414,27 @@ def convergence_svg(series, ylabel: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _output_dir(config: dict, out_override: str | None) -> Path:
-    """The output directory, created if missing."""
+def _outputs(config: dict, out_override: str | None, names: list[str]) -> list[Path]:
+    """The paths of the named output files in the output directory.
+
+    It creates nothing (``_write`` does), so a command calls it before it
+    runs anything: an output directory under a regular file and an output
+    path that is a directory are config errors before the runs, not after.
+    """
     out = out_override or config.get("output_dir", ".")
     if not isinstance(out, str):
         raise ConfigError(f"'output_dir' must be a path, not {out!r}")
+    paths = [Path(out, name) for name in names]
     try:
-        Path(out).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    return Path(out)
+        existing = next(path for path in (Path(out), *Path(out).parents) if path.exists())
+        taken = [path for path in paths if path.is_dir()]
+    except OSError as exc:  # a path that cannot be examined
+        raise ConfigError(f"cannot use output directory {out}: {exc}") from exc
+    if not existing.is_dir():
+        raise ConfigError(f"cannot use output directory {out}: {existing} is not a directory")
+    if taken:
+        raise ConfigError(f"cannot write {taken[0]}: it is a directory")
+    return paths
 
 
 def _prepare(config: dict):
@@ -437,26 +453,30 @@ def _prepare(config: dict):
     return problem, run_configs, labels, initial
 
 
-def _report(label: str, trace: Trace) -> None:
-    """Print the outcome of one method block's run."""
-    if trace.failed:
-        print(f"{label}: FAILED ({trace.failure_reason})")
-    else:
-        print(f"{label}: {len(trace) - 1} iterations, final f = {trace.rows[-1][2]:.6e}")
-
-
-def cmd_run(config_path: str, out_override: str | None = None) -> int:
-    """Run every method block; write one CSV per block."""
-    config = _load_json(config_path)
-    problem, run_configs, labels, initial = _prepare(config)
-    out_dir = _output_dir(config, out_override)
+def _run_blocks(problem, run_configs, labels, initial, keep) -> int:
+    """Run each method block from ``initial``, hand its label and trace to
+    ``keep`` and print its outcome; the exit code of the runs."""
     failed = False
     for run_config, label in zip(run_configs, labels):
         trace = optimizers.run(run_config, problem, initial)
-        _write(out_dir / f"{label}.csv", _csv(CSV_COLUMNS, _trace_lines(trace)))
-        _report(label, trace)
+        keep(label, trace)
+        print(f"{label}: FAILED ({trace.failure_reason})" if trace.failed else
+              f"{label}: {len(trace) - 1} iterations, final f = {trace.fs[-1]:.6e}")
         failed = failed or trace.failed
     return EXIT_NUMERICAL if failed else EXIT_OK
+
+
+def cmd_run(config_path: str, out_override: str | None = None) -> int:
+    """Run every method block; write one CSV per block as its run ends."""
+    config = _load_json(config_path)
+    problem, run_configs, labels, initial = _prepare(config)
+    names = [f"{label}.csv" for label in labels]
+    paths = dict(zip(labels, _outputs(config, out_override, names)))
+
+    def keep(label, trace):
+        _write(paths[label], _csv(CSV_COLUMNS, _trace_lines(trace)))
+
+    return _run_blocks(problem, run_configs, labels, initial, keep)
 
 
 def cmd_compare(config_path: str, out_override: str | None = None) -> int:
@@ -468,24 +488,17 @@ def cmd_compare(config_path: str, out_override: str | None = None) -> int:
     problem, run_configs, labels, initial = _prepare(config)
     if len(run_configs) < 2:
         raise ConfigError("compare needs at least two method blocks")
-    out_dir = _output_dir(config, out_override)
-    lines = []
-    series = []
-    failed = False
-    has_oracle = problem.oracle_value is not None
-    column = 5 if has_oracle else 2  # the gap, or f without an oracle
-    for run_config, label in zip(run_configs, labels):
-        trace = optimizers.run(run_config, problem, initial)
-        lines.extend(_trace_lines(trace, (label,)))
-        _report(label, trace)
-        failed = failed or trace.failed
-        plotted = [row for row in trace.rows if row[column] is not None]
-        series.append((label, [row[0] for row in plotted], [row[column] for row in plotted]))
-    _write(out_dir / "compare.csv", _csv(("method",) + CSV_COLUMNS, lines))
-    if plot:
-        ylabel = "f - oracle" if has_oracle else "f"
-        _write(out_dir / "compare.svg", convergence_svg(series, ylabel))
-    return EXIT_NUMERICAL if failed else EXIT_OK
+    paths = _outputs(config, out_override, ["compare.csv", "compare.svg"][:1 + plot])
+    runs = []
+    code = _run_blocks(problem, run_configs, labels, initial, lambda *run: runs.append(run))
+    lines = [line for label, trace in runs for line in _trace_lines(trace, (label,))]
+    _write(paths[0], _csv(("method",) + CSV_COLUMNS, lines))
+    if plot:  # the oracle gap, or f without an oracle
+        gap = problem.oracle_value is not None
+        series = [(label, trace.ks, trace.errors_vs_oracle if gap else trace.fs)
+                  for label, trace in runs]
+        _write(paths[1], convergence_svg(series, "f - oracle" if gap else "f"))
+    return code
 
 
 PENDULUM_GRAVITY = 9.81
@@ -550,6 +563,7 @@ def cmd_order_check(config_path: str, out_override: str | None = None) -> int:
     if (not isinstance(interval, list)) or len(interval) != 2:
         raise ConfigError("order-check config needs 'expected_rate': [lo, hi]")
     step, initial = _order_check_system(name)
+    [csv_path] = _outputs(config, out_override, ["order_check.csv"])
     try:
         duration = _number(config.get("duration", 1.0))
         lo, hi = map(_number, interval)
@@ -566,12 +580,9 @@ def cmd_order_check(config_path: str, out_override: str | None = None) -> int:
         raise  # a numerical failure of the step, although it may be a ValueError
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad order-check config: {exc}") from exc
-    out_dir = _output_dir(config, out_override)
 
-    rows = ["h,error"]
-    rows += [f"{_fmt(h)},{_fmt(e)}" for h, e in zip(result.step_sizes, result.errors)]
-    rows.append(f"fitted_rate,{_fmt(result.rate)}")
-    _write(out_dir / "order_check.csv", "\n".join(rows) + "\n")
+    lines = [f"{_fmt(h)},{_fmt(e)}" for h, e in zip(result.step_sizes, result.errors)]
+    _write(csv_path, _csv(("h", "error"), lines + [f"fitted_rate,{_fmt(result.rate)}"]))
 
     ok = lo <= result.rate <= hi  # a NaN rate (no fit) fails it
     status = "pass" if ok else "fail"

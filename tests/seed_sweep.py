@@ -53,7 +53,7 @@ def outcome(name, method, seed, digest):
     if trace.failed:
         # the step that failed follows the last recorded iterate
         return "F", len(trace), trace.failure_reason
-    k, _, _, grad_norm, _, gap, _ = trace.rows[-1]
+    k, grad_norm, gap = trace.ks[-1], trace.grad_norms[-1], trace.errors_vs_oracle[-1]
     reached = gap <= TARGET if has_oracle else grad_norm <= TARGET
     return ("S" if reached else "U"), k, ""
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bregopt import dynamics, optimizers
 from bregopt.bregman import BregmanParams
 from bregopt.cli import (
     CSV_COLUMNS,
@@ -100,7 +101,9 @@ class TestRun:
         b"\xff\xfe{",  # not UTF-8
         # past the 4300 digits Python converts to an int by default
         b'{"problem": {"name": "rayleigh", "seed": 1' + b"0" * 5000 + b"}}",
-    ], ids=["bad-utf8", "long-integer"])
+        # past the decoder's recursion limit
+        b"[" * 100000 + b"]" * 100000,
+    ], ids=["bad-utf8", "long-integer", "deep-nesting"])
     def test_unreadable_json_is_config_error(self, tmp_path, capsys, content):
         path = tmp_path / "broken.json"
         path.write_bytes(content)
@@ -546,11 +549,22 @@ def order_check_config(tmp_path, **keys):
 
 
 def assert_config_error(capsys, argv, *phrases):
+    """Assert a config error naming each phrase; the captured stdout."""
     assert main(argv) == EXIT_CONFIG
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("config error: ")
     for phrase in phrases:
         assert phrase in err
+    return out
+
+
+def forbid_runs(monkeypatch):
+    """Fail the test if an optimizer run or an order check starts."""
+    def forbidden(*args, **kwargs):
+        pytest.fail("a run started before the outputs were checked")
+
+    monkeypatch.setattr(optimizers, "run", forbidden)
+    monkeypatch.setattr(dynamics, "order_check", forbidden)
 
 
 class TestMalformedConfig:
@@ -586,6 +600,11 @@ class TestMalformedConfig:
         ({"seed": -1}, "seed must be a non-negative integer, not -1"),
         ({"file": "a.txt", "dims": None, "seed": -1},
          "seed must be a non-negative integer, not -1"),
+        # brockett's m weights are bounded by the rows of A before they are made
+        ({"name": "brockett", "file": "a.txt", "dims": None, "m": 4},
+         "m must be from 1 to 3, the rows of A, not 4"),
+        ({"name": "brockett", "file": "a.txt", "dims": None, "m": 10 ** 400},
+         "m must be from 1 to 3, the rows of A, not 1000"),
     ])
     def test_bad_problem_value(self, tmp_path, capsys, monkeypatch, problem, phrase):
         monkeypatch.chdir(tmp_path)
@@ -780,17 +799,39 @@ class TestMalformedConfig:
     @pytest.mark.parametrize("command,output", [
         ("run", "rgd_0.csv"), ("compare", "compare.csv"), ("compare", "compare.svg"),
         ("order-check", "order_check.csv"),
+        # the first block's CSV is not written either
+        ("run", "rgd_1.csv"),
     ])
-    def test_unwritable_output_is_config_error(self, tmp_path, capsys, command, output):
-        # a directory where the command writes a file
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                               command, output):
+        # a directory where the command writes a file, found before any run
+        forbid_runs(monkeypatch)
         (tmp_path / "out" / output).mkdir(parents=True)
         if command == "order-check":
             config = order_check_config(tmp_path, output_dir=str(tmp_path / "out"))
         else:
-            methods = [{"method": "rgd", "max_iters": 2}] * (2 if command == "compare" else 1)
-            config = run_config(tmp_path, methods=methods)
-        assert_config_error(capsys, [command, "--config", config],
-                            f"cannot write {tmp_path / 'out' / output}: ")
+            config = run_config(tmp_path, methods=[{"method": "rgd", "max_iters": 2}] * 2)
+        out = assert_config_error(capsys, [command, "--config", config],
+                                  f"cannot write {tmp_path / 'out' / output}: ")
+        assert out == ""
+        assert [path.name for path in (tmp_path / "out").iterdir()] == [output]
+
+    @pytest.mark.parametrize("command", ["run", "compare", "order-check"])
+    def test_output_dir_under_a_file_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        forbid_runs(monkeypatch)
+        (tmp_path / "taken").write_text("a file")
+        out_dir = str(tmp_path / "taken" / "deeper" / "out")
+        if command == "order-check":
+            config = order_check_config(tmp_path, output_dir=out_dir)
+        else:
+            config = run_config(tmp_path, methods=[{"method": "rgd", "max_iters": 2}] * 2,
+                                output_dir=out_dir)
+        out = assert_config_error(capsys, [command, "--config", config],
+                                  f"output directory {out_dir}: "
+                                  f"{tmp_path / 'taken'} is not a directory")
+        assert out == ""
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "taken"]
 
     @pytest.mark.parametrize("keys,phrase", [
         ({"duration": "long"}, "long"),

@@ -6,10 +6,14 @@ method blocks with extreme but finite Bregman parameters and at most 60
 iterations, and order checks with step sizes of at least 0.03 over at most
 2 time units.  A few values are malformed on purpose.  Every config must
 end in one of the CLI's exit codes, with no numpy warning (the suite turns
-warnings into errors) and no line on stderr but the CLI's own.
+warnings into errors) and no line on stderr but the CLI's own.  A few
+cases are rejected on purpose: a file-based ``brockett`` ``m`` out of
+range, a directory where an output file goes, or an ``output_dir`` under a
+regular file.  Those must exit 1 with only ``config error:`` lines and
+print nothing, since the outputs are checked before anything runs.
 
 Run as a script to fuzz a longer seed range and print the counts of exit
-codes and stderr lines::
+codes, stderr lines and cases to reject::
 
     PYTHONPATH=src python tests/test_fuzz.py 1000 2000
 """
@@ -46,7 +50,10 @@ def positive(rng, lo=-300.0, hi=300.0):
 
 
 def maybe_malformed(rng, value):
-    """``value``, or once in fifty draws a value the CLI must reject."""
+    """``value``, or once in fifty draws a value the CLI must reject.
+
+    No huge integer: ``max_iters`` = ``10**400`` is a legal budget.
+    """
     if rng.random() < 0.02:
         return rng.choice([0, -1.0, "1", True, None, [1.0]])
     return value
@@ -61,6 +68,7 @@ def matrix_lines(rng, rows, cols, symmetric):
 
 
 def problem_block(rng, directory):
+    """A problem block, and whether the CLI must reject it."""
     name = rng.choice(["rayleigh", "brockett", "procrustes"])
     n = rng.randint(2, 5)
     m = rng.randint(1, n)
@@ -72,19 +80,22 @@ def problem_block(rng, directory):
         path.write_text(matrix_lines(rng, n if square else rows, n, square))
         block["file"] = str(path)
         if name == "brockett":
-            block["m"] = m
-        elif name == "procrustes":
+            # now and then an m out of range, which the CLI must reject
+            out_of_range = rng.random() < 0.3
+            block["m"] = rng.choice([n + 1, 10 ** 400, 0]) if out_of_range else m
+            return block, out_of_range
+        if name == "procrustes":
             path_b = directory / "b.txt"
             path_b.write_text(matrix_lines(rng, rows, m, False))
             block["file_b"] = str(path_b)
-        return block
+        return block, False
     dims = {"rayleigh": [n], "brockett": [n, m], "procrustes": [n, m, rows]}[name]
     if rng.random() < 0.05:  # now and then a dimension out of its bounds
         dims[rng.randrange(len(dims))] = rng.choice([0, 1, 6])
     block["dims"] = dims
     if name != "procrustes" and rng.random() < 0.7:
         block["conditioning"] = maybe_malformed(rng, 1.0 + positive(rng, -3.0, 308.0))
-    return block
+    return block, False
 
 
 def method_block(rng):
@@ -110,50 +121,81 @@ def order_check_block(rng):
             "expected_rate": [lo, lo + rng.uniform(0.0, 1.0)]}
 
 
+def output_names(command, config):
+    """The files that the command writes into its output directory."""
+    if command == "order-check":
+        return ["order_check.csv"]
+    if command == "compare":
+        return ["compare.csv", "compare.svg"][:1 + config["plot"]]
+    return [f"{block['method']}_{index}.csv" for index, block in enumerate(config["methods"])]
+
+
 def draw_config(seed, directory):
-    """The command and the config of one fuzz case."""
+    """The command and the config of one fuzz case, and whether the CLI must
+    reject it."""
     rng = random.Random(seed)
     command = rng.choice(["run", "compare", "order-check"])
+    rejected = False
     if command == "order-check":
         config = order_check_block(rng)
     else:
         blocks = rng.randint(1, 3) if command == "run" else rng.randint(2, 3)
-        config = {"problem": problem_block(rng, directory),
+        problem, rejected = problem_block(rng, directory)
+        config = {"problem": problem,
                   "methods": [method_block(rng) for _ in range(blocks)],
                   "plot": rng.random() < 0.5}
     config["output_dir"] = str(directory / "out")
-    return command, config
+    if rng.random() < 0.03:  # an output collision
+        rejected = True
+        if rng.random() < 0.5:
+            (directory / "taken").write_text("a file")
+            config["output_dir"] = str(directory / "taken" / "out")
+        else:
+            (directory / "out" / rng.choice(output_names(command, config))).mkdir(parents=True)
+    return command, config, rejected
 
 
 def run_case(seed, directory):
-    """Run one case through the CLI; its exit code and stderr lines."""
-    command, config = draw_config(seed, directory)
+    """Run one case through the CLI; whether it must be rejected, its exit
+    code and its stdout and stderr lines."""
+    command, config, rejected = draw_config(seed, directory)
     path = directory / "config.json"
     path.write_text(json.dumps(config))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, "--config", str(path)])
-    return config, code, err.getvalue().splitlines()
+    return config, rejected, code, out.getvalue().splitlines(), err.getvalue().splitlines()
+
+
+def is_rejection(code, out, err):
+    """Exit 1 with only config error lines on stderr and nothing on stdout."""
+    return (code == 1 and not out and err
+            and all(line.startswith("config error: ") for line in err))
 
 
 @pytest.mark.parametrize("seed", range(CASES))
 def test_config_ends_in_an_exit_code(seed, tmp_path):
-    config, code, err = run_case(seed, tmp_path)
+    config, rejected, code, out, err = run_case(seed, tmp_path)
     assert code in (0, 1, 2, 3), config
     assert all(line.startswith(STDERR_PREFIXES) for line in err), (config, err)
+    assert is_rejection(code, out, err) or not rejected, (config, out, err)
 
 
 if __name__ == "__main__":
     start, count = map(int, sys.argv[1:3])
     warnings.simplefilter("error")
     codes, kinds = collections.Counter(), collections.Counter()
+    rejections = 0
     for seed in range(start, start + count):
         with tempfile.TemporaryDirectory() as name:
-            config, code, err = run_case(seed, Path(name))
+            config, rejected, code, out, err = run_case(seed, Path(name))
         codes[code] += 1
         kinds.update(line.split(":", 1)[0] for line in err)
-        if code not in (0, 1, 2, 3) or not all(line.startswith(STDERR_PREFIXES)
-                                               for line in err):
+        rejections += rejected
+        if (code not in (0, 1, 2, 3)
+                or not all(line.startswith(STDERR_PREFIXES) for line in err)
+                or (rejected and not is_rejection(code, out, err))):
             print(f"seed {seed}: exit {code}, stderr {err}, config {config}")
     print("exit codes:", dict(sorted(codes.items())))
     print("stderr lines:", dict(sorted(kinds.items())))
+    print("cases to reject:", rejections)
