@@ -96,7 +96,9 @@ class ExtendedState:
             increasing along trajectories.
         r: momentum conjugate to ``q``.
         r_t: momentum conjugate to ``q_t``.
-        lam: Lagrange multipliers of the holonomic constraint (length ``d``).
+        lam: Lagrange multiplier of the holonomic constraint, in the layout
+            of :meth:`~bregopt.manifolds.EmbeddedManifold.solve_multiplier`,
+            which returned it; ``None`` before the first solve.
         violation: constraint violation of ``q`` as the multiplier solve
             that built it measured it
             (:meth:`~bregopt.manifolds.EmbeddedManifold.solve_multiplier`);
@@ -107,11 +109,11 @@ class ExtendedState:
     q_t: float
     r: np.ndarray
     r_t: float
-    lam: np.ndarray
+    lam: np.ndarray | None
     violation: float = math.nan
 
     @classmethod
-    def initial(cls, q: np.ndarray, constraint_dim: int) -> "ExtendedState":
+    def initial(cls, q: np.ndarray) -> "ExtendedState":
         """Standard initialization: zero momenta, unit time coordinate."""
         q = np.asarray(q, dtype=float)
         return cls(
@@ -119,7 +121,7 @@ class ExtendedState:
             q_t=1.0,
             r=np.zeros_like(q),
             r_t=0.0,
-            lam=np.zeros(constraint_dim),
+            lam=None,
         )
 
 

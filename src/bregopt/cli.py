@@ -309,7 +309,7 @@ def _write(path: Path, text: str) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
@@ -414,6 +414,17 @@ def convergence_svg(series, ylabel: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _exists(path: Path) -> bool:
+    """Whether ``path`` exists.  Unlike ``Path.exists``, which answers False,
+    it raises on a path that cannot be examined, such as one holding a NUL
+    character or running through a symlink loop."""
+    try:
+        path.stat()
+    except (FileNotFoundError, NotADirectoryError):
+        return False
+    return True
+
+
 def _outputs(config: dict, out_override: str | None, names: list[str]) -> list[Path]:
     """The paths of the named output files in the output directory.
 
@@ -426,9 +437,9 @@ def _outputs(config: dict, out_override: str | None, names: list[str]) -> list[P
         raise ConfigError(f"'output_dir' must be a path, not {out!r}")
     paths = [Path(out, name) for name in names]
     try:
-        existing = next(path for path in (Path(out), *Path(out).parents) if path.exists())
-        taken = [path for path in paths if path.is_dir()]
-    except OSError as exc:  # a path that cannot be examined
+        existing = next(path for path in (Path(out), *Path(out).parents) if _exists(path))
+        taken = [path for path in paths if _exists(path) and path.is_dir()]
+    except (OSError, ValueError) as exc:  # a path that cannot be examined
         raise ConfigError(f"cannot use output directory {out}: {exc}") from exc
     if not existing.is_dir():
         raise ConfigError(f"cannot use output directory {out}: {existing} is not a directory")

@@ -90,7 +90,8 @@ def constrained_lagrangian_map(
     makes constant.  So the map is one SHAKE step: the manifold places the
     drift ``q + h (p - N)`` back on the constraint
     (:meth:`~bregopt.manifolds.EmbeddedManifold.solve_multiplier`, warm
-    started from ``lam0``), ``q_next`` is the point the solve lands on, the
+    started from ``lam0``, a multiplier the solve returned, or cold when it
+    is ``None``), ``q_next`` is the point the solve lands on, the
     drift less ``h J_C(q)^T lam``, and ``p_next = (q_next - q) / h - N``.
 
     Raises:
@@ -98,10 +99,9 @@ def constrained_lagrangian_map(
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    lam = np.zeros(manifold.constraint_dim) if lam0 is None else lam0
     force = 0.5 * h * lagrangian.field
     drift = q + h * (p - force)
-    lam, _, q_next, _, _ = manifold.solve_multiplier(drift, q, h, lam)
+    lam, _, q_next, _, _ = manifold.solve_multiplier(drift, q, h, lam0)
     return HamiltonStepResult(q_next, (q_next - q) / h - force, lam)
 
 

@@ -121,12 +121,10 @@ class EmbeddedManifold:
     Attributes:
         name: identifier such as ``"sphere:3"`` or ``"stiefel:20,5"``.
         ambient_dim: dimension ``N`` of the embedding space.
-        constraint_dim: number of independent constraint components ``d``.
     """
 
     name: str
     ambient_dim: int
-    constraint_dim: int
 
     # -- constraint ---------------------------------------------------------
 
@@ -135,14 +133,17 @@ class EmbeddedManifold:
         drift: np.ndarray,
         q: np.ndarray,
         coeff: float,
-        lam0: np.ndarray,
+        lam0: np.ndarray | None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
         """Multiplier ``lam`` with ``C(drift - coeff * J(q)^T lam) = 0``.
 
         This is the SHAKE/RATTLE projection of a constrained one-step map:
         ``drift`` is the unconstrained update of the position ``q`` and the
         force ``J(q)^T lam`` acts along the constraint normals at ``q``.
-        ``lam0`` is the starting guess of an iterative solve.  Returns
+        The multiplier's layout and size are the manifold's own: callers
+        only hand a ``lam`` this method returned back to it as ``lam0``, the
+        starting guess of an iterative solve, or pass ``None`` for a cold
+        start.  Returns
         ``(lam, normal, point, violation, iterations)``: the multiplier, the
         normal force ``J(q)^T lam`` as a flat ambient vector, the point the
         solve lands on, ``drift - coeff * J(q)^T lam`` as the solve's last
@@ -201,7 +202,6 @@ class Sphere(EmbeddedManifold):
             raise ValueError("sphere needs ambient dimension >= 2")
         self.name = f"sphere:{n}"
         self.ambient_dim = n
-        self.constraint_dim = 1
 
     def solve_multiplier(self, drift, q, coeff, lam0):
         """Closed-form root of the scalar quadratic ``|drift - coeff 2q lam|^2 = 1``;
@@ -251,9 +251,9 @@ class Sphere(EmbeddedManifold):
 class Stiefel(EmbeddedManifold):
     """Matrices with orthonormal columns: ``{X in R^{n x m} : X^T X = I}``.
 
-    The constraint exposes only the upper triangle (including the diagonal)
-    of ``X^T X - I``, vectorized row-major, so that the constraint Jacobian
-    has full row rank ``d = m (m + 1) / 2``.
+    The multiplier of the constraint ``X^T X - I = 0`` is a symmetric m x m
+    matrix ``S``, which exerts the normal force ``X S``; ``lam`` is ``S``
+    flattened.
     """
 
     def __init__(self, n: int, m: int):
@@ -263,19 +263,7 @@ class Stiefel(EmbeddedManifold):
         self.n = n
         self.m = m
         self.ambient_dim = n * m
-        self.constraint_dim = m * (m + 1) // 2
-        triu = np.triu_indices(m)
-        # the same entries as flat indices into an m x m array, for take
-        self._triu_flat = np.ravel_multi_index(triu, (m, m))
-        # maps S = L + L^T back to lam, the upper triangle of L
-        self._triu_weight = np.where(triu[0] == triu[1], 0.5, 1.0)
         self._eye = np.eye(m)
-        # builds S from lam in one gather: S[i, j] is lam's entry of
-        # (min(i, j), max(i, j)), doubled on the diagonal
-        index = np.empty((m, m), dtype=np.intp)
-        index[triu] = index.T[triu] = np.arange(self.constraint_dim)
-        self._sym_index = index
-        self._sym_weight = self._eye + 1.0
         # Largest |W| entry for which W^T W cannot overflow.
         self._gram_limit = math.sqrt(sys.float_info.max / n)
 
@@ -286,11 +274,15 @@ class Stiefel(EmbeddedManifold):
     def solve_multiplier(self, drift, q, coeff, lam0):
         """Solve ``F(T) = Y^T Y - I = 0`` with ``Y = D - X T``, ``T = coeff S``.
 
-        ``D`` is the drift and ``X`` the point ``q`` as n x m matrices.  The
-        multiplier is the symmetric ``S = L + L^T`` of the upper-triangular
-        ``L`` holding ``lam``, so the normal force ``J(q)^T lam`` is ``X S``.
-        With ``A = X^T D``, ``G = X^T X`` and ``C = D^T D - I`` the equation
-        is the algebraic Riccati equation ``T G T - T A - A^T T + C = 0``.
+        ``D`` is the drift and ``X`` the point ``q`` as n x m matrices, and
+        ``S`` the symmetric multiplier, so the normal force is ``X S``.  With
+        ``A = X^T D``, ``G = X^T X`` and ``C = D^T D - I`` the equation is the
+        algebraic Riccati equation ``T G T - T A - A^T T + C = 0``.
+
+        The solve starts from ``S = 0`` when ``lam0`` is ``None``, and
+        otherwise from the symmetric part of ``lam0`` read as an m x m
+        matrix, which is ``S`` itself, bit for bit, for a ``lam`` this
+        method returned.  A ``lam0`` of another length raises ``ValueError``.
 
         The derivative of ``F`` along ``dT`` is ``-(M^T dT + dT M)`` with
         ``M = X^T Y``, which is near ``I`` for a small step, so the solve
@@ -304,8 +296,8 @@ class Stiefel(EmbeddedManifold):
         part stacked as ``[U1; U2]``, ``T = U2 U1^{-1}``, symmetrized (the
         invariant-subspace method, Laub 1979).  ``M = A - G T`` then has
         exactly those eigenvalues, so this is the solution near ``T = 0``,
-        ``M = I`` that the fixed point tracks.  Returns ``lam = triu(S)``
-        with its diagonal halved, the normal ``X S``, and the last accepted
+        ``M = I`` that the fixed point tracks.  Returns ``lam``, the ``S``
+        of the landing flattened, the normal ``X S``, and the last accepted
         landing: ``Y`` as a flat point (the ``Y^T`` the solve formed,
         flattened row-major) and ``max |F|``, which is ``Y``'s violation bit
         for bit, as ``F`` is formed as :meth:`constraint_violation` forms
@@ -320,11 +312,12 @@ class Stiefel(EmbeddedManifold):
         """
         xt = q.reshape(self.m, self.n)
         dt = drift.reshape(self.m, self.n)
-        # the gather would take the leading entries of a longer guess
-        if lam0.shape != (self.constraint_dim,):
-            raise ValueError(f"{self.name}: multiplier guess of shape {lam0.shape}, "
-                             f"expected ({self.constraint_dim},)")
-        s = lam0[self._sym_index] * self._sym_weight
+        if lam0 is None:
+            s = np.zeros((self.m, self.m))
+        else:
+            # a skew part would add the tangent force X Skew
+            g = lam0.reshape(self.m, self.m)
+            s = (g + g.T) / 2.0
 
         def landing(s):
             # Y^T = D^T - (coeff S) X^T, as S is symmetric; F and its max
@@ -379,8 +372,7 @@ class Stiefel(EmbeddedManifold):
                     raise NewtonError(message, residual_norm=norm, iterations=iterations)
                 s, yt, norm = exact, yt_exact, norm_exact
                 iterations += 1
-        return (s.take(self._triu_flat) * self._triu_weight, s.dot(xt).reshape(-1),
-                yt.reshape(-1), norm, iterations)
+        return s.reshape(-1), s.dot(xt).reshape(-1), yt.reshape(-1), norm, iterations
 
     def constraint_violation(self, q):
         return self._gram_violation(q.reshape(self.m, self.n))

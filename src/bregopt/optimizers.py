@@ -148,9 +148,9 @@ def htvi_step(
     position on the constraint manifold), and the remaining updates follow
     explicitly.  The manifold solves for the multiplier
     (:meth:`~bregopt.manifolds.EmbeddedManifold.solve_multiplier`), warm
-    started from ``state.lam``, which must have the length
-    ``manifold.constraint_dim``, and returns the normal force that corrects
-    the momentum together with the point it lands on, which is the new
+    started from ``state.lam`` as it is (cold when it is ``None``), and
+    returns the new multiplier in its own layout, the normal force that
+    corrects the momentum, the point it lands on, which is the new
     position, and that point's constraint violation.
 
     Returns the new state, whose ``violation`` is the solve's, and the
@@ -277,7 +277,7 @@ def _check_feasible(manifold: EmbeddedManifold, violation: float) -> None:
 def _htvi_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
     direction = "direct" if config.method == "htvi_direct" else "adaptive"
     manifold = problem.manifold
-    state = ExtendedState.initial(q0, manifold.constraint_dim)
+    state = ExtendedState.initial(q0)
 
     def advance(k, f_val, grad, rgrad):
         nonlocal state

@@ -1,8 +1,9 @@
 """Test-local geometry references: the constraint residual ``C(q)`` and its
 dense Jacobian, which the package never forms (it evaluates only the
-residual's infinity norm), a dense Newton solver for the reference solves
-built on it, the partial derivatives of the midpoint discrete Lagrangian
-that those solves need, an unconstrained (``d = 0``) manifold for the
+residual's infinity norm), the ``d`` components of a multiplier along the
+Jacobian's rows, a dense Newton solver for the reference solves built on
+them, the partial derivatives of the midpoint discrete Lagrangian that
+those solves need, an unconstrained (``d = 0``) manifold for the
 unconstrained limit of the constrained maps, a random tangent vector
 sampler, a test id for manifold parameters, and the Stiefel kernels and
 Stiefel objectives written on the column-major n x m matrix ``X`` of a flat
@@ -87,8 +88,42 @@ class DenseLagrangian(MidpointLagrangian):
         return -np.eye(q0.size) / h
 
 
+def constraint_count(manifold):
+    """Number ``d`` of constraint components: one on the sphere, the
+    ``m (m + 1) / 2`` entries of the upper triangle of ``X^T X - I`` on
+    Stiefel and none on :class:`Unconstrained`."""
+    if isinstance(manifold, Sphere):
+        return 1
+    if isinstance(manifold, Stiefel):
+        return manifold.m * (manifold.m + 1) // 2
+    return 0
+
+
+def packed(manifold, lam):
+    """The ``d`` components along the rows of :func:`constraint_jacobian` of
+    a multiplier ``lam`` that ``manifold.solve_multiplier`` returned.  On
+    Stiefel ``lam`` is the flattened symmetric ``S`` of the normal ``X S``,
+    and its components are the upper triangle of ``S``, row by row, with the
+    diagonal halved; the sphere's ``lam`` is its one component."""
+    if not isinstance(manifold, Stiefel):
+        return lam
+    triu = np.triu_indices(manifold.m)
+    return lam.reshape(manifold.m, manifold.m)[triu] * np.where(triu[0] == triu[1], 0.5, 1.0)
+
+
+def unpacked(manifold, components):
+    """The multiplier of ``manifold`` whose :func:`packed` components are
+    ``components``."""
+    if not isinstance(manifold, Stiefel):
+        return components
+    s = np.zeros((manifold.m, manifold.m))
+    s[np.triu_indices(manifold.m)] = components
+    return (s + s.T).reshape(-1)
+
+
 def constraint(manifold, q):
-    """Constraint residual ``C(q)``, a vector of length ``constraint_dim``:
+    """Constraint residual ``C(q)``, a vector of length
+    :func:`constraint_count`:
     ``q.q - 1`` on the sphere, and on Stiefel the upper triangle, diagonal
     included, of ``X^T X - I``, row by row."""
     if isinstance(manifold, Sphere):
@@ -96,14 +131,14 @@ def constraint(manifold, q):
     if isinstance(manifold, Stiefel):
         x = matrix(manifold, q)
         return (x.T @ x - np.eye(manifold.m))[np.triu_indices(manifold.m)]
-    return np.zeros(manifold.constraint_dim)
+    return np.zeros(constraint_count(manifold))
 
 
 def loop_stiefel_jacobian(st, q):
     """Row by row constraint Jacobian of a Stiefel point, written as a loop
     over the constraint components."""
     x = matrix(st, q)
-    jac = np.zeros((st.constraint_dim, st.ambient_dim))
+    jac = np.zeros((constraint_count(st), st.ambient_dim))
     for row, (i, j) in enumerate(zip(*np.triu_indices(st.m))):
         grad = np.zeros((st.n, st.m))
         grad[:, i] += x[:, j]
@@ -119,7 +154,7 @@ def constraint_jacobian(manifold, q):
         return 2.0 * np.asarray(q, dtype=float)[np.newaxis, :]
     if isinstance(manifold, Stiefel):
         return loop_stiefel_jacobian(manifold, q)
-    return np.zeros((manifold.constraint_dim, manifold.ambient_dim))
+    return np.zeros((constraint_count(manifold), manifold.ambient_dim))
 
 
 def manifold_id(value):
@@ -137,8 +172,6 @@ def random_tangent(manifold, q, rng):
 
 class Unconstrained(EmbeddedManifold):
     """``R^n`` with no constraint (``d = 0``)."""
-
-    constraint_dim = 0
 
     def __init__(self, n):
         self.name = f"unconstrained:{n}"
@@ -207,15 +240,18 @@ def column_major_retract(st, q, v):
 
 def column_major_solve_multiplier(st, drift, q, coeff, lam0):
     """The SHAKE/RATTLE fixed point with its exact Riccati fallback, as in
-    ``Stiefel.solve_multiplier``, on ``Y = D - X (coeff S)``; returns
-    ``(lam, normal, Y, max |F|, iterations)`` with ``Y`` the last accepted
-    landing, flattened column-major."""
-    m, eye, triu = st.m, np.eye(st.m), np.triu_indices(st.m)
+    ``Stiefel.solve_multiplier``, on ``Y = D - X (coeff S)`` from ``S = 0``
+    or the symmetric part of the guess; returns ``(S, normal, Y, max |F|,
+    iterations)`` with ``S`` and ``Y`` the last accepted landing's,
+    flattened column-major."""
+    m, eye = st.m, np.eye(st.m)
     x = matrix(st, q)
     d = matrix(st, drift)
-    s = np.zeros((m, m))
-    s[triu] = lam0
-    s = s + s.T
+    if lam0 is None:
+        s = np.zeros((m, m))
+    else:
+        g = lam0.reshape((m, m), order="F")
+        s = (g + g.T) / 2.0
 
     def landing(s):
         y = d - x @ (coeff * s)
@@ -257,8 +293,8 @@ def column_major_solve_multiplier(st, drift, q, coeff, lam0):
                 raise NewtonError(message, residual_norm=norm, iterations=iterations)
             s, y, norm = exact, y_exact, norm_exact
             iterations += 1
-    lam = s[triu] * np.where(triu[0] == triu[1], 0.5, 1.0)
-    return lam, (x @ s).reshape(-1, order="F"), y.reshape(-1, order="F"), norm, iterations
+    return (s.reshape(-1, order="F"), (x @ s).reshape(-1, order="F"),
+            y.reshape(-1, order="F"), norm, iterations)
 
 
 def column_major_brockett(st, a, n_diag, q):

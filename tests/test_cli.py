@@ -833,6 +833,29 @@ class TestMalformedConfig:
         assert out == ""
         assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "taken"]
 
+    @pytest.mark.parametrize("command", ["run", "compare", "order-check"])
+    @pytest.mark.parametrize("case", ["nul", "symlink-loop"])
+    def test_output_dir_that_cannot_be_examined_is_config_error(self, tmp_path, capsys,
+                                                                monkeypatch, command, case):
+        # Path.exists answers False for both, as for an absent directory, so
+        # the command would run and fail only when it writes
+        forbid_runs(monkeypatch)
+        if case == "nul":
+            out_dir = str(tmp_path / "a\u0000b")
+        else:
+            (tmp_path / "loop").symlink_to("loop")
+            out_dir = str(tmp_path / "loop" / "out")
+        if command == "order-check":
+            config = order_check_config(tmp_path, output_dir=out_dir)
+        else:
+            config = run_config(tmp_path, methods=[{"method": "rgd", "max_iters": 2}] * 2,
+                                output_dir=out_dir)
+        out = assert_config_error(capsys, [command, "--config", config],
+                                  f"cannot use output directory {out_dir}: ")
+        assert out == ""
+        assert sorted(path.name for path in tmp_path.iterdir()) == \
+            ["config.json"] + (["loop"] if case == "symlink-loop" else [])
+
     @pytest.mark.parametrize("keys,phrase", [
         ({"duration": "long"}, "long"),
         ({"duration": 0.0}, "duration"),

@@ -24,8 +24,10 @@ from reference_geometry import (
     DenseLagrangian,
     Unconstrained,
     constraint,
+    constraint_count,
     constraint_jacobian,
     newton_solve,
+    packed,
     random_tangent,
 )
 
@@ -139,7 +141,7 @@ class TestNewton:
         st = Stiefel(4, 2)
         q = st.random_point(np.random.default_rng(3))
         with pytest.raises(NewtonError, match="Newton did not converge"):
-            st.solve_multiplier(q, q, 0.1, np.zeros(3))
+            st.solve_multiplier(q, q, 0.1, None)
 
 
 class TestGeneratingFunctions:
@@ -203,8 +205,9 @@ class TestLegendreTransforms:
 def dense_lagrangian_map(lagrangian, manifold, q, p, h, lam0=None):
     """The constrained Euler--Lagrange map as first written: a dense Newton
     solve of the (n + d) momentum and constraint equations, to the package's
-    solve tolerance and budget (reference)."""
-    n, d = manifold.ambient_dim, manifold.constraint_dim
+    solve tolerance and budget (reference).  ``lam0`` and the ``lam``
+    returned are the ``d`` components of the multiplier (:func:`packed`)."""
+    n, d = manifold.ambient_dim, constraint_count(manifold)
     jac_c = constraint_jacobian(manifold, q)
 
     def residual(x):
@@ -278,11 +281,12 @@ class TestConstrainedLagrangianMap:
         for state in states:
             q, p = state[:n], state[n:]
             new = constrained_lagrangian_map(lagrangian, manifold, q, p, h, lam)
-            old = dense_lagrangian_map(lagrangian, manifold, q, p, h, lam)
+            old = dense_lagrangian_map(lagrangian, manifold, q, p, h,
+                                       None if lam is None else packed(manifold, lam))
             assert np.abs(new.q_next - old.q_next).max() <= NEWTON_TOL
             assert np.abs(new.p_next - old.p_next).max() <= NEWTON_TOL / h
             if lam is not None and lam.size:
-                assert np.abs(new.lam - old.lam).max() <= NEWTON_TOL / h
+                assert np.abs(packed(manifold, new.lam) - old.lam).max() <= NEWTON_TOL / h
             assert manifold.constraint_violation(new.q_next) <= NEWTON_TOL
             lam = new.lam
 
@@ -310,7 +314,7 @@ class TestConstrainedLagrangianMap:
         lagrangian, manifold, q, p, h, _ = map_case("stiefel-field")
         result = constrained_lagrangian_map(lagrangian, manifold, q, p, h)
         jac_c = constraint_jacobian(manifold, q)
-        momentum = -lagrangian.d1(q, result.q_next, h) + jac_c.T @ result.lam
+        momentum = -lagrangian.d1(q, result.q_next, h) + jac_c.T @ packed(manifold, result.lam)
         np.testing.assert_allclose(momentum, p, atol=1e-10)
         assert manifold.constraint_violation(result.q_next) <= 1e-10
         np.testing.assert_array_equal(result.p_next,

@@ -8,9 +8,11 @@ iterations, and order checks with step sizes of at least 0.03 over at most
 end in one of the CLI's exit codes, with no numpy warning (the suite turns
 warnings into errors) and no line on stderr but the CLI's own.  A few
 cases are rejected on purpose: a file-based ``brockett`` ``m`` out of
-range, a directory where an output file goes, or an ``output_dir`` under a
-regular file.  Those must exit 1 with only ``config error:`` lines and
-print nothing, since the outputs are checked before anything runs.
+range, a directory where an output file goes, an ``output_dir`` under a
+regular file, or one that cannot be examined (a NUL character in it, or a
+symlink loop on its way).  Those must exit 1 with only ``config error:``
+lines and print nothing, since the outputs are checked before anything
+runs.
 
 Run as a script to fuzz a longer seed range and print the counts of exit
 codes, stderr lines and cases to reject::
@@ -152,6 +154,13 @@ def draw_config(seed, directory):
             config["output_dir"] = str(directory / "taken" / "out")
         else:
             (directory / "out" / rng.choice(output_names(command, config))).mkdir(parents=True)
+    elif rng.random() < 0.03:  # an output directory that cannot be examined
+        rejected = True
+        if rng.random() < 0.5:
+            config["output_dir"] = str(directory / "a\u0000b")
+        else:
+            (directory / "loop").symlink_to("loop")
+            config["output_dir"] = str(directory / "loop" / "out")
     return command, config, rejected
 
 

@@ -61,12 +61,12 @@ def defect(step, retract, z, d1, d2):
 def htvi_map(direction, params, problem):
     manifold = problem.manifold
     n = manifold.ambient_dim
-    lam = np.zeros(manifold.constraint_dim)
 
     def step(z):
         q, q_t, r, r_t = z[:n], z[n], z[n + 1:-1], z[-1]
         f_val, grad = problem.value_and_grad(q)
-        state = ExtendedState(q=q, q_t=float(q_t), r=r, r_t=float(r_t), lam=lam.copy())
+        # each step starts its multiplier solve cold
+        state = ExtendedState(q=q, q_t=float(q_t), r=r, r_t=float(r_t), lam=None)
         nxt = htvi_step(direction, params, manifold, state, grad, f_val)[0]
         return np.concatenate([nxt.q, [nxt.q_t], nxt.r, [nxt.r_t]])
 

@@ -17,10 +17,12 @@ from reference_geometry import (
     column_major_tangent_project,
     column_major_violation,
     constraint,
+    constraint_count,
     constraint_jacobian,
     manifold_id,
     matrix,
     random_tangent,
+    unpacked,
 )
 
 
@@ -71,7 +73,7 @@ class TestConstraint:
     def test_stiefel_constraint_length(self):
         st = Stiefel(5, 3)
         q = st.random_point(np.random.default_rng(0))
-        assert st.constraint_dim == constraint(st, q).size == 6
+        assert constraint_count(st) == constraint(st, q).size == 6
         assert st.constraint_violation(q) <= 1e-14
 
 
@@ -495,8 +497,8 @@ class TestColumnMajorReference:
             for warm in (False, True):
                 q = st.random_point(rng)
                 drift = q + coeff * spread * rng.standard_normal(st.ambient_dim)
-                lam0 = (0.1 * rng.standard_normal(st.constraint_dim) if warm
-                        else np.zeros(st.constraint_dim))
+                lam0 = (unpacked(st, 0.1 * rng.standard_normal(constraint_count(st)))
+                        if warm else None)
                 cases.append((drift, q, coeff, lam0))
 
         def assert_same(drift, q, coeff, lam0):
@@ -520,11 +522,10 @@ class TestColumnMajorReference:
         monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", 5)
         st = Stiefel(n, m)
         q = st.random_point(np.random.default_rng(45))
-        lam0 = np.zeros(st.constraint_dim)
         with pytest.raises(NewtonError) as ours:
-            st.solve_multiplier(q + 50.0, q, 1e-3, lam0)
+            st.solve_multiplier(q + 50.0, q, 1e-3, None)
         with pytest.raises(NewtonError) as ref:
-            column_major_solve_multiplier(st, q + 50.0, q, 1e-3, lam0)
+            column_major_solve_multiplier(st, q + 50.0, q, 1e-3, None)
         assert "unreachable" in str(ours.value)
         assert str(ours.value) == str(ref.value)
         assert bits(ours.value.residual_norm) == bits(ref.value.residual_norm)
@@ -532,12 +533,13 @@ class TestColumnMajorReference:
 
     @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
     def test_solve_multiplier_rejects_a_wrong_length_guess(self, n, m):
-        # S is gathered from lam0, which would read only the leading
-        # entries of a longer guess
+        # lam0 is read as an m x m matrix, so a guess of another length,
+        # such as the m (m + 1) / 2 constraint components, is an error and
+        # not a silent truncation
         st = Stiefel(n, m)
         q = st.random_point(np.random.default_rng(46))
-        for size in (st.constraint_dim - 1, st.constraint_dim + 1):
-            with pytest.raises(ValueError, match="multiplier guess"):
+        for size in {m * m - 1, m * m + 1, constraint_count(st)} - {m * m}:
+            with pytest.raises(ValueError, match="cannot reshape"):
                 st.solve_multiplier(q, q, 0.1, np.zeros(size))
 
 
@@ -559,8 +561,8 @@ class TestSolvedViolation:
             for warm in (False, True):
                 q = manifold.random_point(rng)
                 drift = q + coeff * spread * rng.standard_normal(manifold.ambient_dim)
-                lam0 = (0.1 * rng.standard_normal(manifold.constraint_dim) if warm
-                        else np.zeros(manifold.constraint_dim))
+                lam0 = (unpacked(manifold, 0.1 * rng.standard_normal(constraint_count(manifold)))
+                        if warm else None)
                 cases.append((drift, q, coeff, lam0))
 
         def check(drift, q, coeff, lam0):
@@ -579,6 +581,62 @@ class TestSolvedViolation:
         monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", 0)
         iterations = {check(*case) for case in cases}
         assert iterations == ({0} if isinstance(manifold, Sphere) else {1})
+
+
+def solve_bits(result):
+    """The exact bits of each output of a multiplier solve."""
+    return [bits(value) for value in result]
+
+
+class TestStiefelMultiplier:
+    """The Stiefel multiplier ``lam`` is the symmetric m x m ``S`` of the
+    normal force ``X S``, flattened.  A ``None`` guess starts the solve from
+    ``S = 0`` and any other guess from its symmetric part, since a skew part
+    would add a tangent force.  Each test runs the fixed point and, with no
+    budget for it, the exact Riccati step alone."""
+
+    @staticmethod
+    def drifts(st, rng):
+        """``(drift, q, coeff)`` of two steps, spread as in
+        ``TestColumnMajorReference.test_solve_multiplier``."""
+        spread = 0.5 / np.sqrt(st.m) if (st.n, st.m) == BLOCKED_SHAPE else 0.5
+        for coeff in (0.05, 0.2):
+            q = st.random_point(rng)
+            yield q + coeff * spread * rng.standard_normal(st.ambient_dim), q, coeff
+
+    @pytest.mark.parametrize("budget", [manifolds.NEWTON_MAX_ITER, 0])
+    @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
+    def test_cold_start_is_a_zero_guess(self, n, m, budget, monkeypatch):
+        monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", budget)
+        st = Stiefel(n, m)
+        for drift, q, coeff in self.drifts(st, np.random.default_rng(48)):
+            assert (solve_bits(st.solve_multiplier(drift, q, coeff, None))
+                    == solve_bits(st.solve_multiplier(drift, q, coeff, np.zeros(m * m))))
+
+    @pytest.mark.parametrize("budget", [manifolds.NEWTON_MAX_ITER, 0])
+    @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
+    def test_multiplier_is_symmetric_and_forms_the_normal(self, n, m, budget, monkeypatch):
+        monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", budget)
+        st = Stiefel(n, m)
+        rng = np.random.default_rng(49)
+        for drift, q, coeff in self.drifts(st, rng):
+            for guess in (None, 0.1 * rng.standard_normal(m * m)):
+                lam, normal, *_ = st.solve_multiplier(drift, q, coeff, guess)
+                s = lam.reshape(m, m)
+                assert bits(s) == bits(s.T)
+                assert bits(normal) == bits(s.dot(q.reshape(m, n)).reshape(-1))
+
+    @pytest.mark.parametrize("budget", [manifolds.NEWTON_MAX_ITER, 0])
+    @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
+    def test_a_guess_is_read_as_its_symmetric_part(self, n, m, budget, monkeypatch):
+        monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", budget)
+        st = Stiefel(n, m)
+        rng = np.random.default_rng(50)
+        for drift, q, coeff in self.drifts(st, rng):
+            guess = 0.1 * rng.standard_normal((m, m))
+            symmetric = (guess + guess.T) / 2.0
+            assert (solve_bits(st.solve_multiplier(drift, q, coeff, guess.reshape(-1)))
+                    == solve_bits(st.solve_multiplier(drift, q, coeff, symmetric.reshape(-1))))
 
 
 def public_linalg_retract(st, q, v):

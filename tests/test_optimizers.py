@@ -19,10 +19,13 @@ from digests import trace_digest
 from reference_geometry import (
     Unconstrained,
     constraint,
+    constraint_count,
     constraint_jacobian,
     manifold_id,
     newton_solve,
+    packed,
     random_tangent,
+    unpacked,
 )
 
 
@@ -52,7 +55,9 @@ def dense_multiplier(manifold, drift, q, coeff, lam0):
     """Multiplier solve through the dense constraint Jacobian: Newton on
     ``C(drift - coeff J(q)^T lam) = 0`` with the Jacobian
     ``-J(y) coeff J(q)^T``, to the package's solve tolerance and budget
-    (reference for ``solve_multiplier``)."""
+    (reference for ``solve_multiplier``).  ``lam0`` and the ``lam`` returned
+    are the ``d`` components of the multiplier along the Jacobian's rows
+    (:func:`packed`)."""
     jac_t = constraint_jacobian(manifold, q).T
     shift = coeff * jac_t
 
@@ -97,9 +102,12 @@ def closed_form_sphere_multiplier(w, v):
 
 
 class DenseStiefel(Stiefel):
-    """Stiefel manifold whose multiplier solve uses the dense reference."""
+    """Stiefel manifold whose multiplier solve uses the dense reference, so
+    its multiplier is the ``d`` components of the dense solve."""
 
     def solve_multiplier(self, drift, q, coeff, lam0):
+        if lam0 is None:
+            lam0 = np.zeros(constraint_count(self))
         return dense_multiplier(self, drift, q, coeff, lam0)
 
 
@@ -138,10 +146,10 @@ class TestSolveMultiplier:
         for coeff, warm in ((0.05, False), (0.05, True), (0.2, False)):
             q = st.random_point(rng)
             base = 0.5 * rng.standard_normal(n * m)
-            lam0 = 0.1 * rng.standard_normal(st.constraint_dim) if warm \
-                else np.zeros(st.constraint_dim)
+            lam0 = 0.1 * rng.standard_normal(constraint_count(st)) if warm \
+                else np.zeros(constraint_count(st))
             drift = q + coeff * base
-            lam, normal, _, _, iters = st.solve_multiplier(drift, q, coeff, lam0)
+            lam, normal, _, _, iters = st.solve_multiplier(drift, q, coeff, unpacked(st, lam0))
             ref_lam, ref_normal, *_ = dense_multiplier(st, drift, q, coeff, lam0)
             assert 1 <= iters <= NEWTON_MAX_ITER
             assert st.constraint_violation(q + coeff * (base - normal)) <= NEWTON_TOL
@@ -149,7 +157,7 @@ class TestSolveMultiplier:
             # about twice as fast, so the multipliers agree to tol / coeff
             # (measured: at most 0.35 of it)
             atol = NEWTON_TOL / coeff
-            np.testing.assert_allclose(lam, ref_lam, rtol=0, atol=atol)
+            np.testing.assert_allclose(packed(st, lam), ref_lam, rtol=0, atol=atol)
             np.testing.assert_allclose(normal, ref_normal, rtol=0, atol=atol)
 
     def test_stiefel_failure_is_newton_error(self, monkeypatch):
@@ -159,7 +167,7 @@ class TestSolveMultiplier:
         st = Stiefel(6, 2)
         q = st.random_point(np.random.default_rng(1))
         with pytest.raises(NewtonError, match="Newton did not converge") as info:
-            st.solve_multiplier(q + 50.0, q, 1e-3, np.zeros(3))
+            st.solve_multiplier(q + 50.0, q, 1e-3, None)
         assert "unreachable" in str(info.value)
         assert info.value.iterations < 5
 
@@ -171,7 +179,7 @@ class TestSolveMultiplier:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NewtonError, match="Newton did not converge in 0 iterations"):
-                st.solve_multiplier(q + shift, q, 1e-3, np.zeros(3))
+                st.solve_multiplier(q + shift, q, 1e-3, None)
 
     def test_stiefel_budget_exhaustion(self, monkeypatch):
         # with no fixed-point budget left, a reachable drift is solved by the
@@ -184,11 +192,11 @@ class TestSolveMultiplier:
         drift = q + coeff * base
         ref_lam, ref_normal, *_ = dense_multiplier(st, drift, q, coeff, np.zeros(3))
         monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", 0)
-        lam, normal, _, _, iters = st.solve_multiplier(drift, q, coeff, np.zeros(3))
+        lam, normal, _, _, iters = st.solve_multiplier(drift, q, coeff, None)
         assert iters == 1
         assert st.constraint_violation(q + coeff * (base - normal)) <= NEWTON_TOL
         atol = NEWTON_TOL / coeff
-        np.testing.assert_allclose(lam, ref_lam, rtol=0, atol=atol)
+        np.testing.assert_allclose(packed(st, lam), ref_lam, rtol=0, atol=atol)
         np.testing.assert_allclose(normal, ref_normal, rtol=0, atol=atol)
 
     def test_sphere_bit_equal_to_closed_form(self):
@@ -402,7 +410,7 @@ class TestHtviStep:
         rng = np.random.default_rng(2)
         q = st.random_point(rng)
         state = ExtendedState(q=q, q_t=1.0, r=rng.standard_normal(10) * 0.3,
-                              r_t=0.0, lam=np.zeros(3))
+                              r_t=0.0, lam=None)
         out, iters = htvi_step("direct", params, st, state, rng.standard_normal(10), 0.5)
         assert st.constraint_violation(out.q) <= 1e-10
         assert iters >= 1
@@ -421,7 +429,7 @@ class TestHtviStep:
         monkeypatch.setattr(manifold, "solve_multiplier", recording_solve)
         rng = np.random.default_rng(12)
         n = manifold.ambient_dim
-        state = ExtendedState.initial(manifold.random_point(rng), manifold.constraint_dim)
+        state = ExtendedState.initial(manifold.random_point(rng))
         assert math.isnan(state.violation)
         state = dataclasses.replace(state, r=0.3 * rng.standard_normal(n))
         for direction in ("direct", "adaptive", "direct"):
@@ -435,13 +443,14 @@ class TestHtviStep:
 
     def test_wrong_length_multiplier_is_not_replaced(self):
         # state.lam warm starts the solve as it is: the multiplier of a step
-        # lands the same step again at once, and one of the wrong length is
-        # an error, not a silent cold start
+        # lands the same step again at once, and one of the wrong length,
+        # such as the 3 constraint components, is an error, not a silent
+        # cold start
         params = BregmanParams(p=4.0, h=1e-2)
         st = Stiefel(5, 2)
         rng = np.random.default_rng(2)
         state = ExtendedState(q=st.random_point(rng), q_t=1.0,
-                              r=rng.standard_normal(10) * 0.3, r_t=0.0, lam=np.zeros(3))
+                              r=rng.standard_normal(10) * 0.3, r_t=0.0, lam=None)
         grad = rng.standard_normal(10)
         cold, iters = htvi_step("direct", params, st, state, grad, 0.5)
         assert iters >= 1
@@ -449,9 +458,10 @@ class TestHtviStep:
                                 grad, 0.5)
         assert iters == 0
         np.testing.assert_array_equal(warm.q, cold.q)
-        with pytest.raises(ValueError):
-            htvi_step("direct", params, st, dataclasses.replace(state, lam=np.zeros(2)),
-                      grad, 0.5)
+        for wrong in (np.zeros(2), np.zeros(3)):
+            with pytest.raises(ValueError):
+                htvi_step("direct", params, st, dataclasses.replace(state, lam=wrong),
+                          grad, 0.5)
 
     def test_invalid_direction(self):
         params = BregmanParams(p=2.0)
@@ -907,7 +917,7 @@ class TestRunDriver:
         ts, newton = [0.0], [None]
         if method.startswith("htvi"):
             direction = method.split("_")[1]
-            state = ExtendedState.initial(q0, manifold.constraint_dim)
+            state = ExtendedState.initial(q0)
             ts = [state.q_t]
         elif method.startswith("el"):
             v = np.zeros_like(q0)

@@ -28,6 +28,11 @@ Each stepper's finiteness test reads scalars its step has already formed:
 the violation the kernel reported in place of ``x.x`` and, for HTVI, ``r_t``
 in place of ``r.r``.  So the ``advance`` closures of ``optimizers`` take one
 inner product, the EL velocity's ``v.v``, which no step forms.
+
+The layout and size of the constraint multiplier are the manifold's alone:
+the steppers hand ``solve_multiplier`` back the ``lam`` it returned, or
+``None``, so no module but ``manifolds`` subscripts or reshapes a ``lam`` or
+``lam0``, and none names a multiplier size ``constraint_dim``.
 """
 
 import ast
@@ -125,3 +130,43 @@ def test_advance_closures_dot_only_the_velocity():
              and ast.unparse(node) != "v.dot(v)"]
     assert not calls, ("read the step's violation or r_t instead of forming "
                        + "; ".join(calls))
+
+
+def test_no_module_names_a_multiplier_size():
+    naming = [path.name for path in SOURCES
+              if "constraint_dim" in path.read_text(encoding="utf-8")]
+    assert not naming, f"{naming} name constraint_dim; the multiplier's size is the manifold's"
+
+
+MULTIPLIER_NAMES = {"lam", "lam0"}
+
+
+def is_multiplier(node):
+    """Whether ``node`` is a name or attribute called ``lam`` or ``lam0``."""
+    return ((isinstance(node, ast.Name) and node.id in MULTIPLIER_NAMES)
+            or (isinstance(node, ast.Attribute) and node.attr in MULTIPLIER_NAMES))
+
+
+def multiplier_layout_uses(tree):
+    """Lines that subscript or reshape a multiplier: ``lam[...]``,
+    ``lam.reshape(...)`` and ``np.reshape(lam, ...)``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and is_multiplier(node.value):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "reshape"
+              and (is_multiplier(node.func.value)
+                   or (node.args and is_multiplier(node.args[0])))):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_manifolds_reads_the_multiplier_layout():
+    uses = {path.name: multiplier_layout_uses(ast.parse(path.read_text(encoding="utf-8"),
+                                                        filename=str(path)))
+            for path in SOURCES}
+    # the Stiefel solve reads its guess, so the walk is not vacuous
+    assert uses.pop("manifolds.py")
+    outside = {name: lines for name, lines in uses.items() if lines}
+    assert not outside, f"the multiplier's layout is read outside manifolds: {outside}"
