@@ -93,7 +93,8 @@ class ExtendedState:
     Attributes:
         q: configuration, flat array of length ``ambient_dim``.
         q_t: time-position coordinate, strictly positive and strictly
-            increasing along trajectories.
+            increased by each step; a restart of
+            :func:`~bregopt.optimizers.run` sets it back to 1.
         r: momentum conjugate to ``q``.
         r_t: momentum conjugate to ``q_t``.
         lam: Lagrange multiplier of the holonomic constraint, in the layout

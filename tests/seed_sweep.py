@@ -8,7 +8,8 @@ an oracle.  It prints one row per problem and method with the outcome of
 each seed -- ``S<k>`` reached the target at iteration ``k``, ``U<k>`` used
 up the budget, ``F<k>`` failed at step ``k`` -- followed by the text of
 every failure, a count of the failures and of those classified
-unreachable, and a ``trace digest`` line: a sha256 over every run's exact
+unreachable, the worst constraint violation of any iterate of any run, and
+a ``trace digest`` line: a sha256 over every run's exact
 ``fs``/``grad_norms``/``constraint_violations``/``newton_iters`` bits and
 failure text, in sweep order.  Equal digest lines from two versions of the
 package show that every trajectory of the sweep is bit-identical.  Not
@@ -40,8 +41,8 @@ TARGET = 1e-6
 
 
 def outcome(name, method, seed, digest):
-    """``(status, k, failure text)`` of one run, whose trace and failure
-    text are fed to ``digest``."""
+    """``(status, k, failure text, worst violation)`` of one run, whose
+    trace and failure text are fed to ``digest``."""
     problem = build_problem({"name": name, "seed": seed})
     initial = problem.manifold.random_point(np.random.default_rng(seed))
     block = {"method": method, "max_iters": BUDGET}
@@ -50,23 +51,26 @@ def outcome(name, method, seed, digest):
     trace = run(build_run_config(block), problem, initial)
     update_digest(digest, trace)
     digest.update(f"|{trace.failure_reason}\n".encode())
+    violation = max(trace.constraint_violations, default=0.0)
     if trace.failed:
         # the step that failed follows the last recorded iterate
-        return "F", len(trace), trace.failure_reason
+        return "F", len(trace), trace.failure_reason, violation
     k, grad_norm, gap = trace.ks[-1], trace.grad_norms[-1], trace.errors_vs_oracle[-1]
     reached = gap <= TARGET if has_oracle else grad_norm <= TARGET
-    return ("S" if reached else "U"), k, ""
+    return ("S" if reached else "U"), k, "", violation
 
 
 def main():
     failures = []
+    worst = 0.0
     digest = hashlib.sha256()
     print(f"{'problem':<11} {'method':<14} " + " ".join(f"{s:>6}" for s in SEEDS))
     for name in PROBLEMS:
         for method in METHODS:
             cells = []
             for seed in SEEDS:
-                status, k, text = outcome(name, method, seed, digest)
+                status, k, text, violation = outcome(name, method, seed, digest)
+                worst = max(worst, violation)
                 cells.append(f"{status}{k:>5}")
                 if text:
                     failures.append(f"{name}#{seed}/{method} k={k}: {text}")
@@ -76,6 +80,7 @@ def main():
         print(" ", line)
     unreachable = sum("unreachable" in line for line in failures)
     print(f"failures: {len(failures)}, unreachable: {unreachable}")
+    print(f"worst constraint violation: {worst:.3e}")
     print(f"trace digest: {digest.hexdigest()}")
 
 

@@ -128,13 +128,14 @@ class TestRun:
     def test_failed_run_truncates_csv_and_exits_nonzero(self, tmp_path):
         from bregopt.cli import EXIT_NUMERICAL
 
-        # over-aggressive adaptive target exponent destabilizes the run
+        # an over-aggressive adaptive target exponent at ten times the
+        # default step destabilizes the run
         config = write_config(
             tmp_path,
             {
                 "problem": {"name": "rayleigh", "dims": [10], "seed": 7},
                 "methods": [{"method": "htvi_adaptive", "label": "bad", "p": 6.0,
-                             "p_ring": 2.0, "h": 1e-3, "max_iters": 100000,
+                             "p_ring": 1.0, "h": 1e-2, "max_iters": 100000,
                              "stop_f_tol": 1e-300, "stop_grad_tol": 1e-300}],
                 "output_dir": str(tmp_path / "out"),
             },
@@ -188,15 +189,16 @@ class TestRun:
     def test_failed_block_leaves_failure_row_and_later_blocks_run(self, tmp_path):
         from bregopt.cli import EXIT_NUMERICAL
 
-        # an over-aggressive adaptive target exponent loses the multiplier
-        # root in step 517
+        # an over-aggressive adaptive target exponent at ten times the
+        # default step loses the multiplier root in step 3
         config = write_config(
             tmp_path,
             {
                 "problem": {"name": "rayleigh", "dims": [10], "seed": 7},
                 "methods": [
-                    {"method": "htvi_adaptive", "label": "bad", "p": 6.0, "p_ring": 2.0,
-                     "max_iters": 1000, "stop_f_tol": 1e-300, "stop_grad_tol": 1e-300},
+                    {"method": "htvi_adaptive", "label": "bad", "p": 6.0, "p_ring": 1.0,
+                     "h": 1e-2, "max_iters": 1000, "stop_f_tol": 1e-300,
+                     "stop_grad_tol": 1e-300},
                     {"method": "rgd", "label": "next", "h": 0.01, "max_iters": 50,
                      "stop_f_tol": 1e-300, "stop_grad_tol": 1e-300},
                 ],
@@ -205,8 +207,8 @@ class TestRun:
         )
         assert main(["run", "--config", config]) == EXIT_NUMERICAL
         lines = (tmp_path / "out" / "bad.csv").read_text().splitlines()
-        assert len(lines) == 519  # header, k = 0..516, failure row
-        assert lines[-1] == "517,nan,nan,nan,nan,,"
+        assert len(lines) == 5  # header, k = 0..2, failure row
+        assert lines[-1] == "3,nan,nan,nan,nan,,"
         assert len((tmp_path / "out" / "next.csv").read_text().splitlines()) == 52
 
     def test_newton_tol_above_feasibility_tolerance_is_config_error(self, tmp_path, capsys):

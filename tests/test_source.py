@@ -26,8 +26,9 @@ the ``value_and_grad`` closures of ``problems``.
 
 Each stepper's finiteness test reads scalars its step has already formed:
 the violation the kernel reported in place of ``x.x`` and, for HTVI, ``r_t``
-in place of ``r.r``.  So the ``advance`` closures of ``optimizers`` take one
-inner product, the EL velocity's ``v.v``, which no step forms.
+in place of ``r.r``.  So the ``advance`` closures of ``optimizers`` take two
+inner products, neither of which a step forms: the EL velocity's ``v.v``,
+and the HTVI gradient restart's test ``r.rgrad``.
 
 The layout and size of the constraint multiplier are the manifold's alone:
 the steppers hand ``solve_multiplier`` back the ``lam`` it returned, or
@@ -123,13 +124,13 @@ def test_advance_closures_dot_only_the_velocity():
                 for node in ast.walk(outer)
                 if isinstance(node, ast.FunctionDef) and node.name == "advance"}
     assert sorted(closures) == ["_el_stepper", "_htvi_stepper", "_rgd_stepper"]
-    calls = [f"{name} line {node.lineno}: {ast.unparse(node)}"
-             for name, closure in closures.items() for node in ast.walk(closure)
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-             and node.func.attr == "dot"
-             and ast.unparse(node) != "v.dot(v)"]
-    assert not calls, ("read the step's violation or r_t instead of forming "
-                       + "; ".join(calls))
+    dots = {name: [ast.unparse(node) for node in ast.walk(closure)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "dot"]
+            for name, closure in closures.items()}
+    assert dots == {"_el_stepper": ["v.dot(v)"], "_htvi_stepper": ["state.r.dot(rgrad)"],
+                    "_rgd_stepper": []}, \
+        f"read the step's violation or r_t instead of forming {dots}"
 
 
 def test_no_module_names_a_multiplier_size():
