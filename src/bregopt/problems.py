@@ -3,8 +3,9 @@
 Three problems are provided: Rayleigh-quotient minimization on the unit
 sphere, the Brockett cost on the Stiefel manifold (generalized eigenvalue
 problem), and the orthogonal Procrustes problem.  Optimal values come from
-dense closed-form oracles: the symmetric eigendecomposition for Rayleigh and
-Brockett and the SVD for balanced Procrustes, both from ``numpy.linalg``.
+dense closed-form oracles: the symmetric eigenvalues alone for Rayleigh and
+Brockett, with no eigenvectors formed, and ``f`` at the SVD's ``U V^T`` for
+balanced Procrustes, both from ``numpy.linalg``.
 
 Each problem gives one evaluation, ``value_and_grad(q)``: the objective
 value and its ambient gradient at a flat point ``q``, computed from the work
@@ -33,7 +34,8 @@ from .manifolds import EmbeddedManifold, Sphere, Stiefel, positive_qr
 
 @dataclass
 class ProblemSpec:
-    """An objective bound to a manifold, with optional solution oracle.
+    """An objective bound to a manifold, with its optimal value where a
+    closed form gives one and ``None`` elsewhere; no minimizer is kept.
 
     ``value_and_grad(q)`` returns the objective value at ``q``, a Python
     float, and the ambient gradient there.
@@ -43,7 +45,6 @@ class ProblemSpec:
     manifold: EmbeddedManifold
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
     oracle_value: float | None = None
-    oracle_point: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -82,24 +83,24 @@ def rayleigh(a: np.ndarray) -> ProblemSpec:
     """Rayleigh-quotient minimization of ``f(v) = -v^T A v`` on the sphere.
 
     The minimum is the negative largest eigenvalue, attained at the
-    corresponding unit eigenvector.  The gradient's factor -2 is carried in
-    the matrix ``-2 A``, formed once here.  Scaling by -2 is exact, short of
-    overflow, and commutes with every rounding of the product, so the
-    gradient ``G`` is the bits of ``-2 (A v)`` and ``f = <v, G> / 2`` the
-    bits of ``-v^T (A v)``.  ``A`` must be finite, and so must ``-2 A``.
+    corresponding unit eigenvector; only the eigenvalues are computed.  The
+    gradient's factor -2 is carried in the matrix ``-2 A``, formed once here.
+    Scaling by -2 is exact, short of overflow, and commutes with every
+    rounding of the product, so the gradient ``G`` is the bits of
+    ``-2 (A v)`` and ``f = <v, G> / 2`` the bits of ``-v^T (A v)``.  ``A``
+    must be finite, and so must ``-2 A``.
     """
     a = _check_symmetric(a, "A")
     n = a.shape[0]
     manifold = Sphere(n)
-    values, vectors = np.linalg.eigh(a)
+    values = np.linalg.eigvalsh(a)
     minus_two_a = _scaled(-2.0, a, "A")
 
     def value_and_grad(q):
         grad = minus_two_a.dot(q)
         return 0.5 * float(q.dot(grad)), grad
 
-    return ProblemSpec("rayleigh", manifold, value_and_grad,
-                       oracle_value=-float(values[-1]), oracle_point=vectors[:, -1].copy())
+    return ProblemSpec("rayleigh", manifold, value_and_grad, oracle_value=-float(values[-1]))
 
 
 def brockett(a: np.ndarray, n_diag: np.ndarray) -> ProblemSpec:
@@ -109,7 +110,8 @@ def brockett(a: np.ndarray, n_diag: np.ndarray) -> ProblemSpec:
     minimizer's columns are eigenvectors of the smallest eigenvalues of
     ``A``, with the largest weight paired with the smallest eigenvalue, so
     the optimal value is ``sum_j mu_j * lambda_{m - j + 1}`` for ascending
-    eigenvalues ``lambda``.  ``A`` and the optimal value must be finite.
+    eigenvalues ``lambda``, the only spectral data computed.  ``A`` and the
+    optimal value must be finite.
     """
     a = _check_symmetric(a, "A")
     mu = np.asarray(n_diag, dtype=float)
@@ -119,7 +121,7 @@ def brockett(a: np.ndarray, n_diag: np.ndarray) -> ProblemSpec:
         raise ValueError("diagonal of N must satisfy 0 <= mu_1 <= ... <= mu_m")
     n, m = a.shape[0], mu.size
     manifold = Stiefel(n, m)
-    values, vectors = np.linalg.eigh(a)
+    values = np.linalg.eigvalsh(a)
     # The gradient 2 A X N, read as 2 N X^T A^T, scales the rows of X^T A^T
     # by 2 mu, which rounds exactly as the product ((2 A) X) N does.
     two_mu = (2.0 * mu)[:, np.newaxis]
@@ -133,9 +135,7 @@ def brockett(a: np.ndarray, n_diag: np.ndarray) -> ProblemSpec:
 
     with np.errstate(over="ignore"):
         oracle_value = float(np.sum(mu * values[m - 1 :: -1]))
-    return ProblemSpec("brockett", manifold, value_and_grad,
-                       oracle_value=_finite_oracle(oracle_value, "A"),
-                       oracle_point=manifold.from_matrix(vectors[:, m - 1 :: -1]))
+    return ProblemSpec("brockett", manifold, value_and_grad, _finite_oracle(oracle_value, "A"))
 
 
 def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
@@ -168,15 +168,14 @@ def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
         return float(np.add.reduce(res * res, axis=None)), res.T.dot(two_a).reshape(-1)
 
     oracle_value = None
-    oracle_point = None
     if n == m:
         # Minimizing |AX - B|_F^2 over O(n) maximizes trace(X^T A^T B); the
         # maximizer is U V^T from the SVD of A^T B.
         with np.errstate(all="ignore"):
             u, _, vt = np.linalg.svd(a.T.dot(b))
-            oracle_point = manifold.from_matrix(u.dot(vt))
-            oracle_value = _finite_oracle(value_and_grad(oracle_point)[0], "A or B")
-    return ProblemSpec("procrustes", manifold, value_and_grad, oracle_value, oracle_point)
+            oracle_value = _finite_oracle(value_and_grad(manifold.from_matrix(u.dot(vt)))[0],
+                                          "A or B")
+    return ProblemSpec("procrustes", manifold, value_and_grad, oracle_value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,11 @@
-"""Tests of the benchmark problems and their oracles."""
+"""Tests of the benchmark problems and their oracles.
 
+The package keeps no minimizer: its oracles are optimal values.  The tests
+build their own minimizers with ``np.linalg.eigh`` and ``svd`` and check the
+values there against ``oracle_value``.
+"""
+
+import dataclasses
 import re
 
 import numpy as np
@@ -25,6 +31,33 @@ from reference_geometry import (
 )
 
 
+def rayleigh_minimizer(a):
+    """The unit eigenvector of the largest eigenvalue of ``a``, by ``eigh``:
+    a minimizer of ``rayleigh(a)``."""
+    return np.linalg.eigh(a)[1][:, -1]
+
+
+def brockett_minimizer(a, m):
+    """Flat ``X`` whose column j is the eigenvector of the (m - j + 1)-th
+    smallest eigenvalue of ``a``, by ``eigh``: a minimizer of
+    ``brockett(a, mu)`` for ``m`` weights ``mu``."""
+    return np.linalg.eigh(a)[1][:, m - 1 :: -1].reshape(-1, order="F")
+
+
+def instance_minimizer(name, dims, seed, conditioning=10.0):
+    """A minimizer of ``make_instance(name, dims, seed, conditioning)``, from
+    the matrices that call draws; for balanced ``procrustes`` it is ``U V^T``
+    from the SVD ``A^T B = U S V^T``."""
+    if name == "procrustes":
+        n, m, l = dims
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((l, n))
+        u, _, vt = np.linalg.svd(a.T @ rng.standard_normal((l, m)))
+        return (u @ vt).reshape(-1, order="F")
+    a = symmetric_instance(seed, dims[0], conditioning)
+    return rayleigh_minimizer(a) if name == "rayleigh" else brockett_minimizer(a, dims[1])
+
+
 def ambient_fd_gradient(f, q, eps=1e-6):
     grad = np.empty(q.size)
     for j in range(q.size):
@@ -46,12 +79,15 @@ class TestRayleigh:
 
     def test_two_by_two_oracle(self):
         prob = rayleigh(np.diag([1.0, 2.0]))
+        x_star = rayleigh_minimizer(np.diag([1.0, 2.0]))
         assert prob.oracle_value == pytest.approx(-2.0, abs=1e-12)
-        np.testing.assert_allclose(np.abs(prob.oracle_point), [0.0, 1.0], atol=1e-10)
+        np.testing.assert_allclose(np.abs(x_star), [0.0, 1.0], atol=1e-10)
+        assert prob.value_and_grad(x_star)[0] == pytest.approx(prob.oracle_value, abs=1e-12)
 
     def test_seeded_oracle_consistency(self):
         prob = make_instance("rayleigh", (10,), seed=3)
-        assert abs(prob.value_and_grad(prob.oracle_point)[0] - prob.oracle_value) <= 1e-10
+        x_star = instance_minimizer("rayleigh", (10,), seed=3)
+        assert abs(prob.value_and_grad(x_star)[0] - prob.oracle_value) <= 1e-10
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -70,18 +106,22 @@ class TestBrockett:
     def test_diagonal_oracle_pairing(self):
         # the largest weight pairs with the smallest eigenvalue
         prob = brockett(np.diag([1.0, 2.0, 3.0]), np.array([1.0, 2.0]))
+        x_star = brockett_minimizer(np.diag([1.0, 2.0, 3.0]), 2)
         assert prob.oracle_value == pytest.approx(4.0, abs=1e-12)
-        assert abs(prob.value_and_grad(prob.oracle_point)[0] - 4.0) <= 1e-12
+        assert abs(prob.value_and_grad(x_star)[0] - 4.0) <= 1e-12
 
     def test_oracle_columns_are_eigenvectors(self):
         prob = make_instance("brockett", (7, 3), seed=5)
-        x = matrix(prob.manifold, prob.oracle_point)
+        x_star = instance_minimizer("brockett", (7, 3), seed=5)
+        x = matrix(prob.manifold, x_star)
         # columns must satisfy the eigenvalue equation of the instance matrix
         inst = symmetric_instance(5, 7, 10.0)
         for j in range(3):
             col = x[:, j]
             lam = col @ (inst @ col)
             assert np.linalg.norm(inst @ col - lam * col) <= 1e-8
+        # and the oracle value is the value at those columns, paired as it says
+        assert abs(prob.value_and_grad(x_star)[0] - prob.oracle_value) <= 1e-10
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
@@ -108,7 +148,9 @@ class TestProcrustes:
     def test_unbalanced_has_no_oracle(self):
         prob = make_instance("procrustes", (4, 2, 6), seed=9)
         assert prob.oracle_value is None
-        assert prob.oracle_point is None
+        # and the spec holds no other oracle data
+        assert [field.name for field in dataclasses.fields(prob)] == [
+            "name", "manifold", "value_and_grad", "oracle_value"]
 
     def test_dimension_checks(self):
         rng = np.random.default_rng(10)
@@ -295,16 +337,34 @@ class TestColumnMajorReference:
                     assert np.array_equal(grad, ref_grad)
 
 
+class TestEigenvalueOracle:
+    """The Rayleigh and Brockett oracles read the eigenvalues alone
+    (``eigvalsh``); they agree with the values an ``eigh`` decomposition
+    gives to within its rounding."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_oracle_values_match_an_eigh_reference(self, seed):
+        # the CLI's default instances: rayleigh n=100 and brockett 20 x 5
+        values = np.linalg.eigh(symmetric_instance(seed, 100, 10.0))[0]
+        assert abs(make_instance("rayleigh", (100,), seed).oracle_value
+                   + values[-1]) <= 1e-12
+        values = np.linalg.eigh(symmetric_instance(seed, 20, 10.0))[0]
+        mu = np.arange(1.0, 6.0)
+        assert abs(make_instance("brockett", (20, 5), seed).oracle_value
+                   - np.sum(mu * values[4::-1])) <= 1e-12
+
+
 class TestOracleLocalOptimality:
     @pytest.mark.parametrize(
         "name,dims",
         [("rayleigh", (6,)), ("brockett", (5, 2)), ("procrustes", (3, 3, 5))],
     )
-    def test_oracle_point_locally_minimal(self, name, dims):
+    def test_oracle_minimizer_locally_minimal(self, name, dims):
         prob = make_instance(name, dims, seed=13)
         rng = np.random.default_rng(14)
-        base = prob.oracle_point
+        base = instance_minimizer(name, dims, seed=13)
         f_star = prob.value_and_grad(base)[0]
+        assert abs(f_star - prob.oracle_value) <= 1e-10
         for _ in range(50):
             xi = random_tangent(prob.manifold, base, rng)
             nudged, _ = prob.manifold.retract(base, 1e-3 * xi)
@@ -346,7 +406,11 @@ class TestInstanceGeneration:
                      make_instance("brockett", (n, 2), seed, conditioning))
             for new, old in zip(drawn, expected):
                 assert new.oracle_value == old.oracle_value
-                np.testing.assert_array_equal(new.oracle_point, old.oracle_point)
+                # the objective at a seeded point pins the matrix
+                q = new.manifold.random_point(np.random.default_rng(seed + 30))
+                (new_f, new_grad), (old_f, old_grad) = new.value_and_grad(q), old.value_and_grad(q)
+                assert float.hex(new_f) == float.hex(old_f)
+                np.testing.assert_array_equal(new_grad, old_grad)
 
     @pytest.mark.parametrize("name,dims,reason", [
         ("rayleigh", (0,), "n must be at least 2"),
