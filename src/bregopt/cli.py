@@ -70,9 +70,12 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 order-check acceptance failure.  Each command checks its outputs before
 it runs anything: an output path that is a directory, or an ``output_dir``
 under a regular file, is a configuration error that prints no stdout line
-and writes nothing.  The output directory is created when the first output
-is written; an output that still cannot be written is a configuration
-error too.  A numerical failure is a ``run`` or ``compare`` method whose
+and writes nothing.  ``run`` and ``compare`` check the method blocks, their
+labels and number, and then the outputs before the problem block, so a
+config that cannot run draws or reads no instance; its first fault in that
+order is the one reported.  The output directory is created when the first
+output is written; an output that still cannot be written is a
+configuration error too.  A numerical failure is a ``run`` or ``compare`` method whose
 trace failed, or an ``order-check`` trajectory, the reference or one at a
 listed step size, that does not stay finite or whose step fails; the
 latter prints one ``numerical failure: ...`` line naming the step size and
@@ -448,20 +451,23 @@ def _outputs(config: dict, out_override: str | None, names: list[str]) -> list[P
     return paths
 
 
-def _prepare(config: dict):
-    """The problem, run configs, labels and initial point of a ``run`` or
-    ``compare`` config; it writes nothing."""
+def _method_blocks(config: dict):
+    """The run configs and labels of a ``run`` or ``compare`` config."""
     _check_keys(config, RUN_KEYS, "config")
-    problem_block = config.get("problem", {})
-    problem = build_problem(problem_block)
     blocks = config.get("methods", [])
     if not isinstance(blocks, list) or not blocks:
         raise ConfigError("config needs a non-empty 'methods' list")
-    run_configs = [build_run_config(block) for block in blocks]
-    labels = _method_labels(blocks)
+    return [build_run_config(block) for block in blocks], _method_labels(blocks)
+
+
+def _instance(config: dict):
+    """The problem and initial point of a ``run`` or ``compare`` config.  A
+    command builds them after it has checked everything else, as drawing
+    the instance is the one costly step before the runs."""
+    problem_block = config.get("problem", {})
+    problem = build_problem(problem_block)
     seed = _problem_seed(problem_block)
-    initial = problem.manifold.random_point(np.random.default_rng(seed))
-    return problem, run_configs, labels, initial
+    return problem, problem.manifold.random_point(np.random.default_rng(seed))
 
 
 def _run_blocks(problem, run_configs, labels, initial, keep) -> int:
@@ -480,9 +486,10 @@ def _run_blocks(problem, run_configs, labels, initial, keep) -> int:
 def cmd_run(config_path: str, out_override: str | None = None) -> int:
     """Run every method block; write one CSV per block as its run ends."""
     config = _load_json(config_path)
-    problem, run_configs, labels, initial = _prepare(config)
+    run_configs, labels = _method_blocks(config)
     names = [f"{label}.csv" for label in labels]
     paths = dict(zip(labels, _outputs(config, out_override, names)))
+    problem, initial = _instance(config)
 
     def keep(label, trace):
         _write(paths[label], _csv(CSV_COLUMNS, _trace_lines(trace)))
@@ -496,10 +503,11 @@ def cmd_compare(config_path: str, out_override: str | None = None) -> int:
     plot = config.get("plot", True)
     if not isinstance(plot, bool):
         raise ConfigError(f"'plot' must be true or false, not {plot!r}")
-    problem, run_configs, labels, initial = _prepare(config)
+    run_configs, labels = _method_blocks(config)
     if len(run_configs) < 2:
         raise ConfigError("compare needs at least two method blocks")
     paths = _outputs(config, out_override, ["compare.csv", "compare.svg"][:1 + plot])
+    problem, initial = _instance(config)
     runs = []
     code = _run_blocks(problem, run_configs, labels, initial, lambda *run: runs.append(run))
     lines = [line for label, trace in runs for line in _trace_lines(trace, (label,))]

@@ -3,9 +3,12 @@
 Three problems are provided: Rayleigh-quotient minimization on the unit
 sphere, the Brockett cost on the Stiefel manifold (generalized eigenvalue
 problem), and the orthogonal Procrustes problem.  Optimal values come from
-dense closed-form oracles: the symmetric eigenvalues alone for Rayleigh and
-Brockett, with no eigenvectors formed, and ``f`` at the SVD's ``U V^T`` for
-balanced Procrustes, both from ``numpy.linalg``.
+closed forms: the symmetric eigenvalues alone for Rayleigh and Brockett, with
+no eigenvectors formed, and ``f`` at the SVD's ``U V^T`` for balanced
+Procrustes.  A drawn Rayleigh or Brockett matrix brings the spectrum it was
+drawn from, so its oracle needs no factorization; a matrix given by the
+caller, such as one read from a file, gets its eigenvalues from
+``numpy.linalg.eigvalsh``.
 
 Each problem gives one evaluation, ``value_and_grad(q)``: the objective
 value and its ambient gradient at a flat point ``q``, computed from the work
@@ -79,12 +82,25 @@ def _finite_oracle(value: float, label: str) -> float:
     return value
 
 
-def rayleigh(a: np.ndarray) -> ProblemSpec:
+def _eigenvalues(a: np.ndarray, eigenvalues) -> np.ndarray:
+    """The ascending eigenvalues of ``a``: ``eigenvalues`` when the caller
+    drew ``a`` from them, else ``eigvalsh``'s."""
+    if eigenvalues is None:
+        return np.linalg.eigvalsh(a)
+    values = np.asarray(eigenvalues, dtype=float)
+    if values.shape != a.shape[:1] or np.any(values[1:] < values[:-1]):
+        raise ValueError("eigenvalues must be the ascending spectrum of A, one per row")
+    return values
+
+
+def rayleigh(a: np.ndarray, *, eigenvalues=None) -> ProblemSpec:
     """Rayleigh-quotient minimization of ``f(v) = -v^T A v`` on the sphere.
 
     The minimum is the negative largest eigenvalue, attained at the
-    corresponding unit eigenvector; only the eigenvalues are computed.  The
-    gradient's factor -2 is carried in the matrix ``-2 A``, formed once here.
+    corresponding unit eigenvector.  ``eigenvalues``, the ascending spectrum
+    ``A`` was drawn from, gives it with no factorization; without it the
+    eigenvalues alone are computed.  The gradient's factor -2 is carried in
+    the matrix ``-2 A``, formed once here.
     Scaling by -2 is exact, short of overflow, and commutes with every
     rounding of the product, so the gradient ``G`` is the bits of
     ``-2 (A v)`` and ``f = <v, G> / 2`` the bits of ``-v^T (A v)``.  ``A``
@@ -93,7 +109,7 @@ def rayleigh(a: np.ndarray) -> ProblemSpec:
     a = _check_symmetric(a, "A")
     n = a.shape[0]
     manifold = Sphere(n)
-    values = np.linalg.eigvalsh(a)
+    values = _eigenvalues(a, eigenvalues)
     minus_two_a = _scaled(-2.0, a, "A")
 
     def value_and_grad(q):
@@ -103,15 +119,16 @@ def rayleigh(a: np.ndarray) -> ProblemSpec:
     return ProblemSpec("rayleigh", manifold, value_and_grad, oracle_value=-float(values[-1]))
 
 
-def brockett(a: np.ndarray, n_diag: np.ndarray) -> ProblemSpec:
+def brockett(a: np.ndarray, n_diag: np.ndarray, *, eigenvalues=None) -> ProblemSpec:
     """Brockett cost ``f(X) = trace(X^T A X N)`` on the Stiefel manifold.
 
     ``n_diag`` holds the nondecreasing nonnegative diagonal of ``N``.  The
     minimizer's columns are eigenvectors of the smallest eigenvalues of
     ``A``, with the largest weight paired with the smallest eigenvalue, so
     the optimal value is ``sum_j mu_j * lambda_{m - j + 1}`` for ascending
-    eigenvalues ``lambda``, the only spectral data computed.  ``A`` and the
-    optimal value must be finite.
+    eigenvalues ``lambda``: ``eigenvalues``, the spectrum ``A`` was drawn
+    from, or else the only spectral data computed.  ``A`` and the optimal
+    value must be finite.
     """
     a = _check_symmetric(a, "A")
     mu = np.asarray(n_diag, dtype=float)
@@ -121,7 +138,7 @@ def brockett(a: np.ndarray, n_diag: np.ndarray) -> ProblemSpec:
         raise ValueError("diagonal of N must satisfy 0 <= mu_1 <= ... <= mu_m")
     n, m = a.shape[0], mu.size
     manifold = Stiefel(n, m)
-    values = np.linalg.eigvalsh(a)
+    values = _eigenvalues(a, eigenvalues)
     # The gradient 2 A X N, read as 2 N X^T A^T, scales the rows of X^T A^T
     # by 2 mu, which rounds exactly as the product ((2 A) X) N does.
     two_mu = (2.0 * mu)[:, np.newaxis]
@@ -143,7 +160,7 @@ def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
 
     Requires ``A (l x n)`` and ``B (l x m)`` with ``l >= n`` and ``l > m``.
     In the balanced case ``n = m`` the global solution ``X* = U V^T`` comes
-    from the SVD ``B^T A = U S V^T``; the unbalanced case has no closed-form
+    from the SVD ``A^T B = U S V^T``; the unbalanced case has no closed-form
     oracle and only descent trends can be checked.  ``2 A`` must be finite,
     and so must the optimal value when there is an oracle.
     """
@@ -191,17 +208,22 @@ def symmetric_from_spectrum(rng: np.random.Generator, spectrum: np.ndarray) -> n
     return (q * spectrum).dot(q.T)
 
 
-def symmetric_instance(seed: int, n: int, conditioning: float = 10.0) -> np.ndarray:
-    """Reproducible symmetric matrix with eigenvalues spread over
-    ``[1, conditioning]``; ``conditioning`` must be finite."""
+def _spectrum(n: int, conditioning: float) -> np.ndarray:
+    """The ascending eigenvalues ``linspace(1, conditioning, n)`` of a drawn
+    instance; ``conditioning`` is checked first, so linspace never sees an
+    infinite or NaN end."""
     if not 1.0 <= conditioning < np.inf:
         raise ValueError(f"conditioning must be >= 1 and finite, not {conditioning}")
-    rng = np.random.default_rng(seed)
     # linspace's interior products may overflow near the float limit; the
     # entries stay finite, as the last is set to ``conditioning`` itself
     with np.errstate(over="ignore"):
-        spectrum = np.linspace(1.0, conditioning, n)
-    return symmetric_from_spectrum(rng, spectrum)
+        return np.linspace(1.0, conditioning, n)
+
+
+def symmetric_instance(seed: int, n: int, conditioning: float = 10.0) -> np.ndarray:
+    """Reproducible symmetric matrix with eigenvalues spread over
+    ``[1, conditioning]``; ``conditioning`` must be finite."""
+    return symmetric_from_spectrum(np.random.default_rng(seed), _spectrum(n, conditioning))
 
 
 # Most entries the largest matrix of a drawn instance may have: n x n for
@@ -220,7 +242,11 @@ def make_instance(
     may have at most ``MAX_INSTANCE_ENTRIES`` entries.  The dims are checked
     before anything is drawn, and a ``ValueError`` names them.  The rayleigh
     and brockett matrices are :func:`symmetric_instance` draws, so
-    ``conditioning`` must be finite and >= 1; procrustes ignores it.
+    ``conditioning`` must be finite and >= 1; procrustes ignores it.  Their
+    oracles come from the spectrum drawn, ``linspace(1, conditioning, n)``,
+    with no factorization: ``-conditioning`` for rayleigh, since linspace
+    ends on it exactly, and the weighted sum of the m smallest values for
+    brockett.
     """
     labels = {"rayleigh": ("n",), "brockett": ("n", "m"), "procrustes": ("n", "m", "l")}
     if not isinstance(name, str) or name not in labels:
@@ -247,14 +273,17 @@ def make_instance(
             reason = None
     if reason is not None:
         raise ValueError(f"{name} dims {list(dims)!r}: {reason}")
+    if name == "procrustes":
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((l, n))
+        b = rng.standard_normal((l, m))
+        return procrustes(a, b)
+    # symmetric_instance draws A from this spectrum, so the oracles read it
+    spectrum = _spectrum(n, conditioning)
+    a = symmetric_instance(seed, n, conditioning)
     if name == "rayleigh":
-        return rayleigh(symmetric_instance(seed, n, conditioning))
-    if name == "brockett":
-        return brockett(symmetric_instance(seed, n, conditioning), np.arange(1.0, m + 1.0))
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((l, n))
-    b = rng.standard_normal((l, m))
-    return procrustes(a, b)
+        return rayleigh(a, eigenvalues=spectrum)
+    return brockett(a, np.arange(1.0, m + 1.0), eigenvalues=spectrum)
 
 
 def load_matrix(path) -> np.ndarray:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bregopt import dynamics, optimizers
+from bregopt import dynamics, optimizers, problems
 from bregopt.bregman import BregmanParams
 from bregopt.cli import (
     CSV_COLUMNS,
@@ -550,6 +550,11 @@ def order_check_config(tmp_path, **keys):
     return write_config(tmp_path, payload)
 
 
+# Two method blocks, so that a compare config with a bad problem block has no
+# other fault: compare checks its block count before it builds the problem.
+TWO_BLOCKS = [{"method": "rgd", "max_iters": 2}] * 2
+
+
 def assert_config_error(capsys, argv, *phrases):
     """Assert a config error naming each phrase; the captured stdout."""
     assert main(argv) == EXIT_CONFIG
@@ -569,9 +574,37 @@ def forbid_runs(monkeypatch):
     monkeypatch.setattr(dynamics, "order_check", forbidden)
 
 
+def forbid_draws(monkeypatch):
+    """Fail the test if a problem instance is drawn."""
+    def forbidden(*args, **kwargs):
+        pytest.fail("an instance was drawn before the config was checked")
+
+    monkeypatch.setattr(problems, "make_instance", forbidden)
+
+
 class TestMalformedConfig:
     """Malformed input exits with a one-line config error, not a traceback,
     and writes nothing."""
+
+    @pytest.mark.parametrize("command,methods,taken,phrase", [
+        ("run", [], None, "non-empty 'methods' list"),
+        ("compare", [], None, "non-empty 'methods' list"),
+        ("run", [{"method": "adamw"}], None, "unknown method 'adamw'"),
+        ("compare", [{"method": "rgd", "h": -1.0}] * 2, None, "timestep h must be positive"),
+        ("run", [{"method": "rgd", "label": "x"}] * 2, None, "method label 'x' is used twice"),
+        ("compare", [{"method": "rgd"}], None, "at least two method blocks"),
+        ("run", TWO_BLOCKS, "rgd_1.csv", "cannot write"),
+        ("compare", TWO_BLOCKS, "compare.svg", "cannot write"),
+    ])
+    def test_config_is_checked_before_the_instance_is_drawn(self, tmp_path, capsys, monkeypatch,
+                                                            command, methods, taken, phrase):
+        # the draw is the costly step before the runs: an n = 1500 instance
+        # took 1.2 s to build for a config that could not run
+        forbid_draws(monkeypatch)
+        if taken:
+            (tmp_path / "out" / taken).mkdir(parents=True)
+        config = run_config(tmp_path, problem={"dims": [1500]}, methods=methods)
+        assert_config_error(capsys, [command, "--config", config], phrase)
 
     @pytest.mark.parametrize("problem,phrase", [
         ({"seed": "x"}, "seed"),
@@ -615,7 +648,7 @@ class TestMalformedConfig:
         np.savetxt("inf.txt", np.diag([1.0, 2.0, math.inf]))
         Path("empty.txt").write_text(" \n")
         for command in ("run", "compare"):
-            config = run_config(tmp_path, problem=problem)
+            config = run_config(tmp_path, problem=problem, methods=TWO_BLOCKS)
             assert_config_error(capsys, [command, "--config", config], phrase)
         assert not (tmp_path / "out").exists()
 
@@ -688,7 +721,7 @@ class TestMalformedConfig:
     def test_problem_count_must_be_integer(self, tmp_path, capsys, key, value):
         problem = {"seed": value} if key == "seed" else {"dims": [3, value]}
         for command in ("run", "compare"):
-            config = run_config(tmp_path, problem=problem)
+            config = run_config(tmp_path, problem=problem, methods=TWO_BLOCKS)
             assert_config_error(capsys, [command, "--config", config],
                                 key, f"{value!r}")
         assert not (tmp_path / "out").exists()

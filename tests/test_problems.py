@@ -354,6 +354,56 @@ class TestEigenvalueOracle:
                    - np.sum(mu * values[4::-1])) <= 1e-12
 
 
+class TestSpectralOracle:
+    """A drawn Rayleigh or Brockett instance takes its oracle from the
+    spectrum it was drawn from, with no factorization; it lies within
+    ``eigvalsh``'s rounding of the value that matrix alone gives."""
+
+    def test_drawn_instances_factor_nothing(self, monkeypatch):
+        def factorization(*args, **kwargs):
+            raise AssertionError("a drawn instance was factored")
+        monkeypatch.setattr(np.linalg, "eigvalsh", factorization)
+        monkeypatch.setattr(np.linalg, "eigh", factorization)
+        make_instance("rayleigh", (100,), seed=0)
+        make_instance("brockett", (20, 5), seed=0)
+
+    @pytest.mark.parametrize("conditioning", [1.0, 10.0, 1000.0])
+    def test_oracles_are_the_spectral_closed_forms(self, conditioning):
+        spectrum = np.linspace(1.0, conditioning, 20)
+        brockett_value = float(np.sum(np.arange(1.0, 6.0) * spectrum[4::-1]))
+        for seed in range(3):
+            # linspace ends on conditioning exactly
+            assert make_instance("rayleigh", (100,), seed, conditioning).oracle_value \
+                == -conditioning
+            assert make_instance("brockett", (20, 5), seed, conditioning).oracle_value \
+                == brockett_value
+
+    @pytest.mark.parametrize("name,dims,conditioning,seeds", [
+        ("rayleigh", (100,), 10.0, range(10)),
+        ("rayleigh", (100,), 1000.0, range(10)),
+        ("brockett", (20, 5), 10.0, range(10)),
+        ("brockett", (20, 5), 1000.0, range(10)),
+        ("brockett", (50, 10), 1000.0, range(10)),
+        ("rayleigh", (1000,), 10.0, [0]),
+    ])
+    def test_oracle_matches_eigvalsh_on_the_same_matrix(self, name, dims, conditioning,
+                                                        seeds):
+        for seed in seeds:
+            a = symmetric_instance(seed, dims[0], conditioning)
+            reference = (rayleigh(a) if name == "rayleigh"
+                         else brockett(a, np.arange(1.0, dims[1] + 1.0))).oracle_value
+            drawn = make_instance(name, dims, seed, conditioning).oracle_value
+            assert abs(drawn - reference) <= 1e-13 * abs(reference)
+
+    @pytest.mark.parametrize("eigenvalues", [[1.0, 2.0], [3.0, 2.0, 1.0]])
+    def test_eigenvalues_must_be_an_ascending_spectrum(self, eigenvalues):
+        a = np.diag([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="eigenvalues must be the ascending spectrum"):
+            rayleigh(a, eigenvalues=eigenvalues)
+        with pytest.raises(ValueError, match="eigenvalues must be the ascending spectrum"):
+            brockett(a, [1.0, 2.0], eigenvalues=eigenvalues)
+
+
 class TestOracleLocalOptimality:
     @pytest.mark.parametrize(
         "name,dims",
@@ -400,12 +450,17 @@ class TestInstanceGeneration:
         for seed in range(5):
             # the matrix as make_instance first drew it
             rng = np.random.default_rng(seed)
-            a = symmetric_from_spectrum(rng, np.linspace(1.0, conditioning, n))
+            spectrum = np.linspace(1.0, conditioning, n)
+            a = symmetric_from_spectrum(rng, spectrum)
             expected = (rayleigh(a), brockett(a, np.arange(1.0, 3.0)))
             drawn = (make_instance("rayleigh", (n,), seed, conditioning),
                      make_instance("brockett", (n, 2), seed, conditioning))
-            for new, old in zip(drawn, expected):
-                assert new.oracle_value == old.oracle_value
+            # the oracles of the spectrum drawn: -lambda_n and mu_1 lambda_2 + mu_2 lambda_1
+            spectral = (-conditioning, float(np.sum(np.arange(1.0, 3.0) * spectrum[1::-1])))
+            for new, old, value in zip(drawn, expected, spectral):
+                assert new.oracle_value == value
+                # eigvalsh on the same matrix agrees to its rounding
+                assert abs(new.oracle_value - old.oracle_value) <= 1e-13 * abs(old.oracle_value)
                 # the objective at a seeded point pins the matrix
                 q = new.manifold.random_point(np.random.default_rng(seed + 30))
                 (new_f, new_grad), (old_f, old_grad) = new.value_and_grad(q), old.value_and_grad(q)

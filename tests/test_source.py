@@ -36,9 +36,12 @@ the steppers hand ``solve_multiplier`` back the ``lam`` it returned, or
 ``lam0``, and none names a multiplier size ``constraint_dim``.
 
 The Rayleigh and Brockett oracles are optimal values, which the eigenvalues
-alone give; ``problems`` calls ``np.linalg.eigvalsh``, never ``eigh``, whose
-eigenvectors took 45% of a default Rayleigh instance's set-up (1.06 of
-2.36 ms at n = 100 under cProfile, one BLAS thread) and which nothing read.
+alone give.  A drawn instance reads them from the spectrum it was drawn
+from, with no factorization (``tests/test_problems.py`` pins that); for a
+matrix the caller gives, ``problems`` calls ``np.linalg.eigvalsh``, never
+``eigh``, whose eigenvectors took 45% of a default Rayleigh instance's
+set-up (1.06 of 2.36 ms at n = 100 under cProfile, one BLAS thread) and
+which nothing read.
 """
 
 import ast
