@@ -99,7 +99,9 @@ class ExtendedState:
         r_t: momentum conjugate to ``q_t``.
         lam: Lagrange multiplier of the holonomic constraint, in the layout
             of :meth:`~bregopt.manifolds.EmbeddedManifold.solve_multiplier`,
-            which returned it; ``None`` before the first solve.
+            which returned it, and which may carry what the next solve
+            starts from (on Stiefel, the last three solutions); ``None``
+            before the first solve.
         violation: constraint violation of ``q`` as the multiplier solve
             that built it measured it
             (:meth:`~bregopt.manifolds.EmbeddedManifold.solve_multiplier`);

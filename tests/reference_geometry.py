@@ -5,10 +5,10 @@ Jacobian's rows, a dense Newton solver for the reference solves built on
 them, the partial derivatives of the midpoint discrete Lagrangian that
 those solves need, an unconstrained (``d = 0``) manifold for the
 unconstrained limit of the constrained maps, a random tangent vector
-sampler, a test id for manifold parameters, and the Stiefel kernels and
-Stiefel objectives written on the column-major n x m matrix ``X`` of a flat
-point, which the package's kernels, written on the row-major ``X^T``,
-reproduce bit for bit."""
+sampler, a random Stiefel multiplier history, a test id for manifold
+parameters, and the Stiefel kernels and Stiefel objectives written on the
+column-major n x m matrix ``X`` of a flat point, which the package's
+kernels, written on the row-major ``X^T``, reproduce bit for bit."""
 
 import math
 from dataclasses import dataclass
@@ -102,23 +102,35 @@ def constraint_count(manifold):
 def packed(manifold, lam):
     """The ``d`` components along the rows of :func:`constraint_jacobian` of
     a multiplier ``lam`` that ``manifold.solve_multiplier`` returned.  On
-    Stiefel ``lam`` is the flattened symmetric ``S`` of the normal ``X S``,
-    and its components are the upper triangle of ``S``, row by row, with the
-    diagonal halved; the sphere's ``lam`` is its one component."""
+    Stiefel ``lam`` holds the flattened symmetric ``S`` of the normal
+    ``X S`` and, after it, the two solutions before it; its components are
+    the upper triangle of the leading ``S``, row by row, with the diagonal
+    halved.  The sphere's ``lam`` is its one component."""
     if not isinstance(manifold, Stiefel):
         return lam
-    triu = np.triu_indices(manifold.m)
-    return lam.reshape(manifold.m, manifold.m)[triu] * np.where(triu[0] == triu[1], 0.5, 1.0)
+    m = manifold.m
+    triu = np.triu_indices(m)
+    return lam[: m * m].reshape(m, m)[triu] * np.where(triu[0] == triu[1], 0.5, 1.0)
 
 
 def unpacked(manifold, components):
     """The multiplier of ``manifold`` whose :func:`packed` components are
-    ``components``."""
+    ``components``: on Stiefel the history a cold solve landing on that
+    ``S`` returns, ``S`` three times, from which the next solve starts at
+    ``S``."""
     if not isinstance(manifold, Stiefel):
         return components
     s = np.zeros((manifold.m, manifold.m))
     s[np.triu_indices(manifold.m)] = components
-    return (s + s.T).reshape(-1)
+    return np.tile((s + s.T).reshape(-1), 3)
+
+
+def random_history(st, rng):
+    """A Stiefel multiplier history of three random symmetric ``S`` with
+    entries of about 0.1, newest first, as one ``lam``."""
+    m = st.m
+    return np.concatenate([unpacked(st, 0.1 * rng.standard_normal(constraint_count(st)))[: m * m]
+                           for _ in range(3)])
 
 
 def constraint(manifold, q):
@@ -241,17 +253,20 @@ def column_major_retract(st, q, v):
 def column_major_solve_multiplier(st, drift, q, coeff, lam0):
     """The SHAKE/RATTLE fixed point with its exact Riccati fallback, as in
     ``Stiefel.solve_multiplier``, on ``Y = D - X (coeff S)`` from ``S = 0``
-    or the symmetric part of the guess; returns ``(S, normal, Y, max |F|,
-    iterations)`` with ``S`` and ``Y`` the last accepted landing's,
-    flattened column-major."""
+    or from the prediction ``3 (S_k - S_{k-1}) + S_{k-2}`` of the history
+    ``lam0``; returns ``(lam, normal, Y, max |F|, iterations)`` with ``S``
+    and ``Y`` the last accepted landing's, flattened column-major, and
+    ``lam`` the new ``S`` followed by the two newest of ``lam0`` (the new
+    ``S`` three times on a cold start)."""
     m, eye = st.m, np.eye(st.m)
     x = matrix(st, q)
     d = matrix(st, drift)
     if lam0 is None:
         s = np.zeros((m, m))
     else:
-        g = lam0.reshape((m, m), order="F")
-        s = (g + g.T) / 2.0
+        newest, previous, oldest = (block.reshape((m, m), order="F")
+                                    for block in np.split(lam0, 3))
+        s = 3.0 * (newest - previous) + oldest
 
     def landing(s):
         y = d - x @ (coeff * s)
@@ -293,7 +308,9 @@ def column_major_solve_multiplier(st, drift, q, coeff, lam0):
                 raise NewtonError(message, residual_norm=norm, iterations=iterations)
             s, y, norm = exact, y_exact, norm_exact
             iterations += 1
-    return (s.reshape(-1, order="F"), (x @ s).reshape(-1, order="F"),
+    head = s.reshape(-1, order="F")
+    history = np.concatenate([head, head] if lam0 is None else [lam0[: 2 * m * m]])
+    return (np.concatenate([head, history]), (x @ s).reshape(-1, order="F"),
             y.reshape(-1, order="F"), norm, iterations)
 
 

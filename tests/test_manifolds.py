@@ -21,6 +21,7 @@ from reference_geometry import (
     constraint_jacobian,
     manifold_id,
     matrix,
+    random_history,
     random_tangent,
     unpacked,
 )
@@ -497,8 +498,7 @@ class TestColumnMajorReference:
             for warm in (False, True):
                 q = st.random_point(rng)
                 drift = q + coeff * spread * rng.standard_normal(st.ambient_dim)
-                lam0 = (unpacked(st, 0.1 * rng.standard_normal(constraint_count(st)))
-                        if warm else None)
+                lam0 = random_history(st, rng) if warm else None
                 cases.append((drift, q, coeff, lam0))
 
         def assert_same(drift, q, coeff, lam0):
@@ -533,12 +533,12 @@ class TestColumnMajorReference:
 
     @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
     def test_solve_multiplier_rejects_a_wrong_length_guess(self, n, m):
-        # lam0 is read as an m x m matrix, so a guess of another length,
-        # such as the m (m + 1) / 2 constraint components, is an error and
-        # not a silent truncation
+        # lam0 is read as three m x m matrices, so a guess of another
+        # length, such as one S or the m (m + 1) / 2 constraint components,
+        # is an error and not a silent truncation
         st = Stiefel(n, m)
         q = st.random_point(np.random.default_rng(46))
-        for size in {m * m - 1, m * m + 1, constraint_count(st)} - {m * m}:
+        for size in {m * m, 3 * m * m - 1, 3 * m * m + 1, constraint_count(st)} - {3 * m * m}:
             with pytest.raises(ValueError, match="cannot reshape"):
                 st.solve_multiplier(q, q, 0.1, np.zeros(size))
 
@@ -590,10 +590,12 @@ def solve_bits(result):
 
 class TestStiefelMultiplier:
     """The Stiefel multiplier ``lam`` is the symmetric m x m ``S`` of the
-    normal force ``X S``, flattened.  A ``None`` guess starts the solve from
-    ``S = 0`` and any other guess from its symmetric part, since a skew part
-    would add a tangent force.  Each test runs the fixed point and, with no
-    budget for it, the exact Riccati step alone."""
+    normal force ``X S``, flattened, followed by the two solutions before
+    it, newest first.  A ``None`` guess starts the solve from ``S = 0`` and
+    fills the history with its solution; a history starts it from the
+    prediction ``3 (S_k - S_{k-1}) + S_{k-2}``, which is exactly symmetric.
+    Each test runs the fixed point and, with no budget for it, the exact
+    Riccati step alone."""
 
     @staticmethod
     def drifts(st, rng):
@@ -606,12 +608,18 @@ class TestStiefelMultiplier:
 
     @pytest.mark.parametrize("budget", [manifolds.NEWTON_MAX_ITER, 0])
     @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
-    def test_cold_start_is_a_zero_guess(self, n, m, budget, monkeypatch):
+    def test_cold_start_is_a_zero_history(self, n, m, budget, monkeypatch):
+        # the same S, normal, point, violation and iterations; only the
+        # history behind S differs
         monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", budget)
         st = Stiefel(n, m)
         for drift, q, coeff in self.drifts(st, np.random.default_rng(48)):
-            assert (solve_bits(st.solve_multiplier(drift, q, coeff, None))
-                    == solve_bits(st.solve_multiplier(drift, q, coeff, np.zeros(m * m))))
+            cold = st.solve_multiplier(drift, q, coeff, None)
+            zero = st.solve_multiplier(drift, q, coeff, np.zeros(3 * m * m))
+            assert bits(cold[0][: m * m]) == bits(zero[0][: m * m])
+            assert solve_bits(cold[1:]) == solve_bits(zero[1:])
+            assert bits(cold[0]) == bits(np.tile(cold[0][: m * m], 3))
+            assert not np.count_nonzero(zero[0][m * m:])
 
     @pytest.mark.parametrize("budget", [manifolds.NEWTON_MAX_ITER, 0])
     @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
@@ -620,23 +628,32 @@ class TestStiefelMultiplier:
         st = Stiefel(n, m)
         rng = np.random.default_rng(49)
         for drift, q, coeff in self.drifts(st, rng):
-            for guess in (None, 0.1 * rng.standard_normal(m * m)):
+            for guess in (None, random_history(st, rng)):
                 lam, normal, *_ = st.solve_multiplier(drift, q, coeff, guess)
-                s = lam.reshape(m, m)
+                assert lam.shape == (3 * m * m,)
+                s = lam[: m * m].reshape(m, m)
                 assert bits(s) == bits(s.T)
                 assert bits(normal) == bits(s.dot(q.reshape(m, n)).reshape(-1))
+                if guess is not None:
+                    # the history shifts by one solution
+                    assert bits(lam[m * m:]) == bits(guess[: 2 * m * m])
 
     @pytest.mark.parametrize("budget", [manifolds.NEWTON_MAX_ITER, 0])
     @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
-    def test_a_guess_is_read_as_its_symmetric_part(self, n, m, budget, monkeypatch):
+    def test_the_solve_starts_from_the_prediction(self, n, m, budget, monkeypatch):
+        # a history and the constant history of its prediction P, which
+        # predicts 3 (P - P) + P = P exactly, solve alike
         monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", budget)
         st = Stiefel(n, m)
         rng = np.random.default_rng(50)
         for drift, q, coeff in self.drifts(st, rng):
-            guess = 0.1 * rng.standard_normal((m, m))
-            symmetric = (guess + guess.T) / 2.0
-            assert (solve_bits(st.solve_multiplier(drift, q, coeff, guess.reshape(-1)))
-                    == solve_bits(st.solve_multiplier(drift, q, coeff, symmetric.reshape(-1))))
+            guess = random_history(st, rng)
+            newest, previous, oldest = np.split(guess, 3)
+            prediction = 3.0 * (newest - previous) + oldest
+            ours = st.solve_multiplier(drift, q, coeff, guess)
+            constant = st.solve_multiplier(drift, q, coeff, np.tile(prediction, 3))
+            assert bits(ours[0][: m * m]) == bits(constant[0][: m * m])
+            assert solve_bits(ours[1:]) == solve_bits(constant[1:])
 
 
 def public_linalg_retract(st, q, v):
@@ -686,6 +703,19 @@ class TestRetractThroughGufuncs:
         assert key(ours) == key(outcome(lambda q, v: public_linalg_retract(st, q, v)))
         return ours
 
+    @staticmethod
+    def takes_householder(st, q, v, monkeypatch):
+        """Whether ``retract`` falls back to Householder QR."""
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(manifolds, "positive_qr",
+                          lambda a, qr=manifolds.positive_qr: calls.append(a) or qr(a))
+            try:
+                st.retract(q, v)
+            except RetractionError:
+                pass
+        return bool(calls)
+
     @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
     def test_cholesky_path(self, n, m):
         st = Stiefel(n, m)
@@ -728,6 +758,75 @@ class TestRetractThroughGufuncs:
         # a huge entry in every column keeps W of full rank
         diagonal = st.from_matrix(huge * np.eye(n, m))
         assert self.assert_same(st, q, diagonal)[1] <= 1e-13
+
+    @pytest.mark.parametrize("n,m", [shape for shape in LAYOUT_SHAPES if shape[1] > 1])
+    def test_rank_floor_between_the_entry_and_the_column_bound(self, n, m, monkeypatch):
+        # orthogonal columns a (e_0 + e_1), d (e_0 - e_1) and unit vectors:
+        # L is diag(a sqrt 2, d sqrt 2, 1, ...), so min diag(L) = d sqrt 2
+        # fails the column-norm bound 1e-12 a sqrt 2 of the fast path but
+        # passes the entry bound 1e-12 a, and CholeskyQR is accepted
+        a, d = 1024.0, 8.5e-10
+        w = np.eye(n, m)
+        w[:2, :2] = [[a, d], [a, -d]]
+        low = np.linalg.cholesky(w.T @ w)
+        assert 1e-12 * a <= low.diagonal().min() < 1e-12 * np.sqrt((w * w).sum(axis=0).max())
+        st = Stiefel(n, m)
+        q, v = st.from_matrix(w), np.zeros(n * m)
+        _, violation = self.assert_same(st, q, v)
+        assert violation <= RETRACT_ORTH_TOL
+        assert not self.takes_householder(st, q, v, monkeypatch)
+        # with d sqrt 2 under the entry bound too, CholeskyQR would still
+        # give an orthonormal Q, but the rank test rejects W on both
+        w[:2, 1] = [5e-10, -5e-10]
+        assert np.linalg.cholesky(w.T @ w).diagonal().min() < 1e-12 * a
+        assert "rank deficient" in self.assert_same(st, st.from_matrix(w), v)
+
+    @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
+    def test_entries_under_the_gram_limit_in_a_longer_column(self, n, m, monkeypatch):
+        # columns c 1 and c e_j with every entry of the first at c, 0.9 of
+        # the limit, so its norm exceeds the limit but W^T W does not
+        # overflow: the fast path declines and the entry test accepts
+        # CholeskyQR
+        st = Stiefel(n, m)
+        c = 0.9 * st._gram_limit
+        w = c * np.eye(n, m)
+        w[:, 0] = c
+        assert np.sqrt(n) * c > st._gram_limit
+        q, v = st.from_matrix(w), np.zeros(n * m)
+        _, violation = self.assert_same(st, q, v)
+        assert violation <= RETRACT_ORTH_TOL
+        assert not self.takes_householder(st, q, v, monkeypatch)
+
+    @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
+    def test_entries_above_the_gram_limit_with_a_finite_gram(self, n, m, monkeypatch):
+        # e (I + 0.01 G) with its largest entry just above the limit, or at
+        # 1.01 of it: W^T W stays finite, and both take Householder QR
+        st = Stiefel(n, m)
+        rng = np.random.default_rng(52)
+        for entry in (np.nextafter(st._gram_limit, np.inf), 1.01 * st._gram_limit):
+            w = np.eye(n, m) + 0.01 * rng.standard_normal((n, m))
+            w *= entry / np.abs(w).max()
+            w.flat[np.abs(w).argmax()] = entry
+            with np.errstate(over="raise"):
+                assert np.isfinite(w.T @ w).all()
+            q, v = st.from_matrix(w), np.zeros(n * m)
+            _, violation = self.assert_same(st, q, v)
+            assert violation <= 1e-13
+            assert self.takes_householder(st, q, v, monkeypatch)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
+    def test_non_finite_entries(self, n, m, value, monkeypatch):
+        # a NaN or an infinite entry anywhere: both take Householder QR, and
+        # its NaN point is left to the run loop's feasibility gate
+        st = Stiefel(n, m)
+        rng = np.random.default_rng(51)
+        q = st.random_point(rng)
+        for index in {0, st.ambient_dim - 1, int(rng.integers(st.ambient_dim))}:
+            step = 1e-2 * rng.standard_normal(st.ambient_dim)
+            step[index] = value
+            self.assert_same(st, q, step)
+            assert self.takes_householder(st, q, step, monkeypatch)
 
 
 class TestNamesAndStubs:

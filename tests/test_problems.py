@@ -338,8 +338,9 @@ class TestColumnMajorReference:
 
 
 class TestEigenvalueOracle:
-    """The Rayleigh and Brockett oracles read the eigenvalues alone
-    (``eigvalsh``); they agree with the values an ``eigh`` decomposition
+    """The Rayleigh and Brockett oracles of drawn instances read the
+    eigenvalues alone, from the spectrum the instance was drawn from; they
+    agree with the values an ``eigh`` decomposition of the drawn matrix
     gives to within its rounding."""
 
     @pytest.mark.parametrize("seed", range(10))

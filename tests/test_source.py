@@ -22,7 +22,11 @@ their kin reach the same reductions through a Python wrapper that costs more
 than the reduction at these sizes (5.9 against 4.2 microseconds for the
 Procrustes ``value_and_grad``, 1.0 against 0.3 for ``any`` of a length-100
 vector), so they stay out of ``manifolds``, ``optimizers``, ``bregman`` and
-the ``value_and_grad`` closures of ``problems``.
+the ``value_and_grad`` closures of ``problems``.  A Python ``max`` or
+``min`` over the m entries of an m x m diagonal, read as a list
+(``diagonal().tolist()``), is no such wrapper and is allowed: at these sizes
+it is cheaper than a ufunc reduction (0.4 against 1.3 microseconds for five
+entries), and the Stiefel retraction reads its guards that way.
 
 Each stepper's finiteness test reads scalars its step has already formed:
 the violation the kernel reported in place of ``x.x`` and, for HTVI, ``r_t``
