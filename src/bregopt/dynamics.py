@@ -90,9 +90,13 @@ def constrained_lagrangian_map(
     makes constant.  So the map is one SHAKE step: the manifold places the
     drift ``q + h (p - N)`` back on the constraint
     (:meth:`~bregopt.manifolds.EmbeddedManifold.solve_multiplier`, warm
-    started from ``lam0``, a multiplier the solve returned, or cold when it
-    is ``None``), ``q_next`` is the point the solve lands on, the
-    drift less ``h J_C(q)^T lam``, and ``p_next = (q_next - q) / h - N``.
+    started from ``lam0``, a ``lam`` the solve returned, or cold when it is
+    ``None``), ``q_next`` is the point the solve lands on, the drift less
+    ``h`` times the normal force, and ``p_next = (q_next - q) / h - N``.
+    The returned ``lam`` is the solve's own warm-start state, in the
+    manifold's layout: on the sphere the multiplier itself, on Stiefel the
+    symmetric ``S`` of the normal ``X S`` followed by the two solutions
+    before it, so the multiplier is its leading m x m block.
 
     Raises:
         NewtonError: no multiplier reaches the manifold.

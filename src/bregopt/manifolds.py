@@ -268,7 +268,8 @@ class Stiefel(EmbeddedManifold):
         self.ambient_dim = n * m
         self._eye = np.eye(m)
         # Largest |W| entry for which W^T W cannot overflow, and its square,
-        # which bounds the Gram diagonal of the retraction's fast path.
+        # the bound on the Gram diagonal, the squared column norms, under
+        # which the retraction takes its Cholesky path.
         self._gram_limit = math.sqrt(sys.float_info.max / n)
         self._gram_square = self._gram_limit * self._gram_limit
 
@@ -445,19 +446,17 @@ class Stiefel(EmbeddedManifold):
         leaves ``L`` all NaN, which fails the rank threshold, so the step
         goes to Householder QR.
 
-        The guards are read off the factorization first.  ``W^T W`` cannot
-        overflow when no entry of ``W`` exceeds ``_gram_limit``, and the
-        rank threshold is ``1e-12 max(1, max |W|)``.  Each column norm
-        bounds the column's entries, so when ``max diag(W^T W)`` is below
-        ``_gram_limit^2`` and ``min diag(L) >= 1e-12 max(1, sqrt(max
-        diag(W^T W)))`` both guards hold, and the Cholesky path is taken
-        with no reduction over ``W``.  In every other case ``max |W|`` is
-        computed and the guards are tested as they read, so the path taken,
-        and the result, is the same bit for bit.  These are Python
+        The guards are read off the factorization.  ``W^T W`` cannot
+        overflow when its diagonal, the squared column norms, stays below
+        ``_gram_limit^2``, and ``W`` counts as of full rank when ``min
+        diag(L) >= 1e-12 max(1, sqrt(max diag(W^T W)))``.  Both are Python
         ``max``/``min`` over the m diagonal entries.  The ``min`` of the all
-        NaN diagonal of a failed factorization is NaN, but the ``max`` of a
-        list that holds a NaN may be finite, so the Gram bound never decides
-        alone.
+        NaN diagonal of a failed factorization is NaN, and fails; the
+        ``max`` of a list that holds a NaN may be finite, so the Gram bound
+        never decides alone.  Householder QR measures rank against ``1e-12
+        max(1, max |W|)``, which it computes; each column norm bounds the
+        column's entries, so a ``W`` that passes the Cholesky guards passes
+        that test too.
 
         Raises:
             RetractionError: ``W`` is rank deficient.
@@ -468,16 +467,10 @@ class Stiefel(EmbeddedManifold):
         with np.errstate(all="ignore"):
             gram = wt.dot(wt.T)
             low = _cholesky_lo(gram, signature="d->d")
-            # a failed factorization comes back all NaN, so floor is NaN;
-            # top may hide a NaN, so it decides nothing alone
             top = max(gram.diagonal().tolist())
             floor = min(low.diagonal().tolist())
-            # Positive comparisons, so a NaN falls through to the exact tests
-            accept = top < self._gram_square and floor >= 1e-12 * max(1.0, math.sqrt(top))
-            if not accept:
-                big = float(np.maximum.reduce(np.abs(wt), axis=None))
-                accept = big <= self._gram_limit and floor >= 1e-12 * max(1.0, big)
-            if accept:
+            # Positive comparisons, so a NaN falls through to Householder
+            if top < self._gram_square and floor >= 1e-12 * max(1.0, math.sqrt(top)):
                 # Q^T = L^{-1} W^T holds the point returned, so the Gram
                 # matrix and the violation are those of that point
                 qt = _solve(low, wt, signature="dd->d")

@@ -1,5 +1,6 @@
 """Geometry tests: constraints, projections, retractions, transports."""
 
+import math
 import warnings
 
 import numpy as np
@@ -658,20 +659,23 @@ class TestStiefelMultiplier:
 
 def public_linalg_retract(st, q, v):
     """``Stiefel.retract`` written with the public ``np.linalg.cholesky`` and
-    ``np.linalg.solve``, whose LAPACK gufuncs it calls directly."""
+    ``np.linalg.solve``, whose LAPACK gufuncs it calls directly, and with
+    its guards read by numpy reductions, whose ``max`` propagates a NaN."""
     wt = (q + v).reshape(st.m, st.n)
-    big = float(np.abs(wt).max())
-    rank_tol = 1e-12 * max(1.0, big)
-    if big <= st._gram_limit:
-        try:
-            low = np.linalg.cholesky(wt.dot(wt.T))
-        except np.linalg.LinAlgError:
-            low = None
-        if low is not None and low.diagonal().min() >= rank_tol:
-            qt = np.linalg.solve(low, wt)
-            violation = st._gram_violation(qt)
-            if violation <= RETRACT_ORTH_TOL:
-                return qt.reshape(-1), violation
+    with np.errstate(all="ignore"):
+        gram = wt.dot(wt.T)
+    top = gram.diagonal().max()
+    try:
+        low = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        low = None
+    if (top < st._gram_square and low is not None
+            and low.diagonal().min() >= 1e-12 * max(1.0, math.sqrt(top))):
+        qt = np.linalg.solve(low, wt)
+        violation = st._gram_violation(qt)
+        if violation <= RETRACT_ORTH_TOL:
+            return qt.reshape(-1), violation
+    rank_tol = 1e-12 * max(1.0, float(np.abs(wt).max()))
     qf, diag = manifolds.positive_qr(wt.T)
     if (np.abs(diag) < rank_tol).any():
         raise RetractionError("QR retraction undefined: X + V is rank deficient")
@@ -759,12 +763,18 @@ class TestRetractThroughGufuncs:
         diagonal = st.from_matrix(huge * np.eye(n, m))
         assert self.assert_same(st, q, diagonal)[1] <= 1e-13
 
+    @staticmethod
+    def cholesky_qr(w):
+        """``Q^T`` of CholeskyQR on ``w``, through the public wrappers."""
+        return np.linalg.solve(np.linalg.cholesky(w.T @ w), w.T)
+
     @pytest.mark.parametrize("n,m", [shape for shape in LAYOUT_SHAPES if shape[1] > 1])
-    def test_rank_floor_between_the_entry_and_the_column_bound(self, n, m, monkeypatch):
+    def test_rank_floor_under_the_column_bound(self, n, m, monkeypatch):
         # orthogonal columns a (e_0 + e_1), d (e_0 - e_1) and unit vectors:
         # L is diag(a sqrt 2, d sqrt 2, 1, ...), so min diag(L) = d sqrt 2
-        # fails the column-norm bound 1e-12 a sqrt 2 of the fast path but
-        # passes the entry bound 1e-12 a, and CholeskyQR is accepted
+        # fails the rank floor 1e-12 a sqrt 2 of the Cholesky path, and W
+        # goes to Householder QR, whose R passes its floor 1e-12 a; the Q it
+        # gives is orthonormal and CholeskyQR's to rounding
         a, d = 1024.0, 8.5e-10
         w = np.eye(n, m)
         w[:2, :2] = [[a, d], [a, -d]]
@@ -772,11 +782,11 @@ class TestRetractThroughGufuncs:
         assert 1e-12 * a <= low.diagonal().min() < 1e-12 * np.sqrt((w * w).sum(axis=0).max())
         st = Stiefel(n, m)
         q, v = st.from_matrix(w), np.zeros(n * m)
-        _, violation = self.assert_same(st, q, v)
+        point, violation = self.assert_same(st, q, v)
         assert violation <= RETRACT_ORTH_TOL
-        assert not self.takes_householder(st, q, v, monkeypatch)
-        # with d sqrt 2 under the entry bound too, CholeskyQR would still
-        # give an orthonormal Q, but the rank test rejects W on both
+        assert self.takes_householder(st, q, v, monkeypatch)
+        assert np.abs(point.reshape(m, n) - self.cholesky_qr(w)).max() <= 1e-14
+        # with d sqrt 2 under 1e-12 a too, Householder's rank test rejects W
         w[:2, 1] = [5e-10, -5e-10]
         assert np.linalg.cholesky(w.T @ w).diagonal().min() < 1e-12 * a
         assert "rank deficient" in self.assert_same(st, st.from_matrix(w), v)
@@ -784,18 +794,21 @@ class TestRetractThroughGufuncs:
     @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
     def test_entries_under_the_gram_limit_in_a_longer_column(self, n, m, monkeypatch):
         # columns c 1 and c e_j with every entry of the first at c, 0.9 of
-        # the limit, so its norm exceeds the limit but W^T W does not
-        # overflow: the fast path declines and the entry test accepts
-        # CholeskyQR
+        # the limit, so its norm exceeds the limit though W^T W does not
+        # overflow: the Gram bound sends W to Householder QR, whose Q is
+        # orthonormal and CholeskyQR's to rounding
         st = Stiefel(n, m)
         c = 0.9 * st._gram_limit
         w = c * np.eye(n, m)
         w[:, 0] = c
         assert np.sqrt(n) * c > st._gram_limit
+        with np.errstate(over="raise"):
+            assert np.isfinite(w.T @ w).all()
         q, v = st.from_matrix(w), np.zeros(n * m)
-        _, violation = self.assert_same(st, q, v)
-        assert violation <= RETRACT_ORTH_TOL
-        assert not self.takes_householder(st, q, v, monkeypatch)
+        point, violation = self.assert_same(st, q, v)
+        assert violation <= 1e-13
+        assert self.takes_householder(st, q, v, monkeypatch)
+        assert np.abs(point.reshape(m, n) - self.cholesky_qr(w)).max() <= 1e-14
 
     @pytest.mark.parametrize("n,m", LAYOUT_SHAPES)
     def test_entries_above_the_gram_limit_with_a_finite_gram(self, n, m, monkeypatch):
