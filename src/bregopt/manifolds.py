@@ -47,6 +47,15 @@ oracles and the Householder fallback of the retraction).
 its guards off the factorization, and ``tests/test_source.py`` the
 spelling rules of the per-iteration path.
 
+The Stiefel kernels read the largest (or smallest) absolute entry of an
+array ``a`` in one way: ``b = np.abs(a)`` and ``b.item(b.argmax())`` (or
+``argmin``).  Every entry of ``b`` is ``>= 0`` or NaN, so the extremum is an
+entry and ``argmax`` finds its first occurrence, or the first NaN, where it
+stops; ``item`` returns it as a Python float.  That is the float
+``float(np.maximum.reduce(b, axis=None))`` gives, bit for bit, NaN and inf
+included, without the set-up of a ufunc reduction, which costs more than
+reading the 25 entries of a 5 x 5 residual.
+
 All operations are pure functions of their inputs, and a manifold object
 carries nothing but its dimensions and constants derived from them, so
 manifold objects can be shared freely across threads.
@@ -315,9 +324,11 @@ class Stiefel(EmbeddedManifold):
         next solve starts from it), the normal ``X S``, and the last accepted
         landing: ``Y`` as a flat point (the ``Y^T`` the solve formed,
         flattened row-major) and ``max |F|``, which is ``Y``'s violation bit
-        for bit, as ``F`` is formed as :meth:`constraint_violation` forms
-        it.  The Gram matrix ``Y^T Y`` is thus formed inside the solve's
-        ``np.errstate``, so an overflowing point raises no warning.
+        for bit, as ``F`` is formed and its largest absolute entry read
+        (``argmax`` of ``|F|``, a NaN if ``F`` holds one) as
+        :meth:`constraint_violation` forms and reads them.  The Gram matrix
+        ``Y^T Y`` is thus formed inside the solve's ``np.errstate``, so an
+        overflowing point raises no warning.
 
         Raises:
             NewtonError: the exact step does not land within ``NEWTON_TOL``.
@@ -344,7 +355,9 @@ class Stiefel(EmbeddedManifold):
             np.subtract(dt, yt, out=yt)
             f = yt.dot(yt.T)
             f -= self._eye
-            return yt, f, float(np.maximum.reduce(np.abs(f), axis=None))
+            # f stays signed: it becomes the trial's buffer
+            af = np.abs(f)
+            return yt, f, af.item(af.argmax())
 
         iterations = 0
         # a failing solve may overflow; each residual is tested instead
@@ -380,10 +393,12 @@ class Stiefel(EmbeddedManifold):
                     # the message quotes the fixed point's residual
                     message = (f"Newton did not converge in {iterations} iterations "
                                f"(residual {norm:.3e})")
-                    gap = float(np.minimum.reduce(np.abs(mu.real), axis=None))
+                    real = np.abs(mu.real)
+                    gap = real.item(real.argmin())
+                    size = np.abs(mu)
                     # eigenvalues on the axis sit there to rounding; a
                     # solvable step keeps them near +-1
-                    if gap <= 1e-8 * float(np.maximum.reduce(np.abs(mu), axis=None)):
+                    if gap <= 1e-8 * size.item(size.argmax()):
                         message += (f"; stiefel constraint unreachable: the Riccati "
                                     f"Hamiltonian has an eigenvalue on the imaginary "
                                     f"axis (|Re| {gap:.1e})")
@@ -403,10 +418,13 @@ class Stiefel(EmbeddedManifold):
         """``max |X^T X - I|`` of the m x n matrix ``xt`` holding ``X^T``: the
         violation of the point it holds, since the Gram matrix is computed
         exactly symmetric, and the acceptance test of the CholeskyQR
-        retraction."""
+        retraction.  The maximum is read in place, as the entry of
+        ``|X^T X - I|`` that ``argmax`` finds (the first NaN if there is
+        one), which is ``np.maximum.reduce``'s float bit for bit."""
         gram = xt.dot(xt.T)
         gram -= self._eye
-        return float(np.maximum.reduce(np.abs(gram, out=gram), axis=None))
+        np.abs(gram, out=gram)
+        return gram.item(gram.argmax())
 
     def tangent_project(self, q, z):
         """``Z - X sym(X^T Z)``, computed transposed as
@@ -477,7 +495,8 @@ class Stiefel(EmbeddedManifold):
                 violation = self._gram_violation(qt)
                 if violation <= RETRACT_ORTH_TOL:
                     return qt.reshape(-1), violation
-        rank_tol = 1e-12 * max(1.0, float(np.maximum.reduce(np.abs(wt), axis=None)))
+        aw = np.abs(wt)
+        rank_tol = 1e-12 * max(1.0, aw.item(aw.argmax()))
         qf, diag = positive_qr(wt.T)
         if np.count_nonzero(np.abs(diag) < rank_tol):
             raise RetractionError("QR retraction undefined: X + V is rank deficient")

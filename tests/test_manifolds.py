@@ -584,6 +584,128 @@ class TestSolvedViolation:
         assert iterations == ({0} if isinstance(manifold, Sphere) else {1})
 
 
+def reduced_extremum(reduce, a):
+    """The ``np.maximum``/``np.minimum`` reduction of ``|a|`` as a Python
+    float: the reading the Stiefel kernels replaced."""
+    return float(reduce.reduce(np.abs(a), axis=None))
+
+
+def reduced_violation(st, q):
+    """``max |X^T X - I|`` with the Gram matrix formed as the kernels form
+    it and its maximum read by ``np.maximum.reduce``."""
+    xt = q.reshape(st.m, st.n)
+    with np.errstate(all="ignore"):
+        gram = xt.dot(xt.T) - st._eye
+    return reduced_extremum(np.maximum, gram)
+
+
+def extreme_arrays(shape, rng):
+    """Arrays of ``shape`` that test a max or min reading: random signs,
+    NaN and +-inf first, in the middle and last, inf together with NaN in
+    both orders, -0.0, subnormals, ties of opposite sign and all-equal
+    entries."""
+    size = math.prod(shape)
+    base = rng.standard_normal(shape)
+    yield base
+    for index in sorted({0, size // 2, size - 1}):
+        for value in (np.nan, np.inf, -np.inf):
+            a = base.copy()
+            a.flat[index] = value
+            yield a
+    if size > 1:
+        for first, second in ((np.inf, np.nan), (np.nan, -np.inf)):
+            a = base.copy()
+            a.flat[0], a.flat[size - 1] = first, second
+            yield a
+    yield np.full(shape, -0.0)
+    signed_zeros = np.zeros(shape)
+    signed_zeros.flat[::2] = -0.0
+    yield signed_zeros
+    for tiny in (5e-324, 2.2e-310):
+        subnormal = np.full(shape, tiny)
+        subnormal.flat[::2] = -tiny
+        subnormal.flat[size // 2] = 0.0
+        yield subnormal
+    tie = 1e-3 * base
+    tie.flat[0], tie.flat[size - 1] = -3.0, 3.0
+    yield tie
+    yield np.full(shape, -1.5)
+
+
+class TestExtremaThroughArgmax:
+    """The Stiefel kernels read ``max |a|`` as ``b.item(b.argmax())`` of
+    ``b = |a|``, and ``min |a|`` with ``argmin``.  Each reading is the float
+    ``np.maximum.reduce`` (``np.minimum.reduce``) gives, bit for bit: the
+    extremum is an entry, ``argmax`` stops at the first NaN, and ``item``
+    returns a Python float."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (5, 20)])
+    def test_reading_is_the_reduction(self, shape):
+        rng = np.random.default_rng(60)
+        for a in extreme_arrays(shape, rng):
+            for data in (a, a.astype(complex) * (1.0 - 1.0j)):
+                b = np.abs(data)
+                for reduce, read in ((np.maximum, b.item(b.argmax())),
+                                     (np.minimum, b.item(b.argmin()))):
+                    assert type(read) is float
+                    assert bits(read) == bits(reduced_extremum(reduce, data)), (a, reduce)
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (5, 5), (20, 5)])
+    def test_violations_read_as_the_reduction(self, n, m):
+        # constraint_violation and the violation retract returns, on the
+        # Cholesky path, the Householder path and non-finite steps
+        st = Stiefel(n, m)
+        rng = np.random.default_rng(61)
+        q = st.random_point(rng)
+        for scale in (1e-6, 1e-2, 0.3, 1.0, 1e200):
+            for step in extreme_arrays((st.ambient_dim,), rng):
+                v = scale * step
+                point = q + v
+                # the run loop evaluates the start's violation under its own
+                # errstate, so an overflowing Gram matrix raises no warning
+                with np.errstate(all="ignore"):
+                    expected = st.constraint_violation(point)
+                assert bits(expected) == bits(reduced_violation(st, point))
+                try:
+                    retracted, violation = st.retract(q, v)
+                except RetractionError:
+                    continue
+                assert type(violation) is float
+                assert bits(violation) == bits(reduced_violation(st, retracted))
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (5, 5), (20, 5)])
+    def test_solved_norm_reads_as_the_reduction(self, n, m):
+        st = Stiefel(n, m)
+        rng = np.random.default_rng(62)
+        for coeff in (0.05, 0.2):
+            for history in (None, random_history(st, rng)):
+                q = st.random_point(rng)
+                drift = q + coeff * 0.5 * rng.standard_normal(st.ambient_dim)
+                _, _, point, violation, _ = st.solve_multiplier(drift, q, coeff, history)
+                assert bits(violation) == bits(reduced_violation(st, point))
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (5, 5), (20, 5)])
+    def test_non_finite_residual_reads_as_the_reduction(self, n, m):
+        # a cold start lands on the drift itself (S = 0), whose residual
+        # overflows or is NaN, so the solve raises with that residual
+        st = Stiefel(n, m)
+        rng = np.random.default_rng(63)
+        q = st.random_point(rng)
+        drifts = [q + shift for shift in (1e200, math.inf, math.nan)]
+        drifts += [q + step for step in extreme_arrays((st.ambient_dim,), rng)
+                   if not np.isfinite(step).all()]
+        for drift in drifts:
+            expected = reduced_violation(st, drift)
+            assert not math.isfinite(expected)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NewtonError) as info:
+                    st.solve_multiplier(drift, q, 1e-3, None)
+            assert bits(info.value.residual_norm) == bits(expected)
+            assert str(info.value) == (f"Newton did not converge in 0 iterations "
+                                       f"(residual {expected:.3e})")
+
+
 def solve_bits(result):
     """The exact bits of each output of a multiplier solve."""
     return [bits(value) for value in result]

@@ -15,15 +15,22 @@ The Bregman row's powers of the time coordinate are evaluated once, in
 ``bregman.step_coefficients``; the Hamiltonian values and partials read
 that result, so ``**`` may appear nowhere else in ``bregman``.
 
-The per-iteration path reduces arrays with the ufuncs' own ``reduce``
-(``np.add.reduce(x, axis=None)``, ``np.maximum.reduce``) and tests for a
-nonzero entry with ``np.count_nonzero``.  ``np.sum``, ``ndarray.any`` and
-their kin reach the same reductions through a Python wrapper that costs more
-than the reduction at these sizes (5.9 against 4.2 microseconds for the
-Procrustes ``value_and_grad``, 1.0 against 0.3 for ``any`` of a length-100
-vector), so they stay out of ``manifolds``, ``optimizers``, ``bregman`` and
-the ``value_and_grad`` closures of ``problems``.  A Python ``max`` or
-``min`` over the m entries of an m x m diagonal, read as a list
+The per-iteration path sums arrays with the ufunc's own ``reduce``
+(``np.add.reduce(x, axis=None)``) and tests for a nonzero entry with
+``np.count_nonzero``.  ``np.sum``, ``ndarray.any`` and their kin reach the
+same reductions through a Python wrapper that costs more than the reduction
+at these sizes (5.9 against 4.2 microseconds for the Procrustes
+``value_and_grad``, 1.0 against 0.3 for ``any`` of a length-100 vector), so
+they stay out of ``manifolds``, ``optimizers``, ``bregman`` and the
+``value_and_grad`` closures of ``problems``.  A max or min of absolute
+values is read as ``b.item(b.argmax())`` (or ``argmin``) of ``b =
+np.abs(a)``, which is the float ``np.maximum.reduce`` (``np.minimum.reduce``)
+gives, NaN included, bit for bit (``tests/test_manifolds.py`` pins that),
+without the ufunc reduction's set-up: the 5 x 5 violation of a 20 x 5
+Stiefel point takes 1.9 against 2.6 microseconds per call that way (best of
+5 x 20000 calls, one BLAS thread).  So ``np.maximum.reduce`` and
+``np.minimum.reduce`` stay off the path too.  A Python ``max`` or ``min``
+over the m entries of an m x m diagonal, read as a list
 (``diagonal().tolist()``), is no such wrapper and is allowed: at these sizes
 it is cheaper than a ufunc reduction (0.4 against 1.3 microseconds for five
 entries), and the Stiefel retraction reads its guards that way.
@@ -126,6 +133,18 @@ def test_no_wrapped_reductions_on_the_step_path():
              and node.func.attr in WRAPPED_REDUCTIONS]
     assert not calls, ("use the ufunc's reduce or np.count_nonzero instead of "
                        + "; ".join(calls))
+
+
+def test_no_extremum_reductions_on_the_step_path():
+    reductions = [(label, node) for label, tree in step_path_trees() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "reduce"
+                  and isinstance(node.value, ast.Attribute)]
+    # the Procrustes sum of squares, so the walk is not vacuous
+    assert any(node.value.attr == "add" for _, node in reductions)
+    uses = [f"{label} line {node.lineno}: {ast.unparse(node)}" for label, node in reductions
+            if node.value.attr in ("maximum", "minimum")]
+    assert not uses, ("read a max or min of |a| as b.item(b.argmax()) or argmin instead of "
+                      + "; ".join(uses))
 
 
 def test_advance_closures_dot_only_the_velocity():
