@@ -286,6 +286,8 @@ class Stiefel(EmbeddedManifold):
         """Flatten an n x m matrix into the packed point representation."""
         return np.asarray(x, dtype=float).reshape(-1, order="F")
 
+    # a failing solve may overflow; each residual is tested instead
+    @np.errstate(all="ignore")
     def solve_multiplier(self, drift, q, coeff, lam0):
         """Solve ``F(T) = Y^T Y - I = 0`` with ``Y = D - X T``, ``T = coeff S``.
 
@@ -360,51 +362,49 @@ class Stiefel(EmbeddedManifold):
             return yt, f, af.item(af.argmax())
 
         iterations = 0
-        # a failing solve may overflow; each residual is tested instead
-        with np.errstate(all="ignore"):
-            yt, f, norm = landing(s)
-            while (not norm <= NEWTON_TOL and iterations < NEWTON_MAX_ITER
-                   and math.isfinite(norm)):
-                # the trial S + F / (2 coeff), in F's buffer
-                trial = f
-                trial /= 2.0 * coeff
-                trial += s
-                yt_next, f_next, norm_next = landing(trial)
-                if not norm_next <= 0.5 * norm:
-                    break
-                s, yt, f, norm = trial, yt_next, f_next, norm_next
-                iterations += 1
-            if not norm <= NEWTON_TOL:
-                a = xt.dot(dt.T)
-                k = np.block([[a, -xt.dot(xt.T)], [dt.dot(dt.T) - self._eye, -a.T]])
-                mu = np.array([math.nan])
-                exact = s
-                # a non-finite K has no eigenvalues, and U1 is not square
-                # unless exactly m eigenvalues have positive real part
-                try:
-                    mu, u = np.linalg.eig(k)
-                    right = mu.real > 0.0
-                    t = np.linalg.solve(u[: self.m, right].T, u[self.m :, right].T).real
-                    exact = (t + t.T) / (2.0 * coeff)
-                except np.linalg.LinAlgError:
-                    pass
-                yt_exact, _, norm_exact = landing(exact)
-                if not norm_exact <= NEWTON_TOL:
-                    # the message quotes the fixed point's residual
-                    message = (f"Newton did not converge in {iterations} iterations "
-                               f"(residual {norm:.3e})")
-                    real = np.abs(mu.real)
-                    gap = real.item(real.argmin())
-                    size = np.abs(mu)
-                    # eigenvalues on the axis sit there to rounding; a
-                    # solvable step keeps them near +-1
-                    if gap <= 1e-8 * size.item(size.argmax()):
-                        message += (f"; stiefel constraint unreachable: the Riccati "
-                                    f"Hamiltonian has an eigenvalue on the imaginary "
-                                    f"axis (|Re| {gap:.1e})")
-                    raise NewtonError(message, residual_norm=norm, iterations=iterations)
-                s, yt, norm = exact, yt_exact, norm_exact
-                iterations += 1
+        yt, f, norm = landing(s)
+        while (not norm <= NEWTON_TOL and iterations < NEWTON_MAX_ITER
+               and math.isfinite(norm)):
+            # the trial S + F / (2 coeff), in F's buffer
+            trial = f
+            trial /= 2.0 * coeff
+            trial += s
+            yt_next, f_next, norm_next = landing(trial)
+            if not norm_next <= 0.5 * norm:
+                break
+            s, yt, f, norm = trial, yt_next, f_next, norm_next
+            iterations += 1
+        if not norm <= NEWTON_TOL:
+            a = xt.dot(dt.T)
+            k = np.block([[a, -xt.dot(xt.T)], [dt.dot(dt.T) - self._eye, -a.T]])
+            mu = np.array([math.nan])
+            exact = s
+            # a non-finite K has no eigenvalues, and U1 is not square
+            # unless exactly m eigenvalues have positive real part
+            try:
+                mu, u = np.linalg.eig(k)
+                right = mu.real > 0.0
+                t = np.linalg.solve(u[: self.m, right].T, u[self.m :, right].T).real
+                exact = (t + t.T) / (2.0 * coeff)
+            except np.linalg.LinAlgError:
+                pass
+            yt_exact, _, norm_exact = landing(exact)
+            if not norm_exact <= NEWTON_TOL:
+                # the message quotes the fixed point's residual
+                message = (f"Newton did not converge in {iterations} iterations "
+                           f"(residual {norm:.3e})")
+                real = np.abs(mu.real)
+                gap = real.item(real.argmin())
+                size = np.abs(mu)
+                # eigenvalues on the axis sit there to rounding; a
+                # solvable step keeps them near +-1
+                if gap <= 1e-8 * size.item(size.argmax()):
+                    message += (f"; stiefel constraint unreachable: the Riccati "
+                                f"Hamiltonian has an eigenvalue on the imaginary "
+                                f"axis (|Re| {gap:.1e})")
+                raise NewtonError(message, residual_norm=norm, iterations=iterations)
+            s, yt, norm = exact, yt_exact, norm_exact
+            iterations += 1
         head = s.reshape(-1)
         # newest first; a cold start fills the history with its solution
         lam = np.concatenate((head, head, head) if lam0 is None
@@ -437,6 +437,9 @@ class Stiefel(EmbeddedManifold):
         out = sym.dot(xt)
         return np.subtract(zt, out, out=out).reshape(-1)
 
+    # the flags a failed factorization or an overflowing Gram matrix
+    # raises are ignored, as np.linalg does
+    @np.errstate(all="ignore")
     def retract(self, q, v):
         """Q factor of the QR factorization of ``W = X + V`` with R's
         diagonal positive, which makes the retraction deterministic (Absil,
@@ -458,9 +461,9 @@ class Stiefel(EmbeddedManifold):
         ``_umath_linalg.cholesky_lo`` and ``solve``, called with the
         ``"d->d"`` and ``"dd->d"`` signatures that ``np.linalg.cholesky``
         and ``np.linalg.solve`` pass, so they give those functions' bits.
-        Both run under one ``np.errstate(all="ignore")``: the wrappers ignore
-        overflow, division by zero and underflow, and turn the invalid flag
-        into ``LinAlgError``.  A Gram matrix that is not positive definite
+        The method runs under ``np.errstate(all="ignore")``, as a decorator:
+        the wrappers ignore overflow, division by zero and underflow, and
+        turn the invalid flag into ``LinAlgError``.  A Gram matrix that is not positive definite
         leaves ``L`` all NaN, which fails the rank threshold, so the step
         goes to Householder QR.
 
@@ -480,21 +483,18 @@ class Stiefel(EmbeddedManifold):
             RetractionError: ``W`` is rank deficient.
         """
         wt = (q + v).reshape(self.m, self.n)
-        # the flags a failed factorization or an overflowing Gram matrix
-        # raises are ignored, as np.linalg does
-        with np.errstate(all="ignore"):
-            gram = wt.dot(wt.T)
-            low = _cholesky_lo(gram, signature="d->d")
-            top = max(gram.diagonal().tolist())
-            floor = min(low.diagonal().tolist())
-            # Positive comparisons, so a NaN falls through to Householder
-            if top < self._gram_square and floor >= 1e-12 * max(1.0, math.sqrt(top)):
-                # Q^T = L^{-1} W^T holds the point returned, so the Gram
-                # matrix and the violation are those of that point
-                qt = _solve(low, wt, signature="dd->d")
-                violation = self._gram_violation(qt)
-                if violation <= RETRACT_ORTH_TOL:
-                    return qt.reshape(-1), violation
+        gram = wt.dot(wt.T)
+        low = _cholesky_lo(gram, signature="d->d")
+        top = max(gram.diagonal().tolist())
+        floor = min(low.diagonal().tolist())
+        # Positive comparisons, so a NaN falls through to Householder
+        if top < self._gram_square and floor >= 1e-12 * max(1.0, math.sqrt(top)):
+            # Q^T = L^{-1} W^T holds the point returned, so the Gram
+            # matrix and the violation are those of that point
+            qt = _solve(low, wt, signature="dd->d")
+            violation = self._gram_violation(qt)
+            if violation <= RETRACT_ORTH_TOL:
+                return qt.reshape(-1), violation
         aw = np.abs(wt)
         rank_tol = 1e-12 * max(1.0, aw.item(aw.argmax()))
         qf, diag = positive_qr(wt.T)
