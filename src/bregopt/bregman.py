@@ -18,7 +18,7 @@ convexity parameter and ``c`` the potential constant::
 
 so ``p_ring = p`` turns the adaptive row into the direct one.  Only
 :func:`step_coefficients` evaluates this form; the Hamiltonian values and
-their partials read its terms at unit step with no cap.
+their partials read its terms at unit step.
 
 The convexity parameter ``lambda_conv`` generalizes the vector-space
 exponents (``lambda_conv = 1``, the default) to curved spaces, where it is
@@ -54,8 +54,9 @@ class BregmanParams:
         lambda_conv: convexity parameter, >= 1 and finite (1 in the
             vector-space case).
         h: integrator timestep (> 0, finite).
-        coeff_cap: upper bound applied to the gradient coefficient in the
-            updates; ``math.inf`` disables the cap.
+        coeff_cap: upper bound on the gradient coefficient of the EL
+            steps (:func:`~bregopt.optimizers.el_step`); ``math.inf``
+            disables it.  The Hamiltonian steps do not read it.
     """
 
     p: float
@@ -67,8 +68,7 @@ class BregmanParams:
 
     def __post_init__(self):
         # Per-iteration the adaptive gap decays like (1 + k h)^(-p^2 / p_ring),
-        # so acceleration over the direct method needs p_ring < p; the default
-        # target sits inside the stability envelope of the default cap.
+        # so acceleration over the direct method needs p_ring < p.
         if self.p_ring is None:
             object.__setattr__(self, "p_ring", 2.0 * self.p / 3.0)
         # Negated comparisons, so that NaN fails every check.  Only the cap
@@ -145,7 +145,7 @@ def _row(params: BregmanParams, adaptive: bool) -> tuple[float, ...]:
 
 def _hamiltonian(params: BregmanParams, state: ExtendedState, f_val: float,
                  adaptive: bool) -> float:
-    unit = step_coefficients(replace(params, h=1.0, coeff_cap=math.inf), state.q_t, adaptive)
+    unit = step_coefficients(replace(params, h=1.0), state.q_t, adaptive)
     return (0.5 * unit.position * float(state.r.dot(state.r)) + unit.gradient * f_val
             + unit.q_t_increment * state.r_t)
 
@@ -180,11 +180,11 @@ def hamiltonian_partials(
     """Partial derivatives with respect to ``q``, ``q_t``, ``r`` and ``r_t``.
 
     ``grad_f`` is the ambient gradient of the objective at ``state.q``.  Read
-    off :func:`step_coefficients` at unit step with no cap: ``d_q = gradient
+    off :func:`step_coefficients` at unit step: ``d_q = gradient
     grad_f``, ``d_r = position r``, ``d_rt = q_t_increment`` and ``d_qt =
     -kinetic_rt <r, r> + potential_rt f + feedback_rt r_t``.
     """
-    unit = step_coefficients(replace(params, h=1.0, coeff_cap=math.inf), state.q_t, adaptive)
+    unit = step_coefficients(replace(params, h=1.0), state.q_t, adaptive)
     rr = float(state.r.dot(state.r))
     return HamiltonianPartials(
         d_q=unit.gradient * np.asarray(grad_f, dtype=float),
@@ -206,8 +206,8 @@ class StepCoefficients(NamedTuple):
         r_t'   = (r_t + kinetic_rt * <r', r'> - potential_rt * f(q))
                  / (1 + feedback_rt)
 
-    ``gradient`` already includes the coefficient cap ``params.coeff_cap``;
-    at ``h = 1`` with no cap the coefficients are the Hamiltonian's terms.
+    At ``h = 1`` the coefficients are the Hamiltonian's terms; none of them
+    reads ``params.coeff_cap``, which bounds the EL steps alone.
     """
 
     q_t_increment: float
@@ -240,7 +240,7 @@ def step_coefficients(params: BregmanParams, q_t: float, adaptive: bool) -> Step
         return StepCoefficients(
             h * a * s ** e_t,
             h * b * s ** e_k,
-            min(params.coeff_cap, h * c * b * s ** e_p),
+            h * c * b * s ** e_p,
             h * 0.5 * b * -e_k * s ** (e_k - 1.0),
             h * c * b * e_p * s ** (e_p - 1.0),
             h * a_e_t * s ** (e_t - 1.0),

@@ -306,7 +306,9 @@ class TestValuesReadTheStepCoefficients:
 
 
 def reference_step_coefficients(params, q_t, adaptive):
-    """The step coefficients as written out per member before the shared row."""
+    """The step coefficients as written out per member before the shared row;
+    ``step_coefficients`` does not read ``params.coeff_cap``, so neither
+    does the reference."""
     s = q_t
     h = params.h
     p, lam_c, c = params.p, params.lambda_conv, params.c_const
@@ -314,7 +316,7 @@ def reference_step_coefficients(params, q_t, adaptive):
         return (
             h,
             h * p * s ** (-(lam_c * p + 1.0)),
-            min(params.coeff_cap, h * c * p * s ** ((lam_c + 1.0) * p - 1.0)),
+            h * c * p * s ** ((lam_c + 1.0) * p - 1.0),
             h * 0.5 * p * (lam_c * p + 1.0) * s ** (-(lam_c * p + 2.0)),
             h * c * p * ((lam_c + 1.0) * p - 1.0) * s ** ((lam_c + 1.0) * p - 2.0),
             0.0,
@@ -323,7 +325,7 @@ def reference_step_coefficients(params, q_t, adaptive):
     return (
         h * (p / pr) * s ** (1.0 - pr / p),
         h * (p * p / pr) * s ** (-(lam_c * p + pr / p)),
-        min(params.coeff_cap, h * c * (p * p / pr) * s ** ((lam_c + 1.0) * p - pr / p)),
+        h * c * (p * p / pr) * s ** ((lam_c + 1.0) * p - pr / p),
         h * 0.5 * (p * p / pr) * (lam_c * p + pr / p) * s ** (-(lam_c * p + pr / p + 1.0)),
         h * c * (p * p / pr) * ((lam_c + 1.0) * p - pr / p)
         * s ** ((lam_c + 1.0) * p - pr / p - 1.0),
@@ -359,6 +361,7 @@ class TestSharedRow:
                 c_const=float(rng.uniform(0.1, 10.0)),
                 lambda_conv=float(rng.uniform(1.0, 3.0)),
                 h=float(rng.uniform(1e-4, 1e-1)),
+                # step_coefficients does not read the cap, whatever it is
                 coeff_cap=float(rng.choice([math.inf, 1e6, 1.0])),
             )
             q_t = float(rng.uniform(1.0, 40.0))
@@ -375,9 +378,11 @@ class TestGradCoefficient:
         params = BregmanParams(p=2.0, c_const=1.0, h=1.0, coeff_cap=math.inf)
         assert step_coefficients(params, 1.0, adaptive=False).gradient == pytest.approx(2.0)
 
-    def test_cap_binds(self):
+    def test_cap_is_not_read(self):
+        # the cap bounds the EL coefficient alone; step_coefficients does not
+        # read it, so a cap below the coefficient leaves it as it is
         params = BregmanParams(p=2.0, c_const=1.0, h=1.0, coeff_cap=1.0)
-        assert step_coefficients(params, 1.0, adaptive=False).gradient == pytest.approx(1.0)
+        assert step_coefficients(params, 1.0, adaptive=False).gradient == pytest.approx(2.0)
 
     def test_adaptive_reduces_to_direct(self):
         params = BregmanParams(p=3.0, p_ring=3.0, c_const=1.3, h=0.05)
@@ -441,8 +446,15 @@ class TestStepCoefficients:
                                match="^step coefficients overflow at time coordinate 6.0$"):
                 evaluate(6.0)
 
-    def test_gradient_coefficient_capped(self):
-        capped = BregmanParams(p=6.0, c_const=1.0, h=1.0, coeff_cap=2.0)
-        uncapped = BregmanParams(p=6.0, c_const=1.0, h=1.0, coeff_cap=math.inf)
-        assert step_coefficients(capped, 2.0, adaptive=False).gradient == 2.0
-        assert step_coefficients(uncapped, 2.0, adaptive=False).gradient > 2.0
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_gradient_coefficient_ignores_cap(self, adaptive):
+        # step_coefficients does not read coeff_cap: every coefficient keeps
+        # its bits at a cap that would bind, at the default cap and at none
+        for q_t in (1.0, 2.0, 7.5):
+            rows = {tuple(map(float.hex, step_coefficients(
+                        BregmanParams(p=6.0, c_const=1.0, h=1.0, coeff_cap=cap),
+                        q_t, adaptive)))
+                    for cap in (1.0, 1e6, math.inf)}
+            assert len(rows) == 1
+        assert step_coefficients(BregmanParams(p=6.0, c_const=1.0, h=1.0, coeff_cap=2.0),
+                                 2.0, adaptive=False).gradient > 2.0
