@@ -101,7 +101,8 @@ class ExtendedState:
             of :meth:`~bregopt.manifolds.EmbeddedManifold.solve_multiplier`,
             which returned it, and which may carry what the next solve
             starts from (on Stiefel, the last three solutions); ``None``
-            before the first solve.
+            before the first solve and after a restart, so that solve
+            starts cold.
         violation: constraint violation of ``q`` as the multiplier solve
             that built it measured it
             (:meth:`~bregopt.manifolds.EmbeddedManifold.solve_multiplier`);

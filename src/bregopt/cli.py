@@ -37,11 +37,11 @@ A ``run`` or ``compare`` config holds:
   (``2 p / 3``), ``c_const`` (1), ``lambda_conv`` (1), ``h`` (1e-3) and
   ``coeff_cap`` (1e6; the bound on the EL gradient coefficient, which only
   ``el_v1`` and ``el_v2`` read, though every block accepts it; the only one
-  that may be ``Infinity``, which lifts the cap), and the stopping rule ``max_iters`` (1000),
-  ``stop_grad_tol`` (1e-12) and ``stop_f_tol`` (1e-12).  The gap stop
-  cannot be switched off on a problem with an oracle: ``f`` may round a
-  few ulps below the oracle value, so any positive ``stop_f_tol`` can end
-  the run.  A run that is to stop on the gradient norm alone needs a
+  that may be ``Infinity``, which lifts the cap), and the stopping rule
+  ``max_iters`` (1000), ``stop_grad_tol`` (1e-12) and ``stop_f_tol``
+  (1e-12).  The gap stop cannot be switched off on a problem with an
+  oracle: ``f`` may round a few ulps below the oracle value, so any
+  positive ``stop_f_tol`` can end the run.  A run that is to stop on the gradient norm alone needs a
   problem without an oracle (an unbalanced ``procrustes``, ``m < n``).
   The multiplier solve's tolerance and budget are not keys but the
   constants ``NEWTON_TOL`` and ``NEWTON_MAX_ITER`` of

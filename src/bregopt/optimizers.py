@@ -36,7 +36,7 @@ the Bregman family by Duruisseaux and Leok, "Practical perspectives on
 symplectic accelerated optimization"): before a step whose momentum ``r``
 has a positive inner product with the Riemannian gradient, the state becomes
 the standard extended state at the current position (``q_t = 1``, ``r = 0``,
-``r_t = 0``) and keeps its multiplier as the solve's warm start.  A restart
+``r_t = 0``, no multiplier, so the next solve starts cold).  A restart
 shows in the trace as a drop of ``t`` back to the first step's time
 coordinate.  The EL and gradient-descent runs do not restart.
 """
@@ -287,15 +287,15 @@ def _check_feasible(manifold: EmbeddedManifold, violation: float) -> None:
 def _htvi_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
     direction = "direct" if config.method == "htvi_direct" else "adaptive"
     manifold = problem.manifold
-    state = start = ExtendedState.initial(q0)
+    state = ExtendedState.initial(q0)
 
     def advance(k, f_val, grad, rgrad):
         nonlocal state
         # gradient restart: momentum with an uphill component is dropped and
-        # the schedule starts over from the standard state at this point
+        # the schedule starts over from the standard state at this point,
+        # whose multiplier solve starts cold
         if state.r.dot(rgrad) > 0:
-            state = ExtendedState(state.q, start.q_t, start.r, start.r_t,
-                                  state.lam, state.violation)
+            state = ExtendedState.initial(state.q)
         state, iters = htvi_step(direction, config.params, manifold, state, grad, f_val)
         # one scalar test of values the step formed: the solve's violation
         # stands in for q.q, as it is NaN or infinite exactly when q is not
@@ -353,8 +353,8 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
 
     ``initial`` is a feasible point (flat array); when omitted it is drawn
     from the manifold with seed 0.  HTVI methods start from the
-    standard extended state (zero momenta, unit time coordinate), and return
-    to it at the current point, keeping the multiplier, before each step
+    standard extended state (zero momenta, unit time coordinate, no
+    multiplier), and return to it at the current point before each step
     whose momentum has a positive inner product with the Riemannian
     gradient (the gradient restart of the module docstring); ``t`` then
     drops back to the first step's time coordinate.  The

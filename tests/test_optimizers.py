@@ -952,9 +952,9 @@ class TestRunDriver:
             if method.startswith("htvi"):
                 f_val, grad = prob.value_and_grad(state.q)
                 # the gradient restart: the standard state at this point,
-                # with the multiplier kept as the solve's warm start
+                # multiplier included, so the next solve starts cold
                 if state.r.dot(manifold.tangent_project(state.q, grad)) > 0:
-                    state = dataclasses.replace(ExtendedState.initial(state.q), lam=state.lam)
+                    state = ExtendedState.initial(state.q)
                     restarts += 1
                 state, it = htvi_step(direction, params, manifold, state, grad, f_val)
                 x = state.q
@@ -1168,6 +1168,91 @@ class TestPredictedMultiplier:
         assert not asymmetric
 
 
+def run_to_target(name, method, seed=0, **keys):
+    """A default problem's run at ``seed`` from the CLI's seeded start point,
+    with the method block's ``keys``, to the seed sweep's target: oracle gap
+    at most 1e-6, or gradient norm at most 1e-6 without an oracle."""
+    problem = build_problem({"name": name, "seed": seed})
+    initial = problem.manifold.random_point(np.random.default_rng(seed))
+    block = {"method": method, "max_iters": 12000, **keys}
+    block["stop_f_tol" if problem.oracle_value is not None else "stop_grad_tol"] = 1e-6
+    return run(build_run_config(block), problem, initial)
+
+
+def count_exact_steps(monkeypatch):
+    """The list that each ``np.linalg.eig`` call of the Stiefel solve's exact
+    Riccati step appends to."""
+    calls = []
+    eig = manifolds.np.linalg.eig
+
+    def counted_eig(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(manifolds.np.linalg, "eig", counted_eig)
+    return calls
+
+
+class TestHamiltonianAlone:
+    """HTVI follows its Hamiltonian and the gradient restart alone.  A restart
+    returns to the standard state, multiplier included, so the Stiefel solve
+    after it starts cold and its prediction never spans a momentum reset; the
+    predicted start there landed with a residual near 1, which the fixed
+    point cannot halve, so those steps took the exact Riccati step.  The
+    coefficient cap is the EL steps' alone."""
+
+    def test_restart_starts_the_solve_cold(self, monkeypatch):
+        solve = Stiefel.solve_multiplier
+        cold = []
+
+        def recording_solve(self, drift, q, coeff, lam0):
+            cold.append(lam0 is None)
+            return solve(self, drift, q, coeff, lam0)
+
+        monkeypatch.setattr(Stiefel, "solve_multiplier", recording_solve)
+        trace = run_to_target("brockett", "htvi_direct")
+        assert not trace.failed, trace.failure_reason
+        ts = trace.ts
+        # a restart shows as a drop of t; the step that built row k is the
+        # solve call k - 1
+        drops = [k for k in range(2, len(ts)) if not ts[k] > ts[k - 1]]
+        assert len(drops) == 6
+        assert [k for k in range(1, len(ts)) if cold[k - 1]] == [1] + drops
+
+    def test_larger_steps_need_no_exact_step(self, monkeypatch):
+        # at five times the default step the solve lands by the fixed point
+        # alone on every step (the multiplier kept across restarts took 1-6
+        # exact steps per run here)
+        eig_calls = count_exact_steps(monkeypatch)
+        for method in ("htvi_direct", "htvi_adaptive"):
+            for seed in range(3):
+                trace = run_to_target("brockett", method, seed, h=5e-3)
+                assert not trace.failed, trace.failure_reason
+                assert trace.errors_vs_oracle[-1] <= 1e-6, f"{method}#{seed}"
+                assert max(trace.constraint_violations) <= 1e-9
+        assert not eig_calls
+
+    def test_exact_step_rescues_a_large_step(self, monkeypatch):
+        # at ten times the default step the third step's fixed point cannot
+        # halve its residual (0.30 at the first landing); the exact step
+        # lands it, and the run goes on to the target
+        eig_calls = count_exact_steps(monkeypatch)
+        trace = run_to_target("procrustes", "htvi_direct", 4, h=1e-2)
+        assert not trace.failed, trace.failure_reason
+        assert eig_calls
+        assert trace.grad_norms[-1] <= 1e-6
+        assert len(trace) <= 250
+        assert max(trace.constraint_violations) <= 1e-9
+
+    @pytest.mark.parametrize("method", ["htvi_direct", "htvi_adaptive"])
+    def test_traces_ignore_the_cap(self, method):
+        # a cap of 1 is below the gradient coefficient from the first step
+        capped = run_to_target("rayleigh", method, coeff_cap=1.0)
+        uncapped = run_to_target("rayleigh", method, coeff_cap=math.inf)
+        assert not capped.failed and not uncapped.failed
+        assert trace_digest(capped) == trace_digest(uncapped)
+
+
 # Digests of the first 500 iterations at the CLI defaults, seed 0 (numpy 2.4
 # with single-threaded OpenBLAS on x86-64, as tests/conftest.py pins it); a
 # change that alters any rounding on the way changes them.  Every HTVI run
@@ -1181,15 +1266,15 @@ GOLDEN_DIGESTS = {
         "rgd": "aa31c9c98489d11e",
     },
     "brockett": {
-        "htvi_direct": "252f88e3652410cc",
-        "htvi_adaptive": "22505c90ea46df94",
+        "htvi_direct": "a31fc7dde06d1031",
+        "htvi_adaptive": "2521d4a8da9e8908",
         "el_v1": "30ddf008df6bb94c",
         "el_v2": "63d5da3bfe95f53f",
         "rgd": "4058442e471e8548",
     },
     "procrustes": {
-        "htvi_direct": "0f07bfab75b9911b",
-        "htvi_adaptive": "2ff63f150e604abb",
+        "htvi_direct": "467ade6e10e12743",
+        "htvi_adaptive": "0168ef8b6c852724",
         "el_v1": "87b9f32e5d270855",
         "el_v2": "3b4d72f4c388ff5c",
         "rgd": "b26c47afba8aa9f6",
