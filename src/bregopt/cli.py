@@ -39,15 +39,19 @@ A ``run`` or ``compare`` config holds:
   ``el_v1`` and ``el_v2`` read, though every block accepts it; the only one
   that may be ``Infinity``, which lifts the cap), and the stopping rule
   ``max_iters`` (1000), ``stop_grad_tol`` (1e-12) and ``stop_f_tol``
-  (1e-12).  The gap stop cannot be switched off on a problem with an
-  oracle: ``f`` may round a few ulps below the oracle value, so any
-  positive ``stop_f_tol`` can end the run.  A run that is to stop on the gradient norm alone needs a
-  problem without an oracle (an unbalanced ``procrustes``, ``m < n``).
+  (1e-12).  A ``stop_f_tol`` below the float spacing of the oracle value
+  (``math.ulp``), such as 1e-300, switches the gap stop off, since no
+  gap that small can be resolved; the gap column is written either way.
   The multiplier solve's tolerance and budget are not keys but the
   constants ``NEWTON_TOL`` and ``NEWTON_MAX_ITER`` of
   ``bregopt.manifolds``.
 * ``output_dir`` (``.``) and, read by ``compare`` only, ``plot`` (true; a
   JSON boolean).
+
+``run`` and ``compare`` print one line per method block as its run ends:
+``<label>: <N> iterations, <R> restarts, final f = <f>``, or
+``<label>: FAILED (<reason>), <R> restarts`` for a failed run, where ``R``
+counts the HTVI gradient restarts (0 for the other methods).
 
 The counts ``seed``, ``dims``, ``m`` and ``max_iters`` must be JSON
 integers: ``2.7`` or ``true`` is an error, not a truncation; ``seed`` must
@@ -478,8 +482,9 @@ def _run_blocks(problem, run_configs, labels, initial, keep) -> int:
     for run_config, label in zip(run_configs, labels):
         trace = optimizers.run(run_config, problem, initial)
         keep(label, trace)
-        print(f"{label}: FAILED ({trace.failure_reason})" if trace.failed else
-              f"{label}: {len(trace) - 1} iterations, final f = {trace.fs[-1]:.6e}")
+        restarts = f"{len(trace.restarts)} restarts"
+        print(f"{label}: FAILED ({trace.failure_reason}), {restarts}" if trace.failed else
+              f"{label}: {len(trace) - 1} iterations, {restarts}, final f = {trace.fs[-1]:.6e}")
         failed = failed or trace.failed
     return EXIT_NUMERICAL if failed else EXIT_OK
 

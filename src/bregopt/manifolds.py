@@ -301,9 +301,10 @@ class Stiefel(EmbeddedManifold):
         ``S_{k-1}`` and ``S_{k-2}``, and the solve starts from the quadratic
         extrapolation ``3 (S_k - S_{k-1}) + S_{k-2}``.  Along a smooth
         trajectory that start is off by O(h^3) instead of the O(h) of
-        ``S_k``, so the fixed point takes fewer steps (1.2-1.4 per step
-        instead of 2.0-2.5 over the first 1000 steps of the default
-        ``brockett`` and ``procrustes`` HTVI runs).  The prediction combines
+        ``S_k``, so the fixed point takes fewer steps (1.2-1.6 per step
+        instead of 2.2-2.6, over the steps of the first 1000 of the default
+        ``brockett`` and ``procrustes`` HTVI runs that start from a full
+        history).  The prediction combines
         exactly symmetric matrices elementwise, so it is exactly symmetric
         and is not symmetrized.  A ``lam0`` of another length than 3 m^2
         raises ``ValueError``.

@@ -34,11 +34,18 @@ HTVI runs restart their momentum on a gradient test (O'Donoghue and
 Candès 2015, "Adaptive restart for accelerated gradient schemes", applied to
 the Bregman family by Duruisseaux and Leok, "Practical perspectives on
 symplectic accelerated optimization"): before a step whose momentum ``r``
-has a positive inner product with the Riemannian gradient, the state becomes
-the standard extended state at the current position (``q_t = 1``, ``r = 0``,
-``r_t = 0``, no multiplier, so the next solve starts cold).  A restart
-shows in the trace as a drop of ``t`` back to the first step's time
-coordinate.  The EL and gradient-descent runs do not restart.
+has a positive inner product with the Riemannian gradient, the momenta are
+dropped (``r = 0``, ``r_t = 0``) with the multiplier, so the next solve
+starts cold.  The time coordinate ``q_t``, whose growth is what accelerates
+the flow, is kept, but clamped to the envelope bound
+:func:`~bregopt.bregman.envelope_time`: the largest ``s >= 1`` at which the
+step's envelope ratio ``position * gradient * L / 4`` is at most
+``bregman.RHO_MAX``, with ``L`` the problem's gradient Lipschitz constant
+(``ProblemSpec.lipschitz``), formed once per run (after Roulet and
+d'Aspremont 2017, "Sharpness, restarts and acceleration").  Without a known
+``L`` the bound is 1, and a restart starts the schedule over.  ``t`` need
+not drop at a restart, so each one is recorded in ``Trace.restarts``.  The
+EL and gradient-descent runs do not restart.
 """
 
 from __future__ import annotations
@@ -64,10 +71,11 @@ class RunConfig:
 
     ``stop_grad_tol`` stops on the Riemannian gradient norm;
     ``stop_f_tol`` stops on the objective gap against the problem oracle
-    when one is available.  The gap stop cannot be switched off on a
-    problem with an oracle: ``f`` may round a few ulps below the oracle
-    value, so even ``stop_f_tol=1e-300`` can end the run; a run that is to
-    stop on the gradient norm alone needs a problem without an oracle.
+    when one is available.  A gap tolerance below the oracle value's float
+    spacing, ``stop_f_tol < math.ulp(oracle_value)``, cannot be resolved, so
+    it switches the gap stop off: ``f`` may round to the oracle or a few
+    ulps below it, and such a run still goes on to its other stops.  The gap
+    is recorded either way.
     The HTVI multiplier solve runs to the manifold constants
     ``NEWTON_TOL`` and ``NEWTON_MAX_ITER``, which are not settings.
     """
@@ -102,7 +110,10 @@ class Trace:
     violation, gap, newton_iters)``: an ``int``, four ``float``, the oracle
     gap ``f - oracle_value`` as a ``float`` (``None`` without an oracle) and
     the multiplier solve's ``int`` iteration count (``None`` for methods
-    without one).  ``failure_reason`` is the text of the error that ended a
+    without one).  ``restarts`` lists, in order, each step ``k`` that began
+    with an HTVI gradient restart, so row ``k``, when recorded, is the first
+    iterate built from the restarted state; it stays empty for the other
+    methods.  ``failure_reason`` is the text of the error that ended a
     failed run, ``None`` otherwise.  The columns ``ks`` ... ``newton_iters``
     are read-only lists built from ``rows`` on each access.
     """
@@ -117,6 +128,7 @@ class Trace:
 
     def __init__(self):
         self.rows: list[tuple] = []
+        self.restarts: list[int] = []
         self.failure_reason: str | None = None
 
     @property
@@ -276,11 +288,12 @@ def _check_feasible(manifold: EmbeddedManifold, violation: float) -> None:
 # Run driver
 # ---------------------------------------------------------------------------
 
-# Each ``_*_stepper`` returns the start point, its time coordinate and a
+# Each ``_*_stepper`` returns the start point, its time coordinate, a
 # closure ``advance(k, f_val, grad, rgrad) -> (point, t, newton_iters,
 # violation)`` that takes step ``k`` from the current point, whose objective
 # value, ambient gradient and Riemannian gradient are ``f_val``, ``grad`` and
-# ``rgrad``, and reports the new point's constraint violation.
+# ``rgrad``, and reports the new point's constraint violation, and the list
+# to which it appends each step ``k`` that begins with a restart.
 # The step functions are looked up by module name at call time, so replacing
 # them on the module takes effect.
 
@@ -288,14 +301,17 @@ def _htvi_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
     direction = "direct" if config.method == "htvi_direct" else "adaptive"
     manifold = problem.manifold
     state = ExtendedState.initial(q0)
+    s_max = bregman.envelope_time(config.params, direction == "adaptive", problem.lipschitz)
+    restarts = []
 
     def advance(k, f_val, grad, rgrad):
         nonlocal state
-        # gradient restart: momentum with an uphill component is dropped and
-        # the schedule starts over from the standard state at this point,
-        # whose multiplier solve starts cold
+        # gradient restart: momentum with an uphill component is dropped with
+        # the multiplier, so the next solve starts cold; the clock goes on,
+        # clamped to the envelope bound
         if state.r.dot(rgrad) > 0:
-            state = ExtendedState.initial(state.q)
+            state = ExtendedState.initial(state.q, min(state.q_t, s_max))
+            restarts.append(k)
         state, iters = htvi_step(direction, config.params, manifold, state, grad, f_val)
         # one scalar test of values the step formed: the solve's violation
         # stands in for q.q, as it is NaN or infinite exactly when q is not
@@ -306,7 +322,7 @@ def _htvi_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
             raise BregoptError("non-finite state")
         return state.q, state.q_t, iters, state.violation
 
-    return state.q, state.q_t, advance
+    return state.q, state.q_t, advance, restarts
 
 
 def _el_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
@@ -330,7 +346,7 @@ def _el_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
             raise BregoptError("non-finite state")
         return x, k * h, None, violation
 
-    return x, 0.0, advance
+    return x, 0.0, advance, []
 
 
 def _rgd_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
@@ -345,7 +361,7 @@ def _rgd_stepper(config: RunConfig, problem: ProblemSpec, q0: np.ndarray):
             raise BregoptError("non-finite state")
         return x, k * h, None, violation
 
-    return x, 0.0, advance
+    return x, 0.0, advance, []
 
 
 def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
@@ -354,10 +370,11 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
     ``initial`` is a feasible point (flat array); when omitted it is drawn
     from the manifold with seed 0.  HTVI methods start from the
     standard extended state (zero momenta, unit time coordinate, no
-    multiplier), and return to it at the current point before each step
+    multiplier), and drop the momenta and the multiplier before each step
     whose momentum has a positive inner product with the Riemannian
-    gradient (the gradient restart of the module docstring); ``t`` then
-    drops back to the first step's time coordinate.  The
+    gradient, keeping the time coordinate up to the envelope bound (the
+    gradient restart of the module docstring); each such step is appended
+    to ``Trace.restarts``.  The
     constraint violation of each iterate is evaluated once: by
     ``constraint_violation`` at the initial point, and by the step that
     built every later one.  That value must be within ``FEAS_TOL`` (a NaN
@@ -366,10 +383,12 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
     gradient, and the manifold's ``tangent_project`` the Riemannian
     gradient.  An objective or gradient norm that is not finite fails the
     run before the row is recorded; otherwise the same values are recorded
-    and passed to the next step.  A :class:`BregoptError` raised by a step,
-    by the feasibility gate or while evaluating an iterate, an infeasible
-    initial point included, sets the trace's ``failure_reason`` and ends
-    the run gracefully.
+    and passed to the next step.  The run stops on the gradient norm, on
+    the oracle gap unless ``stop_f_tol`` is below ``math.ulp`` of the
+    oracle value (see :class:`RunConfig`), or at ``max_iters`` steps.  A
+    :class:`BregoptError` raised by a step, by the feasibility gate or while
+    evaluating an iterate, an infeasible initial point included, sets the
+    trace's ``failure_reason`` and ends the run gracefully.
 
     Raises:
         DimensionError: ``initial`` is not a vector of length
@@ -385,13 +404,16 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
         start = _el_stepper
     else:
         start = _rgd_stepper
-    point, t, advance = start(config, problem, q0)
+    point, t, advance, restarts = start(config, problem, q0)
 
     trace = Trace()
+    trace.restarts = restarts
     # bound once: the loop reads them on every row
     value_and_grad, tangent_project = problem.value_and_grad, manifold.tangent_project
     append, oracle_value = trace.rows.append, problem.oracle_value
     stop_grad_tol, stop_f_tol = config.stop_grad_tol, config.stop_f_tol
+    # a gap tolerance below the oracle's float spacing cannot be resolved
+    gap_stop = oracle_value is not None and stop_f_tol >= math.ulp(oracle_value)
     max_iters = config.max_iters
     with np.errstate(all="ignore"):
         k, newton_iters, violation = 0, None, manifold.constraint_violation(q0)
@@ -406,7 +428,7 @@ def run(config: RunConfig, problem: ProblemSpec, initial=None) -> Trace:
                 gap = None if oracle_value is None else f_val - oracle_value
                 append((k, t, f_val, grad_norm, violation, gap, newton_iters))
                 if (grad_norm <= stop_grad_tol
-                        or (gap is not None and gap <= stop_f_tol)
+                        or (gap_stop and gap <= stop_f_tol)
                         or k == max_iters):
                     return trace
                 k += 1

@@ -5,7 +5,10 @@ sphere, the Brockett cost on the Stiefel manifold (generalized eigenvalue
 problem), and the orthogonal Procrustes problem.  Optimal values come from
 closed forms: the symmetric eigenvalues alone for Rayleigh and Brockett, with
 no eigenvectors formed, and ``f`` at the SVD's ``U V^T`` for balanced
-Procrustes.  A drawn Rayleigh or Brockett matrix brings the spectrum it was
+Procrustes.  Each problem also carries the Lipschitz constant ``L`` of its
+ambient gradient, from the same spectral data: ``2 max|lambda(A)|`` for
+Rayleigh, ``2 max|lambda(A)| mu_max`` for Brockett and ``2 sigma_max(A)^2``
+for Procrustes.  A drawn Rayleigh or Brockett matrix brings the spectrum it was
 drawn from, so its oracle needs no factorization; a matrix given by the
 caller, such as one read from a file, gets its eigenvalues from
 ``numpy.linalg.eigvalsh``.
@@ -41,13 +44,18 @@ class ProblemSpec:
     closed form gives one and ``None`` elsewhere; no minimizer is kept.
 
     ``value_and_grad(q)`` returns the objective value at ``q``, a Python
-    float, and the ambient gradient there.
+    float, and the ambient gradient there.  ``lipschitz`` is the Lipschitz
+    constant of that gradient over the ambient space, a finite float >= 0,
+    or ``None`` when it is not known (a spec built without it) or does not
+    fit a float.  HTVI's gradient restart reads it
+    (:func:`~bregopt.bregman.envelope_time`).
     """
 
     name: str
     manifold: EmbeddedManifold
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
     oracle_value: float | None = None
+    lipschitz: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +90,17 @@ def _finite_oracle(value: float, label: str) -> float:
     return value
 
 
+def _finite_or_none(value: float) -> float | None:
+    """``value`` when it is finite; a Lipschitz constant that overflowed is
+    not known."""
+    return value if math.isfinite(value) else None
+
+
+def _spectral_radius(values: np.ndarray) -> float:
+    """``max|lambda|`` of the ascending eigenvalues ``values``."""
+    return max(abs(float(values[0])), abs(float(values[-1])))
+
+
 def _eigenvalues(a: np.ndarray, eigenvalues) -> np.ndarray:
     """The ascending eigenvalues of ``a``: ``eigenvalues`` when the caller
     drew ``a`` from them, else ``eigvalsh``'s."""
@@ -104,7 +123,8 @@ def rayleigh(a: np.ndarray, *, eigenvalues=None) -> ProblemSpec:
     Scaling by -2 is exact, short of overflow, and commutes with every
     rounding of the product, so the gradient ``G`` is the bits of
     ``-2 (A v)`` and ``f = <v, G> / 2`` the bits of ``-v^T (A v)``.  ``A``
-    must be finite, and so must ``-2 A``.
+    must be finite, and so must ``-2 A``.  The gradient's Lipschitz constant
+    is ``2 max|lambda(A)|``, ``None`` when that overflows.
     """
     a = _check_symmetric(a, "A")
     n = a.shape[0]
@@ -116,7 +136,8 @@ def rayleigh(a: np.ndarray, *, eigenvalues=None) -> ProblemSpec:
         grad = minus_two_a.dot(q)
         return 0.5 * float(q.dot(grad)), grad
 
-    return ProblemSpec("rayleigh", manifold, value_and_grad, oracle_value=-float(values[-1]))
+    return ProblemSpec("rayleigh", manifold, value_and_grad, oracle_value=-float(values[-1]),
+                       lipschitz=_finite_or_none(2.0 * _spectral_radius(values)))
 
 
 def brockett(a: np.ndarray, n_diag: np.ndarray, *, eigenvalues=None) -> ProblemSpec:
@@ -128,7 +149,8 @@ def brockett(a: np.ndarray, n_diag: np.ndarray, *, eigenvalues=None) -> ProblemS
     the optimal value is ``sum_j mu_j * lambda_{m - j + 1}`` for ascending
     eigenvalues ``lambda``: ``eigenvalues``, the spectrum ``A`` was drawn
     from, or else the only spectral data computed.  ``A`` and the optimal
-    value must be finite.
+    value must be finite.  The gradient's Lipschitz constant is
+    ``2 max|lambda(A)| mu_m``, ``None`` when that overflows.
     """
     a = _check_symmetric(a, "A")
     mu = np.asarray(n_diag, dtype=float)
@@ -152,7 +174,9 @@ def brockett(a: np.ndarray, n_diag: np.ndarray, *, eigenvalues=None) -> ProblemS
 
     with np.errstate(over="ignore"):
         oracle_value = float(np.sum(mu * values[m - 1 :: -1]))
-    return ProblemSpec("brockett", manifold, value_and_grad, _finite_oracle(oracle_value, "A"))
+    lipschitz = _finite_or_none(2.0 * _spectral_radius(values) * float(mu[-1]))
+    return ProblemSpec("brockett", manifold, value_and_grad, _finite_oracle(oracle_value, "A"),
+                       lipschitz)
 
 
 def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
@@ -162,7 +186,9 @@ def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
     In the balanced case ``n = m`` the global solution ``X* = U V^T`` comes
     from the SVD ``A^T B = U S V^T``; the unbalanced case has no closed-form
     oracle and only descent trends can be checked.  ``2 A`` must be finite,
-    and so must the optimal value when there is an oracle.
+    and so must the optimal value when there is an oracle.  The gradient's
+    Lipschitz constant ``2 sigma_max(A)^2`` is read from the eigenvalues of
+    ``A^T A``; it is ``None`` when ``A^T A`` or the constant overflows.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -192,7 +218,11 @@ def procrustes(a: np.ndarray, b: np.ndarray) -> ProblemSpec:
             u, _, vt = np.linalg.svd(a.T.dot(b))
             oracle_value = _finite_oracle(value_and_grad(manifold.from_matrix(u.dot(vt)))[0],
                                           "A or B")
-    return ProblemSpec("procrustes", manifold, value_and_grad, oracle_value)
+    with np.errstate(all="ignore"):
+        gram = a.T.dot(a)
+        lipschitz = (_finite_or_none(2.0 * float(np.linalg.eigvalsh(gram)[-1]))
+                     if np.isfinite(gram).all() else None)
+    return ProblemSpec("procrustes", manifold, value_and_grad, oracle_value, lipschitz)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from bregopt.bregman import (
+    RHO_MAX,
     BregmanParams,
     ExtendedState,
+    envelope_time,
     hamiltonian_adaptive,
     hamiltonian_direct,
     hamiltonian_partials,
@@ -458,3 +460,78 @@ class TestStepCoefficients:
             assert len(rows) == 1
         assert step_coefficients(BregmanParams(p=6.0, c_const=1.0, h=1.0, coeff_cap=2.0),
                                  2.0, adaptive=False).gradient > 2.0
+
+
+def envelope_ratio(params, s, adaptive, lipschitz):
+    """``position * gradient * L / 4`` of the step from time coordinate ``s``."""
+    coeffs = step_coefficients(params, s, adaptive)
+    return coeffs.position * coeffs.gradient * lipschitz / 4.0
+
+
+class TestEnvelopeTime:
+    """``envelope_time`` is the largest ``s >= 1`` whose step keeps the
+    envelope ratio at most ``RHO_MAX``, formed in logarithms; every case it
+    cannot bound is 1, the restart from the standard state."""
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("lipschitz", [20.0, 100.0, 172.48902747403682, 1e-3])
+    def test_ratio_at_the_bound_is_rho_max(self, adaptive, lipschitz):
+        params = BregmanParams(p=6.0, h=1e-3)
+        s_max = envelope_time(params, adaptive, lipschitz)
+        assert s_max > 1.0
+        assert envelope_ratio(params, s_max, adaptive, lipschitz) == pytest.approx(
+            RHO_MAX, rel=1e-12)
+        assert envelope_ratio(params, 0.99 * s_max, adaptive, lipschitz) < RHO_MAX
+
+    def test_default_problems(self):
+        # the CLI defaults on the default problems' L: 20, 100 and 172.5
+        params = BregmanParams(p=6.0, h=1e-3)
+        bounds = [(envelope_time(params, False, lip), envelope_time(params, True, lip))
+                  for lip in (20.0, 100.0, 172.48902747403682)]
+        np.testing.assert_allclose(bounds, [(5.373, 3.552), (3.593, 2.516), (3.135, 2.238)],
+                                   rtol=1e-3)
+
+    @pytest.mark.parametrize("p,p_ring,adaptive", [(2.0, None, False), (1.5, None, False),
+                                                   (3.0, 4.5, True), (2.0, 3.0, True)])
+    def test_ratio_that_does_not_grow_is_one(self, p, p_ring, adaptive):
+        # p - 2 g is 0 or negative (g = 1 direct, p_ring / p adaptive): rho
+        # does not grow with s, so it bounds no s above 1
+        params = BregmanParams(p=p, p_ring=p_ring, h=1e-3)
+        assert envelope_time(params, adaptive, 10.0) == 1.0
+
+    def test_ratio_above_rho_max_at_one_is_one(self):
+        params = BregmanParams(p=6.0, h=1e-3)
+        # rho(1) = 9e-6 L for the direct row
+        lipschitz = 1.01 * RHO_MAX / 9e-6
+        assert envelope_ratio(params, 1.0, False, lipschitz) > RHO_MAX
+        assert envelope_time(params, False, lipschitz) == 1.0
+
+    @pytest.mark.parametrize("lipschitz", [None, 0.0, -1.0, math.inf, math.nan,
+                                           1.7976931348623157e308])
+    def test_unknown_or_huge_constant_is_one(self, lipschitz):
+        params = BregmanParams(p=6.0, h=1e-3)
+        assert envelope_time(params, False, lipschitz) == 1.0
+        assert envelope_time(params, True, lipschitz) == 1.0
+
+    def test_bound_beyond_the_float_range_is_infinite(self):
+        # rho grows like s^(1e-9): the bound's logarithm is ~1e10
+        params = BregmanParams(p=2.0 + 1e-9, h=1e-3)
+        assert envelope_time(params, False, 1.0) == math.inf
+        # a subnormal L with the default row
+        assert 1e80 < envelope_time(BregmanParams(p=6.0), False, 5e-324) < math.inf
+
+    def test_extreme_rows_are_one_or_a_float(self):
+        # b = p^2 / p_ring underflows to 0; the exponents overflow to a NaN
+        # growth; neither raises
+        assert envelope_time(BregmanParams(p=1e-200, p_ring=1e200), True, 1.0) == 1.0
+        assert envelope_time(BregmanParams(p=1e308, p_ring=1.0, lambda_conv=10.0),
+                             False, 1.0) == 1.0
+        assert envelope_time(BregmanParams(p=1e-300, h=1e300, c_const=1e300), True, 1e300) >= 1.0
+
+    def test_initial_state_at_a_time_coordinate(self):
+        q = np.array([0.6, 0.8])
+        state = ExtendedState.initial(q, 2.5)
+        assert state.q_t == 2.5 and state.r_t == 0.0 and state.lam is None
+        np.testing.assert_array_equal(state.r, np.zeros(2))
+        assert state.q is not q
+        assert ExtendedState.initial(q).q_t == 1.0

@@ -9,10 +9,13 @@ lie within 1e-9 of the manifold, and the adaptive integrator must get there
 in fewer iterations than the direct one.
 
 Past the target, an untamed run (both stop tolerances 1e-300, so it uses
-its whole budget) on the default ``procrustes`` must stay converged: no
+its whole budget: a gap tolerance below the oracle's float spacing does not
+stop a run) must stay converged.  On the default ``procrustes``: no
 failure, every iterate within 1e-9 of the manifold, the last f within 1e-9
 of the best, the last gradient norm at most 1e-9, and no exact Riccati step
-(``np.linalg.eig``) in any multiplier solve.
+(``np.linalg.eig``) in any multiplier solve.  On the default ``rayleigh``
+and ``brockett``: no failure, every iterate within 1e-9 of the manifold, the
+last f within 1e-8 of the best, and no exact Riccati step.
 """
 
 import numpy as np
@@ -46,8 +49,10 @@ def test_adaptive_beats_direct_on_the_manifold(name):
     assert adaptive < direct
 
 
-@pytest.mark.parametrize("method", ["htvi_direct", "htvi_adaptive"])
-def test_untamed_procrustes_stays_converged(method, monkeypatch):
+def untamed_run(name, method, monkeypatch):
+    """The untamed run of a default problem at seed 0 from the CLI's start,
+    checked to have used its whole budget without failing, every iterate
+    within 1e-9 of the manifold and no exact Riccati step."""
     eig_calls = []
     eig = np.linalg.eig
 
@@ -56,7 +61,7 @@ def test_untamed_procrustes_stays_converged(method, monkeypatch):
         return eig(a)
 
     monkeypatch.setattr(np.linalg, "eig", counting_eig)
-    problem = build_problem({"name": "procrustes", "seed": 0})
+    problem = build_problem({"name": name, "seed": 0})
     initial = problem.manifold.random_point(np.random.default_rng(0))
     config = build_run_config({"method": method, "max_iters": BUDGET,
                                "stop_f_tol": 1e-300, "stop_grad_tol": 1e-300})
@@ -64,6 +69,21 @@ def test_untamed_procrustes_stays_converged(method, monkeypatch):
     assert not trace.failed, trace.failure_reason
     assert trace.ks[-1] == BUDGET
     assert max(trace.constraint_violations) <= 1e-9
+    assert not eig_calls
+    return trace
+
+
+@pytest.mark.parametrize("method", ["htvi_direct", "htvi_adaptive"])
+def test_untamed_procrustes_stays_converged(method, monkeypatch):
+    trace = untamed_run("procrustes", method, monkeypatch)
     assert trace.fs[-1] - min(trace.fs) <= 1e-9
     assert trace.grad_norms[-1] <= 1e-9
-    assert not eig_calls
+
+
+@pytest.mark.parametrize("method", ["htvi_direct", "htvi_adaptive"])
+@pytest.mark.parametrize("name", ["rayleigh", "brockett"])
+def test_untamed_runs_with_an_oracle_stay_converged(name, method, monkeypatch):
+    # f reaches its oracle to rounding well inside the budget; the runs go on
+    trace = untamed_run(name, method, monkeypatch)
+    assert trace.fs[-1] - min(trace.fs) <= 1e-8
+    assert trace.iterations_to_gap(1e-12) < BUDGET

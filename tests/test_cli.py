@@ -86,6 +86,25 @@ class TestRun:
             assert lines[0] == ",".join(CSV_COLUMNS)
             assert len(lines) == 27
 
+    def test_run_line_counts_restarts(self, tmp_path, capsys):
+        # the HTVI run restarts several times in 100 steps; rgd never does
+        blocks = [{"method": method, "label": method, "p": 4.0, "h": 1e-2, "max_iters": 100,
+                   "stop_f_tol": 1e-300, "stop_grad_tol": 1e-300}
+                  for method in ("htvi_direct", "rgd")]
+        problem = {"name": "rayleigh", "dims": [6], "seed": 1}
+        config = write_config(tmp_path, {"problem": problem, "methods": blocks,
+                                         "output_dir": str(tmp_path / "out")})
+        assert main(["run", "--config", config]) == EXIT_OK
+        spec = problems.make_instance("rayleigh", (6,), seed=1)
+        initial = spec.manifold.random_point(np.random.default_rng(1))
+        expected = []
+        for block in blocks:
+            trace = optimizers.run(build_run_config(block), spec, initial)
+            expected.append(f"{block['label']}: 100 iterations, {len(trace.restarts)} "
+                            f"restarts, final f = {trace.fs[-1]:.6e}")
+            assert bool(trace.restarts) == (block["method"] == "htvi_direct")
+        assert capsys.readouterr().out.splitlines() == expected
+
     def test_out_flag_overrides_directory(self, tmp_path):
         config = minimal_run_config(tmp_path)
         other = tmp_path / "elsewhere"
@@ -125,11 +144,12 @@ class TestRun:
         assert_config_error(capsys, ["run", "--config", config],
                             "unknown method 'adamw'")
 
-    def test_failed_run_truncates_csv_and_exits_nonzero(self, tmp_path):
+    def test_failed_run_truncates_csv_and_exits_nonzero(self, tmp_path, capsys):
         from bregopt.cli import EXIT_NUMERICAL
 
         # an over-aggressive adaptive target exponent at ten times the
-        # default step destabilizes the run
+        # default step destabilizes the run; it restarts before steps 2 and
+        # 3 and fails in step 3, and its line says so
         config = write_config(
             tmp_path,
             {
@@ -141,6 +161,9 @@ class TestRun:
             },
         )
         assert main(["run", "--config", config]) == EXIT_NUMERICAL
+        assert capsys.readouterr().out == (
+            "bad: FAILED (sphere constraint unreachable along the multiplier direction "
+            "(discriminant -2.823e-01)), 2 restarts\n")
         lines = (tmp_path / "out" / "bad.csv").read_text().splitlines()
         assert len(lines) < 100001
         assert "nan" in lines[-1]
@@ -166,7 +189,7 @@ class TestRun:
                                     "p_ring": 2, "h": 2, "c_const": 1e-9, "max_iters": 3})
         assert main(["run", "--config", config]) == EXIT_NUMERICAL
         assert capsys.readouterr().out == ("zero: FAILED (r_t update divides by zero at "
-                                           "time coordinate 1.0)\n")
+                                           "time coordinate 1.0), 0 restarts\n")
         lines = (tmp_path / "out" / "zero.csv").read_text().splitlines()
         assert len(lines) == 3 and lines[1].startswith("0,")
         assert lines[-1] == "1,nan,nan,nan,nan,,"
@@ -181,7 +204,8 @@ class TestRun:
                             method={"stop_f_tol": 1e-300})
         assert main(["run", "--config", config]) == EXIT_NUMERICAL
         captured = capsys.readouterr()
-        assert captured.out == "rgd_0: FAILED (non-finite objective or gradient norm at k=0)\n"
+        assert captured.out == ("rgd_0: FAILED (non-finite objective or gradient norm at k=0), "
+                                "0 restarts\n")
         assert captured.err == ""
         lines = (tmp_path / "out" / "rgd_0.csv").read_text().splitlines()
         assert lines[1:] == ["0,nan,nan,nan,nan,,"]

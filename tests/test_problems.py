@@ -148,9 +148,10 @@ class TestProcrustes:
     def test_unbalanced_has_no_oracle(self):
         prob = make_instance("procrustes", (4, 2, 6), seed=9)
         assert prob.oracle_value is None
-        # and the spec holds no other oracle data
+        # and the spec holds no other oracle data, only the gradient's
+        # Lipschitz constant
         assert [field.name for field in dataclasses.fields(prob)] == [
-            "name", "manifold", "value_and_grad", "oracle_value"]
+            "name", "manifold", "value_and_grad", "oracle_value", "lipschitz"]
 
     def test_dimension_checks(self):
         rng = np.random.default_rng(10)
@@ -197,6 +198,67 @@ class TestOutOfRange:
         # last entry is the limit itself
         a = symmetric_instance(0, 4, np.finfo(float).max)
         assert np.all(np.isfinite(a))
+
+
+class TestLipschitz:
+    """``ProblemSpec.lipschitz`` is the Lipschitz constant of the ambient
+    gradient, read from the spectral data each problem already has, and
+    ``None`` when it overflows; building such a problem raises no numpy
+    warning (the suite turns warnings into errors)."""
+
+    @pytest.mark.parametrize("conditioning", [1.0, 10.0, 1000.0, 1e300])
+    def test_drawn_instances_read_the_spectrum(self, conditioning):
+        # linspace(1, conditioning, n) ends on conditioning exactly
+        ray = make_instance("rayleigh", (7,), seed=2, conditioning=conditioning)
+        brock = make_instance("brockett", (7, 3), seed=2, conditioning=conditioning)
+        assert ray.lipschitz == 2.0 * conditioning
+        assert brock.lipschitz == 2.0 * conditioning * 3.0
+
+    def test_given_matrices_read_their_eigenvalues(self):
+        # the largest eigenvalue in magnitude is the negative one
+        a = symmetric_from_spectrum(np.random.default_rng(3), np.array([-9.0, 0.5, 4.0]))
+        expected = 2.0 * np.max(np.abs(np.linalg.eigvalsh(a)))
+        assert rayleigh(a).lipschitz == pytest.approx(expected, rel=1e-14)
+        assert brockett(a, [1.0, 2.5]).lipschitz == pytest.approx(2.5 * expected, rel=1e-14)
+
+    def test_procrustes_reads_the_largest_singular_value(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((30, 20))
+        sigma = np.linalg.svd(a, compute_uv=False)[0]
+        prob = procrustes(a, rng.standard_normal((30, 5)))
+        assert prob.lipschitz == pytest.approx(2.0 * sigma * sigma, rel=1e-12)
+
+    @pytest.mark.parametrize("name,dims", [("rayleigh", (6,)), ("brockett", (6, 3)),
+                                           ("procrustes", (6, 3, 8))])
+    def test_bounds_the_gradient_and_is_attained(self, name, dims):
+        prob = make_instance(name, dims, seed=4)
+        rng = np.random.default_rng(6)
+        n = prob.manifold.ambient_dim
+        ratios = []
+        for _ in range(200):
+            x, y = rng.standard_normal(n), rng.standard_normal(n)
+            change = prob.value_and_grad(x)[1] - prob.value_and_grad(y)[1]
+            ratios.append(np.linalg.norm(change) / np.linalg.norm(x - y))
+        assert max(ratios) <= prob.lipschitz * (1.0 + 1e-12)
+        # a random pair reaches a good part of L; power iteration reaches it
+        x = rng.standard_normal(n)
+        for _ in range(500):
+            x = prob.value_and_grad(x)[1] - prob.value_and_grad(np.zeros(n))[1]
+            x /= np.linalg.norm(x)
+        change = prob.value_and_grad(x)[1] - prob.value_and_grad(np.zeros(n))[1]
+        assert np.linalg.norm(change) == pytest.approx(prob.lipschitz, rel=1e-9)
+
+    def test_overflowing_constant_is_none(self):
+        # each problem is valid, and its doubled matrix and oracle are finite
+        c = 8e307
+        assert rayleigh(np.array([[c, c], [c, c]])).lipschitz is None
+        assert brockett(np.diag([1.0, 100.0]), [1e307]).lipschitz is None
+        # A^T A overflows although 2 A does not
+        assert procrustes(np.full((3, 2), 1e200), np.ones((3, 1))).lipschitz is None
+
+    def test_zero_gradient_has_zero_constant(self):
+        assert procrustes(np.zeros((3, 2)), np.ones((3, 1))).lipschitz == 0.0
+        assert rayleigh(np.zeros((3, 3))).lipschitz == 0.0
 
 
 class TestGradientConsistency:
