@@ -20,7 +20,16 @@ from bregopt import manifolds
 from bregopt.dynamics import MidpointLagrangian
 from bregopt.errors import NewtonError, RetractionError
 from bregopt.manifolds import (NEWTON_MAX_ITER, NEWTON_TOL, RETRACT_ORTH_TOL,
-                               EmbeddedManifold, Sphere, Stiefel, positive_qr)
+                               EmbeddedManifold, Sphere, Stiefel)
+
+
+def public_positive_qr(a):
+    """``manifolds.positive_qr`` through the public ``np.linalg.qr``: Q with
+    R's diagonal made positive, and R's diagonal before the sign change."""
+    q, r = np.linalg.qr(a)
+    diag = r.diagonal()
+    np.negative(q, out=q, where=diag < 0.0)
+    return q, diag
 
 
 class NewtonResult(NamedTuple):
@@ -243,7 +252,7 @@ def column_major_retract(st, q, v):
             violation = float(np.abs(qf.T @ qf - np.eye(st.m)).max())
             if violation <= RETRACT_ORTH_TOL:
                 return qf.reshape(-1, order="F"), violation
-    qf, diag = positive_qr(w)
+    qf, diag = public_positive_qr(w)
     if (np.abs(diag) < rank_tol).any():
         raise RetractionError("QR retraction undefined: X + V is rank deficient")
     point = qf.reshape(-1, order="F")

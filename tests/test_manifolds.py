@@ -22,6 +22,7 @@ from reference_geometry import (
     constraint_jacobian,
     manifold_id,
     matrix,
+    public_positive_qr,
     random_history,
     random_tangent,
     unpacked,
@@ -780,9 +781,10 @@ class TestStiefelMultiplier:
 
 
 def public_linalg_retract(st, q, v):
-    """``Stiefel.retract`` written with the public ``np.linalg.cholesky`` and
-    ``np.linalg.solve``, whose LAPACK gufuncs it calls directly, and with
-    its guards read by numpy reductions, whose ``max`` propagates a NaN."""
+    """``Stiefel.retract`` written with the public ``np.linalg.cholesky``,
+    ``np.linalg.solve`` and ``np.linalg.qr``, whose LAPACK gufuncs it calls
+    directly, and with its guards read by numpy reductions, whose ``max``
+    propagates a NaN."""
     wt = (q + v).reshape(st.m, st.n)
     with np.errstate(all="ignore"):
         gram = wt.dot(wt.T)
@@ -798,11 +800,50 @@ def public_linalg_retract(st, q, v):
         if violation <= RETRACT_ORTH_TOL:
             return qt.reshape(-1), violation
     rank_tol = 1e-12 * max(1.0, float(np.abs(wt).max()))
-    qf, diag = manifolds.positive_qr(wt.T)
+    qf, diag = public_positive_qr(wt.T)
     if (np.abs(diag) < rank_tol).any():
         raise RetractionError("QR retraction undefined: X + V is rank deficient")
     point = st.from_matrix(qf)
     return point, st._gram_violation(point.reshape(st.m, st.n))
+
+
+class TestPositiveQrThroughGufuncs:
+    """``positive_qr`` calls the gufuncs behind ``np.linalg.qr`` without its
+    wrapper and gives its bits, with no warning: tall and square matrices,
+    either memory order, scales across the float range, repeated columns
+    and non-finite entries."""
+
+    def test_bits_match_the_public_qr(self):
+        rng = np.random.default_rng(53)
+        cases = 0
+        for trial in range(600):
+            rows = int(rng.integers(1, 30))
+            cols = int(rng.integers(1, rows + 1))
+            a = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-300, 300)
+            kind = trial % 5
+            if kind == 1:
+                a = np.asfortranarray(a)
+            elif kind == 2 and cols > 1:
+                a[:, -1] = a[:, 0]
+            elif kind == 3:
+                a.flat[int(rng.integers(a.size))] = (np.nan, np.inf, -np.inf)[trial % 3]
+            elif kind == 4:
+                a = rng.standard_normal((cols, rows)).T
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ours = manifolds.positive_qr(a)
+            with np.errstate(all="ignore"):
+                public = public_positive_qr(a)
+            assert ours[0].shape == public[0].shape == (rows, cols)
+            assert bits(ours[0]) == bits(public[0]) and bits(ours[1]) == bits(public[1])
+            cases += 1
+        assert cases == 600
+
+    def test_input_is_not_changed(self):
+        a = np.random.default_rng(54).standard_normal((7, 3))
+        before = a.copy()
+        manifolds.positive_qr(a)
+        assert bits(a) == bits(before)
 
 
 class TestRetractThroughGufuncs:

@@ -7,9 +7,10 @@ thread).  ``ndarray.dot`` reaches the same BLAS routines, so the two give
 the same bits and no trace digest can tell them apart; this test keeps the
 operator out instead.
 
-The Stiefel retraction calls numpy's private ``_umath_linalg`` gufuncs
-without the ``np.linalg`` wrappers; ``manifolds`` is the one module that may
-name them, and its tests pin their bits to the public calls.
+The Stiefel retraction and ``positive_qr`` call numpy's private
+``_umath_linalg`` gufuncs without the ``np.linalg`` wrappers; ``manifolds``
+is the one module that may name them, and its tests pin their bits to the
+public calls.
 
 The Bregman row's powers of the time coordinate are evaluated once, in
 ``bregman.step_coefficients``; the Hamiltonian values and partials read
